@@ -1,0 +1,731 @@
+"""Parameter estimation: datasets, fitting, sensitivities, axis searches.
+
+The forward model everywhere is exact diagonalization of the 6x6
+Hamiltonian. Fits run a damped Gauss-Newton iteration on a joint
+inverse-variance chi^2 over single-quantum line frequencies and
+zero-quantum splittings.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.optimize import curve_fit, linear_sum_assignment, minimize_scalar
+
+from .analytic import zq_beat_amplitude
+from .spin_core import (
+    _OP_IX,
+    _OP_IY,
+    _OP_IZ,
+    _OP_MIX,
+    _OP_SX,
+    _OP_SXIX,
+    _OP_SY,
+    _OP_SYIY,
+    _OP_SZ,
+    _OP_SZ2,
+    _OP_SZIZ,
+    DRIVE_SX,
+    FieldOrientation,
+    HyperfineTensor,
+    SystemParams,
+    build_hamiltonian,
+    eigensystem,
+    lambda_transition_amplitudes,
+    main_four_lines,
+    zero_quantum_splitting_exact,
+)
+
+OBSERVABLE_KINDS = ("sq_frequency", "zq_frequency", "zq_amplitude")
+PARAM_IDS = ("a_xx", "a_yy", "a_zz", "a", "b", "phi_offset")
+
+CSV_HEADER = "theta_deg,phi_deg,b_gauss,kind,value,sigma,transition_index"
+
+# smallest sigma ever written to disk; keeps the sigma>0 invariant for
+# noiseless synthetic data without distorting real weights
+MIN_SIGMA = 1e-6
+
+# finite-difference step for fit Jacobians, MHz / G / deg
+_JAC_STEP = 0.05
+
+# relative singular-value floor below which a fit direction counts as
+# degenerate (see the null-space error in fit_hyperfine); the canonical
+# STA + phi-sweep design sits near 9e-5, structural degeneracies below 1e-9
+_SV_FLOOR = 1e-6
+
+
+@dataclass(frozen=True)
+class ScanPoint:
+    """One measured observable at one field configuration."""
+
+    theta: float  # deg, NV frame
+    phi: float  # deg
+    b: float  # Gauss
+    kind: str
+    value: float  # MHz for frequencies, dimensionless for amplitudes
+    sigma: float
+    transition_index: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in OBSERVABLE_KINDS:
+            raise ValueError("unknown observable kind %r" % (self.kind,))
+        if not self.sigma > 0:
+            raise ValueError("sigma must be > 0, got %r" % (self.sigma,))
+        if self.kind == "sq_frequency" and self.transition_index is not None:
+            if self.transition_index not in (0, 1, 2, 3):
+                raise ValueError(
+                    "transition_index must be 0..3, got %r" % (self.transition_index,)
+                )
+
+
+@dataclass(frozen=True)
+class ScanDataset:
+    points: tuple
+    frame: str = "NV"
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
+
+    def __len__(self):
+        return len(self.points)
+
+    def restricted(self, kind: str) -> "ScanDataset":
+        return ScanDataset(
+            tuple(p for p in self.points if p.kind == kind), frame=self.frame
+        )
+
+
+@dataclass(frozen=True)
+class FitParams:
+    """Free-parameter record of the hyperfine fit."""
+
+    a_xx: float
+    a_yy: float
+    a_zz: float
+    a: float
+    b: float
+    phi_offset: float = 0.0  # deg added to dataset phi to reach the NV frame
+
+    def tensor(self) -> HyperfineTensor:
+        return HyperfineTensor(self.a_xx, self.a_yy, self.a_zz, self.a)
+
+    def as_vector(self) -> np.ndarray:
+        return np.array(
+            [self.a_xx, self.a_yy, self.a_zz, self.a, self.b, self.phi_offset]
+        )
+
+    @staticmethod
+    def from_vector(v) -> "FitParams":
+        return FitParams(*(float(x) for x in v))
+
+
+@dataclass(frozen=True)
+class FitResult:
+    params: FitParams
+    sigmas: dict  # parameter id -> 1 sigma (0.0 for fixed parameters)
+    chi2: float
+    n_iterations: int
+    converged: bool
+    residuals: np.ndarray  # value - model, per point, point units
+
+
+@dataclass(frozen=True)
+class SensitivityReport:
+    parameter: str
+    c_value: float  # mean absolute slope over the four main lines
+    slopes: tuple  # per-line signed slopes, ascending line frequency
+
+
+def read_dataset(path: str) -> ScanDataset:
+    """Parse a scan CSV. Lines starting with '#' and blank lines are skipped.
+
+    The first content line must be exactly the canonical header.
+    """
+    points = []
+    with open(path) as fh:
+        lines = fh.readlines()
+    header_seen = False
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != CSV_HEADER:
+                raise ValueError(
+                    "%s:%d: expected header %r, got %r" % (path, lineno, CSV_HEADER, line)
+                )
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 7:
+            raise ValueError("%s:%d: expected 7 fields, got %d" % (path, lineno, len(parts)))
+        try:
+            idx = int(parts[6]) if parts[6].strip() != "" else None
+            point = ScanPoint(
+                theta=float(parts[0]),
+                phi=float(parts[1]),
+                b=float(parts[2]),
+                kind=parts[3].strip(),
+                value=float(parts[4]),
+                sigma=float(parts[5]),
+                transition_index=idx,
+            )
+        except ValueError as exc:
+            raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
+        points.append(point)
+    if not header_seen:
+        raise ValueError("%s: no header line found" % path)
+    return ScanDataset(tuple(points))
+
+
+def write_dataset(dataset: ScanDataset, path: str, comments=()):
+    """Write a scan CSV; ``comments`` become leading '#' lines."""
+    with open(path, "w") as fh:
+        for c in comments:
+            fh.write("# %s\n" % c)
+        fh.write(CSV_HEADER + "\n")
+        for p in dataset.points:
+            idx = "" if p.transition_index is None else str(p.transition_index)
+            fh.write(
+                "%.10g,%.10g,%.10g,%s,%.10g,%.10g,%s\n"
+                % (p.theta, p.phi, p.b, p.kind, p.value, p.sigma, idx)
+            )
+
+
+# ---------------------------------------------------------------------------
+# batched forward model
+
+# SQ lines closer to a data point than this count as tied; ties between
+# genuinely distinct lines fall back to the transition amplitudes
+_MATCH_TIE = 1e-6
+
+
+def _assemble(params, v, theta_sub, phi_sub, b_sub):
+    """Stack of Hamiltonians, shape (m, n_sub, 6, 6), for m parameter rows."""
+    th = np.radians(theta_sub)[None, :]
+    ph = np.radians(phi_sub[None, :] + v[:, 5:6])
+    b = np.where(np.isnan(v[:, 4:5]), b_sub[None, :], v[:, 4:5])
+    bx = b * np.sin(th) * np.cos(ph)
+    by = b * np.sin(th) * np.sin(ph)
+    bz = b * np.cos(th)
+    ten = (
+        params.d * _OP_SZ2
+        + v[:, 0, None, None] * _OP_SXIX
+        + v[:, 1, None, None] * _OP_SYIY
+        + v[:, 2, None, None] * _OP_SZIZ
+        + v[:, 3, None, None] * _OP_MIX
+    )
+    h = np.empty((v.shape[0], len(theta_sub), 6, 6), dtype=complex)
+    h[:] = ten[:, None]
+    for comp, se, ie in (
+        (bx, _OP_SX, _OP_IX),
+        (by, _OP_SY, _OP_IY),
+        (bz, _OP_SZ, _OP_IZ),
+    ):
+        c = comp[:, :, None, None]
+        h += params.gamma_e * c * se + params.gamma_n * c * ie
+    return h
+
+
+def _forward_model(params, vec, theta, phi, b_col, kinds, values):
+    """Model frequencies for every dataset point at parameter vector(s).
+
+    vec has shape (6,) or (m, 6); the return matches ((n,) or (m, n)).
+    kinds: 0 = sq_frequency, 1 = zq_frequency. A nan in the b slot
+    switches to the per-point b column. Each SQ point is matched to the
+    nearest of the four main model lines; a near-tie between distinct
+    lines resolves toward the stronger transition amplitude and raises
+    when the amplitudes are comparable too.
+    """
+    v = np.atleast_2d(np.asarray(vec, dtype=float))
+    single = np.asarray(vec).ndim == 1
+    m = v.shape[0]
+    out = np.empty((m, len(theta)))
+    zq_mask = kinds == 1
+    if zq_mask.any():
+        # the ms0 doublet is always the lowest eigenvalue pair here; only
+        # eigenvalues are needed, with a separation guard against extreme
+        # trial tensors pushing manifolds across each other
+        h = _assemble(params, v, theta[zq_mask], phi[zq_mask], b_col[zq_mask])
+        w = np.linalg.eigvalsh(h.reshape(-1, 6, 6))
+        cut = params.d / 2.0
+        bad = (w[:, 1] >= cut) | (w[:, 2] <= cut)
+        if bad.any():
+            k = int(np.nonzero(zq_mask)[0][int(np.nonzero(bad)[0][0]) % int(zq_mask.sum())])
+            raise ValueError(
+                "manifold assignment ambiguous in forward model at point %d "
+                "(theta=%.3f phi=%.3f)" % (k, theta[k], phi[k])
+            )
+        out[:, zq_mask] = (w[:, 1] - w[:, 0]).reshape(m, -1)
+    sq_mask = ~zq_mask
+    if sq_mask.any():
+        h = _assemble(params, v, theta[sq_mask], phi[sq_mask], b_col[sq_mask])
+        evals, evecs = np.linalg.eigh(h.reshape(-1, 6, 6))
+        wght = np.abs(evecs) ** 2
+        w0 = wght[:, 2, :] + wght[:, 3, :]
+        wm = wght[:, 4, :] + wght[:, 5, :]
+        idx0 = np.argsort(w0, axis=1)[:, -2:]
+        idxm = np.argsort(wm, axis=1)[:, -2:]
+        clash = (idx0[:, :, None] == idxm[:, None, :]).any(axis=(1, 2))
+        if clash.any():
+            k = int(np.nonzero(sq_mask)[0][int(np.nonzero(clash)[0][0]) % int(sq_mask.sum())])
+            raise ValueError(
+                "manifold assignment ambiguous in forward model at point %d "
+                "(theta=%.3f phi=%.3f)" % (k, theta[k], phi[k])
+            )
+        e0 = np.take_along_axis(evals, idx0, axis=1)
+        em = np.take_along_axis(evals, idxm, axis=1)
+        # four line frequencies per point, layout [i_ms0, j_msm]
+        freqs = (em[:, None, :] - e0[:, :, None]).reshape(-1, 4)
+        target = np.tile(values[sq_mask], m)
+        dist = np.abs(freqs - target[:, None])
+        order = np.argsort(dist, axis=1)
+        rows = np.arange(len(freqs))
+        best, second = order[:, 0], order[:, 1]
+        tied = dist[rows, second] - dist[rows, best] < _MATCH_TIE
+        distinct = np.abs(freqs[rows, second] - freqs[rows, best]) > 1e-9
+        for r in np.nonzero(tied & distinct)[0]:
+            v0 = np.take_along_axis(evecs[r], idx0[r][None, :], axis=1)
+            vm = np.take_along_axis(evecs[r], idxm[r][None, :], axis=1)
+            amp = np.abs(v0.conj().T @ DRIVE_SX @ vm).reshape(-1) ** 2
+            a_best = amp[best[r]]
+            a_second = amp[second[r]]
+            if abs(a_best - a_second) <= 0.1 * max(a_best, a_second):
+                k = int(np.nonzero(sq_mask)[0][int(r) % int(sq_mask.sum())])
+                raise ValueError(
+                    "ambiguous transition matching at point %d: two lines "
+                    "equidistant from value %.6g with comparable amplitudes"
+                    % (k, values[k])
+                )
+            if a_second > a_best:
+                best[r] = second[r]
+        out[:, sq_mask] = freqs[rows, best].reshape(m, -1)
+    return out[0] if single else out
+
+
+def _dataset_arrays(dataset: ScanDataset):
+    theta = np.array([p.theta for p in dataset.points])
+    phi = np.array([p.phi for p in dataset.points])
+    b = np.array([p.b for p in dataset.points])
+    values = np.array([p.value for p in dataset.points])
+    sigmas = np.array([p.sigma for p in dataset.points])
+    kinds = np.empty(len(dataset), dtype=int)
+    for i, p in enumerate(dataset.points):
+        if p.kind == "sq_frequency":
+            kinds[i] = 0
+        elif p.kind == "zq_frequency":
+            kinds[i] = 1
+        else:
+            raise ValueError(
+                "zq_amplitude points cannot enter the frequency fit; "
+                "drop them or fit frequencies only"
+            )
+    return theta, phi, b, values, sigmas, kinds
+
+
+def fit_hyperfine(
+    dataset: ScanDataset,
+    initial: FitParams,
+    fixed=frozenset(),
+    params: SystemParams | None = None,
+    max_iterations: int = 500,
+) -> FitResult:
+    """Weighted least-squares fit of the hyperfine tensor to a scan dataset.
+
+    Free parameters default to all of PARAM_IDS; names in ``fixed`` are
+    held at their initial values. With b free a single global field
+    strength is fitted and the per-point b column is ignored; with b
+    fixed the column is used. Damped Gauss-Newton: the normal equations
+    carry an adaptive Marquardt damping term and each step passes a
+    halving line search. Convergence requires relative chi^2 change
+    < 1e-10 or gradient norm < 1e-8 on 3 consecutive iterations.
+
+    Raises ValueError("degenerate parameter direction: ...") when the
+    Jacobian loses rank, naming the unconstrained combination.
+    """
+    fixed = frozenset(fixed)
+    for name in fixed:
+        if name not in PARAM_IDS:
+            raise ValueError("unknown parameter id %r in fixed" % (name,))
+    free = [i for i, name in enumerate(PARAM_IDS) if name not in fixed]
+    if not free:
+        raise ValueError("no free parameters")
+    theta, phi, b_col, values, sigmas, kinds = _dataset_arrays(dataset)
+    if len(dataset) < len(free):
+        raise ValueError(
+            "%d points cannot constrain %d free parameters" % (len(dataset), len(free))
+        )
+    if params is None:
+        params = SystemParams()
+    vec = initial.as_vector()
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("initial guess must be finite")
+
+    def model(v):
+        u = np.array(v, dtype=float, copy=True)
+        if "b" in fixed:
+            if u.ndim == 1:
+                u[4] = np.nan  # sentinel: use the per-point column
+            else:
+                u[:, 4] = np.nan
+        return _forward_model(params, u, theta, phi, b_col, kinds, values)
+
+    def jacobian_forward(v, f0):
+        vmat = np.repeat(v[None, :], len(free), axis=0)
+        for col, pi in enumerate(free):
+            vmat[col, pi] += _JAC_STEP
+        fm = model(vmat)
+        return (fm - f0[None, :]).T / (_JAC_STEP * sigmas[:, None])
+
+    def jacobian_central(v):
+        vmat = np.repeat(v[None, :], 2 * len(free), axis=0)
+        for col, pi in enumerate(free):
+            vmat[2 * col, pi] += _JAC_STEP
+            vmat[2 * col + 1, pi] -= _JAC_STEP
+        fm = model(vmat)
+        return (fm[0::2] - fm[1::2]).T / (2 * _JAC_STEP * sigmas[:, None])
+
+    def chi2_of(r):
+        # exact summation: noiseless datasets weight chi^2 to ~1e10 where
+        # plain accumulation hides real sub-unit improvements
+        return math.fsum((r * r).tolist())
+
+    fvec = model(vec)
+    resid = (fvec - values) / sigmas
+    chi2 = chi2_of(resid)
+    consecutive = 0
+    converged = False
+    n_iter = 0
+    mu = 1e-3
+    need_jac = True
+    jac = grad = jtj = damp = None
+    for n_iter in range(1, max_iterations + 1):
+        if need_jac:
+            jac = jacobian_forward(vec, fvec)
+            _check_rank(jac, free)
+            grad = 2.0 * jac.T @ resid
+            jtj = jac.T @ jac
+            damp = np.diag(np.clip(np.diag(jtj), 1e-300, None))
+        step = np.linalg.solve(jtj + mu * damp, -0.5 * grad)
+        # per-iteration trust cap: large raw steps jump between basins
+        # (an x/y-swapped tensor with phi_offset near +-90 is a sticky
+        # false minimum); the line search then polishes within the cap
+        cap = np.maximum(2.0, 0.15 * np.abs(vec[free]))
+        for col, pi in enumerate(free):
+            if pi == 5:
+                cap[col] = 5.0  # degrees per iteration
+        over = np.max(np.abs(step) / cap)
+        scale0 = 1.0 if over <= 1.0 else 1.0 / over
+        scale = scale0
+        improved = False
+        for _ in range(25):
+            trial = vec.copy()
+            trial[free] += scale * step
+            try:
+                trial_f = model(trial)
+            except ValueError:
+                # trial point outside the model's labelable regime
+                scale *= 0.5
+                continue
+            trial_resid = (trial_f - values) / sigmas
+            trial_chi2 = chi2_of(trial_resid)
+            if trial_chi2 < chi2:
+                improved = True
+                break
+            scale *= 0.5
+        if improved:
+            rel_change = (chi2 - trial_chi2) / max(chi2, 1e-300)
+            vec, fvec, resid, chi2 = trial, trial_f, trial_resid, trial_chi2
+            mu = max(mu / 3.0, 1e-12) if scale == scale0 else min(mu * 2.0, 1e8)
+            need_jac = True
+        else:
+            rel_change = 0.0
+            mu = min(mu * 10.0, 1e8)
+            need_jac = False
+        if rel_change < 1e-10 or np.linalg.norm(grad) < 1e-8:
+            consecutive += 1
+        else:
+            consecutive = 0
+        if consecutive >= 3:
+            converged = True
+            break
+
+    if 3 in free and 5 in free:
+        # (a, phi_offset) -> (-a, phi_offset +- 180) is an exact symmetry of
+        # the Hamiltonian (a z-rotation by pi); report the principal branch
+        while vec[5] > 90.0:
+            vec[5] -= 180.0
+            vec[3] = -vec[3]
+        while vec[5] <= -90.0:
+            vec[5] += 180.0
+            vec[3] = -vec[3]
+    jac = jacobian_central(vec)
+    _check_rank(jac, free)
+    cov = np.linalg.inv(jac.T @ jac)
+    dof = len(dataset) - len(free)
+    chi2_red = chi2 / dof if dof > 0 else 1.0
+    if chi2_red > 1.0:
+        cov = cov * chi2_red
+    sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    sigmas_out = {name: 0.0 for name in PARAM_IDS}
+    for col, pi in enumerate(free):
+        sigmas_out[PARAM_IDS[pi]] = float(sig[col])
+    return FitResult(
+        params=FitParams.from_vector(vec),
+        sigmas=sigmas_out,
+        chi2=chi2,
+        n_iterations=n_iter,
+        converged=converged,
+        residuals=-resid * sigmas,
+    )
+
+
+def _check_rank(jac: np.ndarray, free):
+    """Raise naming the null-space combination when the Jacobian loses rank."""
+    norms = np.linalg.norm(jac, axis=0)
+    top = float(np.max(norms))
+    if top == 0.0:
+        raise ValueError(
+            "degenerate parameter direction: "
+            + " , ".join(PARAM_IDS[i] for i in free)
+        )
+    scaled = jac / np.where(norms > top * 1e-300, norms, top)
+    dead = norms < top * 1e-12
+    if dead.any():
+        name = PARAM_IDS[free[int(np.argmin(norms))]]
+        raise ValueError("degenerate parameter direction: %s" % name)
+    s, vt = np.linalg.svd(scaled, compute_uv=True)[1:]
+    if s[-1] < _SV_FLOOR * s[0]:
+        null = vt[-1] / norms
+        null = null / np.linalg.norm(null)
+        terms = [
+            "%+.2f*%s" % (null[c], PARAM_IDS[free[c]])
+            for c in range(len(free))
+            if null[c] ** 2 > 0.1
+        ]
+        raise ValueError("degenerate parameter direction: %s" % " ".join(terms))
+
+
+def synthesize_dataset(
+    params: SystemParams,
+    b: float,
+    design,
+    noise_sigma=None,
+    field_imperfection=None,
+    seed: int = 0,
+) -> ScanDataset:
+    """Generate a synthetic scan dataset from the exact forward model.
+
+    design: iterable of (theta_deg, phi_deg, kind). An sq_frequency
+    design point expands to the four main lines (transition_index 0..3,
+    ascending frequency). noise_sigma: dict kind -> Gaussian sigma
+    (default 0). field_imperfection: (amplitude_gauss, period_deg,
+    phase_deg) applied as B(phi) = b + amp*cos(2 pi phi/period + phase).
+    Deterministic for a fixed seed.
+    """
+    design = list(design)
+    if not design:
+        raise ValueError("design must be non-empty")
+    noise_sigma = dict(noise_sigma or {})
+    for kind in noise_sigma:
+        if kind not in OBSERVABLE_KINDS:
+            raise ValueError("unknown observable kind %r" % (kind,))
+    rng = np.random.default_rng(seed)
+    points = []
+    for theta, phi, kind in design:
+        if kind not in OBSERVABLE_KINDS:
+            raise ValueError("unknown observable kind %r" % (kind,))
+        b_eff = b
+        if field_imperfection is not None:
+            amp, period, phase = field_imperfection
+            b_eff = b + amp * np.cos(2 * np.pi * phi / period + np.radians(phase))
+        f = FieldOrientation(b_eff, theta, phi)
+        eig = eigensystem(build_hamiltonian(params, f))
+        sigma = float(noise_sigma.get(kind, 0.0))
+        stored_sigma = max(sigma, MIN_SIGMA)
+        if kind == "sq_frequency":
+            for k, line in enumerate(main_four_lines(eig)):
+                value = line.frequency
+                if sigma > 0:
+                    value += rng.normal(0.0, sigma)
+                points.append(
+                    ScanPoint(theta, phi, b, kind, float(value), stored_sigma, k)
+                )
+        else:
+            if kind == "zq_frequency":
+                value = zero_quantum_splitting_exact(eig)
+            else:
+                op, om = lambda_transition_amplitudes(eig, params.tensor, f)
+                value = zq_beat_amplitude(op, om) / 2.0
+            if sigma > 0:
+                value += rng.normal(0.0, sigma)
+            points.append(ScanPoint(theta, phi, b, kind, float(value), stored_sigma))
+    return ScanDataset(tuple(points))
+
+
+def find_axis_minimum(dataset: ScanDataset, quartic: bool = False):
+    """Locate the minimum of a single-angle scan by an even-model fit.
+
+    The dataset must sweep exactly one of theta/phi; the other angle and
+    b must be constant. Fits value(x) = v0 + k (x - x0)^2 (plus an
+    optional quartic term) by weighted least squares and returns
+    (x0_deg, sigma_deg).
+    """
+    if len(dataset) < 5:
+        raise ValueError("need at least 5 points, got %d" % len(dataset))
+    thetas = np.array([p.theta for p in dataset.points])
+    phis = np.array([p.phi for p in dataset.points])
+    theta_sweeps = len(np.unique(thetas)) > 1
+    phi_sweeps = len(np.unique(phis)) > 1
+    if theta_sweeps == phi_sweeps:
+        raise ValueError("exactly one of theta/phi must vary across the scan")
+    x = thetas if theta_sweeps else phis
+    v = np.array([p.value for p in dataset.points])
+    s = np.array([p.sigma for p in dataset.points])
+    w = 1.0 / s**2
+    design = np.vander(x, 3, increasing=True)  # columns 1, x, x^2
+    wsq = np.sqrt(w)
+    coef, *_ = np.linalg.lstsq(design * wsq[:, None], v * wsq, rcond=None)
+    c0, c1, c2 = coef
+    if c2 <= 0:
+        raise ValueError("extremum not bracketed")
+    x0 = -c1 / (2 * c2)
+    if not (x.min() < x0 < x.max()):
+        raise ValueError("extremum not bracketed")
+    if quartic:
+        def even_model(xx, v0, k, xc, q):
+            d = xx - xc
+            return v0 + k * d**2 + q * d**4
+
+        p0 = (c0 - c1**2 / (4 * c2), c2, x0, 0.0)
+        popt, pcov = curve_fit(
+            even_model, x, v, p0=p0, sigma=s, absolute_sigma=True, maxfev=10000
+        )
+        if popt[1] <= 0 or not (x.min() < popt[2] < x.max()):
+            raise ValueError("extremum not bracketed")
+        return float(popt[2]), float(np.sqrt(pcov[2, 2]))
+    cov = np.linalg.inv((design * w[:, None]).T @ design)
+    grad = np.array([0.0, -1.0 / (2 * c2), c1 / (2 * c2**2)])
+    var = float(grad @ cov @ grad)
+    return float(x0), float(np.sqrt(max(var, 0.0)))
+
+
+def _matched_states(ref_vecs, other_vecs):
+    """Map reference eigenstates onto another eigensystem by overlap."""
+    overlap = np.abs(ref_vecs.conj().T @ other_vecs) ** 2
+    row, col = linear_sum_assignment(-overlap)
+    matched = overlap[row, col]
+    return col, matched
+
+
+def sensitivity_c(
+    params: SystemParams,
+    field: FieldOrientation,
+    which: str,
+    step: float = 0.5,
+) -> SensitivityReport:
+    """Frequency sensitivity of the four main SQ lines to one tensor component.
+
+    Central differences with the given step (MHz). States of the
+    perturbed spectra are matched to the unperturbed ones by eigenvector
+    overlap, so level crossings do not corrupt the slopes.
+    """
+    if which not in ("a_xx", "a_yy", "a_zz", "a"):
+        raise ValueError("unknown parameter id %r" % (which,))
+    if not step > 0:
+        raise ValueError("step must be > 0")
+    eig0 = eigensystem(build_hamiltonian(params, field))
+    lines = main_four_lines(eig0)
+    sides = []
+    for sign in (+1.0, -1.0):
+        tensor = dataclasses.replace(
+            params.tensor, **{which: getattr(params.tensor, which) + sign * step}
+        )
+        p = dataclasses.replace(params, tensor=tensor)
+        eig = eigensystem(build_hamiltonian(p, field))
+        col, matched = _matched_states(eig0.vectors, eig.vectors)
+        if np.min(matched) < 0.5:
+            k = int(np.argmin(matched))
+            raise ValueError(
+                "transition matching failed for %s step %+g: state %d overlap %.3f "
+                "(reduce the step or move off the degeneracy)"
+                % (which, sign * step, k, matched[k])
+            )
+        sides.append((eig.values, col))
+    (ep, colp), (em, colm) = sides
+    slopes = []
+    for line in lines:
+        wp = ep[colp[line.to_state]] - ep[colp[line.from_state]]
+        wm = em[colm[line.to_state]] - em[colm[line.from_state]]
+        slopes.append(float((wp - wm) / (2 * step)))
+    c_value = float(np.mean(np.abs(slopes)))
+    return SensitivityReport(parameter=which, c_value=c_value, slopes=tuple(slopes))
+
+
+def precision_propagation(delta_omega: float, c: float) -> float:
+    """Parameter precision from frequency precision: delta_A = delta_omega / c."""
+    if not c > 0:
+        raise ValueError("parameter unobservable (c = %r)" % (c,))
+    if delta_omega < 0:
+        raise ValueError("delta_omega must be >= 0")
+    return delta_omega / c
+
+
+def _amplitude_ratio(params: SystemParams, b: float, theta: float, phi: float):
+    f = FieldOrientation(b, theta, phi)
+    eig = eigensystem(build_hamiltonian(params, f))
+    op, om = lambda_transition_amplitudes(eig, params.tensor, f)
+    hi = max(op, om)
+    if hi == 0:
+        return 1.0
+    return min(op, om) / hi
+
+
+def find_single_transition_axis(params: SystemParams, b: float):
+    """Search the field orientation that kills one Lambda transition.
+
+    Coarse 2 degree grid over theta in [0, 90], phi in [-90, 90], then
+    coordinate-wise bounded golden-section refinement to 0.01 degree.
+    Returns (theta_deg, phi_deg, amplitude_ratio). Raises when the
+    minimum ratio stays at or above 0.05.
+    """
+    if not b > 0:
+        raise ValueError("b must be > 0")
+
+    def ratio(th, ph):
+        try:
+            return _amplitude_ratio(params, b, th, ph)
+        except ValueError:
+            return np.inf
+
+    thetas = np.arange(0.0, 90.0 + 1e-9, 2.0)
+    phis = np.arange(-90.0, 90.0 + 1e-9, 2.0)
+    best = (np.inf, 0.0, 0.0)
+    for th in thetas:
+        for ph in phis:
+            r = ratio(th, ph)
+            if r < best[0]:
+                best = (r, th, ph)
+    _, th, ph = best
+    for _ in range(4):
+        res = minimize_scalar(
+            lambda t: ratio(t, ph),
+            bounds=(max(0.0, th - 2.0), min(90.0, th + 2.0)),
+            method="bounded",
+            options={"xatol": 0.005},
+        )
+        th = float(res.x)
+        res = minimize_scalar(
+            lambda p: ratio(th, p),
+            bounds=(max(-90.0, ph - 2.0), min(90.0, ph + 2.0)),
+            method="bounded",
+            options={"xatol": 0.005},
+        )
+        ph = float(res.x)
+    r = ratio(th, ph)
+    if not r < 0.05:
+        raise ValueError("no single-transition axis in range (best ratio %.4f)" % r)
+    return th, ph, r
