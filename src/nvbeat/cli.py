@@ -160,11 +160,11 @@ def _comment(cfg) -> str:
 
 
 def _resolved_field(cfg, at_sta: bool):
+    if not at_sta:
+        return cfg.field_nv()
     from .estimation import find_single_transition_axis
     from .spin_core import FieldOrientation
 
-    if not at_sta:
-        return cfg.field_nv()
     theta, phi, _ = find_single_transition_axis(cfg.system(), cfg["field.b"])
     return FieldOrientation(b=cfg["field.b"], theta=theta, phi=phi)
 

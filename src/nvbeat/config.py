@@ -30,9 +30,12 @@ class ConfigError(ValueError):
 
 def _float(text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError("expected a number, got %r" % text) from None
+    if not np.isfinite(value):
+        raise ConfigError("expected a finite number, got %r" % text)
+    return value
 
 
 def _int(text):

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit, linear_sum_assignment, minimize_scalar
 
 from .analytic import zq_beat_amplitude
 from .spin_core import (
+    _MANIFOLD_OVERLAP_MIN,
     _OP_IX,
     _OP_IY,
     _OP_IZ,
@@ -32,10 +32,15 @@ from .spin_core import (
     FieldOrientation,
     HyperfineTensor,
     SystemParams,
+    _fix_phases,
     build_hamiltonian,
     eigensystem,
+    hamiltonians,
     lambda_transition_amplitudes,
     main_four_lines,
+    manifold_overlaps,
+    nuclear_eigenstates_excited,
+    unit_vectors,
     zero_quantum_splitting_exact,
 )
 
@@ -72,6 +77,13 @@ class ScanPoint:
     def __post_init__(self):
         if self.kind not in OBSERVABLE_KINDS:
             raise ValueError("unknown observable kind %r" % (self.kind,))
+        for name in ("theta", "phi", "b", "value", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
+        if not 0.0 <= self.theta <= 180.0:
+            raise ValueError("theta must be in [0, 180], got %r" % (self.theta,))
+        if self.b < 0:
+            raise ValueError("b must be >= 0, got %r" % (self.b,))
         if not self.sigma > 0:
             raise ValueError("sigma must be > 0, got %r" % (self.sigma,))
         if self.kind == "sq_frequency" and self.transition_index is not None:
@@ -596,6 +608,8 @@ def find_axis_minimum(dataset: ScanDataset, quartic: bool = False):
     if not (x.min() < x0 < x.max()):
         raise ValueError("extremum not bracketed")
     if quartic:
+        from scipy.optimize import curve_fit
+
         def even_model(xx, v0, k, xc, q):
             d = xx - xc
             return v0 + k * d**2 + q * d**4
@@ -615,6 +629,8 @@ def find_axis_minimum(dataset: ScanDataset, quartic: bool = False):
 
 def _matched_states(ref_vecs, other_vecs):
     """Map reference eigenstates onto another eigensystem by overlap."""
+    from scipy.optimize import linear_sum_assignment
+
     overlap = np.abs(ref_vecs.conj().T @ other_vecs) ** 2
     row, col = linear_sum_assignment(-overlap)
     matched = overlap[row, col]
@@ -674,6 +690,11 @@ def precision_propagation(delta_omega: float, c: float) -> float:
     return delta_omega / c
 
 
+# grid ratios closer than this to the coarse minimum count as tied; the
+# batched kernel differs from the scalar chain by ~1e-15
+_GRID_TIE = 1e-12
+
+
 def _amplitude_ratio(params: SystemParams, b: float, theta: float, phi: float):
     f = FieldOrientation(b, theta, phi)
     eig = eigensystem(build_hamiltonian(params, f))
@@ -684,16 +705,108 @@ def _amplitude_ratio(params: SystemParams, b: float, theta: float, phi: float):
     return min(op, om) / hi
 
 
+def _nuclear_overlaps(vectors, states, rows, ref):
+    """|<ref|nuclear part>|^2 of the given state columns, per stack entry.
+
+    The nuclear part is the (rows) block of a column normalised to one;
+    an entry where that block is empty gets nan.
+    """
+    sub = np.take_along_axis(vectors[:, list(rows), :], states[:, None, :], axis=2)
+    nrm = np.sqrt(np.sum(sub.real**2, axis=1) + np.sum(sub.imag**2, axis=1))
+    with np.errstate(invalid="ignore"):
+        nuc = sub / nrm[:, None, :]
+    return np.abs(np.einsum("...i,...ij->...j", np.conj(ref), nuc)) ** 2
+
+
+def _amplitude_ratios(params: SystemParams, b: float, theta, phi) -> np.ndarray:
+    """Lambda amplitude ratio min/max at every (theta, phi), one stacked eigh.
+
+    The batched form of ``_amplitude_ratio``: the same Hamiltonian,
+    eigenstate labelling (``eigensystem``) and Lambda identification
+    (``lambda_transition_amplitudes``), applied to the whole stack. A point
+    where the scalar chain would raise gets inf.
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
+    shape = theta.shape
+    theta, phi = theta.ravel(), np.mod(phi.ravel(), 360.0)  # as FieldOrientation
+    n = len(theta)
+    out = np.full(n, np.inf)
+    t = params.tensor
+    # no Zeeman axis (b = 0) or no excited-state quantization axis
+    if not (math.isfinite(b) and b > 0) or (t.a_zz == 0.0 and t.a == 0.0):
+        return out.reshape(shape)
+    h = hamiltonians(params, b * unit_vectors(theta, phi))
+    scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
+    ok = (theta >= 0.0) & (theta <= 180.0)
+    ok &= np.max(np.abs(h - np.conj(np.swapaxes(h, 1, 2))), axis=(1, 2)) <= 1e-9 * scale
+    _, vectors = np.linalg.eigh(h)
+    vectors = _fix_phases(vectors)
+    over = manifold_overlaps(vectors)  # (n, state, manifold)
+
+    # eigensystem's labelling walk, one state at a time over the stack
+    rows = np.arange(n)
+    labels = np.empty((n, 6), dtype=int)
+    counts = np.zeros((n, 3), dtype=int)
+    for k in range(6):
+        o = over[:, k]
+        in_zero = o[:, 1] >= _MANIFOLD_OVERLAP_MIN
+        outside = o[:, 1] <= 1.0 - _MANIFOLD_OVERLAP_MIN
+        plus_free, minus_free = counts[:, 0] < 2, counts[:, 2] < 2
+        # larger overlap wins, ms_plus on a tie
+        side = np.where(plus_free & (~minus_free | (o[:, 0] >= o[:, 2])), 0, 2)
+        choice = np.where(in_zero, 1, side)
+        ok &= in_zero | (outside & (plus_free | minus_free))
+        ok &= counts[rows, choice] < 2
+        labels[:, k] = choice
+        counts[rows, choice] += 1
+    # with every state labelled, each manifold holds exactly two states,
+    # ascending in energy: ms_plus, ms_plus, ms0, ms0, ms_minus, ms_minus
+    order = np.argsort(labels, axis=1, kind="stable")
+    ground, excited = order[:, 2:4], order[:, 4:6]
+
+    # lambda_excited_index: a clean ms_minus pair, one clearly alpha_minus
+    purity = np.take_along_axis(over[:, :, 2], excited, axis=1)
+    ok &= np.all(purity >= _MANIFOLD_OVERLAP_MIN, axis=1)
+    _, _, alpha_minus = nuclear_eigenstates_excited(t)
+    ov = _nuclear_overlaps(vectors, excited, (4, 5), alpha_minus)
+    ok &= ~np.isnan(ov).any(axis=1)
+    ok &= ~(np.abs(ov[:, 0] - ov[:, 1]) < 0.05 * np.max(ov, axis=1))
+    ve = vectors[rows, :, excited[rows, np.argmax(ov, axis=1)]]
+
+    # ground states labelled by their overlap with the beta_plus Zeeman state
+    th = np.radians(theta)
+    ph = np.radians(phi)
+    beta_plus = np.stack([np.cos(th / 2) + 0j, np.exp(1j * ph) * np.sin(th / 2)], axis=1)
+    gp = _nuclear_overlaps(vectors, ground, (2, 3), beta_plus)
+    ok &= ~np.isnan(gp).any(axis=1)
+    first = gp[:, 0] >= gp[:, 1]
+    g_plus = np.where(first, ground[:, 0], ground[:, 1])
+    g_minus = np.where(first, ground[:, 1], ground[:, 0])
+    driven = DRIVE_SX @ vectors
+    omega_plus = np.abs(np.sum(np.conj(ve) * driven[rows, :, g_plus], axis=1))
+    omega_minus = np.abs(np.sum(np.conj(ve) * driven[rows, :, g_minus], axis=1))
+    hi = np.maximum(omega_plus, omega_minus)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(hi == 0, 1.0, np.minimum(omega_plus, omega_minus) / hi)
+    out[ok] = ratio[ok]
+    return out.reshape(shape)
+
+
 def find_single_transition_axis(params: SystemParams, b: float):
     """Search the field orientation that kills one Lambda transition.
 
-    Coarse 2 degree grid over theta in [0, 90], phi in [-90, 90], then
-    coordinate-wise bounded golden-section refinement to 0.01 degree.
+    Coarse 2 degree grid over theta in [0, 90], phi in [-90, 90], evaluated
+    by ``_amplitude_ratios`` one theta row (one stacked eigensolve) at a
+    time; the first minimum in theta-major order wins, as a point-by-point
+    scan would pick it. Then coordinate-wise bounded golden-section
+    refinement to 0.01 degree on the scalar ``_amplitude_ratio``.
     Returns (theta_deg, phi_deg, amplitude_ratio). Raises when the
     minimum ratio stays at or above 0.05.
     """
-    if not b > 0:
-        raise ValueError("b must be > 0")
+    from scipy.optimize import minimize_scalar
+
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError("b must be finite and > 0")
 
     def ratio(th, ph):
         try:
@@ -703,13 +816,17 @@ def find_single_transition_axis(params: SystemParams, b: float):
 
     thetas = np.arange(0.0, 90.0 + 1e-9, 2.0)
     phis = np.arange(-90.0, 90.0 + 1e-9, 2.0)
-    best = (np.inf, 0.0, 0.0)
-    for th in thetas:
-        for ph in phis:
-            r = ratio(th, ph)
-            if r < best[0]:
-                best = (r, th, ph)
-    _, th, ph = best
+    # row by row: stacking the whole grid at once raises peak memory ~10 %
+    grid = np.array([_amplitude_ratios(params, b, th, phis) for th in thetas])
+    th, ph = 0.0, 0.0
+    low = np.min(grid)
+    if np.isfinite(low):
+        # the kernel matches the scalar ratio to rounding, so near-ties are
+        # settled by the scalar ratio: first minimum in theta-major order
+        near = np.argwhere(grid <= low + _GRID_TIE)
+        if len(near) > 1:
+            near = near[[int(np.argmin([ratio(thetas[i], phis[j]) for i, j in near]))]]
+        th, ph = thetas[near[0, 0]], phis[near[0, 1]]
     for _ in range(4):
         res = minimize_scalar(
             lambda t: ratio(t, ph),

@@ -8,6 +8,7 @@ electron x nucleus with m_S = +1, 0, -1 and m_I = +1/2, -1/2, i.e.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +117,10 @@ class FieldOrientation:
     frame: str = "NV"
 
     def __post_init__(self):
-        if self.b < 0:
-            raise ValueError("field magnitude must be >= 0")
+        if not (math.isfinite(self.b) and self.b >= 0):
+            raise ValueError("field magnitude must be finite and >= 0")
+        if not math.isfinite(self.phi):
+            raise ValueError("phi must be finite")
         if not (0.0 <= self.theta <= 180.0):
             raise ValueError("theta out of range [0, 180]")
         if self.frame not in ("NV", "LAB"):
@@ -126,11 +129,7 @@ class FieldOrientation:
 
     @property
     def unit_vector(self) -> np.ndarray:
-        th = np.radians(self.theta)
-        ph = np.radians(self.phi)
-        return np.array(
-            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]
-        )
+        return unit_vectors(self.theta, self.phi)
 
 
 @dataclass(frozen=True)
@@ -204,9 +203,33 @@ def build_hamiltonian(params: SystemParams, field: FieldOrientation) -> np.ndarr
     """
     if field.frame != "NV":
         raise ValueError("field must be given in the NV frame")
-    bx, by, bz = field.b * field.unit_vector
+    return hamiltonians(params, field.b * field.unit_vector)
+
+
+def unit_vectors(theta, phi) -> np.ndarray:
+    """Field directions (degrees) as unit vectors, shape (..., 3).
+
+    phi is used as given: wrap it as ``FieldOrientation`` does first to
+    reproduce that class's vectors (wrapping twice is not a no-op, since
+    a tiny negative phi wraps to exactly 360).
+    """
+    th = np.radians(theta)
+    ph = np.radians(phi)
+    return np.stack(
+        [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1
+    )
+
+
+def hamiltonians(params: SystemParams, bvec) -> np.ndarray:
+    """Stack of static Hamiltonians for NV-frame field vectors (Gauss).
+
+    bvec has shape (..., 3); the result has shape (..., 6, 6).
+    ``build_hamiltonian`` is the batch of one.
+    """
+    bvec = np.asarray(bvec, dtype=float)
+    bx, by, bz = (bvec[..., k, None, None] for k in range(3))
     t = params.tensor
-    h = (
+    return (
         params.d * _OP_SZ2
         + params.gamma_e * (bx * _OP_SX + by * _OP_SY + bz * _OP_SZ)
         + params.gamma_n * (bx * _OP_IX + by * _OP_IY + bz * _OP_IZ)
@@ -215,33 +238,35 @@ def build_hamiltonian(params: SystemParams, field: FieldOrientation) -> np.ndarr
         + t.a_zz * _OP_SZIZ
         + t.a * _OP_MIX
     )
-    return h
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        idx = int(np.argmax(np.abs(out[:, k])))
-        piv = out[idx, k]
-        if np.abs(piv) > 0:
-            out[:, k] *= np.conj(piv) / np.abs(piv)
-    return out
+    """Make the largest-magnitude component of each column real positive.
+
+    Works on one (6, n) matrix or a stack (..., 6, n).
+    """
+    idx = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    piv = np.take_along_axis(vectors, idx, axis=-2)
+    mag = np.abs(piv)
+    factor = np.ones_like(piv)
+    np.divide(np.conj(piv), mag, out=factor, where=mag > 0)
+    return vectors * factor
 
 
 def manifold_overlaps(vectors: np.ndarray) -> np.ndarray:
     """Population of each eigenvector (columns) in the three m_S subspaces.
 
-    Returns array (n, 3) ordered (ms_plus, ms0, ms_minus).
+    Returns array (n, 3) ordered (ms_plus, ms0, ms_minus), or (..., n, 3)
+    for a stack of eigenvector matrices.
     """
     pops = np.abs(vectors) ** 2
     return np.stack(
         [
-            pops[0] + pops[1],
-            pops[2] + pops[3],
-            pops[4] + pops[5],
+            pops[..., 0, :] + pops[..., 1, :],
+            pops[..., 2, :] + pops[..., 3, :],
+            pops[..., 4, :] + pops[..., 5, :],
         ],
-        axis=1,
+        axis=-1,
     )
 
 

@@ -1,6 +1,7 @@
 """Config parsing, frame conversion, and the command-line front end."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,11 @@ def test_parse_errors_carry_location():
         parse("sequence.n_points = 1\n")
     with pytest.raises(ConfigError, match=r"field\.b must be >= 0"):
         parse("field.b = -1\n")
+    for key in ("field.b", "field.phi", "tensor.a", "sequence.tau_max"):
+        for text in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=re.escape(
+                    "t.cfg:1: %s: expected a finite number" % key)):
+                parse("%s = %s\n" % (key, text), name="t.cfg")
 
 
 def test_apply_overrides():
@@ -273,6 +279,23 @@ def test_fit_fixed_parameters(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "b = 40.3 (fixed)" in out
     assert "phi_offset = 0 (fixed)" in out
+
+
+def test_fit_rejects_bad_csv_rows(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, TABLE_CFG)
+    ds_path = tmp_path / "scan.csv"
+    assert main(["--config", cfgp, "--out", str(ds_path),
+                 "synth", "--design", "two-theta"]) == 0
+    lines = ds_path.read_text().splitlines()
+    lineno = len(lines)  # last row, a zq_frequency point
+    for column, text in ((4, "nan"), (4, "inf"), (0, "400"), (2, "-5")):
+        row = lines[-1].split(",")
+        row[column] = text
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:-1] + [",".join(row)]) + "\n")
+        assert main(["--config", cfgp, "fit", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s:%d: " % (bad, lineno)), err
 
 
 def test_cli_error_exits(tmp_path, capsys):

@@ -5,9 +5,12 @@ import pytest
 
 from nvbeat.analytic import zq_beat_amplitude
 from nvbeat.estimation import (
+    CSV_HEADER,
     FitParams,
     ScanDataset,
     ScanPoint,
+    _amplitude_ratio,
+    _amplitude_ratios,
     find_axis_minimum,
     find_single_transition_axis,
     fit_hyperfine,
@@ -49,6 +52,14 @@ def test_scan_point_validation():
         ScanPoint(10.0, 0.0, 40.0, "zq_frequency", 1.0, 0.0)
     with pytest.raises(ValueError):
         ScanPoint(10.0, 0.0, 40.0, "sq_frequency", 1.0, 0.1, transition_index=7)
+    good = dict(theta=10.0, phi=0.0, b=40.0, kind="zq_frequency", value=1.0, sigma=0.1)
+    for name, bad in (
+        ("theta", np.nan), ("theta", 400.0), ("theta", -0.5), ("phi", np.inf),
+        ("b", np.nan), ("b", -5.0), ("value", np.nan), ("value", -np.inf),
+        ("sigma", np.inf),
+    ):
+        with pytest.raises(ValueError, match=name):
+            ScanPoint(**{**good, name: bad})
 
 
 def test_csv_round_trip(tmp_path):
@@ -102,6 +113,18 @@ def test_csv_errors(tmp_path):
     empty.write_text("# only comments\n")
     with pytest.raises(ValueError, match="no header line found"):
         read_dataset(str(empty))
+
+
+@pytest.mark.parametrize(
+    "column, text", [(4, "nan"), (4, "inf"), (0, "400"), (2, "-5")]
+)
+def test_csv_rejects_non_finite_and_out_of_range(tmp_path, column, text):
+    row = ["40", "10", "40.3", "zq_frequency", "1.5", "0.1", ""]
+    row[column] = text
+    path = tmp_path / "bad.csv"
+    path.write_text(CSV_HEADER + "\n# comment\n" + ",".join(row) + "\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: "):
+        read_dataset(str(path))
 
 
 def test_synthesize_deterministic():
@@ -389,3 +412,50 @@ def test_field_imperfection_shows_up_in_residuals():
     others = max(v for k, v in amps.items() if k != 120.0)
     print("imperfection component ratio: %.2f" % (amps[120.0] / others))
     assert amps[120.0] > 3.0 * others
+
+
+def _scalar_ratios(params, b, theta, phi):
+    out = []
+    for th, ph in zip(theta, phi):
+        try:
+            out.append(_amplitude_ratio(params, b, float(th), float(ph)))
+        except ValueError:
+            out.append(np.inf)
+    return np.array(out)
+
+
+def test_batched_ratios_match_scalar_chain():
+    rng = np.random.default_rng(41)
+    no_a = SystemParams(tensor=HyperfineTensor(150.0, 120.0, 90.0, 0.0))
+    cases = [(SYS, 40.3), (no_a, 40.3)]
+    for _ in range(8):
+        tensor = HyperfineTensor(*(float(x) for x in rng.uniform(-200, 200, size=4)))
+        cases.append((SystemParams(tensor=tensor), float(rng.uniform(1, 60))))
+    near_90 = 0
+    for params, b in cases:
+        theta = np.concatenate([rng.uniform(0, 180, 60), rng.uniform(85, 95, 20)])
+        phi = rng.uniform(-180, 360, len(theta))
+        batched = _amplitude_ratios(params, b, theta, phi)
+        scalar = _scalar_ratios(params, b, theta, phi)
+        assert np.array_equal(np.isinf(batched), np.isinf(scalar))
+        finite = np.isfinite(scalar)
+        assert finite.any()
+        assert np.max(np.abs(batched[finite] - scalar[finite])) < 1e-9
+        near_90 += int(np.isinf(scalar[60:]).sum())
+    # the clean-ms_minus purity check rejects points near theta = 90
+    assert near_90 > 0
+
+
+def test_batched_ratios_shape_and_undefined_axis():
+    phis = np.arange(-90.0, 90.0 + 1e-9, 2.0)
+    grid = _amplitude_ratios(SYS, 40.3, np.arange(0.0, 10.0, 2.0)[:, None], phis)
+    assert grid.shape == (5, len(phis))
+    assert np.isfinite(grid).any()
+    # inputs the scalar chain rejects: theta outside [0, 180], b = 0
+    assert np.all(np.isinf(_amplitude_ratios(SYS, 40.3, [-1.0, 181.0], 0.0)))
+    assert np.all(np.isinf(_amplitude_ratios(SYS, 0.0, 30.0, phis)))
+    # a_zz = a = 0 leaves the excited-state quantization axis undefined
+    flat = SystemParams(tensor=HyperfineTensor(150.0, 120.0, 0.0, 0.0))
+    assert np.all(np.isinf(_amplitude_ratios(flat, 40.3, 30.0, phis)))
+    with pytest.raises(ValueError, match="no single-transition axis"):
+        find_single_transition_axis(flat, 40.3)

@@ -9,13 +9,16 @@ from nvbeat.spin_core import (
     FieldOrientation,
     HyperfineTensor,
     SystemParams,
+    _fix_phases,
     build_hamiltonian,
     eigensystem,
     ground_zeeman_states,
+    hamiltonians,
     lambda_transition_amplitudes,
     main_four_lines,
     nuclear_eigenstates_excited,
     spin_matrices,
+    unit_vectors,
     zero_quantum_splitting_exact,
 )
 
@@ -207,3 +210,45 @@ def test_eigensystem_reproducible():
     e2 = eigensystem(build_hamiltonian(SYS, f))
     assert np.array_equal(e1.vectors, e2.vectors)
     assert e1.manifold == e2.manifold
+
+
+def test_field_orientation_rejects_non_finite():
+    for b in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="field magnitude"):
+            FieldOrientation(b, 40.0, 0.0)
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            FieldOrientation(40.3, 40.0, phi)
+    for theta in (math.nan, math.inf, -1.0, 180.5):
+        with pytest.raises(ValueError, match="theta out of range"):
+            FieldOrientation(40.3, theta, 0.0)
+
+
+def test_stacked_hamiltonians_match_scalar_builder():
+    rng = np.random.default_rng(5)
+    params, _ = random_system(rng)
+    theta = rng.uniform(0, 180, 20)
+    phi = rng.uniform(-360, 360, 20)
+    phi[0] = -3.2751579226442118e-15  # wraps to exactly 360
+    b = 37.5
+    stack = hamiltonians(params, b * unit_vectors(theta, np.mod(phi, 360.0)))
+    assert stack.shape == (20, 6, 6)
+    for k in range(20):
+        f = FieldOrientation(b, float(theta[k]), float(phi[k]))
+        assert np.array_equal(stack[k], build_hamiltonian(params, f))
+
+
+def test_fix_phases_matches_column_loop():
+    rng = np.random.default_rng(6)
+    vecs = np.linalg.eigh(
+        np.stack([build_hamiltonian(*random_system(rng)) for _ in range(30)])
+    )[1]
+    vecs[0, :, 3] = 0.0  # an empty column keeps its (zero) phase
+    want = vecs.copy()
+    for m in range(len(want)):
+        for k in range(6):
+            piv = want[m, int(np.argmax(np.abs(want[m, :, k]))), k]
+            if np.abs(piv) > 0:
+                want[m, :, k] *= np.conj(piv) / np.abs(piv)
+    assert np.array_equal(_fix_phases(vecs), want)
+    assert np.array_equal(_fix_phases(vecs[7]), want[7])
