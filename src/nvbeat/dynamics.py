@@ -26,7 +26,7 @@ from .spin_core import (
     build_hamiltonian,
     eigensystem,
     lambda_excited_index,
-    lambda_transition_amplitudes,
+    lambda_system,
 )
 
 # Drive operator normalized so rabi_amplitude equals the on-resonance Rabi
@@ -200,21 +200,10 @@ def pi_pulse_from_rabi(trace: RamseyTrace) -> float:
 
 def _ideal_pi_unitary(eig: Eigensystem, params: SystemParams, field: FieldOrientation):
     """Instantaneous population swap between the excited level and the bright state."""
-    op, om = lambda_transition_amplitudes(eig, params.tensor, field)
+    op, om, exc, gp, gm = lambda_system(eig, params.tensor, field)
     n = np.hypot(op, om)
     if n == 0:
         raise ValueError("both Lambda amplitudes vanish; no pulse defined")
-    g = eig.indices("ms0")
-    exc = lambda_excited_index(eig, params.tensor)
-    # Ground labels follow lambda_transition_amplitudes ordering (beta_plus first).
-    from .spin_core import ground_zeeman_states, _nuclear_part
-
-    beta_plus, _ = ground_zeeman_states(field)
-    ov = [
-        np.abs(np.vdot(beta_plus, _nuclear_part(eig.vectors[:, i], (2, 3)))) ** 2
-        for i in g
-    ]
-    gp, gm = (g[0], g[1]) if ov[0] >= ov[1] else (g[1], g[0])
     bright = (op * eig.vectors[:, gp] + om * eig.vectors[:, gm]) / n
     ve = eig.vectors[:, exc]
     u = np.eye(6, dtype=complex)

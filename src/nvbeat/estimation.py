@@ -16,7 +16,6 @@ import numpy as np
 
 from .analytic import zq_beat_amplitude
 from .spin_core import (
-    _MANIFOLD_OVERLAP_MIN,
     _OP_IX,
     _OP_IY,
     _OP_IZ,
@@ -32,15 +31,16 @@ from .spin_core import (
     FieldOrientation,
     HyperfineTensor,
     SystemParams,
-    _fix_phases,
     build_hamiltonian,
     eigensystem,
+    eigensystems,
     hamiltonians,
+    lambda_excited_states,
+    lambda_legs,
     lambda_transition_amplitudes,
     main_four_lines,
-    manifold_overlaps,
-    nuclear_eigenstates_excited,
     unit_vectors,
+    zeeman_states,
     zero_quantum_splitting_exact,
 )
 
@@ -690,104 +690,30 @@ def precision_propagation(delta_omega: float, c: float) -> float:
     return delta_omega / c
 
 
-# grid ratios closer than this to the coarse minimum count as tied; the
-# batched kernel differs from the scalar chain by ~1e-15
-_GRID_TIE = 1e-12
-
-
-def _amplitude_ratio(params: SystemParams, b: float, theta: float, phi: float):
-    f = FieldOrientation(b, theta, phi)
-    eig = eigensystem(build_hamiltonian(params, f))
-    op, om = lambda_transition_amplitudes(eig, params.tensor, f)
-    hi = max(op, om)
-    if hi == 0:
-        return 1.0
-    return min(op, om) / hi
-
-
-def _nuclear_overlaps(vectors, states, rows, ref):
-    """|<ref|nuclear part>|^2 of the given state columns, per stack entry.
-
-    The nuclear part is the (rows) block of a column normalised to one;
-    an entry where that block is empty gets nan.
-    """
-    sub = np.take_along_axis(vectors[:, list(rows), :], states[:, None, :], axis=2)
-    nrm = np.sqrt(np.sum(sub.real**2, axis=1) + np.sum(sub.imag**2, axis=1))
-    with np.errstate(invalid="ignore"):
-        nuc = sub / nrm[:, None, :]
-    return np.abs(np.einsum("...i,...ij->...j", np.conj(ref), nuc)) ** 2
-
-
 def _amplitude_ratios(params: SystemParams, b: float, theta, phi) -> np.ndarray:
     """Lambda amplitude ratio min/max at every (theta, phi), one stacked eigh.
 
-    The batched form of ``_amplitude_ratio``: the same Hamiltonian,
-    eigenstate labelling (``eigensystem``) and Lambda identification
-    (``lambda_transition_amplitudes``), applied to the whole stack. A point
-    where the scalar chain would raise gets inf.
+    Runs the batched forms of ``eigensystem`` and
+    ``lambda_transition_amplitudes`` (``eigensystems``,
+    ``lambda_excited_states``, ``lambda_legs``) on the whole stack; a single
+    point is the batch of one. A point where the scalar forms would raise
+    gets inf.
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
     shape = theta.shape
     theta, phi = theta.ravel(), np.mod(phi.ravel(), 360.0)  # as FieldOrientation
-    n = len(theta)
-    out = np.full(n, np.inf)
-    t = params.tensor
-    # no Zeeman axis (b = 0) or no excited-state quantization axis
-    if not (math.isfinite(b) and b > 0) or (t.a_zz == 0.0 and t.a == 0.0):
+    out = np.full(len(theta), np.inf)
+    if not (math.isfinite(b) and b > 0):  # no Zeeman axis
         return out.reshape(shape)
     h = hamiltonians(params, b * unit_vectors(theta, phi))
-    scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
-    ok = (theta >= 0.0) & (theta <= 180.0)
-    ok &= np.max(np.abs(h - np.conj(np.swapaxes(h, 1, 2))), axis=(1, 2)) <= 1e-9 * scale
-    _, vectors = np.linalg.eigh(h)
-    vectors = _fix_phases(vectors)
-    over = manifold_overlaps(vectors)  # (n, state, manifold)
-
-    # eigensystem's labelling walk, one state at a time over the stack
-    rows = np.arange(n)
-    labels = np.empty((n, 6), dtype=int)
-    counts = np.zeros((n, 3), dtype=int)
-    for k in range(6):
-        o = over[:, k]
-        in_zero = o[:, 1] >= _MANIFOLD_OVERLAP_MIN
-        outside = o[:, 1] <= 1.0 - _MANIFOLD_OVERLAP_MIN
-        plus_free, minus_free = counts[:, 0] < 2, counts[:, 2] < 2
-        # larger overlap wins, ms_plus on a tie
-        side = np.where(plus_free & (~minus_free | (o[:, 0] >= o[:, 2])), 0, 2)
-        choice = np.where(in_zero, 1, side)
-        ok &= in_zero | (outside & (plus_free | minus_free))
-        ok &= counts[rows, choice] < 2
-        labels[:, k] = choice
-        counts[rows, choice] += 1
-    # with every state labelled, each manifold holds exactly two states,
-    # ascending in energy: ms_plus, ms_plus, ms0, ms0, ms_minus, ms_minus
-    order = np.argsort(labels, axis=1, kind="stable")
-    ground, excited = order[:, 2:4], order[:, 4:6]
-
-    # lambda_excited_index: a clean ms_minus pair, one clearly alpha_minus
-    purity = np.take_along_axis(over[:, :, 2], excited, axis=1)
-    ok &= np.all(purity >= _MANIFOLD_OVERLAP_MIN, axis=1)
-    _, _, alpha_minus = nuclear_eigenstates_excited(t)
-    ov = _nuclear_overlaps(vectors, excited, (4, 5), alpha_minus)
-    ok &= ~np.isnan(ov).any(axis=1)
-    ok &= ~(np.abs(ov[:, 0] - ov[:, 1]) < 0.05 * np.max(ov, axis=1))
-    ve = vectors[rows, :, excited[rows, np.argmax(ov, axis=1)]]
-
-    # ground states labelled by their overlap with the beta_plus Zeeman state
-    th = np.radians(theta)
-    ph = np.radians(phi)
-    beta_plus = np.stack([np.cos(th / 2) + 0j, np.exp(1j * ph) * np.sin(th / 2)], axis=1)
-    gp = _nuclear_overlaps(vectors, ground, (2, 3), beta_plus)
-    ok &= ~np.isnan(gp).any(axis=1)
-    first = gp[:, 0] >= gp[:, 1]
-    g_plus = np.where(first, ground[:, 0], ground[:, 1])
-    g_minus = np.where(first, ground[:, 1], ground[:, 0])
-    driven = DRIVE_SX @ vectors
-    omega_plus = np.abs(np.sum(np.conj(ve) * driven[rows, :, g_plus], axis=1))
-    omega_minus = np.abs(np.sum(np.conj(ve) * driven[rows, :, g_minus], axis=1))
-    hi = np.maximum(omega_plus, omega_minus)
+    _, vectors, labels, ok = eigensystems(h)
+    excited, _, _, found = lambda_excited_states(vectors, labels, params.tensor)
+    beta_plus, _ = zeeman_states(theta, phi)
+    op, om, _, _, legs = lambda_legs(vectors, labels, excited, beta_plus)
+    ok &= found & legs & (theta >= 0.0) & (theta <= 180.0)
+    hi = np.maximum(op, om)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(hi == 0, 1.0, np.minimum(omega_plus, omega_minus) / hi)
+        ratio = np.where(hi == 0, 1.0, np.minimum(op, om) / hi)
     out[ok] = ratio[ok]
     return out.reshape(shape)
 
@@ -795,11 +721,11 @@ def _amplitude_ratios(params: SystemParams, b: float, theta, phi) -> np.ndarray:
 def find_single_transition_axis(params: SystemParams, b: float):
     """Search the field orientation that kills one Lambda transition.
 
-    Coarse 2 degree grid over theta in [0, 90], phi in [-90, 90], evaluated
-    by ``_amplitude_ratios`` one theta row (one stacked eigensolve) at a
-    time; the first minimum in theta-major order wins, as a point-by-point
-    scan would pick it. Then coordinate-wise bounded golden-section
-    refinement to 0.01 degree on the scalar ``_amplitude_ratio``.
+    Coarse 2 degree grid over theta in [0, 90], phi in [-90, 90], then
+    coordinate-wise bounded golden-section refinement to 0.01 degree, both
+    on ``_amplitude_ratios``: the grid as one stacked eigensolve per theta
+    row, the refinement one point at a time. The first grid minimum in
+    theta-major order starts the refinement.
     Returns (theta_deg, phi_deg, amplitude_ratio). Raises when the
     minimum ratio stays at or above 0.05.
     """
@@ -809,24 +735,16 @@ def find_single_transition_axis(params: SystemParams, b: float):
         raise ValueError("b must be finite and > 0")
 
     def ratio(th, ph):
-        try:
-            return _amplitude_ratio(params, b, th, ph)
-        except ValueError:
-            return np.inf
+        return float(_amplitude_ratios(params, b, th, ph))
 
     thetas = np.arange(0.0, 90.0 + 1e-9, 2.0)
     phis = np.arange(-90.0, 90.0 + 1e-9, 2.0)
     # row by row: stacking the whole grid at once raises peak memory ~10 %
     grid = np.array([_amplitude_ratios(params, b, th, phis) for th in thetas])
     th, ph = 0.0, 0.0
-    low = np.min(grid)
-    if np.isfinite(low):
-        # the kernel matches the scalar ratio to rounding, so near-ties are
-        # settled by the scalar ratio: first minimum in theta-major order
-        near = np.argwhere(grid <= low + _GRID_TIE)
-        if len(near) > 1:
-            near = near[[int(np.argmin([ratio(thetas[i], phis[j]) for i, j in near]))]]
-        th, ph = thetas[near[0, 0]], phis[near[0, 1]]
+    if np.isfinite(grid.min()):
+        i, j = np.unravel_index(np.argmin(grid), grid.shape)
+        th, ph = thetas[i], phis[j]
     for _ in range(4):
         res = minimize_scalar(
             lambda t: ratio(t, ph),

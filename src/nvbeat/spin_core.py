@@ -270,6 +270,80 @@ def manifold_overlaps(vectors: np.ndarray) -> np.ndarray:
     )
 
 
+def _hermitian(h: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack (n, 6, 6): Hermitian to 1e-9 of its largest entry."""
+    scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
+    skew = np.max(np.abs(h - np.conj(np.swapaxes(h, 1, 2))), axis=(1, 2))
+    return ~(skew > 1e-9 * scale)
+
+
+def _labelling_walk(kinds: np.ndarray):
+    """The labelling policy of ``eigensystem`` over rows of state kinds.
+
+    kinds (m, 6) gives each state, in ascending energy, as 0 (clearly
+    outside ms0, ms_plus overlap at least the ms_minus one), 1 (ms0),
+    2 (clearly outside ms0, ms_minus larger) or 3 (ambiguous). Walking
+    upward, a state takes its preferred label while that label holds fewer
+    than two states; an outside state then takes the other one. Returns
+    (labels, ok) as ``label_manifolds`` does.
+    """
+    m = len(kinds)
+    rows = np.arange(m)
+    labels = np.full((m, 6), -1)
+    counts = np.zeros((m, 3), dtype=int)
+    ok = np.ones(m, dtype=bool)
+    for k in range(6):
+        want = kinds[:, k]
+        ok &= want != 3
+        want = np.where(want == 3, 1, want)
+        full = counts[rows, want] >= 2
+        choice = np.where(full & (want != 1), 2 - want, want)
+        ok &= counts[rows, choice] < 2
+        labels[ok, k] = choice[ok]
+        counts[rows, choice] += 1
+    return labels, ok
+
+
+# the walk tabulated once for all 4**6 kind sequences; base-4 digits
+_KIND_WEIGHTS = 4 ** np.arange(6)
+_WALK_LABELS, _WALK_OK = _labelling_walk(
+    (np.arange(4**6)[:, None] // _KIND_WEIGHTS) % 4
+)
+
+
+def label_manifolds(over: np.ndarray):
+    """Manifold labels for a stack of eigensystems, policy of ``eigensystem``.
+
+    over has shape (n, 6, 3), as from ``manifold_overlaps``. Returns
+    (labels, ok): labels (n, 6) index MANIFOLD_LABELS and read -1 from the
+    first state that cannot be labelled; ok (n,) marks complete labellings,
+    which hold each manifold exactly twice.
+    """
+    o_zero = over[..., 1]
+    side = np.where(over[..., 0] >= over[..., 2], 0, 2)
+    kinds = np.where(
+        o_zero >= _MANIFOLD_OVERLAP_MIN,
+        1,
+        np.where(o_zero <= 1.0 - _MANIFOLD_OVERLAP_MIN, side, 3),
+    )
+    key = kinds @ _KIND_WEIGHTS
+    return _WALK_LABELS[key], _WALK_OK[key]
+
+
+def eigensystems(h: np.ndarray):
+    """Batched ``eigensystem`` over a stack of 6x6 matrices (n, 6, 6).
+
+    Returns (values, vectors, labels, ok) with labels as from
+    ``label_manifolds``; ok is False where a matrix is not Hermitian or its
+    states cannot be labelled.
+    """
+    h = np.asarray(h, dtype=complex)
+    values, vectors = np.linalg.eigh(h)
+    vectors = _fix_phases(vectors)
+    labels, ok = label_manifolds(manifold_overlaps(vectors))
+    return values, vectors, labels, ok & _hermitian(h)
+
+
 def eigensystem(h: np.ndarray) -> Eigensystem:
     """Diagonalize a 6x6 Hermitian matrix and label eigenstates by manifold.
 
@@ -280,42 +354,32 @@ def eigensystem(h: np.ndarray) -> Eigensystem:
     between ms_plus and ms_minus by their larger overlap, two per label,
     walking states in ascending eigenvalue order (a transverse field can
     mix ms_plus with ms_minus legitimately, so no purity floor applies
-    within that pair).
+    within that pair). The batch of one of ``eigensystems``.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (6, 6):
         raise ValueError("expected a 6x6 matrix")
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.conj().T)) > 1e-9 * scale:
-        raise ValueError("matrix is not Hermitian")
-    values, vectors = np.linalg.eigh(h)
-    vectors = _fix_phases(vectors)
-    over = manifold_overlaps(vectors)
-    labels: list[str] = []
-    counts = {lab: 0 for lab in MANIFOLD_LABELS}
-    for k in range(6):
-        o_zero = over[k, 1]
-        if o_zero >= _MANIFOLD_OVERLAP_MIN:
-            choice = 1
-        elif o_zero <= 1.0 - _MANIFOLD_OVERLAP_MIN:
-            avail = [j for j in (0, 2) if counts[MANIFOLD_LABELS[j]] < 2]
-            if not avail:
-                raise ValueError(
-                    "ground manifold not resolved: labels %r" % (labels,)
-                )
-            choice = max(avail, key=lambda j: over[k, j])
-        else:
+    values, vectors, labels, ok = eigensystems(h[None])
+    if not ok[0]:
+        if not _hermitian(h[None])[0]:
+            raise ValueError("matrix is not Hermitian")
+        k = list(labels[0]).index(-1)
+        over = manifold_overlaps(vectors[0])[k]
+        if 1.0 - _MANIFOLD_OVERLAP_MIN < over[1] < _MANIFOLD_OVERLAP_MIN:
             raise ValueError(
                 "manifold assignment ambiguous for state %d "
                 "(overlaps ms_plus=%.3f ms0=%.3f ms_minus=%.3f)"
-                % (k, over[k, 0], over[k, 1], over[k, 2])
+                % (k, over[0], over[1], over[2])
             )
-        lab = MANIFOLD_LABELS[choice]
-        if counts[lab] >= 2:
-            raise ValueError("ground manifold not resolved: labels %r" % (labels,))
-        counts[lab] += 1
-        labels.append(lab)
-    return Eigensystem(values=values, vectors=vectors, manifold=tuple(labels))
+        raise ValueError(
+            "ground manifold not resolved: labels %r"
+            % ([MANIFOLD_LABELS[j] for j in labels[0, :k]],)
+        )
+    return Eigensystem(
+        values=values[0],
+        vectors=vectors[0],
+        manifold=tuple(MANIFOLD_LABELS[j] for j in labels[0]),
+    )
 
 
 def single_quantum_transitions(
@@ -381,6 +445,22 @@ def nuclear_eigenstates_excited(tensor: HyperfineTensor):
     return float(np.degrees(tp)), alpha_plus, alpha_minus
 
 
+def zeeman_states(theta, phi):
+    """Nuclear Zeeman eigenstates along field directions (degrees).
+
+    Returns (beta_plus, beta_minus), each of shape (..., 2), as
+    ``ground_zeeman_states`` describes them.
+    """
+    th = np.radians(theta)
+    ph = np.radians(phi)
+    e = np.exp(1j * ph)
+    c = np.cos(th / 2)
+    s = np.sin(th / 2)
+    beta_plus = np.stack([c + 0j, e * s], axis=-1)
+    beta_minus = np.stack([s + 0j, -e * c], axis=-1)
+    return beta_plus, beta_minus
+
+
 def ground_zeeman_states(field: FieldOrientation):
     """Nuclear Zeeman eigenstates along the field direction.
 
@@ -390,52 +470,150 @@ def ground_zeeman_states(field: FieldOrientation):
     """
     if field.b <= 0:
         raise ValueError("Zeeman axis undefined (b = 0)")
-    th = np.radians(field.theta)
-    ph = np.radians(field.phi)
-    e = np.exp(1j * ph)
-    beta_plus = np.array([np.cos(th / 2), e * np.sin(th / 2)], dtype=complex)
-    beta_minus = np.array([np.sin(th / 2), -e * np.cos(th / 2)], dtype=complex)
-    return beta_plus, beta_minus
+    return zeeman_states(field.theta, field.phi)
 
 
-def _nuclear_part(vec: np.ndarray, rows: tuple) -> np.ndarray:
-    sub = vec[list(rows)]
-    nrm = np.linalg.norm(sub)
-    if nrm == 0:
-        raise ValueError("state has no weight in the requested manifold")
-    return sub / nrm
+def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.vdot over the last axis of broadcast stacks of vectors."""
+    return (np.conj(a)[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _nuclear_overlaps(states: np.ndarray, rows: list, ref: np.ndarray) -> np.ndarray:
+    """|<ref|nuclear part>|^2 for states (n, m, 6); result (n, m).
+
+    The nuclear part is a state's block on ``rows`` (one electron
+    manifold), normalised; a state without weight there gives nan.
+    ref has shape (2,) or (n, 1, 2).
+    """
+    sub = states[..., rows]
+    nrm = np.sqrt(_vdot(sub.real, sub.real) + _vdot(sub.imag, sub.imag))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nuc = sub / nrm[..., None]
+    return np.abs(_vdot(ref, nuc)) ** 2
+
+
+def _pair(vectors: np.ndarray, labels: np.ndarray, label: int):
+    """Indices (n, 2) and states (n, 2, 6) of the two states with a label."""
+    idx = np.argsort(labels, axis=1, kind="stable")[:, 2 * label : 2 * label + 2]
+    return idx, vectors[np.arange(len(idx))[:, None], :, idx]
+
+
+def lambda_excited_states(
+    vectors: np.ndarray, labels: np.ndarray, tensor: HyperfineTensor
+):
+    """Batched ``lambda_excited_index`` over labelled eigensystems.
+
+    vectors (n, 6, 6) and labels (n, 6) as from ``eigensystems``, where
+    that marks them ok. Returns (excited, purity, overlap, ok): the index
+    of the excited level (n,), the ms_minus weight (n, 2) and alpha_minus
+    overlap (n, 2) of the two ms_minus states (nan where a state has no
+    ms_minus weight or the quantization axis is undefined), and where the
+    identification holds.
+    """
+    idx, states = _pair(vectors, labels, 2)
+    purity = manifold_overlaps(np.swapaxes(states, 1, 2))[..., 2]
+    try:
+        _, _, alpha_minus = nuclear_eigenstates_excited(tensor)
+    except ValueError:  # a_zz = a = 0: no quantization axis
+        alpha_minus = np.full(2, np.nan)
+    overlap = _nuclear_overlaps(states, [4, 5], alpha_minus)
+    ok = np.all(purity >= _MANIFOLD_OVERLAP_MIN, axis=1)
+    ok &= ~np.any(np.isnan(overlap), axis=1)
+    ok &= ~(np.abs(overlap[:, 0] - overlap[:, 1]) < 0.05 * np.max(overlap, axis=1))
+    excited = idx[np.arange(len(idx)), np.argmax(overlap, axis=1)]
+    return excited, purity, overlap, ok
+
+
+def lambda_legs(
+    vectors: np.ndarray,
+    labels: np.ndarray,
+    excited: np.ndarray,
+    beta_plus: np.ndarray,
+    drive: np.ndarray | None = None,
+):
+    """Batched Lambda legs for labelled eigensystems and their excited levels.
+
+    The two ms0 states are told apart by their overlap with beta_plus
+    (n, 2). Returns (omega_plus, omega_minus, g_plus, g_minus, ok):
+    |<excited|drive|g>| for both legs, the ground state indices, and False
+    where an ms0 state has no weight in that manifold.
+    """
+    if drive is None:
+        drive = DRIVE_SX
+    rows = np.arange(len(labels))
+    idx, states = _pair(vectors, labels, 1)
+    gp = _nuclear_overlaps(states, [2, 3], beta_plus[:, None, :])
+    ok = ~np.any(np.isnan(gp), axis=1)
+    first = gp[:, 0] >= gp[:, 1]
+    g_plus = np.where(first, idx[:, 0], idx[:, 1])
+    g_minus = np.where(first, idx[:, 1], idx[:, 0])
+    ve = vectors[rows, :, excited]
+
+    def leg(g):
+        return np.abs(_vdot(ve, (drive @ vectors[rows, :, g][..., None])[..., 0]))
+
+    return leg(g_plus), leg(g_minus), g_plus, g_minus, ok
+
+
+def _label_indices(eig: Eigensystem) -> np.ndarray:
+    return np.array([[MANIFOLD_LABELS.index(lab) for lab in eig.manifold]])
 
 
 def lambda_excited_index(eig: Eigensystem, tensor: HyperfineTensor) -> int:
     """Index of the ms_minus eigenstate whose nuclear part is alpha_minus.
 
     Raises when the two ms_minus states overlap alpha_minus within 5% of each
-    other (identification would be arbitrary).
+    other (identification would be arbitrary). The batch of one of
+    ``lambda_excited_states``.
     """
-    exc_idx = eig.indices("ms_minus")
-    if len(exc_idx) != 2:
+    if len(eig.indices("ms_minus")) != 2:
         raise ValueError("ground manifold not resolved")
+    excited, purity, overlap, ok = lambda_excited_states(
+        eig.vectors[None], _label_indices(eig), tensor
+    )
+    if ok[0]:
+        return int(excited[0])
     # the Lambda model needs a clean ms_minus excited level; near theta=90
     # the transverse field mixes ms_plus and ms_minus and no such level exists
-    for j in exc_idx:
-        purity = float(np.sum(np.abs(eig.vectors[4:6, j]) ** 2))
-        if purity < _MANIFOLD_OVERLAP_MIN:
+    for p in purity[0]:
+        if p < _MANIFOLD_OVERLAP_MIN:
             raise ValueError(
-                "excited level not a clean ms_minus state "
-                "(overlap %.3f)" % purity
+                "excited level not a clean ms_minus state (overlap %.3f)" % p
             )
-    _, _, alpha_minus = nuclear_eigenstates_excited(tensor)
-    ov = []
-    for j in exc_idx:
-        nuc = _nuclear_part(eig.vectors[:, j], (4, 5))
-        ov.append(np.abs(np.vdot(alpha_minus, nuc)) ** 2)
-    best = int(np.argmax(ov))
-    if abs(ov[0] - ov[1]) < 0.05 * max(ov):
-        raise ValueError(
-            "excited-state identification ambiguous: alpha_minus overlaps "
-            "%.4f vs %.4f" % (ov[0], ov[1])
-        )
-    return exc_idx[best]
+    nuclear_eigenstates_excited(tensor)  # raises when a_zz = a = 0
+    ov = overlap[0]
+    if np.any(np.isnan(ov)):
+        raise ValueError("state has no weight in the requested manifold")
+    raise ValueError(
+        "excited-state identification ambiguous: alpha_minus overlaps "
+        "%.4f vs %.4f" % (ov[0], ov[1])
+    )
+
+
+def lambda_system(
+    eig: Eigensystem,
+    tensor: HyperfineTensor,
+    field: FieldOrientation,
+    drive: np.ndarray | None = None,
+):
+    """The zero-quantum Lambda system of one eigensystem.
+
+    Returns (omega_plus, omega_minus, excited, g_plus, g_minus): the leg
+    amplitudes of ``lambda_transition_amplitudes`` and the state indices
+    of the excited level and of the ground states matching beta_plus and
+    beta_minus. The batch of one of ``lambda_legs``.
+    """
+    if len(eig.indices("ms0")) != 2:
+        raise ValueError("ground manifold not resolved")
+    excited = lambda_excited_index(eig, tensor)
+    beta_plus, _ = ground_zeeman_states(field)
+    labels = _label_indices(eig)
+    op, om, gp, gm, ok = lambda_legs(
+        eig.vectors[None], labels, np.array([excited]), beta_plus[None], drive
+    )
+    if not ok[0]:
+        raise ValueError("state has no weight in the requested manifold")
+    return float(op[0]), float(om[0]), excited, int(gp[0]), int(gm[0])
 
 
 def lambda_transition_amplitudes(
@@ -451,22 +629,5 @@ def lambda_transition_amplitudes(
     labeled by their overlap with the beta_plus/beta_minus Zeeman states.
     Returns (omega_plus, omega_minus) = |<excited|drive|ground_pm>|, not squared.
     """
-    if drive is None:
-        drive = DRIVE_SX
-    g_idx = eig.indices("ms0")
-    if len(g_idx) != 2:
-        raise ValueError("ground manifold not resolved")
-    excited = lambda_excited_index(eig, tensor)
-    beta_plus, _ = ground_zeeman_states(field)
-    gp_ov = [
-        np.abs(np.vdot(beta_plus, _nuclear_part(eig.vectors[:, i], (2, 3)))) ** 2
-        for i in g_idx
-    ]
-    if gp_ov[0] >= gp_ov[1]:
-        g_plus, g_minus = g_idx[0], g_idx[1]
-    else:
-        g_plus, g_minus = g_idx[1], g_idx[0]
-    ve = eig.vectors[:, excited]
-    omega_plus = float(np.abs(np.vdot(ve, drive @ eig.vectors[:, g_plus])))
-    omega_minus = float(np.abs(np.vdot(ve, drive @ eig.vectors[:, g_minus])))
+    omega_plus, omega_minus, _, _, _ = lambda_system(eig, tensor, field, drive)
     return omega_plus, omega_minus

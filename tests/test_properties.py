@@ -6,11 +6,13 @@ from nvbeat.analytic import bright_dark
 from nvbeat.dynamics import PulseParams, propagate, rotating_frame_h, simulate_rabi, simulate_zq_ramsey
 from nvbeat.estimation import synthesize_dataset
 from nvbeat.spin_core import (
+    MANIFOLD_LABELS,
     FieldOrientation,
     HyperfineTensor,
     SystemParams,
     build_hamiltonian,
     eigensystem,
+    eigensystems,
 )
 
 REF = HyperfineTensor(166.9, 122.9, 90.0, -90.3)
@@ -130,3 +132,15 @@ def test_eigensystem_reproducible():
         assert np.array_equal(e1.values, e2.values)
         assert np.array_equal(e1.vectors, e2.vectors)
         assert e1.manifold == e2.manifold
+
+
+def test_batched_labels_match_scalar():
+    rng = np.random.default_rng(28)
+    h = np.stack([build_hamiltonian(*random_case(rng)) for _ in range(200)])
+    values, vectors, labels, ok = eigensystems(h)
+    assert ok.all()
+    for k in range(len(h)):
+        eig = eigensystem(h[k])
+        assert eig.manifold == tuple(MANIFOLD_LABELS[j] for j in labels[k])
+        assert np.allclose(eig.values, values[k], rtol=0, atol=1e-9)
+        assert np.allclose(eig.vectors, vectors[k], rtol=0, atol=1e-12)

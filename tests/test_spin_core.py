@@ -14,6 +14,8 @@ from nvbeat.spin_core import (
     eigensystem,
     ground_zeeman_states,
     hamiltonians,
+    label_manifolds,
+    lambda_excited_index,
     lambda_transition_amplitudes,
     main_four_lines,
     nuclear_eigenstates_excited,
@@ -252,3 +254,60 @@ def test_fix_phases_matches_column_loop():
                 want[m, :, k] *= np.conj(piv) / np.abs(piv)
     assert np.array_equal(_fix_phases(vecs), want)
     assert np.array_equal(_fix_phases(vecs[7]), want[7])
+
+
+def _walk(over):
+    """Reference labelling walk, one state at a time (see eigensystem)."""
+    labels, counts = [], [0, 0, 0]
+    for o in over:
+        if o[1] >= 0.6:
+            choice = 1
+        elif o[1] <= 0.4:
+            avail = [j for j in (0, 2) if counts[j] < 2]
+            if not avail:
+                break
+            choice = max(avail, key=lambda j: o[j])
+        else:
+            break
+        if counts[choice] >= 2:
+            break
+        counts[choice] += 1
+        labels.append(choice)
+    return labels + [-1] * (6 - len(labels)), len(labels) == 6
+
+
+def test_label_manifolds_follows_the_walk():
+    rng = np.random.default_rng(8)
+    # ms0 weights on and around the 0.4/0.6 thresholds, ties between the
+    # ms_plus and ms_minus shares
+    zero = rng.choice([0.0, 0.1, 0.4, 0.5, 0.6, 0.95, 1.0], size=(20000, 6),
+                      p=[0.3, 0.2, 0.05, 0.05, 0.05, 0.25, 0.1])
+    split = rng.choice([0.0, 0.3, 0.5, 0.7, 1.0], size=(20000, 6))
+    over = np.stack([(1 - zero) * split, zero, (1 - zero) * (1 - split)], axis=-1)
+    labels, ok = label_manifolds(over)
+    want = [_walk(o) for o in over]
+    assert np.array_equal(labels, [w[0] for w in want])
+    assert np.array_equal(ok, [w[1] for w in want])
+    assert 0.1 < ok.mean() < 0.9
+
+
+def test_scalar_errors_keep_their_messages():
+    h = build_hamiltonian(SYS, FieldOrientation(40.3, 40.0, 90.0))
+    skew = h.copy()
+    skew[0, 1] += 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigensystem(skew)
+    # the lowest state is half ms_plus, half ms0
+    u = np.eye(6)
+    u[0, 0] = u[0, 2] = u[2, 2] = math.sqrt(0.5)
+    u[2, 0] = -math.sqrt(0.5)
+    with pytest.raises(ValueError, match="ambiguous for state 0"):
+        eigensystem(u @ np.diag(np.arange(6.0)) @ u.T)
+    f = FieldOrientation(40.3, 90.0, 90.0)
+    with pytest.raises(ValueError, match="not a clean ms_minus state"):
+        lambda_excited_index(eigensystem(build_hamiltonian(SYS, f)), REF)
+    flat = HyperfineTensor(150.0, 120.0, 0.0, 0.0)
+    f = FieldOrientation(40.3, 40.0, 90.0)
+    eig = eigensystem(build_hamiltonian(SystemParams(tensor=flat), f))
+    with pytest.raises(ValueError, match="quantization axis undefined"):
+        lambda_transition_amplitudes(eig, flat, f)
