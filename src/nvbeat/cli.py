@@ -314,6 +314,7 @@ def cmd_fit(cfg, args) -> str:
         CSV_HEADER,
         PARAM_IDS,
         FitParams,
+        csv_row,
         fit_hyperfine,
         read_dataset,
     )
@@ -353,12 +354,7 @@ def cmd_fit(cfg, args) -> str:
     rows.append("")
     rows.append(CSV_HEADER + ",model,residual")
     for p, res in zip(dataset.points, result.residuals):
-        idx = "" if p.transition_index is None else str(p.transition_index)
-        rows.append(
-            "%.10g,%.10g,%.10g,%s,%.10g,%.10g,%s,%.10g,%.10g"
-            % (p.theta, p.phi, p.b, p.kind, p.value, p.sigma, idx,
-               p.value - res, res)
-        )
+        rows.append("%s,%.10g,%.10g" % (csv_row(p), p.value - res, res))
     return "\n".join(rows) + "\n"
 
 
@@ -459,7 +455,7 @@ def _synth_design(cfg, which: str):
 
 
 def cmd_synth(cfg, args) -> str:
-    from .estimation import CSV_HEADER, synthesize_dataset
+    from .estimation import CSV_HEADER, csv_row, synthesize_dataset
 
     dataset = synthesize_dataset(
         cfg.system(),
@@ -470,12 +466,7 @@ def cmd_synth(cfg, args) -> str:
         seed=cfg["seed"],
     )
     rows = [_comment(cfg), "# design: %s" % args.design, CSV_HEADER]
-    for p in dataset.points:
-        idx = "" if p.transition_index is None else str(p.transition_index)
-        rows.append(
-            "%.10g,%.10g,%.10g,%s,%.10g,%.10g,%s"
-            % (p.theta, p.phi, p.b, p.kind, p.value, p.sigma, idx)
-        )
+    rows += [csv_row(p) for p in dataset.points]
     return "\n".join(rows) + "\n"
 
 

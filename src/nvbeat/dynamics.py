@@ -8,7 +8,8 @@ intra-manifold elements oscillate at the carrier frequency and average
 out). The carrier sits at the mean of the two ms0 -> (ms_minus,
 alpha_minus) transition frequencies plus an optional detuning, so the
 detuning parameter measures symmetric offset from the Lambda doublet.
-Propagation uses exp(-i 2 pi H t) with H in MHz, t in us.
+Propagation applies exp(-i 2 pi H t), H in MHz and t in us, through the
+eigendecomposition of the Hermitian H.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .spin_core import (
     DRIVE_SX,
     Eigensystem,
     FieldOrientation,
     SystemParams,
+    _hermitian,
     build_hamiltonian,
     eigensystem,
     lambda_excited_index,
@@ -83,12 +84,18 @@ def rotating_frame_h(
 
 
 def propagate(segments, psi0: np.ndarray) -> np.ndarray:
-    """Apply exp(-i 2 pi H_k t_k) for each (hamiltonian, duration) segment in order."""
+    """Apply exp(-i 2 pi H_k t_k) for each (hamiltonian, duration) segment in order.
+
+    Every H_k must be Hermitian; a segment that is not raises.
+    """
     psi = np.asarray(psi0, dtype=complex)
     for h, t in segments:
         if t < 0:
             raise ValueError("segment duration must be >= 0")
-        psi = scipy.linalg.expm(-2j * np.pi * np.asarray(h, dtype=complex) * t) @ psi
+        h = np.asarray(h, dtype=complex)
+        if not _hermitian(h[None])[0]:
+            raise ValueError("segment Hamiltonian is not Hermitian")
+        psi = _unitary(h, t) @ psi
     return psi
 
 

@@ -40,6 +40,7 @@ from .spin_core import (
     lambda_transition_amplitudes,
     main_four_lines,
     unit_vectors,
+    wrap_azimuth,
     zeeman_states,
     zero_quantum_splitting_exact,
 )
@@ -49,8 +50,8 @@ PARAM_IDS = ("a_xx", "a_yy", "a_zz", "a", "b", "phi_offset")
 
 CSV_HEADER = "theta_deg,phi_deg,b_gauss,kind,value,sigma,transition_index"
 
-# smallest sigma ever written to disk; keeps the sigma>0 invariant for
-# noiseless synthetic data without distorting real weights
+# smallest sigma a point may carry; noiseless synthetic data is stored
+# with it, and far smaller sigmas overflow the inverse-variance weights
 MIN_SIGMA = 1e-6
 
 # finite-difference step for fit Jacobians, MHz / G / deg
@@ -84,8 +85,8 @@ class ScanPoint:
             raise ValueError("theta must be in [0, 180], got %r" % (self.theta,))
         if self.b < 0:
             raise ValueError("b must be >= 0, got %r" % (self.b,))
-        if not self.sigma > 0:
-            raise ValueError("sigma must be > 0, got %r" % (self.sigma,))
+        if not self.sigma >= MIN_SIGMA:
+            raise ValueError("sigma must be >= %g, got %r" % (MIN_SIGMA, self.sigma))
         if self.kind == "sq_frequency" and self.transition_index is not None:
             if self.transition_index not in (0, 1, 2, 3):
                 raise ValueError(
@@ -193,6 +194,14 @@ def read_dataset(path: str) -> ScanDataset:
     return ScanDataset(tuple(points))
 
 
+def csv_row(p: ScanPoint) -> str:
+    """One scan CSV row, columns as CSV_HEADER, without the newline."""
+    idx = "" if p.transition_index is None else str(p.transition_index)
+    return "%.10g,%.10g,%.10g,%s,%.10g,%.10g,%s" % (
+        p.theta, p.phi, p.b, p.kind, p.value, p.sigma, idx
+    )
+
+
 def write_dataset(dataset: ScanDataset, path: str, comments=()):
     """Write a scan CSV; ``comments`` become leading '#' lines."""
     with open(path, "w") as fh:
@@ -200,11 +209,7 @@ def write_dataset(dataset: ScanDataset, path: str, comments=()):
             fh.write("# %s\n" % c)
         fh.write(CSV_HEADER + "\n")
         for p in dataset.points:
-            idx = "" if p.transition_index is None else str(p.transition_index)
-            fh.write(
-                "%.10g,%.10g,%.10g,%s,%.10g,%.10g,%s\n"
-                % (p.theta, p.phi, p.b, p.kind, p.value, p.sigma, idx)
-            )
+            fh.write(csv_row(p) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +361,8 @@ def fit_hyperfine(
     < 1e-10 or gradient norm < 1e-8 on 3 consecutive iterations.
 
     Raises ValueError("degenerate parameter direction: ...") when the
-    Jacobian loses rank, naming the unconstrained combination.
+    Jacobian loses rank, naming the unconstrained combination; raises when
+    chi^2 or the covariance is not finite.
     """
     fixed = frozenset(fixed)
     for name in fixed:
@@ -408,6 +414,8 @@ def fit_hyperfine(
     fvec = model(vec)
     resid = (fvec - values) / sigmas
     chi2 = chi2_of(resid)
+    if not math.isfinite(chi2):
+        raise ValueError("chi^2 not finite at the initial guess; check the data values")
     consecutive = 0
     converged = False
     n_iter = 0
@@ -477,6 +485,8 @@ def fit_hyperfine(
     jac = jacobian_central(vec)
     _check_rank(jac, free)
     cov = np.linalg.inv(jac.T @ jac)
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("fit covariance not finite; check the data sigmas")
     dof = len(dataset) - len(free)
     chi2_red = chi2 / dof if dof > 0 else 1.0
     if chi2_red > 1.0:
@@ -627,16 +637,6 @@ def find_axis_minimum(dataset: ScanDataset, quartic: bool = False):
     return float(x0), float(np.sqrt(max(var, 0.0)))
 
 
-def _matched_states(ref_vecs, other_vecs):
-    """Map reference eigenstates onto another eigensystem by overlap."""
-    from scipy.optimize import linear_sum_assignment
-
-    overlap = np.abs(ref_vecs.conj().T @ other_vecs) ** 2
-    row, col = linear_sum_assignment(-overlap)
-    matched = overlap[row, col]
-    return col, matched
-
-
 def sensitivity_c(
     params: SystemParams,
     field: FieldOrientation,
@@ -645,9 +645,11 @@ def sensitivity_c(
 ) -> SensitivityReport:
     """Frequency sensitivity of the four main SQ lines to one tensor component.
 
-    Central differences with the given step (MHz). States of the
-    perturbed spectra are matched to the unperturbed ones by eigenvector
-    overlap, so level crossings do not corrupt the slopes.
+    Central differences with the given step (MHz). Each unperturbed state
+    is matched to the perturbed state it overlaps most, so level crossings
+    do not corrupt the slopes. Both bases are orthonormal, so once every
+    matched overlap exceeds 0.5 the matching is a permutation; a smaller
+    one raises.
     """
     if which not in ("a_xx", "a_yy", "a_zz", "a"):
         raise ValueError("unknown parameter id %r" % (which,))
@@ -662,7 +664,9 @@ def sensitivity_c(
         )
         p = dataclasses.replace(params, tensor=tensor)
         eig = eigensystem(build_hamiltonian(p, field))
-        col, matched = _matched_states(eig0.vectors, eig.vectors)
+        overlap = np.abs(eig0.vectors.conj().T @ eig.vectors) ** 2
+        col = overlap.argmax(axis=1)
+        matched = overlap.max(axis=1)
         if np.min(matched) < 0.5:
             k = int(np.argmin(matched))
             raise ValueError(
@@ -701,7 +705,7 @@ def _amplitude_ratios(params: SystemParams, b: float, theta, phi) -> np.ndarray:
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
     shape = theta.shape
-    theta, phi = theta.ravel(), np.mod(phi.ravel(), 360.0)  # as FieldOrientation
+    theta, phi = theta.ravel(), wrap_azimuth(phi.ravel())  # as FieldOrientation
     out = np.full(len(theta), np.inf)
     if not (math.isfinite(b) and b > 0):  # no Zeeman axis
         return out.reshape(shape)
@@ -721,46 +725,33 @@ def _amplitude_ratios(params: SystemParams, b: float, theta, phi) -> np.ndarray:
 def find_single_transition_axis(params: SystemParams, b: float):
     """Search the field orientation that kills one Lambda transition.
 
-    Coarse 2 degree grid over theta in [0, 90], phi in [-90, 90], then
-    coordinate-wise bounded golden-section refinement to 0.01 degree, both
-    on ``_amplitude_ratios``: the grid as one stacked eigensolve per theta
-    row, the refinement one point at a time. The first grid minimum in
-    theta-major order starts the refinement.
+    Minimizes ``_amplitude_ratios`` over theta in [0, 90], phi in [-90, 90]
+    by grid zoom: a 2 degree grid, then three 21 x 21 grids of +-2, +-0.2
+    and +-0.02 degrees around the best point so far, clipped to the range;
+    the last grid's spacing, 0.002 degree, is the final step. Ties go to
+    the first minimum in theta-major order. Each grid runs as stacked
+    eigensolves of at most 500 points.
     Returns (theta_deg, phi_deg, amplitude_ratio). Raises when the
     minimum ratio stays at or above 0.05.
     """
-    from scipy.optimize import minimize_scalar
-
     if not (math.isfinite(b) and b > 0):
         raise ValueError("b must be finite and > 0")
-
-    def ratio(th, ph):
-        return float(_amplitude_ratios(params, b, th, ph))
-
     thetas = np.arange(0.0, 90.0 + 1e-9, 2.0)
     phis = np.arange(-90.0, 90.0 + 1e-9, 2.0)
-    # row by row: stacking the whole grid at once raises peak memory ~10 %
-    grid = np.array([_amplitude_ratios(params, b, th, phis) for th in thetas])
-    th, ph = 0.0, 0.0
-    if np.isfinite(grid.min()):
+    for span in (None, 2.0, 0.2, 0.02):
+        if span is not None:
+            offsets = np.linspace(-span, span, 21)
+            thetas = np.clip(th + offsets, 0.0, 90.0)
+            phis = np.clip(ph + offsets, -90.0, 90.0)
+        # a few hundred points per stacked eigensolve: the whole 46 x 91
+        # coarse grid at once raises peak memory ~10 %
+        rows = 500 // len(phis)
+        grid = np.concatenate([
+            _amplitude_ratios(params, b, thetas[k : k + rows, None], phis)
+            for k in range(0, len(thetas), rows)
+        ])
         i, j = np.unravel_index(np.argmin(grid), grid.shape)
-        th, ph = thetas[i], phis[j]
-    for _ in range(4):
-        res = minimize_scalar(
-            lambda t: ratio(t, ph),
-            bounds=(max(0.0, th - 2.0), min(90.0, th + 2.0)),
-            method="bounded",
-            options={"xatol": 0.005},
-        )
-        th = float(res.x)
-        res = minimize_scalar(
-            lambda p: ratio(th, p),
-            bounds=(max(-90.0, ph - 2.0), min(90.0, ph + 2.0)),
-            method="bounded",
-            options={"xatol": 0.005},
-        )
-        ph = float(res.x)
-    r = ratio(th, ph)
+        th, ph, r = float(thetas[i]), float(phis[j]), float(grid[i, j])
     if not r < 0.05:
         raise ValueError("no single-transition axis in range (best ratio %.4f)" % r)
     return th, ph, r

@@ -125,7 +125,7 @@ class FieldOrientation:
             raise ValueError("theta out of range [0, 180]")
         if self.frame not in ("NV", "LAB"):
             raise ValueError("frame must be 'NV' or 'LAB'")
-        object.__setattr__(self, "phi", float(self.phi) % 360.0)
+        object.__setattr__(self, "phi", float(wrap_azimuth(self.phi)))
 
     @property
     def unit_vector(self) -> np.ndarray:
@@ -206,12 +206,21 @@ def build_hamiltonian(params: SystemParams, field: FieldOrientation) -> np.ndarr
     return hamiltonians(params, field.b * field.unit_vector)
 
 
+def wrap_azimuth(phi):
+    """Azimuth (degrees, scalar or array) wrapped into [0, 360).
+
+    ``phi % 360`` rounds a tiny negative phi up to exactly 360; that case
+    maps to 0, so wrapping twice is a no-op.
+    """
+    w = np.mod(phi, 360.0)
+    return np.where(w == 360.0, 0.0, w)
+
+
 def unit_vectors(theta, phi) -> np.ndarray:
     """Field directions (degrees) as unit vectors, shape (..., 3).
 
-    phi is used as given: wrap it as ``FieldOrientation`` does first to
-    reproduce that class's vectors (wrapping twice is not a no-op, since
-    a tiny negative phi wraps to exactly 360).
+    phi is used as given: wrap it with ``wrap_azimuth`` first to reproduce
+    the vectors of ``FieldOrientation``, which stores it wrapped.
     """
     th = np.radians(theta)
     ph = np.radians(phi)
@@ -271,7 +280,7 @@ def manifold_overlaps(vectors: np.ndarray) -> np.ndarray:
 
 
 def _hermitian(h: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack (n, 6, 6): Hermitian to 1e-9 of its largest entry."""
+    """Per matrix of a stack (n, k, k): Hermitian to 1e-9 of its largest entry."""
     scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
     skew = np.max(np.abs(h - np.conj(np.swapaxes(h, 1, 2))), axis=(1, 2))
     return ~(skew > 1e-9 * scale)

@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -288,7 +290,7 @@ def test_fit_rejects_bad_csv_rows(tmp_path, capsys):
                  "synth", "--design", "two-theta"]) == 0
     lines = ds_path.read_text().splitlines()
     lineno = len(lines)  # last row, a zq_frequency point
-    for column, text in ((4, "nan"), (4, "inf"), (0, "400"), (2, "-5")):
+    for column, text in ((4, "nan"), (4, "inf"), (0, "400"), (2, "-5"), (5, "1e-300")):
         row = lines[-1].split(",")
         row[column] = text
         bad = tmp_path / "bad.csv"
@@ -296,6 +298,36 @@ def test_fit_rejects_bad_csv_rows(tmp_path, capsys):
         assert main(["--config", cfgp, "fit", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: %s:%d: " % (bad, lineno)), err
+
+
+def test_default_commands_do_not_import_scipy(tmp_path):
+    # a fresh interpreter: pytest and the other tests have loaded scipy here
+    cfgp = write_cfg(tmp_path, TABLE_CFG)
+    commands = [
+        ["spectrum", "--at-sta"],
+        ["sensitivity"],
+        ["rabi"],
+        ["ramsey"],
+        ["synth", "--design", "sta-phi"],
+    ]
+    script = (
+        "import sys\n"
+        "from nvbeat.cli import main\n"
+        "for args in %r:\n"
+        "    assert main(['--config', %r, '--out', %r] + args) == 0, args\n"
+        "    loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "    assert not loaded, (args, loaded[:5])\n"
+        % (commands, cfgp, str(tmp_path / "out.txt"))
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_error_exits(tmp_path, capsys):

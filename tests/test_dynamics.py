@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.optimize import curve_fit
 
 from nvbeat.analytic import RamseyModelParams, bright_dark, zq_ramsey_lambda, zq_ramsey_v
@@ -43,6 +44,14 @@ def test_propagate_unitary():
         psi0 /= np.linalg.norm(psi0)
         psi = propagate(segs, psi0)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
+        want = psi0
+        for h, t in segs:
+            want = expm(-2j * np.pi * h * t) @ want
+        assert np.max(np.abs(psi - want)) < 1e-10
+    skew = np.zeros((6, 6), dtype=complex)
+    skew[0, 1] = 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        propagate([(np.eye(6), 0.1), (skew, 0.1)], np.eye(6)[0])
 
 
 def test_dark_state_stationary():
@@ -53,6 +62,8 @@ def test_dark_state_stationary():
         h = rotating_frame_h(float(rng.uniform(-3, 3)), 0.0, float(op), float(om))
         psi = propagate([(h, 0.7)], dec.dark)
         assert abs(abs(np.vdot(dec.dark, psi)) - 1.0) < 1e-9
+        want = expm(-2j * np.pi * h * 0.7) @ dec.dark
+        assert np.max(np.abs(psi - want)) < 1e-10
 
 
 def test_pi_pulse_duration_at_sta():

@@ -1,5 +1,7 @@
 """Dataset I/O, synthetic scans, hyperfine fitting, sensitivity tools."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,7 @@ def test_scan_point_validation():
     for name, bad in (
         ("theta", np.nan), ("theta", 400.0), ("theta", -0.5), ("phi", np.inf),
         ("b", np.nan), ("b", -5.0), ("value", np.nan), ("value", -np.inf),
-        ("sigma", np.inf),
+        ("sigma", np.inf), ("sigma", 1e-300), ("sigma", 0.999e-6),
     ):
         with pytest.raises(ValueError, match=name):
             ScanPoint(**{**good, name: bad})
@@ -115,7 +117,7 @@ def test_csv_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "column, text", [(4, "nan"), (4, "inf"), (0, "400"), (2, "-5")]
+    "column, text", [(4, "nan"), (4, "inf"), (0, "400"), (2, "-5"), (5, "1e-300")]
 )
 def test_csv_rejects_non_finite_and_out_of_range(tmp_path, column, text):
     row = ["40", "10", "40.3", "zq_frequency", "1.5", "0.1", ""]
@@ -184,6 +186,16 @@ def test_fit_input_checks():
         )
     with pytest.raises(ValueError):
         fit_hyperfine(ds, FitParams(np.nan, 120.0, 90.0, -90.0, 40.3))
+    # finite data whose weights overflow: chi^2 = inf, covariance = inf
+    ds = synthesize_dataset(SYS, b=40.3, design=DESIGN2, noise_sigma=None, seed=0)
+    huge = ScanDataset(
+        ds.points[:-1] + (dataclasses.replace(ds.points[-1], value=1e300),)
+    )
+    with pytest.raises(ValueError, match=r"chi\^2 not finite"):
+        fit_hyperfine(huge, TRUTH)
+    loose = ScanDataset(tuple(dataclasses.replace(p, sigma=1e155) for p in ds.points))
+    with pytest.raises(ValueError, match="covariance not finite"):
+        fit_hyperfine(loose, TRUTH)
 
 
 def test_round_trip_many_records():
@@ -377,6 +389,11 @@ def test_find_single_transition_axis_reference():
     assert abs(th - STA_THETA) < 0.01
     assert abs(ph) < 0.1
     assert ratio < 1e-3
+    # the last zoom level has 0.002 degree spacing: no neighbour is lower
+    steps = np.array([-0.002, 0.0, 0.002])
+    around = _amplitude_ratios(SYS, 40.3, th + steps[:, None], ph + steps)
+    assert ratio == around[1, 1]
+    assert ratio <= around.min()
 
 
 def test_find_single_transition_axis_no_off_diagonal():
@@ -439,6 +456,9 @@ def test_batched_ratios_match_scalar_chain():
     for params, b in cases:
         theta = np.concatenate([rng.uniform(0, 180, 60), rng.uniform(85, 95, 20)])
         phi = rng.uniform(-180, 360, len(theta))
+        # tiny negative azimuths, which plain phi % 360 maps to exactly 360
+        theta = np.append(theta, [30.0, 40.0])
+        phi = np.append(phi, [-1e-18, -3.3e-15])
         batched = _amplitude_ratios(params, b, theta, phi)
         scalar = _scalar_ratios(params, b, theta, phi)
         assert np.array_equal(np.isinf(batched), np.isinf(scalar))

@@ -1,10 +1,14 @@
 """Randomized invariants, all seeded, quick enough to run on every push."""
 
+import dataclasses
+
 import numpy as np
+import pytest
+from scipy.optimize import linear_sum_assignment
 
 from nvbeat.analytic import bright_dark
 from nvbeat.dynamics import PulseParams, propagate, rotating_frame_h, simulate_rabi, simulate_zq_ramsey
-from nvbeat.estimation import synthesize_dataset
+from nvbeat.estimation import sensitivity_c, synthesize_dataset
 from nvbeat.spin_core import (
     MANIFOLD_LABELS,
     FieldOrientation,
@@ -13,6 +17,7 @@ from nvbeat.spin_core import (
     build_hamiltonian,
     eigensystem,
     eigensystems,
+    main_four_lines,
 )
 
 REF = HyperfineTensor(166.9, 122.9, 90.0, -90.3)
@@ -144,3 +149,49 @@ def test_batched_labels_match_scalar():
         assert eig.manifold == tuple(MANIFOLD_LABELS[j] for j in labels[k])
         assert np.allclose(eig.values, values[k], rtol=0, atol=1e-9)
         assert np.allclose(eig.vectors, vectors[k], rtol=0, atol=1e-12)
+
+
+def _assignment_slopes(params, field, which, step=0.5):
+    """sensitivity_c's slopes with states matched by optimal assignment.
+
+    None where a matched overlap falls below 0.5.
+    """
+    eig0 = eigensystem(build_hamiltonian(params, field))
+    sides = []
+    for sign in (+1.0, -1.0):
+        tensor = dataclasses.replace(
+            params.tensor, **{which: getattr(params.tensor, which) + sign * step}
+        )
+        eig = eigensystem(build_hamiltonian(dataclasses.replace(params, tensor=tensor), field))
+        overlap = np.abs(eig0.vectors.conj().T @ eig.vectors) ** 2
+        row, col = linear_sum_assignment(-overlap)
+        if overlap[row, col].min() < 0.5:
+            return None
+        sides.append((eig.values, col))
+    (ep, colp), (em, colm) = sides
+    return tuple(
+        float(
+            (ep[colp[ln.to_state]] - ep[colp[ln.from_state]]
+             - (em[colm[ln.to_state]] - em[colm[ln.from_state]])) / (2 * step)
+        )
+        for ln in main_four_lines(eig0)
+    )
+
+
+def test_argmax_matching_equals_assignment():
+    # the default step, and a step large enough that some matchings fail
+    rng = np.random.default_rng(29)
+    matched = refused = 0
+    for _ in range(60):
+        params, field = random_case(rng)
+        for which in ("a_xx", "a_yy", "a_zz", "a"):
+            for step in (0.5, 200.0):
+                want = _assignment_slopes(params, field, which, step)
+                if want is None:
+                    with pytest.raises(ValueError, match="transition matching failed"):
+                        sensitivity_c(params, field, which, step)
+                    refused += 1
+                else:
+                    assert sensitivity_c(params, field, which, step).slopes == want
+                    matched += 1
+    assert matched > 400 and refused > 5

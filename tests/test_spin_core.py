@@ -21,6 +21,7 @@ from nvbeat.spin_core import (
     nuclear_eigenstates_excited,
     spin_matrices,
     unit_vectors,
+    wrap_azimuth,
     zero_quantum_splitting_exact,
 )
 
@@ -76,6 +77,11 @@ def test_phi_wraparound():
     f1 = FieldOrientation(40.3, 40.0, 25.0)
     f2 = FieldOrientation(40.3, 40.0, 385.0)
     assert np.allclose(build_hamiltonian(SYS, f1), build_hamiltonian(SYS, f2), atol=1e-12)
+    assert f2.phi == 25.0
+    assert FieldOrientation(40.3, 10.0, -90.0).phi == 270.0
+    # phi % 360 rounds a tiny negative phi up to exactly 360
+    assert FieldOrientation(40.3, 10.0, -1e-18).phi == 0.0
+    assert FieldOrientation(40.3, 10.0, -3.3e-15).phi == 0.0
 
 
 def test_mirror_symmetry_spectrum():
@@ -231,9 +237,9 @@ def test_stacked_hamiltonians_match_scalar_builder():
     params, _ = random_system(rng)
     theta = rng.uniform(0, 180, 20)
     phi = rng.uniform(-360, 360, 20)
-    phi[0] = -3.2751579226442118e-15  # wraps to exactly 360
+    phi[0] = -3.2751579226442118e-15  # np.mod wraps it to exactly 360
     b = 37.5
-    stack = hamiltonians(params, b * unit_vectors(theta, np.mod(phi, 360.0)))
+    stack = hamiltonians(params, b * unit_vectors(theta, wrap_azimuth(phi)))
     assert stack.shape == (20, 6, 6)
     for k in range(20):
         f = FieldOrientation(b, float(theta[k]), float(phi[k]))
