@@ -206,8 +206,8 @@ def _validate(values, name):
             bad("%s out of range [0, 180]" % key)
     if values["sequence.tau_max"] <= 0:
         bad("sequence.tau_max must be positive")
-    if values["sequence.n_points"] < 2:
-        bad("sequence.n_points must be >= 2")
+    if not 2 <= values["sequence.n_points"] <= 2**20:
+        bad("sequence.n_points must be in [2, 2**20]")
     if values["sequence.t2_star"] < 0:
         bad("sequence.t2_star must be >= 0 (0 disables dephasing)")
     for key in ("noise.sigma.sq_frequency", "noise.sigma.zq_frequency",

@@ -220,14 +220,75 @@ def write_dataset(dataset: ScanDataset, path: str, comments=()):
 _MATCH_TIE = 1e-6
 
 
-def _assemble(params, v, theta_sub, phi_sub, b_sub):
-    """Stack of Hamiltonians, shape (m, n_sub, 6, 6), for m parameter rows."""
-    th = np.radians(theta_sub)[None, :]
-    ph = np.radians(phi_sub[None, :] + v[:, 5:6])
-    b = np.where(np.isnan(v[:, 4:5]), b_sub[None, :], v[:, 4:5])
-    bx = b * np.sin(th) * np.cos(ph)
-    by = b * np.sin(th) * np.sin(ph)
-    bz = b * np.cos(th)
+class _FitData:
+    """A dataset as the fit's arrays, plus its distinct (theta, phi, b) points.
+
+    ``zq``/``sq`` index the zq_frequency/sq_frequency data points,
+    ``zq_dist``/``sq_dist`` the distinct points they use, and
+    ``zq_pos``/``sq_pos`` map each such data point into that list.
+    """
+
+    def __init__(self, dataset: ScanDataset):
+        pts = dataset.points
+        if any(p.kind == "zq_amplitude" for p in pts):
+            raise ValueError(
+                "zq_amplitude points cannot enter the frequency fit; "
+                "drop them or fit frequencies only"
+            )
+        self.values = np.array([p.value for p in pts])
+        self.sigmas = np.array([p.sigma for p in pts])
+        self.theta = np.array([p.theta for p in pts])
+        self.phi = np.array([p.phi for p in pts])
+        keys = np.stack([self.theta, self.phi, [p.b for p in pts]], axis=1)
+        # keyed on the bits, so 0.0 and -0.0 stay apart as in the Hamiltonian
+        first, inverse = np.unique(
+            keys.view(np.int64), axis=0, return_index=True, return_inverse=True
+        )[1:]
+        th, self.phi_dist, self.b_dist = keys[first].T
+        self.sin_t, self.cos_t = np.sin(np.radians(th)), np.cos(np.radians(th))
+
+        def by_kind(mask):
+            idx = np.nonzero(mask)[0]
+            dist, pos = np.unique(inverse.reshape(-1)[idx], return_inverse=True)
+            return idx, dist, pos.reshape(-1)
+
+        zq = np.array([p.kind == "zq_frequency" for p in pts], dtype=bool)
+        self.zq, self.zq_dist, self.zq_pos = by_kind(zq)
+        self.sq, self.sq_dist, self.sq_pos = by_kind(~zq)
+
+
+def _ambiguous(data, idx, bad):
+    """Raise naming the first data point of ``idx`` flagged in ``bad`` (m, n)."""
+    k = int(idx[int(np.nonzero(bad.ravel())[0][0]) % len(idx)])
+    raise ValueError(
+        "manifold assignment ambiguous in forward model at point %d "
+        "(theta=%.3f phi=%.3f)" % (k, data.theta[k], data.phi[k])
+    )
+
+
+def _forward_model(params, vec, data):
+    """Model frequencies for every point of a ``_FitData`` at parameter vector(s).
+
+    vec has shape (6,) or (m, 6); the return matches ((n,) or (m, n)). A
+    nan in the b slot switches to the per-point b column. The Hamiltonians
+    are assembled once per call, over the distinct field points only; ZQ
+    points take ``eigvalsh`` of theirs and SQ points ``eigh``, one solve per
+    distinct point however many lines it carries. The assembly's rounding
+    order is frozen: (gamma * b_k) * op products, the tensor block first,
+    then the x, y and z pairs. Fit trajectories on the soft sta-phi valley
+    depend on every bit (a 1e-6 sigma change moves which fits end on its
+    far side), so a change here must stay bit-identical or be measured as
+    a change of the fit. Each SQ point is matched to the nearest of the
+    four main model lines; a near-tie between distinct lines resolves
+    toward the stronger transition amplitude and raises when the amplitudes
+    are comparable too.
+    """
+    v = np.atleast_2d(np.asarray(vec, dtype=float))
+    single = np.asarray(vec).ndim == 1
+    m = v.shape[0]
+    ph = np.radians(data.phi_dist[None, :] + v[:, 5:6])
+    b = np.where(np.isnan(v[:, 4:5]), data.b_dist[None, :], v[:, 4:5])
+    bs = b * data.sin_t
     ten = (
         params.d * _OP_SZ2
         + v[:, 0, None, None] * _OP_SXIX
@@ -235,112 +296,65 @@ def _assemble(params, v, theta_sub, phi_sub, b_sub):
         + v[:, 2, None, None] * _OP_SZIZ
         + v[:, 3, None, None] * _OP_MIX
     )
-    h = np.empty((v.shape[0], len(theta_sub), 6, 6), dtype=complex)
+    h = np.empty((m, len(data.b_dist), 6, 6), dtype=complex)
     h[:] = ten[:, None]
     for comp, se, ie in (
-        (bx, _OP_SX, _OP_IX),
-        (by, _OP_SY, _OP_IY),
-        (bz, _OP_SZ, _OP_IZ),
+        (bs * np.cos(ph), _OP_SX, _OP_IX),
+        (bs * np.sin(ph), _OP_SY, _OP_IY),
+        (b * data.cos_t, _OP_SZ, _OP_IZ),
     ):
         c = comp[:, :, None, None]
         h += params.gamma_e * c * se + params.gamma_n * c * ie
-    return h
-
-
-def _forward_model(params, vec, theta, phi, b_col, kinds, values):
-    """Model frequencies for every dataset point at parameter vector(s).
-
-    vec has shape (6,) or (m, 6); the return matches ((n,) or (m, n)).
-    kinds: 0 = sq_frequency, 1 = zq_frequency. A nan in the b slot
-    switches to the per-point b column. Each SQ point is matched to the
-    nearest of the four main model lines; a near-tie between distinct
-    lines resolves toward the stronger transition amplitude and raises
-    when the amplitudes are comparable too.
-    """
-    v = np.atleast_2d(np.asarray(vec, dtype=float))
-    single = np.asarray(vec).ndim == 1
-    m = v.shape[0]
-    out = np.empty((m, len(theta)))
-    zq_mask = kinds == 1
-    if zq_mask.any():
+    out = np.empty((m, len(data.values)))
+    if len(data.zq):
         # the ms0 doublet is always the lowest eigenvalue pair here; only
         # eigenvalues are needed, with a separation guard against extreme
         # trial tensors pushing manifolds across each other
-        h = _assemble(params, v, theta[zq_mask], phi[zq_mask], b_col[zq_mask])
-        w = np.linalg.eigvalsh(h.reshape(-1, 6, 6))
+        w = np.linalg.eigvalsh(h[:, data.zq_dist].reshape(-1, 6, 6)).reshape(m, -1, 6)
         cut = params.d / 2.0
-        bad = (w[:, 1] >= cut) | (w[:, 2] <= cut)
+        bad = (w[..., 1] >= cut) | (w[..., 2] <= cut)
         if bad.any():
-            k = int(np.nonzero(zq_mask)[0][int(np.nonzero(bad)[0][0]) % int(zq_mask.sum())])
-            raise ValueError(
-                "manifold assignment ambiguous in forward model at point %d "
-                "(theta=%.3f phi=%.3f)" % (k, theta[k], phi[k])
-            )
-        out[:, zq_mask] = (w[:, 1] - w[:, 0]).reshape(m, -1)
-    sq_mask = ~zq_mask
-    if sq_mask.any():
-        h = _assemble(params, v, theta[sq_mask], phi[sq_mask], b_col[sq_mask])
-        evals, evecs = np.linalg.eigh(h.reshape(-1, 6, 6))
+            _ambiguous(data, data.zq, bad[:, data.zq_pos])
+        out[:, data.zq] = (w[..., 1] - w[..., 0])[:, data.zq_pos]
+    if len(data.sq):
+        n_sq, nd = len(data.sq), len(data.sq_dist)
+        evals, evecs = np.linalg.eigh(h[:, data.sq_dist].reshape(-1, 6, 6))
         wght = np.abs(evecs) ** 2
-        w0 = wght[:, 2, :] + wght[:, 3, :]
-        wm = wght[:, 4, :] + wght[:, 5, :]
-        idx0 = np.argsort(w0, axis=1)[:, -2:]
-        idxm = np.argsort(wm, axis=1)[:, -2:]
-        clash = (idx0[:, :, None] == idxm[:, None, :]).any(axis=(1, 2))
+        idx0 = np.argsort(wght[:, 2, :] + wght[:, 3, :], axis=1)[:, -2:]
+        idxm = np.argsort(wght[:, 4, :] + wght[:, 5, :], axis=1)[:, -2:]
+        # row of each (parameter row, SQ data point) in the distinct solve
+        at = (np.arange(m)[:, None] * nd + data.sq_pos).ravel()
+        clash = (idx0[:, :, None] == idxm[:, None, :]).any(axis=(1, 2))[at]
         if clash.any():
-            k = int(np.nonzero(sq_mask)[0][int(np.nonzero(clash)[0][0]) % int(sq_mask.sum())])
-            raise ValueError(
-                "manifold assignment ambiguous in forward model at point %d "
-                "(theta=%.3f phi=%.3f)" % (k, theta[k], phi[k])
-            )
-        e0 = np.take_along_axis(evals, idx0, axis=1)
-        em = np.take_along_axis(evals, idxm, axis=1)
+            _ambiguous(data, data.sq, clash)
+        col = np.arange(len(evals))[:, None]
         # four line frequencies per point, layout [i_ms0, j_msm]
-        freqs = (em[:, None, :] - e0[:, :, None]).reshape(-1, 4)
-        target = np.tile(values[sq_mask], m)
-        dist = np.abs(freqs - target[:, None])
-        order = np.argsort(dist, axis=1)
-        rows = np.arange(len(freqs))
-        best, second = order[:, 0], order[:, 1]
-        tied = dist[rows, second] - dist[rows, best] < _MATCH_TIE
-        distinct = np.abs(freqs[rows, second] - freqs[rows, best]) > 1e-9
-        for r in np.nonzero(tied & distinct)[0]:
-            v0 = np.take_along_axis(evecs[r], idx0[r][None, :], axis=1)
-            vm = np.take_along_axis(evecs[r], idxm[r][None, :], axis=1)
+        freqs = (evals[col, idxm][:, None, :] - evals[col, idx0][:, :, None])
+        freqs = freqs.reshape(-1, 4)[at]
+        dist = np.abs(freqs.reshape(m, n_sq, 4) - data.values[data.sq][:, None])
+        dist = dist.reshape(-1, 4)
+        # the nearest and the second nearest line of each row
+        order = np.argsort(dist, axis=1)[:, :2]
+        rows = np.arange(len(freqs))[:, None]
+        near, d = freqs[rows, order], dist[rows, order]
+        tied = (d[:, 1] - d[:, 0] < _MATCH_TIE) & (np.abs(near[:, 1] - near[:, 0]) > 1e-9)
+        model = near[:, 0]
+        for r in np.nonzero(tied)[0]:
+            s = at[r]
+            v0, vm = evecs[s][:, idx0[s]], evecs[s][:, idxm[s]]
             amp = np.abs(v0.conj().T @ DRIVE_SX @ vm).reshape(-1) ** 2
-            a_best = amp[best[r]]
-            a_second = amp[second[r]]
+            a_best, a_second = amp[order[r]]
             if abs(a_best - a_second) <= 0.1 * max(a_best, a_second):
-                k = int(np.nonzero(sq_mask)[0][int(r) % int(sq_mask.sum())])
+                k = int(data.sq[r % n_sq])
                 raise ValueError(
                     "ambiguous transition matching at point %d: two lines "
                     "equidistant from value %.6g with comparable amplitudes"
-                    % (k, values[k])
+                    % (k, data.values[k])
                 )
             if a_second > a_best:
-                best[r] = second[r]
-        out[:, sq_mask] = freqs[rows, best].reshape(m, -1)
+                model[r] = near[r, 1]
+        out[:, data.sq] = model.reshape(m, -1)
     return out[0] if single else out
-
-
-def _dataset_arrays(dataset: ScanDataset):
-    theta = np.array([p.theta for p in dataset.points])
-    phi = np.array([p.phi for p in dataset.points])
-    b = np.array([p.b for p in dataset.points])
-    values = np.array([p.value for p in dataset.points])
-    sigmas = np.array([p.sigma for p in dataset.points])
-    kinds = np.empty(len(dataset), dtype=int)
-    for i, p in enumerate(dataset.points):
-        if p.kind == "sq_frequency":
-            kinds[i] = 0
-        elif p.kind == "zq_frequency":
-            kinds[i] = 1
-        else:
-            raise ValueError(
-                "zq_amplitude points cannot enter the frequency fit; "
-                "drop them or fit frequencies only"
-            )
-    return theta, phi, b, values, sigmas, kinds
 
 
 def fit_hyperfine(
@@ -371,7 +385,8 @@ def fit_hyperfine(
     free = [i for i, name in enumerate(PARAM_IDS) if name not in fixed]
     if not free:
         raise ValueError("no free parameters")
-    theta, phi, b_col, values, sigmas, kinds = _dataset_arrays(dataset)
+    data = _FitData(dataset)
+    values, sigmas = data.values, data.sigmas
     if len(dataset) < len(free):
         raise ValueError(
             "%d points cannot constrain %d free parameters" % (len(dataset), len(free))
@@ -385,11 +400,8 @@ def fit_hyperfine(
     def model(v):
         u = np.array(v, dtype=float, copy=True)
         if "b" in fixed:
-            if u.ndim == 1:
-                u[4] = np.nan  # sentinel: use the per-point column
-            else:
-                u[:, 4] = np.nan
-        return _forward_model(params, u, theta, phi, b_col, kinds, values)
+            u[..., 4] = np.nan  # sentinel: use the per-point column
+        return _forward_model(params, u, data)
 
     def jacobian_forward(v, f0):
         vmat = np.repeat(v[None, :], len(free), axis=0)
@@ -408,8 +420,10 @@ def fit_hyperfine(
 
     def chi2_of(r):
         # exact summation: noiseless datasets weight chi^2 to ~1e10 where
-        # plain accumulation hides real sub-unit improvements
-        return math.fsum((r * r).tolist())
+        # plain accumulation hides real sub-unit improvements; an overflow
+        # gives inf, which the caller rejects
+        with np.errstate(over="ignore"):
+            return math.fsum((r * r).tolist())
 
     fvec = model(vec)
     resid = (fvec - values) / sigmas

@@ -71,8 +71,11 @@ def test_parse_errors_carry_location():
         parse("field.theta = 200\n")
     with pytest.raises(ConfigError, match="tau_max must be positive"):
         parse("sequence.tau_max = 0\n")
-    with pytest.raises(ConfigError, match="n_points must be >= 2"):
-        parse("sequence.n_points = 1\n")
+    for n in (1, 2**20 + 1, 10**15):
+        with pytest.raises(ConfigError, match=re.escape(
+                "t.cfg: sequence.n_points must be in [2, 2**20]")):
+            parse("sequence.n_points = %d\n" % n, name="t.cfg")
+    assert parse("sequence.n_points = %d\n" % 2**20)["sequence.n_points"] == 2**20
     with pytest.raises(ConfigError, match=r"field\.b must be >= 0"):
         parse("field.b = -1\n")
     for key in ("field.b", "field.phi", "tensor.a", "sequence.tau_max"):
@@ -298,6 +301,32 @@ def test_fit_rejects_bad_csv_rows(tmp_path, capsys):
         assert main(["--config", cfgp, "fit", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: %s:%d: " % (bad, lineno)), err
+
+
+def test_fit_overflow_prints_only_the_error(tmp_path):
+    # a fresh interpreter with the default warning filters, as a user runs it
+    cfgp = write_cfg(tmp_path, TABLE_CFG)
+    ds_path = tmp_path / "scan.csv"
+    assert main(["--config", cfgp, "--out", str(ds_path),
+                 "synth", "--design", "two-theta"]) == 0
+    lines = ds_path.read_text().splitlines()
+    row = lines[-1].split(",")
+    row[4] = "1e300"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:-1] + [",".join(row)]) + "\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from nvbeat.cli import main; sys.exit(main())",
+         "--config", cfgp, "fit", str(bad)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: chi^2 not finite at the initial guess; check the data values\n"
+    )
 
 
 def test_default_commands_do_not_import_scipy(tmp_path):

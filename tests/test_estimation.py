@@ -1,6 +1,7 @@
 """Dataset I/O, synthetic scans, hyperfine fitting, sensitivity tools."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from nvbeat.estimation import (
     ScanDataset,
     ScanPoint,
     _amplitude_ratios,
+    _FitData,
+    _forward_model,
     find_axis_minimum,
     find_single_transition_axis,
     fit_hyperfine,
@@ -164,6 +167,67 @@ def test_sq_design_point_expands_to_four_lines():
     assert [p.transition_index for p in ds.points] == [0, 1, 2, 3]
     freqs = [p.value for p in ds.points]
     assert freqs == sorted(freqs)
+
+
+def test_forward_model_points_are_independent():
+    # a point's model value does not depend on the other points: repeats,
+    # halfway values that tie two lines (resolved by amplitude) and the
+    # same angles at another b all match the point fitted alone
+    base = synthesize_dataset(
+        SYS, b=40.3,
+        design=[(40.0, 50.0, "sq_frequency"), (40.0, 10.0, "zq_frequency"),
+                (70.0, 20.0, "sq_frequency")],
+    )
+    f = [p.value for p in base.points]
+    ties = tuple(
+        dataclasses.replace(base.points[5 + i], value=0.5 * (f[5 + i] + f[6 + i]))
+        for i in (0, 2)
+    )
+    pts = base.points + (base.points[4], base.points[0]) + ties
+    pts += (dataclasses.replace(base.points[4], b=45.0),)
+    data = _FitData(ScanDataset(pts))
+    column_b = TRUTH.as_vector()
+    column_b[4] = np.nan  # the per-point b column, as with b fixed
+    for vec in (TRUTH.as_vector(), column_b):
+        model = _forward_model(SYS, vec, data)
+        alone = [_forward_model(SYS, vec, _FitData(ScanDataset((p,))))[0] for p in pts]
+        assert model.tolist() == alone
+        assert model[9] == model[4] and model[10] == model[0]
+        assert np.abs(model[:9] - f).max() < 1e-9
+        assert model[11] == model[5] and model[12] == model[8]
+        stacked = _forward_model(SYS, np.stack([vec + 1.0, vec]), data)
+        assert stacked[1].tolist() == model.tolist()
+    assert model[13] != model[4]
+
+
+@pytest.mark.parametrize("first, later, message", [
+    # ZQ: the ms-1 level crosses D/2 near the axis at 1000 G
+    ((2.0, 1000.0, "zq_frequency", 5.0), (1.0, 1000.0, "zq_frequency", 5.0),
+     "manifold assignment ambiguous in forward model at point 6 (theta=2.000 phi=0.000)"),
+    # SQ: one eigenstate among the two largest ms0 and the two largest ms-1
+    # weights past the level anticrossing
+    ((20.0, 1098.0, "sq_frequency", 100.0), (14.0, 1098.0, "sq_frequency", 100.0),
+     "manifold assignment ambiguous in forward model at point 6 (theta=20.000 phi=0.000)"),
+    # SQ: halfway between the two degenerate line pairs on the axis
+    ((0.0, 40.3, "sq_frequency", 2763.86), (0.0, 40.3, "sq_frequency", 2763.86),
+     "ambiguous transition matching at point 6: two lines equidistant from "
+     "value 2763.86 with comparable amplitudes"),
+])
+def test_forward_model_errors_name_the_data_point(first, later, message):
+    # the failing point follows a repeated one, and a second failing point
+    # that sorts first among the distinct field points comes later
+    base = synthesize_dataset(
+        SYS, b=40.3, design=[(40.0, 50.0, "sq_frequency"), (40.0, 10.0, "zq_frequency")]
+    )
+    axis = synthesize_dataset(SYS, b=40.3, design=[(0.0, 0.0, "sq_frequency")]).points
+    halfway = 0.5 * (axis[0].value + axis[3].value)
+    bad = [
+        ScanPoint(theta, 0.0, b, kind, halfway if theta == 0.0 else value, 1.0)
+        for theta, b, kind, value in (first, later)
+    ]
+    ds = ScanDataset(base.points + (base.points[4], bad[0], base.points[1], bad[1]))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit_hyperfine(ds, TRUTH, fixed=frozenset({"b"}))
 
 
 def test_zq_only_fit_is_degenerate():
