@@ -258,7 +258,10 @@ class _FitData:
 
 
 def _ambiguous(data, idx, bad):
-    """Raise naming the first data point of ``idx`` flagged in ``bad`` (m, n)."""
+    """Raise naming the first data point of ``idx`` flagged in ``bad``.
+
+    ``bad`` holds one row of len(idx) flags per parameter row, flat or not.
+    """
     k = int(idx[int(np.nonzero(bad.ravel())[0][0]) % len(idx)])
     raise ValueError(
         "manifold assignment ambiguous in forward model at point %d "
@@ -423,7 +426,11 @@ def fit_hyperfine(
         # plain accumulation hides real sub-unit improvements; an overflow
         # gives inf, which the caller rejects
         with np.errstate(over="ignore"):
-            return math.fsum((r * r).tolist())
+            terms = (r * r).tolist()
+        try:
+            return math.fsum(terms)
+        except OverflowError:
+            return math.inf
 
     fvec = model(vec)
     resid = (fvec - values) / sigmas

@@ -303,17 +303,23 @@ def test_fit_rejects_bad_csv_rows(tmp_path, capsys):
         assert err.startswith("error: %s:%d: " % (bad, lineno)), err
 
 
-def test_fit_overflow_prints_only_the_error(tmp_path):
+@pytest.mark.parametrize("rows, value, sigma", [
+    (1, "1e300", "0.2"),  # one square overflows
+    (2, "1e148", "1e-6"),  # finite squares whose sum overflows
+])
+def test_fit_overflow_prints_only_the_error(tmp_path, rows, value, sigma):
     # a fresh interpreter with the default warning filters, as a user runs it
     cfgp = write_cfg(tmp_path, TABLE_CFG)
     ds_path = tmp_path / "scan.csv"
     assert main(["--config", cfgp, "--out", str(ds_path),
                  "synth", "--design", "two-theta"]) == 0
     lines = ds_path.read_text().splitlines()
-    row = lines[-1].split(",")
-    row[4] = "1e300"
+    for k in range(1, rows + 1):
+        row = lines[-k].split(",")
+        row[4], row[5] = value, sigma
+        lines[-k] = ",".join(row)
     bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines[:-1] + [",".join(row)]) + "\n")
+    bad.write_text("\n".join(lines) + "\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from nvbeat.cli import main; sys.exit(main())",

@@ -201,15 +201,17 @@ def test_forward_model_points_are_independent():
 
 
 @pytest.mark.parametrize("first, later, message", [
+    # (theta, phi, b, kind, value); value None is halfway between the lines
+    # of the two degenerate pairs on the axis
     # ZQ: the ms-1 level crosses D/2 near the axis at 1000 G
-    ((2.0, 1000.0, "zq_frequency", 5.0), (1.0, 1000.0, "zq_frequency", 5.0),
+    ((2.0, 0.0, 1000.0, "zq_frequency", 5.0), (1.0, 0.0, 1000.0, "zq_frequency", 5.0),
      "manifold assignment ambiguous in forward model at point 6 (theta=2.000 phi=0.000)"),
     # SQ: one eigenstate among the two largest ms0 and the two largest ms-1
     # weights past the level anticrossing
-    ((20.0, 1098.0, "sq_frequency", 100.0), (14.0, 1098.0, "sq_frequency", 100.0),
+    ((20.0, 0.0, 1098.0, "sq_frequency", 100.0), (14.0, 0.0, 1098.0, "sq_frequency", 100.0),
      "manifold assignment ambiguous in forward model at point 6 (theta=20.000 phi=0.000)"),
-    # SQ: halfway between the two degenerate line pairs on the axis
-    ((0.0, 40.3, "sq_frequency", 2763.86), (0.0, 40.3, "sq_frequency", 2763.86),
+    # SQ: two lines equally near with equal amplitudes
+    ((0.0, 0.0, 40.3, "sq_frequency", None), (0.0, -30.0, 40.3, "sq_frequency", None),
      "ambiguous transition matching at point 6: two lines equidistant from "
      "value 2763.86 with comparable amplitudes"),
 ])
@@ -222,8 +224,8 @@ def test_forward_model_errors_name_the_data_point(first, later, message):
     axis = synthesize_dataset(SYS, b=40.3, design=[(0.0, 0.0, "sq_frequency")]).points
     halfway = 0.5 * (axis[0].value + axis[3].value)
     bad = [
-        ScanPoint(theta, 0.0, b, kind, halfway if theta == 0.0 else value, 1.0)
-        for theta, b, kind, value in (first, later)
+        ScanPoint(theta, phi, b, kind, halfway if value is None else value, 1.0)
+        for theta, phi, b, kind, value in (first, later)
     ]
     ds = ScanDataset(base.points + (base.points[4], bad[0], base.points[1], bad[1]))
     with pytest.raises(ValueError, match=re.escape(message)):

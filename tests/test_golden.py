@@ -10,7 +10,6 @@ why in the change log.
 
 import json
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -156,4 +155,3 @@ if __name__ == "__main__":
     with open(os.path.join(GOLDEN, "fits.json"), "w") as fh:
         json.dump(fit_records(), fh, indent=1, sort_keys=True)
         fh.write("\n")
-    sys.exit(0)
