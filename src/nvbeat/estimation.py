@@ -3,12 +3,14 @@
 The forward model everywhere is exact diagonalization of the 6x6
 Hamiltonian. Fits run a damped Gauss-Newton iteration on a joint
 inverse-variance chi^2 over single-quantum line frequencies and
-zero-quantum splittings.
+zero-quantum splittings; their Jacobian is exact, the Hellmann-Feynman
+derivatives of the model's eigenvalues.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +27,6 @@ from .spin_core import (
     _OP_SY,
     _OP_SYIY,
     _OP_SZ,
-    _OP_SZ2,
     _OP_SZIZ,
     DRIVE_SX,
     FieldOrientation,
@@ -35,10 +36,12 @@ from .spin_core import (
     eigensystem,
     eigensystems,
     hamiltonians,
+    label_manifolds,
     lambda_excited_states,
     lambda_legs,
     lambda_transition_amplitudes,
     main_four_lines,
+    manifold_overlaps,
     unit_vectors,
     wrap_azimuth,
     zeeman_states,
@@ -53,9 +56,6 @@ CSV_HEADER = "theta_deg,phi_deg,b_gauss,kind,value,sigma,transition_index"
 # smallest sigma a point may carry; noiseless synthetic data is stored
 # with it, and far smaller sigmas overflow the inverse-variance weights
 MIN_SIGMA = 1e-6
-
-# finite-difference step for fit Jacobians, MHz / G / deg
-_JAC_STEP = 0.05
 
 # relative singular-value floor below which a fit direction counts as
 # degenerate (see the null-space error in fit_hyperfine); the canonical
@@ -215,8 +215,8 @@ def write_dataset(dataset: ScanDataset, path: str, comments=()):
 # ---------------------------------------------------------------------------
 # batched forward model
 
-# SQ lines closer to a data point than this count as tied; ties between
-# genuinely distinct lines fall back to the transition amplitudes
+# SQ lines closer to an unindexed data point than this count as tied; ties
+# between genuinely distinct lines fall back to the transition amplitudes
 _MATCH_TIE = 1e-6
 
 
@@ -226,6 +226,8 @@ class _FitData:
     ``zq``/``sq`` index the zq_frequency/sq_frequency data points,
     ``zq_dist``/``sq_dist`` the distinct points they use, and
     ``zq_pos``/``sq_pos`` map each such data point into that list.
+    ``dist`` maps every data point into the list of all distinct points.
+    ``sq_index`` is each SQ point's ``transition_index``, -1 when it has none.
     """
 
     def __init__(self, dataset: ScanDataset):
@@ -244,120 +246,192 @@ class _FitData:
         first, inverse = np.unique(
             keys.view(np.int64), axis=0, return_index=True, return_inverse=True
         )[1:]
+        self.dist = inverse.reshape(-1)
         th, self.phi_dist, self.b_dist = keys[first].T
         self.sin_t, self.cos_t = np.sin(np.radians(th)), np.cos(np.radians(th))
 
         def by_kind(mask):
             idx = np.nonzero(mask)[0]
-            dist, pos = np.unique(inverse.reshape(-1)[idx], return_inverse=True)
+            dist, pos = np.unique(self.dist[idx], return_inverse=True)
             return idx, dist, pos.reshape(-1)
 
         zq = np.array([p.kind == "zq_frequency" for p in pts], dtype=bool)
         self.zq, self.zq_dist, self.zq_pos = by_kind(zq)
         self.sq, self.sq_dist, self.sq_pos = by_kind(~zq)
+        self.sq_index = np.array(
+            [-1 if pts[k].transition_index is None else pts[k].transition_index
+             for k in self.sq],
+            dtype=int,
+        )
 
 
 def _ambiguous(data, idx, bad):
-    """Raise naming the first data point of ``idx`` flagged in ``bad``.
-
-    ``bad`` holds one row of len(idx) flags per parameter row, flat or not.
-    """
-    k = int(idx[int(np.nonzero(bad.ravel())[0][0]) % len(idx)])
+    """Raise naming the first data point of ``idx`` flagged in ``bad``."""
+    k = int(idx[np.nonzero(bad)[0][0]])
     raise ValueError(
         "manifold assignment ambiguous in forward model at point %d "
         "(theta=%.3f phi=%.3f)" % (k, data.theta[k], data.phi[k])
     )
 
 
-def _forward_model(params, vec, data):
-    """Model frequencies for every point of a ``_FitData`` at parameter vector(s).
+def _field(vec, data):
+    """Field magnitude (G) and azimuth (rad) at every distinct point.
 
-    vec has shape (6,) or (m, 6); the return matches ((n,) or (m, n)). A
-    nan in the b slot switches to the per-point b column. The Hamiltonians
-    are assembled once per call, over the distinct field points only; ZQ
-    points take ``eigvalsh`` of theirs and SQ points ``eigh``, one solve per
-    distinct point however many lines it carries. The assembly's rounding
-    order is frozen: (gamma * b_k) * op products, the tensor block first,
-    then the x, y and z pairs. Fit trajectories on the soft sta-phi valley
-    depend on every bit (a 1e-6 sigma change moves which fits end on its
-    far side), so a change here must stay bit-identical or be measured as
-    a change of the fit. Each SQ point is matched to the nearest of the
-    four main model lines; a near-tie between distinct lines resolves
-    toward the stronger transition amplitude and raises when the amplitudes
-    are comparable too.
+    A nan in the b slot of vec takes the per-point b column.
     """
-    v = np.atleast_2d(np.asarray(vec, dtype=float))
-    single = np.asarray(vec).ndim == 1
-    m = v.shape[0]
-    ph = np.radians(data.phi_dist[None, :] + v[:, 5:6])
-    b = np.where(np.isnan(v[:, 4:5]), data.b_dist[None, :], v[:, 4:5])
+    b = np.where(np.isnan(vec[4]), data.b_dist, vec[4])
+    return b, np.radians(data.phi_dist + vec[5])
+
+
+def _hamiltonians(params, vec, data):
+    """Hamiltonians (distinct points, 6, 6) at a parameter vector (6,)."""
+    b, ph = _field(vec, data)
     bs = b * data.sin_t
-    ten = (
-        params.d * _OP_SZ2
-        + v[:, 0, None, None] * _OP_SXIX
-        + v[:, 1, None, None] * _OP_SYIY
-        + v[:, 2, None, None] * _OP_SZIZ
-        + v[:, 3, None, None] * _OP_MIX
-    )
-    h = np.empty((m, len(data.b_dist), 6, 6), dtype=complex)
-    h[:] = ten[:, None]
-    for comp, se, ie in (
-        (bs * np.cos(ph), _OP_SX, _OP_IX),
-        (bs * np.sin(ph), _OP_SY, _OP_IY),
-        (b * data.cos_t, _OP_SZ, _OP_IZ),
-    ):
-        c = comp[:, :, None, None]
-        h += params.gamma_e * c * se + params.gamma_n * c * ie
-    out = np.empty((m, len(data.values)))
+    bvec = np.stack([bs * np.cos(ph), bs * np.sin(ph), b * data.cos_t], axis=-1)
+    return hamiltonians(params, bvec, vec[:4])
+
+
+def _sq_lines(w, vecs, data):
+    """The model line of every SQ data point, as a pair of eigenstates.
+
+    w (nd, 6) and vecs (nd, 6, 6) solve the nd distinct SQ points. The
+    four main lines of a solve join its two ms0 and two ms_minus states,
+    as ``label_manifolds`` labels them, ranked in ascending frequency. A
+    point with a ``transition_index`` takes that line; a point without one
+    takes the nearest line, and a near-tie between distinct lines resolves
+    toward the stronger transition amplitude and raises when the amplitudes
+    are comparable too. Returns (lo, hi): each point's ms0 and ms_minus
+    state, in the solve ``data.sq_pos`` names.
+    """
+    at = data.sq_pos
+    labels, ok = label_manifolds(manifold_overlaps(vecs))
+    if not ok[at].all():
+        _ambiguous(data, data.sq, ~ok[at])
+    order = np.argsort(labels, axis=1, kind="stable")[at]
+    lo, hi = order[:, [2, 2, 3, 3]], order[:, [4, 5, 4, 5]]
+    rows = np.arange(len(at))
+    wa = w[at]
+    freqs = np.abs(wa[rows[:, None], hi] - wa[rows[:, None], lo])
+    # the line of each indexed point; unindexed points are set below
+    col = np.argsort(freqs, axis=1, kind="stable")[rows, data.sq_index]
+    for r in np.nonzero(data.sq_index < 0)[0]:
+        k = int(data.sq[r])
+        dist = np.abs(freqs[r] - data.values[k])
+        best, second = np.argsort(dist)[:2]
+        col[r] = best
+        if not (dist[second] - dist[best] < _MATCH_TIE
+                and abs(freqs[r, second] - freqs[r, best]) > 1e-9):
+            continue
+        vl, vh = vecs[at[r]][:, lo[r]], vecs[at[r]][:, hi[r]]
+        amp = np.abs(np.sum(vh.conj() * (DRIVE_SX @ vl), axis=0)) ** 2
+        if abs(amp[best] - amp[second]) <= 0.1 * max(amp[best], amp[second]):
+            raise ValueError(
+                "ambiguous transition matching at point %d: two lines "
+                "equidistant from value %.6g with comparable amplitudes"
+                % (k, data.values[k])
+            )
+        if amp[second] > amp[best]:
+            col[r] = second
+    return lo[rows, col], hi[rows, col]
+
+
+def _forward_model(params, vec, data, keep=None):
+    """Model frequencies (n,) for every point of a ``_FitData`` at vec (6,).
+
+    A nan in the b slot switches to the per-point b column. The
+    Hamiltonians are assembled once per call, over the distinct field
+    points only; ZQ points take ``eigvalsh`` of theirs and SQ points
+    ``eigh``, one solve per distinct point however many lines it carries.
+    SQ points are matched to lines by ``_sq_lines``. With a dict ``keep``,
+    the call leaves there what ``_jacobian`` reuses at this vector: the
+    Hamiltonians ("h") and the SQ solve with its lines ("sq").
+    """
+    vec = np.asarray(vec, dtype=float)
+    h = _hamiltonians(params, vec, data)
+    out = np.empty(len(data.values))
     if len(data.zq):
         # the ms0 doublet is always the lowest eigenvalue pair here; only
         # eigenvalues are needed, with a separation guard against extreme
         # trial tensors pushing manifolds across each other
-        w = np.linalg.eigvalsh(h[:, data.zq_dist].reshape(-1, 6, 6)).reshape(m, -1, 6)
+        w = np.linalg.eigvalsh(h[data.zq_dist])
         cut = params.d / 2.0
-        bad = (w[..., 1] >= cut) | (w[..., 2] <= cut)
+        bad = (w[:, 1] >= cut) | (w[:, 2] <= cut)
         if bad.any():
-            _ambiguous(data, data.zq, bad[:, data.zq_pos])
-        out[:, data.zq] = (w[..., 1] - w[..., 0])[:, data.zq_pos]
+            _ambiguous(data, data.zq, bad[data.zq_pos])
+        out[data.zq] = (w[:, 1] - w[:, 0])[data.zq_pos]
+    sq = None
     if len(data.sq):
-        n_sq, nd = len(data.sq), len(data.sq_dist)
-        evals, evecs = np.linalg.eigh(h[:, data.sq_dist].reshape(-1, 6, 6))
-        wght = np.abs(evecs) ** 2
-        idx0 = np.argsort(wght[:, 2, :] + wght[:, 3, :], axis=1)[:, -2:]
-        idxm = np.argsort(wght[:, 4, :] + wght[:, 5, :], axis=1)[:, -2:]
-        # row of each (parameter row, SQ data point) in the distinct solve
-        at = (np.arange(m)[:, None] * nd + data.sq_pos).ravel()
-        clash = (idx0[:, :, None] == idxm[:, None, :]).any(axis=(1, 2))[at]
-        if clash.any():
-            _ambiguous(data, data.sq, clash)
-        col = np.arange(len(evals))[:, None]
-        # four line frequencies per point, layout [i_ms0, j_msm]
-        freqs = (evals[col, idxm][:, None, :] - evals[col, idx0][:, :, None])
-        freqs = freqs.reshape(-1, 4)[at]
-        dist = np.abs(freqs.reshape(m, n_sq, 4) - data.values[data.sq][:, None])
-        dist = dist.reshape(-1, 4)
-        # the nearest and the second nearest line of each row
-        order = np.argsort(dist, axis=1)[:, :2]
-        rows = np.arange(len(freqs))[:, None]
-        near, d = freqs[rows, order], dist[rows, order]
-        tied = (d[:, 1] - d[:, 0] < _MATCH_TIE) & (np.abs(near[:, 1] - near[:, 0]) > 1e-9)
-        model = near[:, 0]
-        for r in np.nonzero(tied)[0]:
-            s = at[r]
-            v0, vm = evecs[s][:, idx0[s]], evecs[s][:, idxm[s]]
-            amp = np.abs(v0.conj().T @ DRIVE_SX @ vm).reshape(-1) ** 2
-            a_best, a_second = amp[order[r]]
-            if abs(a_best - a_second) <= 0.1 * max(a_best, a_second):
-                k = int(data.sq[r % n_sq])
-                raise ValueError(
-                    "ambiguous transition matching at point %d: two lines "
-                    "equidistant from value %.6g with comparable amplitudes"
-                    % (k, data.values[k])
-                )
-            if a_second > a_best:
-                model[r] = near[r, 1]
-        out[:, data.sq] = model.reshape(m, -1)
-    return out[0] if single else out
+        w, vecs = np.linalg.eigh(h[data.sq_dist])
+        lo, hi = _sq_lines(w, vecs, data)
+        at = data.sq_pos
+        out[data.sq] = np.abs(w[at, hi] - w[at, lo])
+        sq = (w, vecs, lo, hi)
+    if keep is not None:
+        keep.update(h=h, sq=sq)
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _derivative_operators(gamma_e, gamma_n):
+    """The operators whose expectation values give every model derivative.
+
+    A (42, 6) stack of seven 6x6 blocks: dH/da_xx, dH/da_yy, dH/da_zz,
+    dH/da, then G_c = gamma_e S_c + gamma_n I_c for c = x, y, z, from which
+    the field derivatives follow.
+    """
+    g = [gamma_e * s + gamma_n * i
+         for s, i in ((_OP_SX, _OP_IX), (_OP_SY, _OP_IY), (_OP_SZ, _OP_IZ))]
+    return np.concatenate([_OP_SXIX, _OP_SYIY, _OP_SZIZ, _OP_MIX] + g)
+
+
+def _jacobian(params, vec, data, keep=None):
+    """Exact derivatives (n, 6) of ``_forward_model`` at one vector (6,).
+
+    Hellmann-Feynman: d lambda_k / dp = <v_k| dH/dp |v_k>. ``keep`` is what
+    ``_forward_model`` left at this vector (that call is made here when
+    it is None). Its Hamiltonians give one ``eigh`` over the distinct ZQ
+    points, for the ms0 doublet; its SQ solve gives the two states of
+    every SQ point's line, so model and derivatives read the same lines.
+    dH/dp is the fixed tensor operator for a tensor component; with G_c as
+    in ``_derivative_operators``, dH/db = sin(theta) (cos(phi) G_x +
+    sin(phi) G_y) + cos(theta) G_z and dH/dphi_offset = (pi/180) b
+    sin(theta) (cos(phi) G_y - sin(phi) G_x). Columns follow PARAM_IDS;
+    with a nan b slot the b column is meaningless.
+    """
+    if keep is None:
+        keep = {}
+        _forward_model(params, vec, data, keep)
+    # the states whose expectation values are needed, one per row
+    nz = len(data.zq_dist)
+    rows = []
+    if nz:
+        vz = np.linalg.eigh(keep["h"][data.zq_dist])[1]
+        rows.append(np.swapaxes(vz[..., :2], 1, 2).reshape(-1, 6))
+    if len(data.sq):
+        w, vecs, lo, hi = keep["sq"]
+        at = data.sq_pos
+        rows += [vecs[at, :, lo], vecs[at, :, hi]]
+    s = np.concatenate(rows)
+    # <s|O|s> of the seven operators, (7, states): one matmul, then
+    # Re(conj(s) O s) as one sum over interleaved real and imaginary parts
+    ops = _derivative_operators(params.gamma_e, params.gamma_n)
+    x = (s @ ops.T).view(float).reshape(len(s), 7, 12)
+    e = (x * s.view(float)[:, None]).sum(axis=-1).T
+    # per data point, the change of each expectation value along its line
+    de = np.empty((7, len(data.values)))
+    ez = e[:, : 2 * nz].reshape(7, nz, 2)
+    de[:, data.zq] = (ez[..., 1] - ez[..., 0])[:, data.zq_pos]
+    if len(data.sq):
+        e_lo, e_hi = e[:, 2 * nz : 2 * nz + len(at)], e[:, 2 * nz + len(at) :]
+        de[:, data.sq] = np.sign(w[at, hi] - w[at, lo]) * (e_hi - e_lo)
+    b, ph = (f[data.dist] for f in _field(np.asarray(vec, dtype=float), data))
+    sin_t, cos_t = data.sin_t[data.dist], data.cos_t[data.dist]
+    gx, gy, gz = de[4:]
+    out = np.empty((len(data.values), 6))
+    out[:, :4] = de[:4].T
+    out[:, 4] = sin_t * (np.cos(ph) * gx + np.sin(ph) * gy) + cos_t * gz
+    out[:, 5] = np.radians(b * sin_t * (np.cos(ph) * gy - np.sin(ph) * gx))
+    return out
 
 
 def fit_hyperfine(
@@ -372,10 +446,14 @@ def fit_hyperfine(
     Free parameters default to all of PARAM_IDS; names in ``fixed`` are
     held at their initial values. With b free a single global field
     strength is fitted and the per-point b column is ignored; with b
-    fixed the column is used. Damped Gauss-Newton: the normal equations
-    carry an adaptive Marquardt damping term and each step passes a
-    halving line search. Convergence requires relative chi^2 change
-    < 1e-10 or gradient norm < 1e-8 on 3 consecutive iterations.
+    fixed the column is used. An SQ point with a ``transition_index`` is
+    fitted to that line, in ascending frequency; one without is fitted to
+    the nearest line. Damped Gauss-Newton: the normal equations carry an
+    adaptive Marquardt damping term and each step passes a halving line
+    search. The Jacobian, in the iterations and in the final covariance,
+    is exact: Hellmann-Feynman derivatives from one eigensolve at the
+    accepted vector (``_jacobian``). Convergence requires relative chi^2
+    change < 1e-10 or gradient norm < 1e-8 on 3 consecutive iterations.
 
     Raises ValueError("degenerate parameter direction: ...") when the
     Jacobian loses rank, naming the unconstrained combination; raises when
@@ -400,26 +478,17 @@ def fit_hyperfine(
     if not np.all(np.isfinite(vec)):
         raise ValueError("initial guess must be finite")
 
-    def model(v):
+    def internal(v):
         u = np.array(v, dtype=float, copy=True)
         if "b" in fixed:
-            u[..., 4] = np.nan  # sentinel: use the per-point column
-        return _forward_model(params, u, data)
+            u[4] = np.nan  # sentinel: use the per-point column
+        return u
 
-    def jacobian_forward(v, f0):
-        vmat = np.repeat(v[None, :], len(free), axis=0)
-        for col, pi in enumerate(free):
-            vmat[col, pi] += _JAC_STEP
-        fm = model(vmat)
-        return (fm - f0[None, :]).T / (_JAC_STEP * sigmas[:, None])
+    def model(v, keep=None):
+        return _forward_model(params, internal(v), data, keep)
 
-    def jacobian_central(v):
-        vmat = np.repeat(v[None, :], 2 * len(free), axis=0)
-        for col, pi in enumerate(free):
-            vmat[2 * col, pi] += _JAC_STEP
-            vmat[2 * col + 1, pi] -= _JAC_STEP
-        fm = model(vmat)
-        return (fm[0::2] - fm[1::2]).T / (2 * _JAC_STEP * sigmas[:, None])
+    def jacobian(v, keep=None):
+        return _jacobian(params, internal(v), data, keep)[:, free] / sigmas[:, None]
 
     def chi2_of(r):
         # exact summation: noiseless datasets weight chi^2 to ~1e10 where
@@ -432,7 +501,8 @@ def fit_hyperfine(
         except OverflowError:
             return math.inf
 
-    fvec = model(vec)
+    keep = {}
+    fvec = model(vec, keep)
     resid = (fvec - values) / sigmas
     chi2 = chi2_of(resid)
     if not math.isfinite(chi2):
@@ -445,7 +515,7 @@ def fit_hyperfine(
     jac = grad = jtj = damp = None
     for n_iter in range(1, max_iterations + 1):
         if need_jac:
-            jac = jacobian_forward(vec, fvec)
+            jac = jacobian(vec, keep)
             _check_rank(jac, free)
             grad = 2.0 * jac.T @ resid
             jtj = jac.T @ jac
@@ -465,8 +535,9 @@ def fit_hyperfine(
         for _ in range(25):
             trial = vec.copy()
             trial[free] += scale * step
+            trial_keep = {}
             try:
-                trial_f = model(trial)
+                trial_f = model(trial, trial_keep)
             except ValueError:
                 # trial point outside the model's labelable regime
                 scale *= 0.5
@@ -480,6 +551,7 @@ def fit_hyperfine(
         if improved:
             rel_change = (chi2 - trial_chi2) / max(chi2, 1e-300)
             vec, fvec, resid, chi2 = trial, trial_f, trial_resid, trial_chi2
+            keep = trial_keep
             mu = max(mu / 3.0, 1e-12) if scale == scale0 else min(mu * 2.0, 1e8)
             need_jac = True
         else:
@@ -503,7 +575,7 @@ def fit_hyperfine(
         while vec[5] <= -90.0:
             vec[5] += 180.0
             vec[3] = -vec[3]
-    jac = jacobian_central(vec)
+    jac = jacobian(vec)
     _check_rank(jac, free)
     cov = np.linalg.inv(jac.T @ jac)
     if not np.all(np.isfinite(cov)):
@@ -540,9 +612,10 @@ def _check_rank(jac: np.ndarray, free):
     if dead.any():
         name = PARAM_IDS[free[int(np.argmin(norms))]]
         raise ValueError("degenerate parameter direction: %s" % name)
-    s, vt = np.linalg.svd(scaled, compute_uv=True)[1:]
+    # singular values decide; the full SVD runs only to name the direction
+    s = np.linalg.svd(scaled, compute_uv=False)
     if s[-1] < _SV_FLOOR * s[0]:
-        null = vt[-1] / norms
+        null = np.linalg.svd(scaled)[2][-1] / norms
         null = null / np.linalg.norm(null)
         terms = [
             "%+.2f*%s" % (null[c], PARAM_IDS[free[c]])

@@ -229,23 +229,29 @@ def unit_vectors(theta, phi) -> np.ndarray:
     )
 
 
-def hamiltonians(params: SystemParams, bvec) -> np.ndarray:
+def hamiltonians(params: SystemParams, bvec, tensor=None) -> np.ndarray:
     """Stack of static Hamiltonians for NV-frame field vectors (Gauss).
 
     bvec has shape (..., 3); the result has shape (..., 6, 6).
-    ``build_hamiltonian`` is the batch of one.
+    ``tensor`` holds per-row components (a_xx, a_yy, a_zz, a) with shape
+    (..., 4), broadcast against bvec's leading axes; by default every row
+    takes ``params.tensor``. ``build_hamiltonian`` is the batch of one.
     """
     bvec = np.asarray(bvec, dtype=float)
     bx, by, bz = (bvec[..., k, None, None] for k in range(3))
-    t = params.tensor
+    if tensor is None:
+        t = params.tensor
+        tensor = (t.a_xx, t.a_yy, t.a_zz, t.a)
+    tensor = np.asarray(tensor, dtype=float)
+    a_xx, a_yy, a_zz, a = (tensor[..., k, None, None] for k in range(4))
     return (
         params.d * _OP_SZ2
         + params.gamma_e * (bx * _OP_SX + by * _OP_SY + bz * _OP_SZ)
         + params.gamma_n * (bx * _OP_IX + by * _OP_IY + bz * _OP_IZ)
-        + t.a_xx * _OP_SXIX
-        + t.a_yy * _OP_SYIY
-        + t.a_zz * _OP_SZIZ
-        + t.a * _OP_MIX
+        + a_xx * _OP_SXIX
+        + a_yy * _OP_SYIY
+        + a_zz * _OP_SZIZ
+        + a * _OP_MIX
     )
 
 
@@ -269,14 +275,8 @@ def manifold_overlaps(vectors: np.ndarray) -> np.ndarray:
     for a stack of eigenvector matrices.
     """
     pops = np.abs(vectors) ** 2
-    return np.stack(
-        [
-            pops[..., 0, :] + pops[..., 1, :],
-            pops[..., 2, :] + pops[..., 3, :],
-            pops[..., 4, :] + pops[..., 5, :],
-        ],
-        axis=-1,
-    )
+    pairs = pops.reshape(pops.shape[:-2] + (3, 2, pops.shape[-1]))
+    return np.swapaxes(pairs.sum(axis=-2), -1, -2)
 
 
 def _hermitian(h: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from nvbeat.estimation import (
     _amplitude_ratios,
     _FitData,
     _forward_model,
+    _jacobian,
     find_axis_minimum,
     find_single_transition_axis,
     fit_hyperfine,
@@ -171,8 +172,8 @@ def test_sq_design_point_expands_to_four_lines():
 
 def test_forward_model_points_are_independent():
     # a point's model value does not depend on the other points: repeats,
-    # halfway values that tie two lines (resolved by amplitude) and the
-    # same angles at another b all match the point fitted alone
+    # unindexed halfway values that tie two lines (resolved by amplitude)
+    # and the same angles at another b all match the point fitted alone
     base = synthesize_dataset(
         SYS, b=40.3,
         design=[(40.0, 50.0, "sq_frequency"), (40.0, 10.0, "zq_frequency"),
@@ -180,7 +181,9 @@ def test_forward_model_points_are_independent():
     )
     f = [p.value for p in base.points]
     ties = tuple(
-        dataclasses.replace(base.points[5 + i], value=0.5 * (f[5 + i] + f[6 + i]))
+        dataclasses.replace(
+            base.points[5 + i], value=0.5 * (f[5 + i] + f[6 + i]), transition_index=None
+        )
         for i in (0, 2)
     )
     pts = base.points + (base.points[4], base.points[0]) + ties
@@ -195,8 +198,6 @@ def test_forward_model_points_are_independent():
         assert model[9] == model[4] and model[10] == model[0]
         assert np.abs(model[:9] - f).max() < 1e-9
         assert model[11] == model[5] and model[12] == model[8]
-        stacked = _forward_model(SYS, np.stack([vec + 1.0, vec]), data)
-        assert stacked[1].tolist() == model.tolist()
     assert model[13] != model[4]
 
 
@@ -206,8 +207,8 @@ def test_forward_model_points_are_independent():
     # ZQ: the ms-1 level crosses D/2 near the axis at 1000 G
     ((2.0, 0.0, 1000.0, "zq_frequency", 5.0), (1.0, 0.0, 1000.0, "zq_frequency", 5.0),
      "manifold assignment ambiguous in forward model at point 6 (theta=2.000 phi=0.000)"),
-    # SQ: one eigenstate among the two largest ms0 and the two largest ms-1
-    # weights past the level anticrossing
+    # SQ: past the level anticrossing no state is clearly ms0 or ms-1, so
+    # the states cannot be labelled
     ((20.0, 0.0, 1098.0, "sq_frequency", 100.0), (14.0, 0.0, 1098.0, "sq_frequency", 100.0),
      "manifold assignment ambiguous in forward model at point 6 (theta=20.000 phi=0.000)"),
     # SQ: two lines equally near with equal amplitudes
@@ -230,6 +231,83 @@ def test_forward_model_errors_name_the_data_point(first, later, message):
     ds = ScanDataset(base.points + (base.points[4], bad[0], base.points[1], bad[1]))
     with pytest.raises(ValueError, match=re.escape(message)):
         fit_hyperfine(ds, TRUTH, fixed=frozenset({"b"}))
+
+
+NOISE = {"sq_frequency": 0.2, "zq_frequency": 0.2}
+STA_PHI = [(STA_THETA, 0.0, "sq_frequency")]
+STA_PHI += [(40.0, float(p), "zq_frequency") for p in np.linspace(-90, 90, 19)]
+
+
+# (design, b): the sta-phi and two-theta designs, and SQ points past the
+# ms0 / ms-1 crossing near 1024 G, where the ms-1 states lie below ms0
+JACOBIAN_CASES = {
+    "sta_phi": (STA_PHI, 40.3),
+    "two_theta": (DESIGN2, 40.3),
+    "above_crossing": ([(0.0, 0.0, "sq_frequency"), (2.0, 30.0, "sq_frequency")], 1200.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
+@pytest.mark.parametrize("b_fixed", [False, True])
+def test_jacobian_matches_central_differences(case, b_fixed):
+    # the Hellmann-Feynman derivatives against central differences of the
+    # model with step 1e-5, whose rounding error is ~1e-7 MHz per unit
+    design, b = JACOBIAN_CASES[case]
+    data = _FitData(synthesize_dataset(SYS, b=b, design=design, noise_sigma=NOISE, seed=3))
+    vec = TRUTH.as_vector() + np.array([3.0, -2.0, 5.0, 4.0, 0.0, 2.0])
+    vec[4] = np.nan if b_fixed else b + 0.5  # nan: the per-point b column
+    jac = _jacobian(SYS, vec, data)
+    h = 1e-5
+    for col in [0, 1, 2, 3, 5] if b_fixed else range(6):
+        up, down = vec.copy(), vec.copy()
+        up[col] += h
+        down[col] -= h
+        fd = (_forward_model(SYS, up, data) - _forward_model(SYS, down, data)) / (2 * h)
+        scale = np.abs(jac[:, col]).max()
+        assert scale > 0
+        assert np.abs(fd - jac[:, col]).max() <= 1e-5 * scale, col
+
+
+def test_indexed_sq_point_fits_its_line():
+    # a row with transition_index is fitted to that line even when another
+    # line lies nearer its value; without the index the nearest line wins
+    lines = synthesize_dataset(SYS, b=40.3, design=[(40.0, 50.0, "sq_frequency")]).points
+    moved = dataclasses.replace(lines[0], value=lines[2].value + 0.1)
+    unindexed = dataclasses.replace(moved, transition_index=None)
+    model = _forward_model(SYS, TRUTH.as_vector(), _FitData(ScanDataset((moved, unindexed))))
+    assert abs(model[0] - lines[0].value) < 1e-9
+    assert abs(model[1] - lines[2].value) < 1e-9
+
+
+def test_forward_model_matches_synthesized_lines_near_90_degrees():
+    # near theta = 90 the ms_plus and ms_minus states mix; the model labels
+    # them as synthesize_dataset does and returns all four lines
+    tensor = HyperfineTensor(
+        177.8074522941026, 111.78221609527414, 91.16277332713015, -96.98895383140392
+    )
+    b = 34.47580701710749
+    ds = synthesize_dataset(
+        SystemParams(tensor=tensor), b=b,
+        design=[(88.62727189633158, 135.32904274474893, "sq_frequency")],
+    )
+    vec = FitParams(tensor.a_xx, tensor.a_yy, tensor.a_zz, tensor.a, b).as_vector()
+    model = _forward_model(SystemParams(tensor=tensor), vec, _FitData(ds))
+    assert np.abs(model - [p.value for p in ds.points]).max() < 1e-9
+
+
+def test_forward_model_and_jacobian_mirror_phi():
+    # phi -> -phi (data and phi_offset) conjugates every Hamiltonian: the
+    # model is unchanged, and so is the Jacobian but for the sign of its
+    # phi_offset column
+    ds = synthesize_dataset(SYS, b=40.3, design=DESIGN2, noise_sigma=NOISE, seed=4)
+    mirrored = ScanDataset(tuple(dataclasses.replace(p, phi=-p.phi) for p in ds.points))
+    vec = TRUTH.as_vector() + np.array([3.0, -2.0, 5.0, 4.0, 0.5, 2.0])
+    flip = vec * [1, 1, 1, 1, 1, -1]
+    data, data_m = _FitData(ds), _FitData(mirrored)
+    model, model_m = _forward_model(SYS, vec, data), _forward_model(SYS, flip, data_m)
+    assert np.abs(model - model_m).max() < 1e-9
+    jac, jac_m = _jacobian(SYS, vec, data), _jacobian(SYS, flip, data_m)
+    assert np.abs(jac - jac_m * [1, 1, 1, 1, 1, -1]).max() < 1e-9 * np.abs(jac).max()
 
 
 def test_zq_only_fit_is_degenerate():
