@@ -4,7 +4,11 @@ The forward model everywhere is exact diagonalization of the 6x6
 Hamiltonian. Fits run a damped Gauss-Newton iteration on a joint
 inverse-variance chi^2 over single-quantum line frequencies and
 zero-quantum splittings; their Jacobian is exact, the Hellmann-Feynman
-derivatives of the model's eigenvalues.
+derivatives of the model's eigenvalues. With a_zz and a both free the
+iteration steps in valley coordinates, r = hypot(a_zz, a) and
+psi = atan2(a, a_zz), along the soft curved valley that single-axis data
+leave (Transtrum, Machta & Sethna, PRL 104, 060201 (2010)); psi moves at
+most 0.3 rad per iteration. Results are reported in PARAM_IDS.
 """
 
 from __future__ import annotations
@@ -223,10 +227,8 @@ _MATCH_TIE = 1e-6
 class _FitData:
     """A dataset as the fit's arrays, plus its distinct (theta, phi, b) points.
 
-    ``zq``/``sq`` index the zq_frequency/sq_frequency data points,
-    ``zq_dist``/``sq_dist`` the distinct points they use, and
-    ``zq_pos``/``sq_pos`` map each such data point into that list.
-    ``dist`` maps every data point into the list of all distinct points.
+    ``zq``/``sq`` index the zq_frequency/sq_frequency data points and
+    ``dist`` maps every data point into the list of distinct points.
     ``sq_index`` is each SQ point's ``transition_index``, -1 when it has none.
     """
 
@@ -249,29 +251,13 @@ class _FitData:
         self.dist = inverse.reshape(-1)
         th, self.phi_dist, self.b_dist = keys[first].T
         self.sin_t, self.cos_t = np.sin(np.radians(th)), np.cos(np.radians(th))
-
-        def by_kind(mask):
-            idx = np.nonzero(mask)[0]
-            dist, pos = np.unique(self.dist[idx], return_inverse=True)
-            return idx, dist, pos.reshape(-1)
-
         zq = np.array([p.kind == "zq_frequency" for p in pts], dtype=bool)
-        self.zq, self.zq_dist, self.zq_pos = by_kind(zq)
-        self.sq, self.sq_dist, self.sq_pos = by_kind(~zq)
+        self.zq, self.sq = np.nonzero(zq)[0], np.nonzero(~zq)[0]
         self.sq_index = np.array(
             [-1 if pts[k].transition_index is None else pts[k].transition_index
              for k in self.sq],
             dtype=int,
         )
-
-
-def _ambiguous(data, idx, bad):
-    """Raise naming the first data point of ``idx`` flagged in ``bad``."""
-    k = int(idx[np.nonzero(bad)[0][0]])
-    raise ValueError(
-        "manifold assignment ambiguous in forward model at point %d "
-        "(theta=%.3f phi=%.3f)" % (k, data.theta[k], data.phi[k])
-    )
 
 
 def _field(vec, data):
@@ -291,24 +277,21 @@ def _hamiltonians(params, vec, data):
     return hamiltonians(params, bvec, vec[:4])
 
 
-def _sq_lines(w, vecs, data):
+def _sq_lines(w, vecs, order, data):
     """The model line of every SQ data point, as a pair of eigenstates.
 
-    w (nd, 6) and vecs (nd, 6, 6) solve the nd distinct SQ points. The
-    four main lines of a solve join its two ms0 and two ms_minus states,
-    as ``label_manifolds`` labels them, ranked in ascending frequency. A
+    w (nd, 6) and vecs (nd, 6, 6) solve the distinct points; order (nd, 6)
+    lists each solve's states as ``label_manifolds`` labels them: ms_plus,
+    ms0, ms_minus, two each, ascending in energy. The four main lines join
+    the two ms0 and two ms_minus states, ranked in ascending frequency. A
     point with a ``transition_index`` takes that line; a point without one
     takes the nearest line, and a near-tie between distinct lines resolves
     toward the stronger transition amplitude and raises when the amplitudes
     are comparable too. Returns (lo, hi): each point's ms0 and ms_minus
-    state, in the solve ``data.sq_pos`` names.
+    state.
     """
-    at = data.sq_pos
-    labels, ok = label_manifolds(manifold_overlaps(vecs))
-    if not ok[at].all():
-        _ambiguous(data, data.sq, ~ok[at])
-    order = np.argsort(labels, axis=1, kind="stable")[at]
-    lo, hi = order[:, [2, 2, 3, 3]], order[:, [4, 5, 4, 5]]
+    at = data.dist[data.sq]
+    lo, hi = order[at][:, [2, 2, 3, 3]], order[at][:, [4, 5, 4, 5]]
     rows = np.arange(len(at))
     wa = w[at]
     freqs = np.abs(wa[rows[:, None], hi] - wa[rows[:, None], lo])
@@ -339,36 +322,31 @@ def _forward_model(params, vec, data, keep=None):
     """Model frequencies (n,) for every point of a ``_FitData`` at vec (6,).
 
     A nan in the b slot switches to the per-point b column. The
-    Hamiltonians are assembled once per call, over the distinct field
-    points only; ZQ points take ``eigvalsh`` of theirs and SQ points
-    ``eigh``, one solve per distinct point however many lines it carries.
-    SQ points are matched to lines by ``_sq_lines``. With a dict ``keep``,
-    the call leaves there what ``_jacobian`` reuses at this vector: the
-    Hamiltonians ("h") and the SQ solve with its lines ("sq").
+    Hamiltonians are assembled and solved (``eigh``) once per call, over
+    the distinct field points only, and their states labelled by
+    ``label_manifolds``, the rule ``synthesize_dataset`` uses. Every point
+    is the gap between two states of its solve: a ZQ point's ms0 pair, an
+    SQ point's line from ``_sq_lines``. With a dict ``keep``, the call
+    leaves there what ``_jacobian`` reuses at this vector: the solve ("w",
+    "vecs") and each point's lower and upper state ("lo", "hi").
     """
     vec = np.asarray(vec, dtype=float)
-    h = _hamiltonians(params, vec, data)
-    out = np.empty(len(data.values))
-    if len(data.zq):
-        # the ms0 doublet is always the lowest eigenvalue pair here; only
-        # eigenvalues are needed, with a separation guard against extreme
-        # trial tensors pushing manifolds across each other
-        w = np.linalg.eigvalsh(h[data.zq_dist])
-        cut = params.d / 2.0
-        bad = (w[:, 1] >= cut) | (w[:, 2] <= cut)
-        if bad.any():
-            _ambiguous(data, data.zq, bad[data.zq_pos])
-        out[data.zq] = (w[:, 1] - w[:, 0])[data.zq_pos]
-    sq = None
+    w, vecs = np.linalg.eigh(_hamiltonians(params, vec, data))
+    labels, ok = label_manifolds(manifold_overlaps(vecs))
+    at = data.dist
+    if not ok[at].all():
+        k = int(np.argmin(ok[at]))
+        raise ValueError(
+            "manifold assignment ambiguous in forward model at point %d "
+            "(theta=%.3f phi=%.3f)" % (k, data.theta[k], data.phi[k])
+        )
+    order = np.argsort(labels, axis=1, kind="stable")
+    lo, hi = order[at, 2], order[at, 3]  # the ms0 pair, for ZQ points
     if len(data.sq):
-        w, vecs = np.linalg.eigh(h[data.sq_dist])
-        lo, hi = _sq_lines(w, vecs, data)
-        at = data.sq_pos
-        out[data.sq] = np.abs(w[at, hi] - w[at, lo])
-        sq = (w, vecs, lo, hi)
+        lo[data.sq], hi[data.sq] = _sq_lines(w, vecs, order, data)
     if keep is not None:
-        keep.update(h=h, sq=sq)
-    return out
+        keep.update(w=w, vecs=vecs, lo=lo, hi=hi)
+    return np.abs(w[at, hi] - w[at, lo])
 
 
 @functools.lru_cache(maxsize=8)
@@ -389,9 +367,8 @@ def _jacobian(params, vec, data, keep=None):
 
     Hellmann-Feynman: d lambda_k / dp = <v_k| dH/dp |v_k>. ``keep`` is what
     ``_forward_model`` left at this vector (that call is made here when
-    it is None). Its Hamiltonians give one ``eigh`` over the distinct ZQ
-    points, for the ms0 doublet; its SQ solve gives the two states of
-    every SQ point's line, so model and derivatives read the same lines.
+    it is None): its solve and the two states of every point, so model and
+    derivatives read the same states and no further eigensolve is needed.
     dH/dp is the fixed tensor operator for a tensor component; with G_c as
     in ``_derivative_operators``, dH/db = sin(theta) (cos(phi) G_x +
     sin(phi) G_y) + cos(theta) G_z and dH/dphi_offset = (pi/180) b
@@ -401,36 +378,59 @@ def _jacobian(params, vec, data, keep=None):
     if keep is None:
         keep = {}
         _forward_model(params, vec, data, keep)
-    # the states whose expectation values are needed, one per row
-    nz = len(data.zq_dist)
-    rows = []
-    if nz:
-        vz = np.linalg.eigh(keep["h"][data.zq_dist])[1]
-        rows.append(np.swapaxes(vz[..., :2], 1, 2).reshape(-1, 6))
-    if len(data.sq):
-        w, vecs, lo, hi = keep["sq"]
-        at = data.sq_pos
-        rows += [vecs[at, :, lo], vecs[at, :, hi]]
-    s = np.concatenate(rows)
-    # <s|O|s> of the seven operators, (7, states): one matmul, then
+    w, vecs, lo, hi = keep["w"], keep["vecs"], keep["lo"], keep["hi"]
+    at = data.dist
+    n = len(at)
+    s = np.concatenate([vecs[at, :, lo], vecs[at, :, hi]])
+    # <s|O|s> of the seven operators, (7, 2n): one matmul, then
     # Re(conj(s) O s) as one sum over interleaved real and imaginary parts
     ops = _derivative_operators(params.gamma_e, params.gamma_n)
     x = (s @ ops.T).view(float).reshape(len(s), 7, 12)
     e = (x * s.view(float)[:, None]).sum(axis=-1).T
-    # per data point, the change of each expectation value along its line
-    de = np.empty((7, len(data.values)))
-    ez = e[:, : 2 * nz].reshape(7, nz, 2)
-    de[:, data.zq] = (ez[..., 1] - ez[..., 0])[:, data.zq_pos]
-    if len(data.sq):
-        e_lo, e_hi = e[:, 2 * nz : 2 * nz + len(at)], e[:, 2 * nz + len(at) :]
-        de[:, data.sq] = np.sign(w[at, hi] - w[at, lo]) * (e_hi - e_lo)
-    b, ph = (f[data.dist] for f in _field(np.asarray(vec, dtype=float), data))
-    sin_t, cos_t = data.sin_t[data.dist], data.cos_t[data.dist]
+    # per data point, the change of each expectation value along its gap
+    de = np.sign(w[at, hi] - w[at, lo]) * (e[:, n:] - e[:, :n])
+    b, ph = (f[at] for f in _field(np.asarray(vec, dtype=float), data))
+    sin_t, cos_t = data.sin_t[at], data.cos_t[at]
     gx, gy, gz = de[4:]
-    out = np.empty((len(data.values), 6))
+    out = np.empty((n, 6))
     out[:, :4] = de[:4].T
     out[:, 4] = sin_t * (np.cos(ph) * gx + np.sin(ph) * gy) + cos_t * gz
     out[:, 5] = np.radians(b * sin_t * (np.cos(ph) * gy - np.sin(ph) * gx))
+    return out
+
+
+# the largest change of psi, the angle of (a_zz, a), in one fit iteration
+_PSI_CAP = 0.3  # rad
+
+
+def _to_valley(vec):
+    """Valley coordinates of a PARAM_IDS vector (6,).
+
+    (a_zz, a) become r = hypot(a_zz, a) and psi = atan2(a, a_zz); the other
+    slots are copied.
+    """
+    u = np.array(vec, dtype=float)
+    u[2], u[3] = math.hypot(u[2], u[3]), math.atan2(u[3], u[2])
+    return u
+
+
+def _from_valley(u):
+    """The PARAM_IDS vector of valley coordinates: a_zz = r cos psi, a = r sin psi."""
+    vec = np.array(u, dtype=float)
+    vec[2], vec[3] = u[2] * math.cos(u[3]), u[2] * math.sin(u[3])
+    return vec
+
+
+def _valley_jacobian(jac, u):
+    """A PARAM_IDS Jacobian (n, 6) by the chain rule in valley coordinates u.
+
+    d/dr = cos(psi) d/da_zz + sin(psi) d/da and
+    d/dpsi = r (cos(psi) d/da - sin(psi) d/da_zz).
+    """
+    c, s = math.cos(u[3]), math.sin(u[3])
+    out = jac.copy()
+    out[:, 2] = c * jac[:, 2] + s * jac[:, 3]
+    out[:, 3] = u[2] * (c * jac[:, 3] - s * jac[:, 2])
     return out
 
 
@@ -454,6 +454,18 @@ def fit_hyperfine(
     is exact: Hellmann-Feynman derivatives from one eigensolve at the
     accepted vector (``_jacobian``). Convergence requires relative chi^2
     change < 1e-10 or gradient norm < 1e-8 on 3 consecutive iterations.
+
+    With a_zz and a both free, the iteration steps in valley coordinates:
+    (a_zz, a) = r (cos psi, sin psi), the other parameters as they are.
+    The data pin r but barely the angle psi, so the fit walks a curved
+    valley that these coordinates straighten. The step's Jacobian is the
+    exact one by the chain rule (``_valley_jacobian``). Each iteration
+    caps r, like every tensor component, at max(2, 0.15 |r|) MHz and psi
+    at 0.3 rad; psi is capped by raising the damping on its diagonal alone
+    (x4 until the step fits), which keeps the step downhill. The rank
+    check, the trial vectors, the covariance, the sigmas and the
+    (a, phi_offset) branch choice stay in PARAM_IDS coordinates. In every
+    other case the step is taken in PARAM_IDS coordinates.
 
     Raises ValueError("degenerate parameter direction: ...") when the
     Jacobian loses rank, naming the unconstrained combination; raises when
@@ -488,7 +500,7 @@ def fit_hyperfine(
         return _forward_model(params, internal(v), data, keep)
 
     def jacobian(v, keep=None):
-        return _jacobian(params, internal(v), data, keep)[:, free] / sigmas[:, None]
+        return _jacobian(params, internal(v), data, keep) / sigmas[:, None]
 
     def chi2_of(r):
         # exact summation: noiseless datasets weight chi^2 to ~1e10 where
@@ -512,19 +524,35 @@ def fit_hyperfine(
     n_iter = 0
     mu = 1e-3
     need_jac = True
-    jac = grad = jtj = damp = None
+    valley = 2 in free and 3 in free  # step in (r, psi), see the docstring
+    psi = free.index(3) if valley else None
+    u = grad = jtj = damp = None
     for n_iter in range(1, max_iterations + 1):
         if need_jac:
             jac = jacobian(vec, keep)
-            _check_rank(jac, free)
+            _check_rank(jac[:, free], free)
+            u = _to_valley(vec) if valley else vec
+            if valley:
+                jac = _valley_jacobian(jac, u)
+            jac = jac[:, free]
             grad = 2.0 * jac.T @ resid
             jtj = jac.T @ jac
             damp = np.diag(np.clip(np.diag(jtj), 1e-300, None))
-        step = np.linalg.solve(jtj + mu * damp, -0.5 * grad)
+        lhs = jtj + mu * damp
+        step = np.linalg.solve(lhs, -0.5 * grad)
+        if valley:
+            # psi moves at most _PSI_CAP: its damping alone grows x4 until
+            # the step fits, which keeps the step downhill (scaling the
+            # whole step lets psi run first, into a second minimum)
+            extra = mu * damp[psi, psi]
+            while abs(step[psi]) > _PSI_CAP:
+                lhs[psi, psi] += 3.0 * extra
+                extra *= 4.0
+                step = np.linalg.solve(lhs, -0.5 * grad)
         # per-iteration trust cap: large raw steps jump between basins
         # (an x/y-swapped tensor with phi_offset near +-90 is a sticky
         # false minimum); the line search then polishes within the cap
-        cap = np.maximum(2.0, 0.15 * np.abs(vec[free]))
+        cap = np.maximum(2.0, 0.15 * np.abs(u[free]))
         for col, pi in enumerate(free):
             if pi == 5:
                 cap[col] = 5.0  # degrees per iteration
@@ -533,8 +561,10 @@ def fit_hyperfine(
         scale = scale0
         improved = False
         for _ in range(25):
-            trial = vec.copy()
+            trial = u.copy()
             trial[free] += scale * step
+            if valley:
+                trial = _from_valley(trial)
             trial_keep = {}
             try:
                 trial_f = model(trial, trial_keep)
@@ -575,7 +605,7 @@ def fit_hyperfine(
         while vec[5] <= -90.0:
             vec[5] += 180.0
             vec[3] = -vec[3]
-    jac = jacobian(vec)
+    jac = jacobian(vec)[:, free]
     _check_rank(jac, free)
     cov = np.linalg.inv(jac.T @ jac)
     if not np.all(np.isfinite(cov)):

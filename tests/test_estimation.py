@@ -1,6 +1,7 @@
 """Dataset I/O, synthetic scans, hyperfine fitting, sensitivity tools."""
 
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -15,7 +16,10 @@ from nvbeat.estimation import (
     _amplitude_ratios,
     _FitData,
     _forward_model,
+    _from_valley,
     _jacobian,
+    _to_valley,
+    _valley_jacobian,
     find_axis_minimum,
     find_single_transition_axis,
     fit_hyperfine,
@@ -204,11 +208,10 @@ def test_forward_model_points_are_independent():
 @pytest.mark.parametrize("first, later, message", [
     # (theta, phi, b, kind, value); value None is halfway between the lines
     # of the two degenerate pairs on the axis
-    # ZQ: the ms-1 level crosses D/2 near the axis at 1000 G
-    ((2.0, 0.0, 1000.0, "zq_frequency", 5.0), (1.0, 0.0, 1000.0, "zq_frequency", 5.0),
-     "manifold assignment ambiguous in forward model at point 6 (theta=2.000 phi=0.000)"),
-    # SQ: past the level anticrossing no state is clearly ms0 or ms-1, so
-    # the states cannot be labelled
+    # ZQ and SQ: past the level anticrossing no state is clearly ms0 or
+    # ms-1, so the states cannot be labelled
+    ((20.0, 0.0, 1098.0, "zq_frequency", 5.0), (14.0, 0.0, 1098.0, "zq_frequency", 5.0),
+     "manifold assignment ambiguous in forward model at point 6 (theta=20.000 phi=0.000)"),
     ((20.0, 0.0, 1098.0, "sq_frequency", 100.0), (14.0, 0.0, 1098.0, "sq_frequency", 100.0),
      "manifold assignment ambiguous in forward model at point 6 (theta=20.000 phi=0.000)"),
     # SQ: two lines equally near with equal amplitudes
@@ -251,21 +254,64 @@ JACOBIAN_CASES = {
 @pytest.mark.parametrize("b_fixed", [False, True])
 def test_jacobian_matches_central_differences(case, b_fixed):
     # the Hellmann-Feynman derivatives against central differences of the
-    # model with step 1e-5, whose rounding error is ~1e-7 MHz per unit
+    # model with step 1e-5, whose rounding error is ~1e-7 MHz per unit; and
+    # the same in the fit's valley coordinates, r = hypot(a_zz, a) and
+    # psi = atan2(a, a_zz), whose columns follow by the chain rule
     design, b = JACOBIAN_CASES[case]
     data = _FitData(synthesize_dataset(SYS, b=b, design=design, noise_sigma=NOISE, seed=3))
     vec = TRUTH.as_vector() + np.array([3.0, -2.0, 5.0, 4.0, 0.0, 2.0])
     vec[4] = np.nan if b_fixed else b + 0.5  # nan: the per-point b column
+    u = _to_valley(vec)
+    assert np.allclose(_from_valley(u), vec, rtol=1e-15, atol=0.0, equal_nan=True)
     jac = _jacobian(SYS, vec, data)
     h = 1e-5
-    for col in [0, 1, 2, 3, 5] if b_fixed else range(6):
-        up, down = vec.copy(), vec.copy()
-        up[col] += h
-        down[col] -= h
-        fd = (_forward_model(SYS, up, data) - _forward_model(SYS, down, data)) / (2 * h)
-        scale = np.abs(jac[:, col]).max()
-        assert scale > 0
-        assert np.abs(fd - jac[:, col]).max() <= 1e-5 * scale, col
+    for x, to_vec, j in ((vec, np.asarray, jac), (u, _from_valley, _valley_jacobian(jac, u))):
+        for col in [0, 1, 2, 3, 5] if b_fixed else range(6):
+            up, down = x.copy(), x.copy()
+            up[col] += h
+            down[col] -= h
+            fd = (_forward_model(SYS, to_vec(up), data)
+                  - _forward_model(SYS, to_vec(down), data)) / (2 * h)
+            scale = np.abs(j[:, col]).max()
+            assert scale > 0
+            assert np.abs(fd - j[:, col]).max() <= 1e-5 * scale, col
+
+
+def test_fit_recovers_truth_from_far_starts():
+    # acceptance 6's noiseless design from all 16 +-20 % corner starts;
+    # letting psi run ahead of the other parameters once took two of them,
+    # (0.8, 1.2, 0.8, 0.8) included, into a second minimum near psi = -158
+    # degrees (a_zz -113.8, a -45.1 MHz)
+    ds = synthesize_dataset(SYS, b=40.3, design=STA_PHI)
+    names = ("a_xx", "a_yy", "a_zz", "a")
+    for fac in itertools.product((0.8, 1.2), repeat=4):
+        start = FitParams(*(getattr(TRUTH, n) * f for n, f in zip(names, fac)), b=40.3)
+        r = fit_hyperfine(ds, start)
+        err = max(abs(getattr(r.params, n) - getattr(TRUTH, n)) for n in names)
+        assert r.converged and err < 0.01, fac
+    # a start at a_zz = a = 0, where psi is undefined (r = 0), on the
+    # two-theta design (``synth --design two-theta``) with b fixed
+    ds = synthesize_dataset(SYS, b=40.3, design=DESIGN2)
+    r = fit_hyperfine(ds, FitParams(170.0, 120.0, 0.0, 0.0, 40.3), fixed={"b"})
+    err = max(abs(getattr(r.params, n) - getattr(TRUTH, n)) for n in names)
+    assert r.converged and err < 0.01
+
+
+def test_zq_point_above_the_crossing_fits():
+    # at 1200 G the ms-1 states lie below ms0; a ZQ point is the gap of the
+    # labelled ms0 pair, as synthesize_dataset has it, not of the two
+    # lowest levels
+    truth = dataclasses.replace(TRUTH, b=1200.0)
+    design = [(2.0, 0.0, "zq_frequency"), (0.0, 0.0, "sq_frequency"),
+              (2.0, 30.0, "sq_frequency")]
+    ds = synthesize_dataset(SYS, b=1200.0, design=design)
+    model = _forward_model(SYS, truth.as_vector(), _FitData(ds))
+    assert np.abs(model - [p.value for p in ds.points]).max() < 1e-9
+    start = FitParams(170.2, 120.4, 91.8, -88.5, 1200.0)
+    r = fit_hyperfine(ds, start, fixed={"b", "phi_offset"})
+    assert r.converged
+    for n in ("a_xx", "a_yy", "a_zz", "a"):
+        assert abs(getattr(r.params, n) - getattr(truth, n)) < 1e-6
 
 
 def test_indexed_sq_point_fits_its_line():
