@@ -7,8 +7,8 @@ zero-quantum splittings; their Jacobian is exact, the Hellmann-Feynman
 derivatives of the model's eigenvalues. With a_zz and a both free the
 iteration steps in valley coordinates, r = hypot(a_zz, a) and
 psi = atan2(a, a_zz), along the soft curved valley that single-axis data
-leave (Transtrum, Machta & Sethna, PRL 104, 060201 (2010)); psi moves at
-most 0.3 rad per iteration. Results are reported in PARAM_IDS.
+leave (Transtrum, Machta & Sethna, PRL 104, 060201 (2010)), once r is
+past 40/3 MHz; psi moves at most 0.3 rad per iteration. Results are reported in PARAM_IDS.
 """
 
 from __future__ import annotations
@@ -401,6 +401,10 @@ def _jacobian(params, vec, data, keep=None):
 
 # the largest change of psi, the angle of (a_zz, a), in one fit iteration
 _PSI_CAP = 0.3  # rad
+# the fit steps in (r, psi) from this r on, where r's cap 0.15 r leaves its
+# 2 MHz floor; nearer r = 0 psi is ill-defined and a step of the floor
+# turns it by more than 0.15 rad
+_VALLEY_R = 2.0 / 0.15  # MHz
 
 
 def _to_valley(vec):
@@ -455,8 +459,11 @@ def fit_hyperfine(
     accepted vector (``_jacobian``). Convergence requires relative chi^2
     change < 1e-10 or gradient norm < 1e-8 on 3 consecutive iterations.
 
-    With a_zz and a both free, the iteration steps in valley coordinates:
-    (a_zz, a) = r (cos psi, sin psi), the other parameters as they are.
+    With a_zz and a both free and r = hypot(a_zz, a) at least 40/3 MHz
+    (where r's cap below leaves its floor), the iteration steps in valley
+    coordinates: (a_zz, a) = r (cos psi, sin psi), the other parameters as
+    they are; nearer r = 0, where psi is ill-defined, it steps in PARAM_IDS
+    coordinates until r grows.
     The data pin r but barely the angle psi, so the fit walks a curved
     valley that these coordinates straighten. The step's Jacobian is the
     exact one by the chain rule (``_valley_jacobian``). Each iteration
@@ -524,13 +531,15 @@ def fit_hyperfine(
     n_iter = 0
     mu = 1e-3
     need_jac = True
-    valley = 2 in free and 3 in free  # step in (r, psi), see the docstring
-    psi = free.index(3) if valley else None
+    both = 2 in free and 3 in free  # (r, psi) steps possible, see the docstring
+    psi = free.index(3) if both else None
     u = grad = jtj = damp = None
+    valley = False
     for n_iter in range(1, max_iterations + 1):
         if need_jac:
             jac = jacobian(vec, keep)
             _check_rank(jac[:, free], free)
+            valley = both and math.hypot(vec[2], vec[3]) >= _VALLEY_R
             u = _to_valley(vec) if valley else vec
             if valley:
                 jac = _valley_jacobian(jac, u)

@@ -295,6 +295,19 @@ def test_fit_recovers_truth_from_far_starts():
     r = fit_hyperfine(ds, FitParams(170.0, 120.0, 0.0, 0.0, 40.3), fixed={"b"})
     err = max(abs(getattr(r.params, n) - getattr(TRUTH, n)) for n in names)
     assert r.converged and err < 0.01
+    # and on the README snippet's design with phi_offset fixed, b free and
+    # fixed, from r = 0 and from small r off the psi = 0 axis; stepping in
+    # (r, psi) from there stalled with a_xx near 400 MHz
+    snippet = [(20.0, 0.0, "sq_frequency"), (75.0, 30.0, "sq_frequency")]
+    snippet += [(40.0, float(p), "zq_frequency") for p in np.linspace(-90, 90, 13)]
+    ds = synthesize_dataset(SYS, b=40.3, design=snippet)
+    for (a_zz, a), fixed in itertools.product(
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, -1.0)],
+        [{"phi_offset"}, {"b", "phi_offset"}],
+    ):
+        r = fit_hyperfine(ds, FitParams(170.0, 120.0, a_zz, a, 40.3), fixed=fixed)
+        err = max(abs(getattr(r.params, n) - getattr(TRUTH, n)) for n in names)
+        assert r.converged and err < 0.01, (a_zz, a, fixed)
 
 
 def test_zq_point_above_the_crossing_fits():
