@@ -8,7 +8,8 @@ derivatives of the model's eigenvalues. With a_zz and a both free the
 iteration steps in valley coordinates, r = hypot(a_zz, a) and
 psi = atan2(a, a_zz), along the soft curved valley that single-axis data
 leave (Transtrum, Machta & Sethna, PRL 104, 060201 (2010)), once r is
-past 40/3 MHz; psi moves at most 0.3 rad per iteration. Results are reported in PARAM_IDS.
+past 40/3 MHz; psi moves at most 0.3 rad per iteration. Results are
+reported in PARAM_IDS.
 """
 
 from __future__ import annotations
@@ -534,7 +535,6 @@ def fit_hyperfine(
     both = 2 in free and 3 in free  # (r, psi) steps possible, see the docstring
     psi = free.index(3) if both else None
     u = grad = jtj = damp = None
-    valley = False
     for n_iter in range(1, max_iterations + 1):
         if need_jac:
             jac = jacobian(vec, keep)
