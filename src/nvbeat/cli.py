@@ -85,9 +85,8 @@ def _build_parser():
         help="parametric bootstrap refits for empirical uncertainties",
     )
 
-    p = sub.add_parser("sensitivity", parents=[common], help="line-shift slopes per tensor component")
+    p = sub.add_parser("sensitivity", parents=[common], help="exact line-shift slopes per tensor component")
     p.add_argument("--at-sta", action="store_true")
-    p.add_argument("--step", type=float, default=0.5, help="difference step, MHz")
 
     sub.add_parser("principal", parents=[common], help="principal values and theta_P")
 
@@ -201,14 +200,9 @@ def cmd_spectrum(cfg, args) -> str:
 def cmd_zq_scan(cfg, args) -> str:
     import numpy as np
 
-    from .analytic import delta_perturbative, zq_beat_amplitude
-    from .spin_core import (
-        FieldOrientation,
-        build_hamiltonian,
-        eigensystem,
-        lambda_transition_amplitudes,
-        zero_quantum_splitting_exact,
-    )
+    from .analytic import delta_perturbative
+    from .estimation import MIN_SIGMA, ScanPoint, model_values
+    from .spin_core import FieldOrientation
 
     if args.step <= 0:
         raise ValueError("sweep step must be positive")
@@ -220,21 +214,17 @@ def cmd_zq_scan(cfg, args) -> str:
         raise ValueError("theta sweep outside [0, 180]")
     params = cfg.system()
     base = cfg.field_nv()
+    theta, phi = (angles, base.phi) if args.sweep == "theta" else (base.theta, angles)
+    fields = [FieldOrientation(base.b, float(t), float(p)) for t, p in np.broadcast(theta, phi)]
+    exact, beat = model_values(params, [
+        ScanPoint(f.theta, f.phi, f.b, kind, 0.0, MIN_SIGMA)
+        for kind in ("zq_frequency", "zq_amplitude")
+        for f in fields
+    ]).reshape(2, -1)
     rows = [_comment(cfg), "angle_deg,delta_exact_mhz,delta_perturbative_mhz,beat_amplitude"]
-    for ang in angles:
-        if args.sweep == "theta":
-            field = FieldOrientation(base.b, float(ang), base.phi)
-        else:
-            field = FieldOrientation(base.b, base.theta, float(ang))
-        eig = eigensystem(build_hamiltonian(params, field))
-        exact = zero_quantum_splitting_exact(eig)
+    for ang, field, ex, amp in zip(angles, fields, exact, beat):
         pert = delta_perturbative(params, field)
-        try:
-            op, om = lambda_transition_amplitudes(eig, params.tensor, field)
-            beat = zq_beat_amplitude(op, om) / 2.0
-        except ValueError:
-            beat = float("nan")
-        rows.append("%.10g,%.10g,%.10g,%.10g" % (ang, exact, pert, beat))
+        rows.append("%.10g,%.10g,%.10g,%.10g" % (ang, ex, pert, amp))
     return "\n".join(rows) + "\n"
 
 
@@ -404,7 +394,7 @@ def cmd_sensitivity(cfg, args) -> str:
         "parameter  c_value  slopes(line0..line3)",
     ]
     for name in ("a_xx", "a_yy", "a_zz", "a"):
-        rep = sensitivity_c(params, field, name, step=args.step)
+        rep = sensitivity_c(params, field, name)
         rows.append(
             "%-9s  %.4f  %s"
             % (name, rep.c_value, " ".join("%+.4f" % s for s in rep.slopes))

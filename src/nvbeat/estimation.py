@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import zq_beat_amplitude
 from .spin_core import (
     _OP_IX,
     _OP_IY,
@@ -37,20 +36,15 @@ from .spin_core import (
     FieldOrientation,
     HyperfineTensor,
     SystemParams,
-    build_hamiltonian,
-    eigensystem,
     eigensystems,
     hamiltonians,
     label_manifolds,
     lambda_excited_states,
     lambda_legs,
-    lambda_transition_amplitudes,
-    main_four_lines,
     manifold_overlaps,
     unit_vectors,
     wrap_azimuth,
     zeeman_states,
-    zero_quantum_splitting_exact,
 )
 
 OBSERVABLE_KINDS = ("sq_frequency", "zq_frequency", "zq_amplitude")
@@ -109,11 +103,6 @@ class ScanDataset:
 
     def __len__(self):
         return len(self.points)
-
-    def restricted(self, kind: str) -> "ScanDataset":
-        return ScanDataset(
-            tuple(p for p in self.points if p.kind == kind), frame=self.frame
-        )
 
 
 @dataclass(frozen=True)
@@ -325,9 +314,10 @@ def _forward_model(params, vec, data, keep=None):
     A nan in the b slot switches to the per-point b column. The
     Hamiltonians are assembled and solved (``eigh``) once per call, over
     the distinct field points only, and their states labelled by
-    ``label_manifolds``, the rule ``synthesize_dataset`` uses. Every point
-    is the gap between two states of its solve: a ZQ point's ms0 pair, an
-    SQ point's line from ``_sq_lines``. With a dict ``keep``, the call
+    ``label_manifolds``. Every point is the gap between two states of its
+    solve: a ZQ point's ms0 pair, an SQ point's line from ``_sq_lines``.
+    ``model_values`` runs this model at the truth, so synthetic data,
+    ``zq-scan`` and the fit share it. With a dict ``keep``, the call
     leaves there what ``_jacobian`` reuses at this vector: the solve ("w",
     "vecs") and each point's lower and upper state ("lo", "hi").
     """
@@ -664,6 +654,29 @@ def _check_rank(jac: np.ndarray, free):
         raise ValueError("degenerate parameter direction: %s" % " ".join(terms))
 
 
+def model_values(params: SystemParams, points) -> np.ndarray:
+    """The model value of every ScanPoint at params, each at its own field.
+
+    Frequencies come from one ``_forward_model`` call with a nan b slot, so
+    every point takes its own b; amplitudes (``zq_beat_amplitude`` / 2)
+    from one ``_lambda_amplitudes`` call, nan where no Lambda system
+    exists. An SQ point without a ``transition_index`` takes the line
+    nearest its value, as in the fit.
+    """
+    out = np.empty(len(points))
+    amp = np.array([p.kind == "zq_amplitude" for p in points], dtype=bool)
+    if not amp.all():
+        data = _FitData(ScanDataset(p for p, a in zip(points, amp) if not a))
+        truth = np.r_[dataclasses.astuple(params.tensor), np.nan, 0.0]
+        out[~amp] = _forward_model(params, truth, data)
+    if amp.any():
+        fields = np.array([(p.b, p.theta, p.phi) for p, a in zip(points, amp) if a])
+        op, om, ok = _lambda_amplitudes(params, *fields.T)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[amp] = np.where(ok, (op * om / (op * op + om * om)) ** 2, np.nan)
+    return out
+
+
 def synthesize_dataset(
     params: SystemParams,
     b: float,
@@ -672,14 +685,16 @@ def synthesize_dataset(
     field_imperfection=None,
     seed: int = 0,
 ) -> ScanDataset:
-    """Generate a synthetic scan dataset from the exact forward model.
+    """Generate a synthetic scan dataset from the fit's forward model.
 
     design: iterable of (theta_deg, phi_deg, kind). An sq_frequency
     design point expands to the four main lines (transition_index 0..3,
     ascending frequency). noise_sigma: dict kind -> Gaussian sigma
     (default 0). field_imperfection: (amplitude_gauss, period_deg,
     phase_deg) applied as B(phi) = b + amp*cos(2 pi phi/period + phase).
-    Deterministic for a fixed seed.
+    Values are ``model_values`` at that field (the points store b), so a
+    noiseless one equals ``_forward_model`` there. Raises where an amplitude
+    point has no Lambda system. Deterministic for a fixed seed.
     """
     design = list(design)
     if not design:
@@ -688,37 +703,25 @@ def synthesize_dataset(
     for kind in noise_sigma:
         if kind not in OBSERVABLE_KINDS:
             raise ValueError("unknown observable kind %r" % (kind,))
-    rng = np.random.default_rng(seed)
     points = []
     for theta, phi, kind in design:
-        if kind not in OBSERVABLE_KINDS:
-            raise ValueError("unknown observable kind %r" % (kind,))
         b_eff = b
         if field_imperfection is not None:
             amp, period, phase = field_imperfection
             b_eff = b + amp * np.cos(2 * np.pi * phi / period + np.radians(phase))
-        f = FieldOrientation(b_eff, theta, phi)
-        eig = eigensystem(build_hamiltonian(params, f))
-        sigma = float(noise_sigma.get(kind, 0.0))
-        stored_sigma = max(sigma, MIN_SIGMA)
-        if kind == "sq_frequency":
-            for k, line in enumerate(main_four_lines(eig)):
-                value = line.frequency
-                if sigma > 0:
-                    value += rng.normal(0.0, sigma)
-                points.append(
-                    ScanPoint(theta, phi, b, kind, float(value), stored_sigma, k)
-                )
-        else:
-            if kind == "zq_frequency":
-                value = zero_quantum_splitting_exact(eig)
-            else:
-                op, om = lambda_transition_amplitudes(eig, params.tensor, f)
-                value = zq_beat_amplitude(op, om) / 2.0
-            if sigma > 0:
-                value += rng.normal(0.0, sigma)
-            points.append(ScanPoint(theta, phi, b, kind, float(value), stored_sigma))
-    return ScanDataset(tuple(points))
+        sigma = max(float(noise_sigma.get(kind, 0.0)), MIN_SIGMA)
+        lines = range(4) if kind == "sq_frequency" else (None,)
+        points += [ScanPoint(theta, phi, b_eff, kind, 0.0, sigma, k) for k in lines]
+    values = model_values(params, points)
+    if np.isnan(values).any():
+        p = points[int(np.argmax(np.isnan(values)))]
+        raise ValueError("no Lambda system at theta=%.3f phi=%.3f" % (p.theta, p.phi))
+    noise = np.array([float(noise_sigma.get(p.kind, 0.0)) for p in points])
+    noisy = noise > 0
+    values[noisy] += np.random.default_rng(seed).normal(0.0, noise[noisy])
+    return ScanDataset(
+        dataclasses.replace(p, b=b, value=float(v)) for p, v in zip(points, values)
+    )
 
 
 def find_axis_minimum(dataset: ScanDataset, quartic: bool = False):
@@ -771,51 +774,25 @@ def find_axis_minimum(dataset: ScanDataset, quartic: bool = False):
 
 
 def sensitivity_c(
-    params: SystemParams,
-    field: FieldOrientation,
-    which: str,
-    step: float = 0.5,
+    params: SystemParams, field: FieldOrientation, which: str
 ) -> SensitivityReport:
     """Frequency sensitivity of the four main SQ lines to one tensor component.
 
-    Central differences with the given step (MHz). Each unperturbed state
-    is matched to the perturbed state it overlaps most, so level crossings
-    do not corrupt the slopes. Both bases are orthonormal, so once every
-    matched overlap exceeds 0.5 the matching is a permutation; a smaller
-    one raises.
+    The exact slopes: the ``_jacobian`` column of ``which`` (Hellmann-Feynman
+    derivatives) at the four lines, in ascending line frequency.
     """
-    if which not in ("a_xx", "a_yy", "a_zz", "a"):
+    if which not in PARAM_IDS[:4]:
         raise ValueError("unknown parameter id %r" % (which,))
-    if not step > 0:
-        raise ValueError("step must be > 0")
-    eig0 = eigensystem(build_hamiltonian(params, field))
-    lines = main_four_lines(eig0)
-    sides = []
-    for sign in (+1.0, -1.0):
-        tensor = dataclasses.replace(
-            params.tensor, **{which: getattr(params.tensor, which) + sign * step}
-        )
-        p = dataclasses.replace(params, tensor=tensor)
-        eig = eigensystem(build_hamiltonian(p, field))
-        overlap = np.abs(eig0.vectors.conj().T @ eig.vectors) ** 2
-        col = overlap.argmax(axis=1)
-        matched = overlap.max(axis=1)
-        if np.min(matched) < 0.5:
-            k = int(np.argmin(matched))
-            raise ValueError(
-                "transition matching failed for %s step %+g: state %d overlap %.3f "
-                "(reduce the step or move off the degeneracy)"
-                % (which, sign * step, k, matched[k])
-            )
-        sides.append((eig.values, col))
-    (ep, colp), (em, colm) = sides
-    slopes = []
-    for line in lines:
-        wp = ep[colp[line.to_state]] - ep[colp[line.from_state]]
-        wm = em[colm[line.to_state]] - em[colm[line.from_state]]
-        slopes.append(float((wp - wm) / (2 * step)))
-    c_value = float(np.mean(np.abs(slopes)))
-    return SensitivityReport(parameter=which, c_value=c_value, slopes=tuple(slopes))
+    if field.frame != "NV":
+        raise ValueError("field must be given in the NV frame")
+    data = _FitData(ScanDataset(
+        ScanPoint(field.theta, field.phi, field.b, "sq_frequency", 0.0, MIN_SIGMA, k)
+        for k in range(4)
+    ))
+    truth = np.r_[dataclasses.astuple(params.tensor), field.b, 0.0]
+    jac = _jacobian(params, truth, data)
+    slopes = tuple(float(x) for x in jac[:, PARAM_IDS.index(which)])
+    return SensitivityReport(which, float(np.mean(np.abs(slopes))), slopes)
 
 
 def precision_propagation(delta_omega: float, c: float) -> float:
@@ -827,32 +804,35 @@ def precision_propagation(delta_omega: float, c: float) -> float:
     return delta_omega / c
 
 
-def _amplitude_ratios(params: SystemParams, b: float, theta, phi) -> np.ndarray:
-    """Lambda amplitude ratio min/max at every (theta, phi), one stacked eigh.
+def _lambda_amplitudes(params: SystemParams, b, theta, phi):
+    """Lambda leg amplitudes at fields b (scalar or (n,)), theta, phi (n,).
 
-    Runs the batched forms of ``eigensystem`` and
-    ``lambda_transition_amplitudes`` (``eigensystems``,
-    ``lambda_excited_states``, ``lambda_legs``) on the whole stack; a single
-    point is the batch of one. A point where the scalar forms would raise
-    gets inf.
+    The batched form of ``lambda_transition_amplitudes``: one stacked
+    ``eigensystems``, then ``lambda_excited_states`` and ``lambda_legs``; a
+    single point is the batch of one. Returns (omega_plus, omega_minus, ok);
+    ok is False where the scalar form would raise.
     """
-    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
-    shape = theta.shape
-    theta, phi = theta.ravel(), wrap_azimuth(phi.ravel())  # as FieldOrientation
-    out = np.full(len(theta), np.inf)
-    if not (math.isfinite(b) and b > 0):  # no Zeeman axis
-        return out.reshape(shape)
-    h = hamiltonians(params, b * unit_vectors(theta, phi))
-    _, vectors, labels, ok = eigensystems(h)
+    phi = wrap_azimuth(phi)  # as FieldOrientation
+    ok = np.isfinite(b) & (b > 0) & (theta >= 0.0) & (theta <= 180.0)
+    h = hamiltonians(params, np.where(ok, b, 0.0)[:, None] * unit_vectors(theta, phi))
+    _, vectors, labels, solved = eigensystems(h)
     excited, _, _, found = lambda_excited_states(vectors, labels, params.tensor)
     beta_plus, _ = zeeman_states(theta, phi)
     op, om, _, _, legs = lambda_legs(vectors, labels, excited, beta_plus)
-    ok &= found & legs & (theta >= 0.0) & (theta <= 180.0)
+    return op, om, ok & solved & found & legs
+
+
+def _amplitude_ratios(params: SystemParams, b: float, theta, phi) -> np.ndarray:
+    """Lambda amplitude ratio min/max at every (theta, phi), broadcast.
+
+    inf where ``_lambda_amplitudes`` finds no Lambda system.
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
+    op, om, ok = _lambda_amplitudes(params, b, theta.ravel(), phi.ravel())
     hi = np.maximum(op, om)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(hi == 0, 1.0, np.minimum(op, om) / hi)
-    out[ok] = ratio[ok]
-    return out.reshape(shape)
+    return np.where(ok, ratio, np.inf).reshape(theta.shape)
 
 
 def find_single_transition_axis(params: SystemParams, b: float):

@@ -3,8 +3,6 @@
 import dataclasses
 
 import numpy as np
-import pytest
-from scipy.optimize import linear_sum_assignment
 
 from nvbeat.analytic import bright_dark
 from nvbeat.dynamics import PulseParams, propagate, rotating_frame_h, simulate_rabi, simulate_zq_ramsey
@@ -151,47 +149,26 @@ def test_batched_labels_match_scalar():
         assert np.allclose(eig.vectors, vectors[k], rtol=0, atol=1e-12)
 
 
-def _assignment_slopes(params, field, which, step=0.5):
-    """sensitivity_c's slopes with states matched by optimal assignment.
-
-    None where a matched overlap falls below 0.5.
-    """
-    eig0 = eigensystem(build_hamiltonian(params, field))
-    sides = []
-    for sign in (+1.0, -1.0):
-        tensor = dataclasses.replace(
-            params.tensor, **{which: getattr(params.tensor, which) + sign * step}
-        )
-        eig = eigensystem(build_hamiltonian(dataclasses.replace(params, tensor=tensor), field))
-        overlap = np.abs(eig0.vectors.conj().T @ eig.vectors) ** 2
-        row, col = linear_sum_assignment(-overlap)
-        if overlap[row, col].min() < 0.5:
-            return None
-        sides.append((eig.values, col))
-    (ep, colp), (em, colm) = sides
-    return tuple(
-        float(
-            (ep[colp[ln.to_state]] - ep[colp[ln.from_state]]
-             - (em[colm[ln.to_state]] - em[colm[ln.from_state]])) / (2 * step)
-        )
-        for ln in main_four_lines(eig0)
+def _main_lines(params, field, which, delta):
+    """The four main line frequencies with one tensor component shifted by delta."""
+    tensor = dataclasses.replace(
+        params.tensor, **{which: getattr(params.tensor, which) + delta}
     )
+    eig = eigensystem(build_hamiltonian(dataclasses.replace(params, tensor=tensor), field))
+    return np.array([ln.frequency for ln in main_four_lines(eig)])
 
 
-def test_argmax_matching_equals_assignment():
-    # the default step, and a step large enough that some matchings fail
+def test_sensitivity_matches_central_differences():
+    # the exact slopes against central differences of the scalar main lines
+    # with step 1e-3 MHz, which agree to 1e-8 on these cases; at 1200 G the
+    # ms-1 states lie below ms0 and a line is E(ms0) - E(ms-1)
     rng = np.random.default_rng(29)
-    matched = refused = 0
-    for _ in range(60):
-        params, field = random_case(rng)
+    cases = [random_case(rng) for _ in range(60)]
+    cases.append((SYS, FieldOrientation(1200.0, 2.0, 30.0)))
+    h = 1e-3
+    for params, field in cases:
         for which in ("a_xx", "a_yy", "a_zz", "a"):
-            for step in (0.5, 200.0):
-                want = _assignment_slopes(params, field, which, step)
-                if want is None:
-                    with pytest.raises(ValueError, match="transition matching failed"):
-                        sensitivity_c(params, field, which, step)
-                    refused += 1
-                else:
-                    assert sensitivity_c(params, field, which, step).slopes == want
-                    matched += 1
-    assert matched > 400 and refused > 5
+            fd = (_main_lines(params, field, which, h)
+                  - _main_lines(params, field, which, -h)) / (2 * h)
+            slopes = sensitivity_c(params, field, which).slopes
+            assert np.abs(np.array(slopes) - fd).max() < 1e-7, which
