@@ -595,16 +595,18 @@ def fit_hyperfine(
             converged = True
             break
 
-    if 3 in free and 5 in free:
+    if 3 in free and 5 in free and not -90.0 < vec[5] <= 90.0:
         # (a, phi_offset) -> (-a, phi_offset +- 180) is an exact symmetry of
-        # the Hamiltonian (a z-rotation by pi); report the principal branch
+        # the Hamiltonian (a z-rotation by pi); report the principal branch,
+        # whose Jacobian needs a solve of its own
         while vec[5] > 90.0:
             vec[5] -= 180.0
             vec[3] = -vec[3]
         while vec[5] <= -90.0:
             vec[5] += 180.0
             vec[3] = -vec[3]
-    jac = jacobian(vec)[:, free]
+        keep = None
+    jac = jacobian(vec, keep)[:, free]
     _check_rank(jac, free)
     cov = np.linalg.inv(jac.T @ jac)
     if not np.all(np.isfinite(cov)):
@@ -844,6 +846,14 @@ def find_single_transition_axis(params: SystemParams, b: float):
     the last grid's spacing, 0.002 degree, is the final step. Ties go to
     the first minimum in theta-major order. Each grid runs as stacked
     eigensolves of at most 500 points.
+
+    The ratio is even in phi: the tensor has no y off-diagonal terms and
+    Sy, Iy are imaginary, so H(theta, -phi) = conj H(theta, phi). A grid
+    whose phi values are exactly symmetric about 0 (the coarse grid, and
+    a zoom centred on phi = 0, whose phi offsets are built antisymmetric
+    bit for bit) is solved on its phi >= 0 columns only and mirrored, so
+    an off-axis minimum comes as a tied (theta, +-phi) pair and the tie
+    rule returns its -phi member.
     Returns (theta_deg, phi_deg, amplitude_ratio). Raises when the
     minimum ratio stays at or above 0.05.
     """
@@ -855,14 +865,18 @@ def find_single_transition_axis(params: SystemParams, b: float):
         if span is not None:
             offsets = np.linspace(-span, span, 21)
             thetas = np.clip(th + offsets, 0.0, 90.0)
-            phis = np.clip(ph + offsets, -90.0, 90.0)
+            phis = np.clip(ph + np.r_[-offsets[:10:-1], offsets[10:]], -90.0, 90.0)
+        mirror = np.array_equal(phis, -phis[::-1])
+        solve = phis[len(phis) // 2 :] if mirror else phis
         # a few hundred points per stacked eigensolve: the whole 46 x 91
         # coarse grid at once raises peak memory ~10 %
         rows = 500 // len(phis)
         grid = np.concatenate([
-            _amplitude_ratios(params, b, thetas[k : k + rows, None], phis)
+            _amplitude_ratios(params, b, thetas[k : k + rows, None], solve)
             for k in range(0, len(thetas), rows)
         ])
+        if mirror:
+            grid = np.concatenate([grid[:, :0:-1], grid], axis=1)
         i, j = np.unravel_index(np.argmin(grid), grid.shape)
         th, ph, r = float(thetas[i]), float(phis[j]), float(grid[i, j])
     if not r < 0.05:

@@ -10,6 +10,7 @@ import pytest
 from nvbeat.analytic import zq_beat_amplitude
 from nvbeat.estimation import (
     CSV_HEADER,
+    PARAM_IDS,
     FitParams,
     ScanDataset,
     ScanPoint,
@@ -499,6 +500,29 @@ def test_fixed_b_fit():
         assert abs(getattr(r.params, n) - getattr(TRUTH, n)) < 1e-6
 
 
+def test_fit_reports_the_principal_branch():
+    # (a, phi_offset) -> (-a, phi_offset +- 180) leaves the model unchanged;
+    # a fit that ends on the other branch reports the principal one, with
+    # the covariance of the principal vector, not of the solve it ended on
+    ds = synthesize_dataset(SYS, b=40.3, design=DESIGN2, noise_sigma=NOISE, seed=5)
+    start = FitParams(170.2, 120.4, 91.8, -88.5, 40.3, 0.0)
+    ref = fit_hyperfine(ds, start)
+    assert ref.converged and -90.0 < ref.params.phi_offset <= 90.0 and ref.params.a < 0
+    want = ref.params.as_vector()
+    scale = np.array([ref.sigmas[n] for n in PARAM_IDS])
+    for a, phi_offset, tol in (
+        (-start.a, 180.0, 1e-9),  # the gauge image of the start: the same walk
+        (-start.a, -180.0, 1e-9),
+        (start.a, 180.0, 1e-4),  # a different start that ends on the far branch
+    ):
+        r = fit_hyperfine(ds, dataclasses.replace(start, a=a, phi_offset=phi_offset))
+        assert r.converged
+        assert -90.0 < r.params.phi_offset <= 90.0 and r.params.a < 0
+        assert np.all(np.abs(r.params.as_vector() - want) <= tol * scale)
+        sig = np.array([r.sigmas[n] for n in PARAM_IDS])
+        assert np.all(np.abs(sig - scale) <= tol * scale)
+
+
 def test_mirror_plane_from_zq_scan():
     # the phi of maximal ZQ splitting coincides with the single-transition
     # plane; locate it by fitting the negated scan minimum
@@ -619,6 +643,63 @@ def test_find_single_transition_axis_reference():
     around = _amplitude_ratios(SYS, 40.3, th + steps[:, None], ph + steps)
     assert ratio == around[1, 1]
     assert ratio <= around.min()
+
+
+def _full_grid_sta(params, b):
+    """The STA search solving every grid point, with linspace phi offsets."""
+    thetas = np.arange(0.0, 90.0 + 1e-9, 2.0)
+    phis = np.arange(-90.0, 90.0 + 1e-9, 2.0)
+    for span in (None, 2.0, 0.2, 0.02):
+        if span is not None:
+            offsets = np.linspace(-span, span, 21)
+            thetas = np.clip(th + offsets, 0.0, 90.0)
+            phis = np.clip(ph + offsets, -90.0, 90.0)
+        rows = 500 // len(phis)
+        grid = np.concatenate([
+            _amplitude_ratios(params, b, thetas[k : k + rows, None], phis)
+            for k in range(0, len(thetas), rows)
+        ])
+        i, j = np.unravel_index(np.argmin(grid), grid.shape)
+        th, ph, r = float(thetas[i]), float(phis[j]), float(grid[i, j])
+    return th, ph, r
+
+
+def test_sta_search_equals_the_full_grid():
+    rng = np.random.default_rng(43)
+    cases = [(SYS, 40.3)]
+    for _ in range(16):
+        factors = rng.uniform(0.9, 1.1, 4)
+        tensor = HyperfineTensor(*(float(x) for x in TRUTH.as_vector()[:4] * factors))
+        cases.append((SystemParams(tensor=tensor), float(rng.uniform(20.0, 60.0))))
+    for params, b in cases:
+        got = find_single_transition_axis(params, b)
+        assert [x.hex() for x in got] == [x.hex() for x in _full_grid_sta(params, b)]
+
+
+def test_sta_search_returns_the_minus_phi_member_off_axis():
+    # an STA off the phi = 0 plane comes as a (theta, +-phi) pair of equal
+    # ratio; the first minimum in theta-major order is the -phi one
+    params = SystemParams(tensor=HyperfineTensor(-221.6, -170.2, -68.3, 121.0))
+    th, ph, ratio = find_single_transition_axis(params, 57.4)
+    th_full, ph_full, ratio_full = _full_grid_sta(params, 57.4)
+    assert ph_full > 1.0
+    assert (th, ph) == (th_full, -ph_full)
+    assert abs(ratio - ratio_full) < 1e-12
+
+
+def test_sta_search_solves_the_phi_mirror_once(monkeypatch):
+    solved = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        solved.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    find_single_transition_axis(SYS, 40.3)
+    # the 46 x 46 phi >= 0 half of the 2 degree grid, then three 21 x 11
+    # halves of zoom grids centred on phi = 0 (all 46 x 91 + 3 x 441 = 5 509)
+    assert sum(solved) == 46 * 46 + 3 * 21 * 11 == 2809
 
 
 def test_find_single_transition_axis_no_off_diagonal():

@@ -6,7 +6,7 @@ import numpy as np
 
 from nvbeat.analytic import bright_dark
 from nvbeat.dynamics import PulseParams, propagate, rotating_frame_h, simulate_rabi, simulate_zq_ramsey
-from nvbeat.estimation import sensitivity_c, synthesize_dataset
+from nvbeat.estimation import _amplitude_ratios, sensitivity_c, synthesize_dataset
 from nvbeat.spin_core import (
     MANIFOLD_LABELS,
     FieldOrientation,
@@ -48,6 +48,26 @@ def test_spectrum_mirror_symmetry():
             build_hamiltonian(params, FieldOrientation(field.b, field.theta, -field.phi))
         )
         assert np.max(np.abs(plus - minus)) < 1e-9
+
+
+def test_lambda_ratio_is_even_in_phi():
+    # H(theta, -phi) = conj H(theta, phi), so every Lambda amplitude is even
+    # in phi; the STA search solves only the phi >= 0 half of its grid
+    rng = np.random.default_rng(24)
+    ref = np.array([REF.a_xx, REF.a_yy, REF.a_zz, REF.a])
+    thetas = np.arange(0.0, 90.0 + 1e-9, 2.0)
+    phis = np.arange(-90.0, 90.0 + 1e-9, 2.0)
+    finite = 0
+    for _ in range(30):
+        factors = rng.uniform(0.5, 1.5, 4) * rng.choice([-1.0, 1.0], 4)
+        params = SystemParams(tensor=HyperfineTensor(*(float(x) for x in ref * factors)))
+        grid = _amplitude_ratios(params, float(rng.uniform(5.0, 300.0)), thetas[:, None], phis)
+        mirror = grid[:, ::-1]
+        assert np.array_equal(np.isinf(grid), np.isinf(mirror))
+        ok = np.isfinite(grid)
+        finite += int(ok.sum())
+        assert np.all(np.abs(grid[ok] - mirror[ok]) <= 1e-10)
+    assert finite > 0.9 * 30 * grid.size
 
 
 def test_off_diagonal_sign_gauge():
