@@ -869,7 +869,8 @@ def find_single_transition_axis(params: SystemParams, b: float):
         mirror = np.array_equal(phis, -phis[::-1])
         solve = phis[len(phis) // 2 :] if mirror else phis
         # a few hundred points per stacked eigensolve: the whole 46 x 91
-        # coarse grid at once raises peak memory ~10 %
+        # coarse grid at once raises peak memory ~10 %, and even 10 rows of
+        # its mirrored half (460 points) raise it by ~0.5 MB
         rows = 500 // len(phis)
         grid = np.concatenate([
             _amplitude_ratios(params, b, thetas[k : k + rows, None], solve)
