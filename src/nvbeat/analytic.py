@@ -181,9 +181,8 @@ def zq_ramsey_v(model: RamseyModelParams, tau: np.ndarray) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)
     op2 = model.omega_plus**2
     om2 = model.omega_minus**2
-    s = op2 + om2
-    offset = (op2**2 + om2**2) / s**2
-    amp = 2.0 * (model.omega_plus * model.omega_minus / s) ** 2
+    offset = (op2**2 + om2**2) / (op2 + om2) ** 2
+    amp = zq_beat_amplitude(model.omega_plus, model.omega_minus)
     return offset + amp * np.cos(2.0 * np.pi * model.delta * tau)
 
 

@@ -368,9 +368,7 @@ def _bootstrap_sigmas(dataset, result, fixed, n_draws, seed) -> dict:
             for p, v in zip(dataset.points, values)
         )
         try:
-            r = fit_hyperfine(
-                ScanDataset(points, frame=dataset.frame), result.params, fixed=fixed
-            )
+            r = fit_hyperfine(ScanDataset(points), result.params, fixed=fixed)
         except ValueError:
             continue
         draws.append(r.params.as_vector())

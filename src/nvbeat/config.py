@@ -21,7 +21,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .spin_core import FieldOrientation, HyperfineTensor, SystemParams
+from .spin_core import (
+    D_DEFAULT,
+    GAMMA_E_DEFAULT,
+    GAMMA_N_C13_DEFAULT,
+    FieldOrientation,
+    HyperfineTensor,
+    SystemParams,
+)
 
 
 class ConfigError(ValueError):
@@ -67,9 +74,9 @@ def _choice(*allowed):
 
 # key -> (converter, default). Registry order is the canonical emit order.
 _REGISTRY = {
-    "constants.d": (_float, 2870.0),
-    "constants.gamma_e": (_float, 2.8025),
-    "constants.gamma_n": (_float, 0.0010705),
+    "constants.d": (_float, D_DEFAULT),
+    "constants.gamma_e": (_float, GAMMA_E_DEFAULT),
+    "constants.gamma_n": (_float, GAMMA_N_C13_DEFAULT),
     "tensor.a_xx": (_float, 0.0),
     "tensor.a_yy": (_float, 0.0),
     "tensor.a_zz": (_float, 0.0),

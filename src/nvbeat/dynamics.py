@@ -115,6 +115,21 @@ def _p_ms0(psi_rows: np.ndarray) -> np.ndarray:
     return np.abs(psi_rows[..., 2]) ** 2 + np.abs(psi_rows[..., 3]) ** 2
 
 
+def _ms0_mixture_trace(eig: Eigensystem, times, w, before, after) -> RamseyTrace:
+    """Bare ms0 population from an equal mixture of the two ms0 eigenstates.
+
+    In the eigenbasis, each start state e_i is mapped by ``before``, evolves
+    for each of ``times`` (us) under the diagonal energies w (MHz), and is
+    mapped by ``after``; the population is read in the product basis.
+    """
+    phases = np.exp(-2j * np.pi * np.outer(times, w))
+    sig = 0.0
+    for i in eig.indices("ms0"):
+        psi = (phases * before[:, i]) @ after.T
+        sig = sig + _p_ms0(psi @ eig.vectors.T)
+    return RamseyTrace(tau=times, signal=sig / 2)
+
+
 def _rotating_frame(eig: Eigensystem, omega_c: float, rabi_amplitude: float):
     """Rotating-frame Hamiltonian in the eigenbasis of the static problem.
 
@@ -146,22 +161,13 @@ def simulate_rabi(
     h0 = build_hamiltonian(params, field)
     eig = eigensystem(h0)
     omega_c = _carrier_frequency(eig, params, pulse.carrier_detuning)
-    g_idx = eig.indices("ms0")
-    if len(g_idx) != 2:
-        raise ValueError("ground manifold not resolved")
     if lab_frame:
-        inits = [eig.vectors[:, i] for i in g_idx]
+        inits = [eig.vectors[:, i] for i in eig.indices("ms0")]
         sig = _rabi_lab_frame(h0, omega_c, pulse.rabi_amplitude, inits, t_grid)
         return RamseyTrace(tau=t_grid, signal=sig)
     h_rot, _ = _rotating_frame(eig, omega_c, pulse.rabi_amplitude)
     w, v = np.linalg.eigh(h_rot)
-    sig = np.zeros_like(t_grid)
-    phases = np.exp(-2j * np.pi * np.outer(t_grid, w))
-    for i in g_idx:
-        coef = v[i, :].conj()  # eigenbasis initial state is the unit vector e_i
-        psi_t = (phases * coef) @ v.T  # rows: time points, eigenbasis
-        sig += _p_ms0(psi_t @ eig.vectors.T)
-    return RamseyTrace(tau=t_grid, signal=sig / len(g_idx))
+    return _ms0_mixture_trace(eig, t_grid, w, v.conj().T, v)
 
 
 def _rabi_lab_frame(h0, omega_c, amplitude, inits, t_grid):
@@ -237,12 +243,8 @@ def simulate_zq_ramsey(
     instantaneous excited/bright population swap (pi_duration ignored).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    h0 = build_hamiltonian(params, field)
-    eig = eigensystem(h0)
+    eig = eigensystem(build_hamiltonian(params, field))
     omega_c = _carrier_frequency(eig, params, detuning)
-    g_idx = eig.indices("ms0")
-    if len(g_idx) != 2:
-        raise ValueError("ground manifold not resolved")
     if ideal_pulses:
         u_bare = _ideal_pi_unitary(eig, params, field)
         u_pulse = eig.vectors.conj().T @ u_bare @ eig.vectors
@@ -256,14 +258,7 @@ def simulate_zq_ramsey(
         u_pulse = _unitary(h_rot, pi_duration)
     # free evolution is diagonal in the eigenbasis rotating frame
     w_free = eig.values - omega_c * p_e
-    sig = np.zeros_like(tau_grid)
-    phases = np.exp(-2j * np.pi * np.outer(tau_grid, w_free))
-    for i in g_idx:
-        coef = u_pulse[:, i]  # pulse applied to the eigenbasis unit vector e_i
-        psi_free = phases * coef
-        psi_out = psi_free @ u_pulse.T
-        sig += _p_ms0(psi_out @ eig.vectors.T)
-    return RamseyTrace(tau=tau_grid, signal=sig / len(g_idx))
+    return _ms0_mixture_trace(eig, tau_grid, w_free, u_pulse, u_pulse)
 
 
 def spectrum_peaks(trace: RamseyTrace, n_peaks: int = 4) -> SpectrumPeaks:

@@ -96,7 +96,6 @@ class ScanPoint:
 @dataclass(frozen=True)
 class ScanDataset:
     points: tuple
-    frame: str = "NV"
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -726,13 +725,12 @@ def synthesize_dataset(
     )
 
 
-def find_axis_minimum(dataset: ScanDataset, quartic: bool = False):
+def find_axis_minimum(dataset: ScanDataset):
     """Locate the minimum of a single-angle scan by an even-model fit.
 
     The dataset must sweep exactly one of theta/phi; the other angle and
-    b must be constant. Fits value(x) = v0 + k (x - x0)^2 (plus an
-    optional quartic term) by weighted least squares and returns
-    (x0_deg, sigma_deg).
+    b must be constant. Fits value(x) = v0 + k (x - x0)^2 by weighted
+    least squares and returns (x0_deg, sigma_deg).
     """
     if len(dataset) < 5:
         raise ValueError("need at least 5 points, got %d" % len(dataset))
@@ -749,26 +747,12 @@ def find_axis_minimum(dataset: ScanDataset, quartic: bool = False):
     design = np.vander(x, 3, increasing=True)  # columns 1, x, x^2
     wsq = np.sqrt(w)
     coef, *_ = np.linalg.lstsq(design * wsq[:, None], v * wsq, rcond=None)
-    c0, c1, c2 = coef
+    _, c1, c2 = coef
     if c2 <= 0:
         raise ValueError("extremum not bracketed")
     x0 = -c1 / (2 * c2)
     if not (x.min() < x0 < x.max()):
         raise ValueError("extremum not bracketed")
-    if quartic:
-        from scipy.optimize import curve_fit
-
-        def even_model(xx, v0, k, xc, q):
-            d = xx - xc
-            return v0 + k * d**2 + q * d**4
-
-        p0 = (c0 - c1**2 / (4 * c2), c2, x0, 0.0)
-        popt, pcov = curve_fit(
-            even_model, x, v, p0=p0, sigma=s, absolute_sigma=True, maxfev=10000
-        )
-        if popt[1] <= 0 or not (x.min() < popt[2] < x.max()):
-            raise ValueError("extremum not bracketed")
-        return float(popt[2]), float(np.sqrt(pcov[2, 2]))
     cov = np.linalg.inv((design * w[:, None]).T @ design)
     grad = np.array([0.0, -1.0 / (2 * c2), c1 / (2 * c2**2)])
     var = float(grad @ cov @ grad)
@@ -818,10 +802,10 @@ def _lambda_amplitudes(params: SystemParams, b, theta, phi):
     ok = np.isfinite(b) & (b > 0) & (theta >= 0.0) & (theta <= 180.0)
     h = hamiltonians(params, np.where(ok, b, 0.0)[:, None] * unit_vectors(theta, phi))
     _, vectors, labels, solved = eigensystems(h)
-    excited, _, _, found = lambda_excited_states(vectors, labels, params.tensor)
+    excited, _, _, reason = lambda_excited_states(vectors, labels, params.tensor)
     beta_plus, _ = zeeman_states(theta, phi)
-    op, om, _, _, legs = lambda_legs(vectors, labels, excited, beta_plus)
-    return op, om, ok & solved & found & legs
+    op, om, _, _ = lambda_legs(vectors, labels, excited, beta_plus)
+    return op, om, ok & solved & (reason == 0)
 
 
 def _amplitude_ratios(params: SystemParams, b: float, theta, phi) -> np.ndarray:

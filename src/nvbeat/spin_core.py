@@ -176,12 +176,7 @@ _OP_SYIY = np.kron(_E.sy, _N.sy)
 _OP_SZIZ = np.kron(_E.sz, _N.sz).astype(complex)
 _OP_MIX = (np.kron(_E.sz, _N.sx) + np.kron(_E.sx, _N.sz)).astype(complex)
 
-# Projectors onto the three electron manifolds in the product basis.
-PROJ_MS_PLUS = np.diag([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-PROJ_MS0 = np.diag([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
-PROJ_MS_MINUS = np.diag([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
-
-# Default microwave drive operator: electron Sx in the NV frame.
+# Microwave drive operator: electron Sx in the NV frame.
 DRIVE_SX = _OP_SX
 
 
@@ -391,24 +386,20 @@ def eigensystem(h: np.ndarray) -> Eigensystem:
     )
 
 
-def single_quantum_transitions(
-    eig: Eigensystem, drive: np.ndarray | None = None
-) -> list[TransitionLine]:
+def single_quantum_transitions(eig: Eigensystem) -> list[TransitionLine]:
     """Allowed single-quantum lines between ms0 and the ms_plus/ms_minus manifolds.
 
-    Amplitude is |<to|drive|from>|^2 with the electron Sx drive by default.
+    Amplitude is |<to|Sx|from>|^2 for the electron Sx drive (``DRIVE_SX``).
     Lines are sorted by ascending frequency. The four ms0 <-> ms_minus lines
     are the main lines of the low-frequency branch (see ``main_four_lines``).
     """
-    if drive is None:
-        drive = DRIVE_SX
     g = eig.indices("ms0")
     lines = []
     for i in g:
         for j in range(6):
             if eig.manifold[j] == "ms0":
                 continue
-            amp = np.abs(np.vdot(eig.vectors[:, j], drive @ eig.vectors[:, i])) ** 2
+            amp = np.abs(np.vdot(eig.vectors[:, j], DRIVE_SX @ eig.vectors[:, i])) ** 2
             freq = abs(float(eig.values[j] - eig.values[i]))
             lines.append(
                 TransitionLine(
@@ -419,13 +410,11 @@ def single_quantum_transitions(
     return lines
 
 
-def main_four_lines(
-    eig: Eigensystem, drive: np.ndarray | None = None
-) -> list[TransitionLine]:
+def main_four_lines(eig: Eigensystem) -> list[TransitionLine]:
     """The four ms0 <-> ms_minus lines, ascending in frequency."""
     return [
         ln
-        for ln in single_quantum_transitions(eig, drive)
+        for ln in single_quantum_transitions(eig)
         if eig.manifold[ln.to_state] == "ms_minus"
     ]
 
@@ -433,8 +422,6 @@ def main_four_lines(
 def zero_quantum_splitting_exact(eig: Eigensystem) -> float:
     """Energy gap of the ms0 doublet, MHz."""
     g = eig.indices("ms0")
-    if len(g) != 2:
-        raise ValueError("ground manifold not resolved")
     return float(abs(eig.values[g[1]] - eig.values[g[0]]))
 
 
@@ -507,136 +494,124 @@ def _pair(vectors: np.ndarray, labels: np.ndarray, label: int):
     return idx, vectors[np.arange(len(idx))[:, None], :, idx]
 
 
+# Why one eigensystem has no Lambda system: the reason code of a row is 0
+# where the system is found, else 1 + the index of its message here. The
+# order is the ranking: a row takes the first reason that holds.
+LAMBDA_REASONS = (
+    "excited level not a clean ms_minus state (overlap {purity:.3f})",
+    "quantization axis undefined (a_zz = a = 0)",
+    "excited-state identification ambiguous: alpha_minus overlaps "
+    "{overlap[0]:.4f} vs {overlap[1]:.4f}",
+)
+
+
 def lambda_excited_states(
     vectors: np.ndarray, labels: np.ndarray, tensor: HyperfineTensor
 ):
     """Batched ``lambda_excited_index`` over labelled eigensystems.
 
     vectors (n, 6, 6) and labels (n, 6) as from ``eigensystems``, where
-    that marks them ok. Returns (excited, purity, overlap, ok): the index
-    of the excited level (n,), the ms_minus weight (n, 2) and alpha_minus
-    overlap (n, 2) of the two ms_minus states (nan where a state has no
-    ms_minus weight or the quantization axis is undefined), and where the
-    identification holds.
+    that marks them ok. Returns (excited, purity, overlap, reason): the
+    index of the excited level (n,), the ms_minus weight (n, 2) and
+    alpha_minus overlap (n, 2) of the two ms_minus states (nan where a
+    state has no ms_minus weight or the quantization axis is undefined),
+    and the reason code (n,) of LAMBDA_REASONS, 0 where the
+    identification holds. The Lambda model needs a clean ms_minus excited
+    level; near theta = 90 the transverse field mixes ms_plus and ms_minus
+    and no such level exists. A clean state has ms_minus weight, so its
+    overlap is defined with the axis.
     """
     idx, states = _pair(vectors, labels, 2)
     purity = manifold_overlaps(np.swapaxes(states, 1, 2))[..., 2]
     try:
         _, _, alpha_minus = nuclear_eigenstates_excited(tensor)
+        axis_code = 0
     except ValueError:  # a_zz = a = 0: no quantization axis
         alpha_minus = np.full(2, np.nan)
+        axis_code = 2
     overlap = _nuclear_overlaps(states, [4, 5], alpha_minus)
-    ok = np.all(purity >= _MANIFOLD_OVERLAP_MIN, axis=1)
-    ok &= ~np.any(np.isnan(overlap), axis=1)
-    ok &= ~(np.abs(overlap[:, 0] - overlap[:, 1]) < 0.05 * np.max(overlap, axis=1))
+    # nan overlaps, from an undefined axis, never compare as ambiguous
+    ambiguous = np.abs(overlap[:, 0] - overlap[:, 1]) < 0.05 * np.max(overlap, axis=1)
+    clean = np.all(purity >= _MANIFOLD_OVERLAP_MIN, axis=1)
+    reason = np.where(clean, np.where(ambiguous, 3, axis_code), 1)
     excited = idx[np.arange(len(idx)), np.argmax(overlap, axis=1)]
-    return excited, purity, overlap, ok
+    return excited, purity, overlap, reason
 
 
 def lambda_legs(
-    vectors: np.ndarray,
-    labels: np.ndarray,
-    excited: np.ndarray,
-    beta_plus: np.ndarray,
-    drive: np.ndarray | None = None,
+    vectors: np.ndarray, labels: np.ndarray, excited: np.ndarray, beta_plus: np.ndarray
 ):
     """Batched Lambda legs for labelled eigensystems and their excited levels.
 
     The two ms0 states are told apart by their overlap with beta_plus
-    (n, 2). Returns (omega_plus, omega_minus, g_plus, g_minus, ok):
-    |<excited|drive|g>| for both legs, the ground state indices, and False
-    where an ms0 state has no weight in that manifold.
+    (n, 2); a labelled ms0 state has ms0 weight at least 0.6, so the
+    overlap is defined. Returns (omega_plus, omega_minus, g_plus, g_minus):
+    |<excited|DRIVE_SX|g>| for both legs and the ground state indices.
     """
-    if drive is None:
-        drive = DRIVE_SX
     rows = np.arange(len(labels))
     idx, states = _pair(vectors, labels, 1)
     gp = _nuclear_overlaps(states, [2, 3], beta_plus[:, None, :])
-    ok = ~np.any(np.isnan(gp), axis=1)
     first = gp[:, 0] >= gp[:, 1]
     g_plus = np.where(first, idx[:, 0], idx[:, 1])
     g_minus = np.where(first, idx[:, 1], idx[:, 0])
     ve = vectors[rows, :, excited]
 
     def leg(g):
-        return np.abs(_vdot(ve, (drive @ vectors[rows, :, g][..., None])[..., 0]))
+        return np.abs(_vdot(ve, (DRIVE_SX @ vectors[rows, :, g][..., None])[..., 0]))
 
-    return leg(g_plus), leg(g_minus), g_plus, g_minus, ok
+    return leg(g_plus), leg(g_minus), g_plus, g_minus
 
 
-def _label_indices(eig: Eigensystem) -> np.ndarray:
-    return np.array([[MANIFOLD_LABELS.index(lab) for lab in eig.manifold]])
+def _lambda_states(eig: Eigensystem, tensor: HyperfineTensor):
+    """(vectors, labels, excited) of ``lambda_excited_states`` as a batch of one.
+
+    Raises the LAMBDA_REASONS message of its reason code.
+    """
+    vectors = eig.vectors[None]
+    labels = np.array([[MANIFOLD_LABELS.index(lab) for lab in eig.manifold]])
+    excited, purity, overlap, reason = lambda_excited_states(vectors, labels, tensor)
+    if reason[0]:
+        low = purity[0, np.argmax(purity[0] < _MANIFOLD_OVERLAP_MIN)]
+        raise ValueError(
+            LAMBDA_REASONS[reason[0] - 1].format(purity=low, overlap=overlap[0])
+        )
+    return vectors, labels, excited
 
 
 def lambda_excited_index(eig: Eigensystem, tensor: HyperfineTensor) -> int:
     """Index of the ms_minus eigenstate whose nuclear part is alpha_minus.
 
     Raises when the two ms_minus states overlap alpha_minus within 5% of each
-    other (identification would be arbitrary). The batch of one of
-    ``lambda_excited_states``.
+    other (identification would be arbitrary), and for the other
+    LAMBDA_REASONS. The batch of one of ``lambda_excited_states``.
     """
-    if len(eig.indices("ms_minus")) != 2:
-        raise ValueError("ground manifold not resolved")
-    excited, purity, overlap, ok = lambda_excited_states(
-        eig.vectors[None], _label_indices(eig), tensor
-    )
-    if ok[0]:
-        return int(excited[0])
-    # the Lambda model needs a clean ms_minus excited level; near theta=90
-    # the transverse field mixes ms_plus and ms_minus and no such level exists
-    for p in purity[0]:
-        if p < _MANIFOLD_OVERLAP_MIN:
-            raise ValueError(
-                "excited level not a clean ms_minus state (overlap %.3f)" % p
-            )
-    nuclear_eigenstates_excited(tensor)  # raises when a_zz = a = 0
-    ov = overlap[0]
-    if np.any(np.isnan(ov)):
-        raise ValueError("state has no weight in the requested manifold")
-    raise ValueError(
-        "excited-state identification ambiguous: alpha_minus overlaps "
-        "%.4f vs %.4f" % (ov[0], ov[1])
-    )
+    return int(_lambda_states(eig, tensor)[2][0])
 
 
-def lambda_system(
-    eig: Eigensystem,
-    tensor: HyperfineTensor,
-    field: FieldOrientation,
-    drive: np.ndarray | None = None,
-):
+def lambda_system(eig: Eigensystem, tensor: HyperfineTensor, field: FieldOrientation):
     """The zero-quantum Lambda system of one eigensystem.
 
     Returns (omega_plus, omega_minus, excited, g_plus, g_minus): the leg
     amplitudes of ``lambda_transition_amplitudes`` and the state indices
     of the excited level and of the ground states matching beta_plus and
-    beta_minus. The batch of one of ``lambda_legs``.
+    beta_minus. The batch of one of ``lambda_excited_states`` and
+    ``lambda_legs``.
     """
-    if len(eig.indices("ms0")) != 2:
-        raise ValueError("ground manifold not resolved")
-    excited = lambda_excited_index(eig, tensor)
+    vectors, labels, excited = _lambda_states(eig, tensor)
     beta_plus, _ = ground_zeeman_states(field)
-    labels = _label_indices(eig)
-    op, om, gp, gm, ok = lambda_legs(
-        eig.vectors[None], labels, np.array([excited]), beta_plus[None], drive
-    )
-    if not ok[0]:
-        raise ValueError("state has no weight in the requested manifold")
-    return float(op[0]), float(om[0]), excited, int(gp[0]), int(gm[0])
+    op, om, gp, gm = lambda_legs(vectors, labels, excited, beta_plus[None])
+    return float(op[0]), float(om[0]), int(excited[0]), int(gp[0]), int(gm[0])
 
 
 def lambda_transition_amplitudes(
-    eig: Eigensystem,
-    tensor: HyperfineTensor,
-    field: FieldOrientation,
-    drive: np.ndarray | None = None,
+    eig: Eigensystem, tensor: HyperfineTensor, field: FieldOrientation
 ):
     """Drive amplitudes of the two legs of the zero-quantum Lambda system.
 
     The excited level is the ms_minus eigenstate whose nuclear part matches
     alpha_minus of ``nuclear_eigenstates_excited``; the two ms0 states are
     labeled by their overlap with the beta_plus/beta_minus Zeeman states.
-    Returns (omega_plus, omega_minus) = |<excited|drive|ground_pm>|, not squared.
+    Returns (omega_plus, omega_minus) = |<excited|DRIVE_SX|ground_pm>|, not
+    squared.
     """
-    omega_plus, omega_minus, _, _, _ = lambda_system(eig, tensor, field, drive)
-    return omega_plus, omega_minus
+    return lambda_system(eig, tensor, field)[:2]

@@ -17,6 +17,7 @@ from nvbeat.config import (
     normalize,
     parse,
 )
+from nvbeat.spin_core import SystemParams
 
 TABLE_CFG = """\
 tensor.a_xx = 166.9
@@ -31,6 +32,7 @@ field.phi = 90
 
 def test_parse_defaults():
     cfg = parse("")
+    assert cfg.system() == SystemParams()
     assert cfg["constants.d"] == 2870.0
     assert cfg["constants.gamma_e"] == 2.8025
     assert cfg["constants.gamma_n"] == 0.0010705
@@ -338,12 +340,18 @@ def test_fit_overflow_prints_only_the_error(tmp_path, rows, value, sigma):
 def test_default_commands_do_not_import_scipy(tmp_path):
     # a fresh interpreter: pytest and the other tests have loaded scipy here
     cfgp = write_cfg(tmp_path, TABLE_CFG)
+    data = str(tmp_path / "data.csv")
     commands = [
+        ["principal"],
+        ["spectrum"],
         ["spectrum", "--at-sta"],
+        ["zq-scan", "--sweep", "phi", "--start", "-90", "--stop", "90", "--step", "10"],
         ["sensitivity"],
         ["rabi"],
         ["ramsey"],
-        ["synth", "--design", "sta-phi"],
+        ["synth", "--design", "sta-phi", "--out", data],
+        ["fit", data],
+        ["fit", data, "--bootstrap", "2"],
     ]
     script = (
         "import sys\n"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nvbeat.spin_core import (
+    LAMBDA_REASONS,
     FieldOrientation,
     HyperfineTensor,
     SystemParams,
@@ -309,11 +310,42 @@ def test_scalar_errors_keep_their_messages():
     u[2, 0] = -math.sqrt(0.5)
     with pytest.raises(ValueError, match="ambiguous for state 0"):
         eigensystem(u @ np.diag(np.arange(6.0)) @ u.T)
-    f = FieldOrientation(40.3, 90.0, 90.0)
-    with pytest.raises(ValueError, match="not a clean ms_minus state"):
-        lambda_excited_index(eigensystem(build_hamiltonian(SYS, f)), REF)
-    flat = HyperfineTensor(150.0, 120.0, 0.0, 0.0)
+
+    def turn(i, j, deg):
+        u = np.eye(6)
+        c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+        u[[i, i, j, j], [i, j, i, j]] = [c, -s, s, c]
+        return u
+
+    def turned(u):
+        return eigensystem(u @ np.diag(np.arange(6.0)) @ u.T)
+
     f = FieldOrientation(40.3, 40.0, 90.0)
-    eig = eigensystem(build_hamiltonian(SystemParams(tensor=flat), f))
-    with pytest.raises(ValueError, match="quantization axis undefined"):
-        lambda_transition_amplitudes(eig, flat, f)
+    flat = HyperfineTensor(150.0, 120.0, 0.0, 0.0)
+    zz = HyperfineTensor(0.0, 0.0, 1.0, 0.0)
+    # the ms_minus states turned 44.5 degrees from |-1,+-1/2>: both overlap
+    # alpha_minus = -|-1/2> of the pure a_zz coupling zz within 5 %
+    cases = [  # one per LAMBDA_REASONS message, in its order
+        (eigensystem(build_hamiltonian(SYS, FieldOrientation(40.3, 90.0, 90.0))), REF,
+         "excited level not a clean ms_minus state (overlap 0.500)"),
+        (eigensystem(build_hamiltonian(SystemParams(tensor=flat), f)), flat,
+         "quantization axis undefined (a_zz = a = 0)"),
+        (turned(turn(4, 5, 44.5)), zz,
+         "excited-state identification ambiguous: alpha_minus overlaps "
+         "0.4913 vs 0.5087"),
+    ]
+    assert len(cases) == len(LAMBDA_REASONS)
+    for (eig, tensor, message), template in zip(cases, LAMBDA_REASONS):
+        assert message.startswith(template.split("{")[0])
+        with pytest.raises(ValueError) as err:
+            lambda_excited_index(eig, tensor)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            lambda_transition_amplitudes(eig, tensor, f)
+        assert str(err.value) == message
+    # a state takes the first reason that holds: these ms_minus states are
+    # 0.587 pure, and as above ambiguous for zz
+    eig = turned(turn(4, 5, 44.5) @ turn(0, 4, 50.0) @ turn(1, 5, 50.0))
+    for tensor in (zz, flat):
+        with pytest.raises(ValueError, match=r"clean ms_minus state \(overlap 0.587\)"):
+            lambda_excited_index(eig, tensor)
