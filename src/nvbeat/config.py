@@ -28,6 +28,7 @@ from .spin_core import (
     FieldOrientation,
     HyperfineTensor,
     SystemParams,
+    unit_vectors,
 )
 
 
@@ -144,7 +145,7 @@ class RunConfig:
             theta, phi = lab_to_nv(
                 theta, phi, v["nv_axis.theta"], v["nv_axis.phi"]
             )
-        return FieldOrientation(b=v["field.b"], theta=theta, phi=phi, frame="NV")
+        return FieldOrientation(b=v["field.b"], theta=theta, phi=phi)
 
     def noise_sigma(self) -> dict:
         v = self.values
@@ -267,15 +268,12 @@ def lab_to_nv(theta_lab, phi_lab, axis_theta, axis_phi):
     """Rotate a lab-frame direction into the NV frame, degrees in and out.
 
     The NV z axis points along (axis_theta, axis_phi) in the lab; NV x is the
-    lab e_theta direction at that orientation, NV y the e_phi direction.
+    lab e_theta direction at that orientation (the radial direction at
+    axis_theta + 90), NV y the e_phi direction.
     """
-    tl, pl = np.radians(theta_lab), np.radians(phi_lab)
-    ta, pa = np.radians(axis_theta), np.radians(axis_phi)
-    v = np.array(
-        [np.sin(tl) * np.cos(pl), np.sin(tl) * np.sin(pl), np.cos(tl)]
-    )
-    ez = np.array([np.sin(ta) * np.cos(pa), np.sin(ta) * np.sin(pa), np.cos(ta)])
-    ex = np.array([np.cos(ta) * np.cos(pa), np.cos(ta) * np.sin(pa), -np.sin(ta)])
+    v = unit_vectors(theta_lab, phi_lab)
+    ez = unit_vectors(axis_theta, axis_phi)
+    ex = unit_vectors(axis_theta + 90.0, axis_phi)
     ey = np.cross(ez, ex)
     x, y, z = float(ex @ v), float(ey @ v), float(ez @ v)
     theta = np.degrees(np.arccos(np.clip(z, -1.0, 1.0)))

@@ -106,7 +106,7 @@ def _unitary(h: np.ndarray, t: float) -> np.ndarray:
 
 def _carrier_frequency(eig: Eigensystem, params: SystemParams, detuning: float) -> float:
     exc = lambda_excited_index(eig, params.tensor)
-    g = eig.indices("ms0")
+    g = np.flatnonzero(eig.labels == 1)  # the ms0 pair
     center = float(eig.values[exc] - 0.5 * (eig.values[g[0]] + eig.values[g[1]]))
     return center + detuning
 
@@ -124,23 +124,23 @@ def _ms0_mixture_trace(eig: Eigensystem, times, w, before, after) -> RamseyTrace
     """
     phases = np.exp(-2j * np.pi * np.outer(times, w))
     sig = 0.0
-    for i in eig.indices("ms0"):
+    for i in np.flatnonzero(eig.labels == 1):
         psi = (phases * before[:, i]) @ after.T
         sig = sig + _p_ms0(psi @ eig.vectors.T)
     return RamseyTrace(tau=times, signal=sig / 2)
 
 
-def _rotating_frame(eig: Eigensystem, omega_c: float, rabi_amplitude: float):
-    """Rotating-frame Hamiltonian in the eigenbasis of the static problem.
+def _rotating_frame(eig: Eigensystem, omega_c: float):
+    """Rotating-frame energies and drive in the eigenbasis of the static problem.
 
-    Diagonal: eigenvalues, shifted down by omega_c on the ms_plus/ms_minus
-    states. Drive: the carrier-resonant matrix elements only, i.e. the
-    blocks connecting ms0 to the excited manifolds at half amplitude.
+    Energies: eigenvalues, shifted down by omega_c on the ms_plus/ms_minus
+    states. Drive: the carrier-resonant blocks of ``_DRIVE_NORM``, those
+    connecting ms0 to the excited manifolds; H adds them at half amplitude.
     """
-    p_e = np.array([lab != "ms0" for lab in eig.manifold], dtype=float)
+    excited = eig.labels != 1
     x = eig.vectors.conj().T @ _DRIVE_NORM @ eig.vectors
-    x = np.where(p_e[:, None] != p_e[None, :], x, 0.0)
-    return np.diag(eig.values - omega_c * p_e) + 0.5 * rabi_amplitude * x, p_e
+    x = np.where(excited[:, None] != excited[None, :], x, 0.0)
+    return eig.values - omega_c * excited, x
 
 
 def simulate_rabi(
@@ -162,11 +162,11 @@ def simulate_rabi(
     eig = eigensystem(h0)
     omega_c = _carrier_frequency(eig, params, pulse.carrier_detuning)
     if lab_frame:
-        inits = [eig.vectors[:, i] for i in eig.indices("ms0")]
+        inits = [eig.vectors[:, i] for i in np.flatnonzero(eig.labels == 1)]
         sig = _rabi_lab_frame(h0, omega_c, pulse.rabi_amplitude, inits, t_grid)
         return RamseyTrace(tau=t_grid, signal=sig)
-    h_rot, _ = _rotating_frame(eig, omega_c, pulse.rabi_amplitude)
-    w, v = np.linalg.eigh(h_rot)
+    w_rot, x = _rotating_frame(eig, omega_c)
+    w, v = np.linalg.eigh(np.diag(w_rot) + 0.5 * pulse.rabi_amplitude * x)
     return _ms0_mixture_trace(eig, t_grid, w, v.conj().T, v)
 
 
@@ -245,19 +245,17 @@ def simulate_zq_ramsey(
     tau_grid = np.asarray(tau_grid, dtype=float)
     eig = eigensystem(build_hamiltonian(params, field))
     omega_c = _carrier_frequency(eig, params, detuning)
+    # free evolution is diagonal in the eigenbasis rotating frame
+    w_free, x = _rotating_frame(eig, omega_c)
     if ideal_pulses:
         u_bare = _ideal_pi_unitary(eig, params, field)
         u_pulse = eig.vectors.conj().T @ u_bare @ eig.vectors
-        p_e = np.array([lab != "ms0" for lab in eig.manifold], dtype=float)
     else:
         if not (pi_duration > 0):
             raise ValueError("pi_duration must be positive")
         if rabi_amplitude is None:
             rabi_amplitude = 1.0 / (2.0 * pi_duration)
-        h_rot, p_e = _rotating_frame(eig, omega_c, rabi_amplitude)
-        u_pulse = _unitary(h_rot, pi_duration)
-    # free evolution is diagonal in the eigenbasis rotating frame
-    w_free = eig.values - omega_c * p_e
+        u_pulse = _unitary(np.diag(w_free) + 0.5 * rabi_amplitude * x, pi_duration)
     return _ms0_mixture_trace(eig, tau_grid, w_free, u_pulse, u_pulse)
 
 

@@ -32,10 +32,10 @@ from .spin_core import (
     _OP_SYIY,
     _OP_SZ,
     _OP_SZIZ,
-    DRIVE_SX,
     FieldOrientation,
     HyperfineTensor,
     SystemParams,
+    drive_amplitudes,
     eigensystems,
     hamiltonians,
     label_manifolds,
@@ -294,8 +294,7 @@ def _sq_lines(w, vecs, order, data):
         if not (dist[second] - dist[best] < _MATCH_TIE
                 and abs(freqs[r, second] - freqs[r, best]) > 1e-9):
             continue
-        vl, vh = vecs[at[r]][:, lo[r]], vecs[at[r]][:, hi[r]]
-        amp = np.abs(np.sum(vh.conj() * (DRIVE_SX @ vl), axis=0)) ** 2
+        amp = drive_amplitudes(vecs[at[r]], lo[r], hi[r])
         if abs(amp[best] - amp[second]) <= 0.1 * max(amp[best], amp[second]):
             raise ValueError(
                 "ambiguous transition matching at point %d: two lines "
@@ -322,10 +321,10 @@ def _forward_model(params, vec, data, keep=None):
     """
     vec = np.asarray(vec, dtype=float)
     w, vecs = np.linalg.eigh(_hamiltonians(params, vec, data))
-    labels, ok = label_manifolds(manifold_overlaps(vecs))
+    labels, reason = label_manifolds(manifold_overlaps(vecs))
     at = data.dist
-    if not ok[at].all():
-        k = int(np.argmin(ok[at]))
+    if reason[at].any():
+        k = int(np.argmax(reason[at] > 0))
         raise ValueError(
             "manifold assignment ambiguous in forward model at point %d "
             "(theta=%.3f phi=%.3f)" % (k, data.theta[k], data.phi[k])
@@ -769,8 +768,6 @@ def sensitivity_c(
     """
     if which not in PARAM_IDS[:4]:
         raise ValueError("unknown parameter id %r" % (which,))
-    if field.frame != "NV":
-        raise ValueError("field must be given in the NV frame")
     data = _FitData(ScanDataset(
         ScanPoint(field.theta, field.phi, field.b, "sq_frequency", 0.0, MIN_SIGMA, k)
         for k in range(4)
@@ -801,11 +798,11 @@ def _lambda_amplitudes(params: SystemParams, b, theta, phi):
     phi = wrap_azimuth(phi)  # as FieldOrientation
     ok = np.isfinite(b) & (b > 0) & (theta >= 0.0) & (theta <= 180.0)
     h = hamiltonians(params, np.where(ok, b, 0.0)[:, None] * unit_vectors(theta, phi))
-    _, vectors, labels, solved = eigensystems(h)
+    _, vectors, labels, eig_reason = eigensystems(h)
     excited, _, _, reason = lambda_excited_states(vectors, labels, params.tensor)
     beta_plus, _ = zeeman_states(theta, phi)
     op, om, _, _ = lambda_legs(vectors, labels, excited, beta_plus)
-    return op, om, ok & solved & (reason == 0)
+    return op, om, ok & (eig_reason == 0) & (reason == 0)
 
 
 def _amplitude_ratios(params: SystemParams, b: float, theta, phi) -> np.ndarray:

@@ -72,17 +72,6 @@ class HyperfineTensor:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError("non-finite tensor component %s" % name)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """3x3 coupling matrix [[a_xx, 0, a], [0, a_yy, 0], [a, 0, a_zz]]."""
-        return np.array(
-            [
-                [self.a_xx, 0.0, self.a],
-                [0.0, self.a_yy, 0.0],
-                [self.a, 0.0, self.a_zz],
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -104,17 +93,15 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class FieldOrientation:
-    """Static field magnitude (Gauss) and direction (degrees).
+    """Static field magnitude (Gauss) and direction (degrees) in the NV frame.
 
-    ``frame`` is 'NV' for angles in the defect frame. Lab-frame input must be
-    rotated to the NV frame before building a Hamiltonian (see config module).
-    phi is wrapped into [0, 360).
+    Lab-frame input is rotated to the NV frame by the config module
+    (``config.lab_to_nv``). phi is wrapped into [0, 360).
     """
 
     b: float
     theta: float
     phi: float
-    frame: str = "NV"
 
     def __post_init__(self):
         if not (math.isfinite(self.b) and self.b >= 0):
@@ -123,13 +110,7 @@ class FieldOrientation:
             raise ValueError("phi must be finite")
         if not (0.0 <= self.theta <= 180.0):
             raise ValueError("theta out of range [0, 180]")
-        if self.frame not in ("NV", "LAB"):
-            raise ValueError("frame must be 'NV' or 'LAB'")
         object.__setattr__(self, "phi", float(wrap_azimuth(self.phi)))
-
-    @property
-    def unit_vector(self) -> np.ndarray:
-        return unit_vectors(self.theta, self.phi)
 
 
 @dataclass(frozen=True)
@@ -137,16 +118,18 @@ class Eigensystem:
     """Diagonalized 6-level system.
 
     values are ascending (MHz); vectors[:, k] is the k-th eigenvector with the
-    largest-magnitude component made real positive; manifold[k] labels the
-    dominant electron subspace ('ms0', 'ms_minus', 'ms_plus').
+    largest-magnitude component made real positive; labels[k] indexes
+    MANIFOLD_LABELS by the dominant electron subspace (``label_manifolds``).
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    manifold: tuple
+    labels: np.ndarray
 
-    def indices(self, label: str):
-        return [k for k, lab in enumerate(self.manifold) if lab == label]
+    @property
+    def manifold(self) -> tuple:
+        """The labels as MANIFOLD_LABELS names."""
+        return tuple(MANIFOLD_LABELS[j] for j in self.labels)
 
 
 @dataclass(frozen=True)
@@ -190,15 +173,12 @@ def build_hamiltonian(params: SystemParams, field: FieldOrientation) -> np.ndarr
     ----------
     params : SystemParams
     field : FieldOrientation
-        Must be in the NV frame.
 
     Returns
     -------
     ndarray, complex, shape (6, 6)
     """
-    if field.frame != "NV":
-        raise ValueError("field must be given in the NV frame")
-    return hamiltonians(params, field.b * field.unit_vector)
+    return hamiltonians(params, field.b * unit_vectors(field.theta, field.phi))
 
 
 def wrap_azimuth(phi):
@@ -281,6 +261,17 @@ def _hermitian(h: np.ndarray) -> np.ndarray:
     return ~(skew > 1e-9 * scale)
 
 
+# Why one matrix has no labelled eigensystem: the reason code of a row is 0
+# where every state is labelled, else 1 + the index of its message here.
+# Hermiticity ranks first; the walk then stops at its first unlabelled state k.
+EIGEN_REASONS = (
+    "matrix is not Hermitian",
+    "manifold assignment ambiguous for state {k} "
+    "(overlaps ms_plus={over[0]:.3f} ms0={over[1]:.3f} ms_minus={over[2]:.3f})",
+    "ground manifold not resolved: labels {labels!r}",
+)
+
+
 def _labelling_walk(kinds: np.ndarray):
     """The labelling policy of ``eigensystem`` over rows of state kinds.
 
@@ -289,28 +280,29 @@ def _labelling_walk(kinds: np.ndarray):
     2 (clearly outside ms0, ms_minus larger) or 3 (ambiguous). Walking
     upward, a state takes its preferred label while that label holds fewer
     than two states; an outside state then takes the other one. Returns
-    (labels, ok) as ``label_manifolds`` does.
+    (labels, reason) as ``label_manifolds`` does.
     """
     m = len(kinds)
     rows = np.arange(m)
     labels = np.full((m, 6), -1)
     counts = np.zeros((m, 3), dtype=int)
-    ok = np.ones(m, dtype=bool)
+    reason = np.zeros(m, dtype=int)
     for k in range(6):
         want = kinds[:, k]
-        ok &= want != 3
-        want = np.where(want == 3, 1, want)
+        ambiguous = want == 3
+        want = np.where(ambiguous, 1, want)
         full = counts[rows, want] >= 2
         choice = np.where(full & (want != 1), 2 - want, want)
-        ok &= counts[rows, choice] < 2
-        labels[ok, k] = choice[ok]
+        stop = np.where(ambiguous, 2, np.where(counts[rows, choice] >= 2, 3, 0))
+        reason = np.where(reason == 0, stop, reason)
+        labels[reason == 0, k] = choice[reason == 0]
         counts[rows, choice] += 1
-    return labels, ok
+    return labels, reason
 
 
 # the walk tabulated once for all 4**6 kind sequences; base-4 digits
 _KIND_WEIGHTS = 4 ** np.arange(6)
-_WALK_LABELS, _WALK_OK = _labelling_walk(
+_WALK_LABELS, _WALK_REASON = _labelling_walk(
     (np.arange(4**6)[:, None] // _KIND_WEIGHTS) % 4
 )
 
@@ -319,9 +311,10 @@ def label_manifolds(over: np.ndarray):
     """Manifold labels for a stack of eigensystems, policy of ``eigensystem``.
 
     over has shape (n, 6, 3), as from ``manifold_overlaps``. Returns
-    (labels, ok): labels (n, 6) index MANIFOLD_LABELS and read -1 from the
-    first state that cannot be labelled; ok (n,) marks complete labellings,
-    which hold each manifold exactly twice.
+    (labels, reason): labels (n, 6) index MANIFOLD_LABELS and read -1 from
+    the first state that cannot be labelled; reason (n,) is the
+    EIGEN_REASONS code, 0 for complete labellings, which hold each manifold
+    exactly twice.
     """
     o_zero = over[..., 1]
     side = np.where(over[..., 0] >= over[..., 2], 0, 2)
@@ -331,21 +324,21 @@ def label_manifolds(over: np.ndarray):
         np.where(o_zero <= 1.0 - _MANIFOLD_OVERLAP_MIN, side, 3),
     )
     key = kinds @ _KIND_WEIGHTS
-    return _WALK_LABELS[key], _WALK_OK[key]
+    return _WALK_LABELS[key], _WALK_REASON[key]
 
 
 def eigensystems(h: np.ndarray):
     """Batched ``eigensystem`` over a stack of 6x6 matrices (n, 6, 6).
 
-    Returns (values, vectors, labels, ok) with labels as from
-    ``label_manifolds``; ok is False where a matrix is not Hermitian or its
-    states cannot be labelled.
+    Returns (values, vectors, labels, reason) with labels as from
+    ``label_manifolds``; reason (n,) is the EIGEN_REASONS code, 0 where
+    the matrix is Hermitian and its states are labelled.
     """
     h = np.asarray(h, dtype=complex)
     values, vectors = np.linalg.eigh(h)
     vectors = _fix_phases(vectors)
-    labels, ok = label_manifolds(manifold_overlaps(vectors))
-    return values, vectors, labels, ok & _hermitian(h)
+    labels, reason = label_manifolds(manifold_overlaps(vectors))
+    return values, vectors, labels, np.where(_hermitian(h), reason, 1)
 
 
 def eigensystem(h: np.ndarray) -> Eigensystem:
@@ -358,56 +351,46 @@ def eigensystem(h: np.ndarray) -> Eigensystem:
     between ms_plus and ms_minus by their larger overlap, two per label,
     walking states in ascending eigenvalue order (a transverse field can
     mix ms_plus with ms_minus legitimately, so no purity floor applies
-    within that pair). The batch of one of ``eigensystems``.
+    within that pair). The batch of one of ``eigensystems``; raises the
+    EIGEN_REASONS message of its reason code.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (6, 6):
         raise ValueError("expected a 6x6 matrix")
-    values, vectors, labels, ok = eigensystems(h[None])
-    if not ok[0]:
-        if not _hermitian(h[None])[0]:
-            raise ValueError("matrix is not Hermitian")
-        k = list(labels[0]).index(-1)
+    values, vectors, labels, reason = eigensystems(h[None])
+    if reason[0]:
+        k = int(np.argmax(labels[0] < 0))  # the first unlabelled state
         over = manifold_overlaps(vectors[0])[k]
-        if 1.0 - _MANIFOLD_OVERLAP_MIN < over[1] < _MANIFOLD_OVERLAP_MIN:
-            raise ValueError(
-                "manifold assignment ambiguous for state %d "
-                "(overlaps ms_plus=%.3f ms0=%.3f ms_minus=%.3f)"
-                % (k, over[0], over[1], over[2])
-            )
-        raise ValueError(
-            "ground manifold not resolved: labels %r"
-            % ([MANIFOLD_LABELS[j] for j in labels[0, :k]],)
-        )
-    return Eigensystem(
-        values=values[0],
-        vectors=vectors[0],
-        manifold=tuple(MANIFOLD_LABELS[j] for j in labels[0]),
-    )
+        names = [MANIFOLD_LABELS[j] for j in labels[0, :k]]
+        raise ValueError(EIGEN_REASONS[reason[0] - 1].format(k=k, over=over, labels=names))
+    return Eigensystem(values=values[0], vectors=vectors[0], labels=labels[0])
+
+
+def drive_amplitudes(vectors: np.ndarray, lo, hi) -> np.ndarray:
+    """|<hi|DRIVE_SX|lo>|^2 for state index arrays lo and hi of vectors (6, 6),
+    each element as ``np.vdot(v_hi, DRIVE_SX @ v_lo)`` computes it."""
+    states = vectors.T
+    drive = (DRIVE_SX @ states[lo][..., None])[..., 0]
+    return np.abs(_vdot(states[hi], drive)) ** 2
 
 
 def single_quantum_transitions(eig: Eigensystem) -> list[TransitionLine]:
     """Allowed single-quantum lines between ms0 and the ms_plus/ms_minus manifolds.
 
     Amplitude is |<to|Sx|from>|^2 for the electron Sx drive (``DRIVE_SX``).
-    Lines are sorted by ascending frequency. The four ms0 <-> ms_minus lines
-    are the main lines of the low-frequency branch (see ``main_four_lines``).
+    Lines are sorted by ascending frequency; equal frequencies keep the
+    order of ms0 state, then upper state, each by ascending index. The four
+    ms0 <-> ms_minus lines are the main lines of the low-frequency branch
+    (see ``main_four_lines``).
     """
-    g = eig.indices("ms0")
-    lines = []
-    for i in g:
-        for j in range(6):
-            if eig.manifold[j] == "ms0":
-                continue
-            amp = np.abs(np.vdot(eig.vectors[:, j], DRIVE_SX @ eig.vectors[:, i])) ** 2
-            freq = abs(float(eig.values[j] - eig.values[i]))
-            lines.append(
-                TransitionLine(
-                    frequency=freq, amplitude=float(amp), from_state=i, to_state=j
-                )
-            )
-    lines.sort(key=lambda ln: ln.frequency)
-    return lines
+    upper = np.flatnonzero(eig.labels != 1)
+    lo, hi = np.repeat(np.flatnonzero(eig.labels == 1), 4), np.tile(upper, 2)
+    freq = np.abs(eig.values[hi] - eig.values[lo])
+    amp = drive_amplitudes(eig.vectors, lo, hi)
+    return [
+        TransitionLine(float(freq[k]), float(amp[k]), int(lo[k]), int(hi[k]))
+        for k in np.argsort(freq, kind="stable")
+    ]
 
 
 def main_four_lines(eig: Eigensystem) -> list[TransitionLine]:
@@ -415,14 +398,14 @@ def main_four_lines(eig: Eigensystem) -> list[TransitionLine]:
     return [
         ln
         for ln in single_quantum_transitions(eig)
-        if eig.manifold[ln.to_state] == "ms_minus"
+        if eig.labels[ln.to_state] == 2
     ]
 
 
 def zero_quantum_splitting_exact(eig: Eigensystem) -> float:
     """Energy gap of the ms0 doublet, MHz."""
-    g = eig.indices("ms0")
-    return float(abs(eig.values[g[1]] - eig.values[g[0]]))
+    w = eig.values[eig.labels == 1]
+    return float(abs(w[1] - w[0]))
 
 
 def nuclear_eigenstates_excited(tensor: HyperfineTensor):
@@ -567,8 +550,7 @@ def _lambda_states(eig: Eigensystem, tensor: HyperfineTensor):
 
     Raises the LAMBDA_REASONS message of its reason code.
     """
-    vectors = eig.vectors[None]
-    labels = np.array([[MANIFOLD_LABELS.index(lab) for lab in eig.manifold]])
+    vectors, labels = eig.vectors[None], eig.labels[None]
     excited, purity, overlap, reason = lambda_excited_states(vectors, labels, tensor)
     if reason[0]:
         low = purity[0, np.argmax(purity[0] < _MANIFOLD_OVERLAP_MIN)]

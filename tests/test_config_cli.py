@@ -136,7 +136,6 @@ def test_field_nv_lab_frame():
     )
     f = cfg.field_nv()
     assert f.theta < 1e-5
-    assert f.frame == "NV"
 
 
 def test_noise_and_imperfection_accessors():
@@ -239,6 +238,27 @@ def test_spectrum_output(tmp_path, capsys):
     freqs = [float(r[0]) for r in rows]
     assert all(f > 2000 for f in freqs)
     assert all(float(r[1]) > 0 for r in rows)
+
+
+def test_spectrum_merges_degenerate_lines(tmp_path, capsys):
+    # zero tensor: at b = 0 all eight lines sit at D and merge into the
+    # first one's branch; at 30 G the two nuclear-conserving lines of each
+    # branch coincide, the forbidden ones (amplitude 0) stay apart
+    rows = {}
+    for b in ("0", "30"):
+        cfgp = write_cfg(tmp_path, "field.b = %s\n" % b)
+        assert main(["--config", cfgp, "spectrum"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        rows[b] = out[out.index("frequency_mhz,amplitude,branch") + 1:]
+    assert rows["0"] == ["2870,2,ms_plus"]
+    assert rows["30"] == [
+        "2785.892885,0,ms_minus",
+        "2785.925,1,ms_minus",
+        "2785.957115,0,ms_minus",
+        "2954.042885,0,ms_plus",
+        "2954.075,1,ms_plus",
+        "2954.107115,0,ms_plus",
+    ]
 
 
 def test_ramsey_smoke(tmp_path, capsys):

@@ -617,8 +617,6 @@ def test_sensitivity_input_checks():
     f = FieldOrientation(40.3, 30.0, 0.0)
     with pytest.raises(ValueError, match="unknown parameter id"):
         sensitivity_c(SYS, f, "d")
-    with pytest.raises(ValueError, match="NV frame"):
-        sensitivity_c(SYS, FieldOrientation(40.3, 30.0, 0.0, frame="LAB"), "a_zz")
 
 
 def test_precision_propagation():

@@ -160,10 +160,11 @@ def test_eigensystem_reproducible():
 def test_batched_labels_match_scalar():
     rng = np.random.default_rng(28)
     h = np.stack([build_hamiltonian(*random_case(rng)) for _ in range(200)])
-    values, vectors, labels, ok = eigensystems(h)
-    assert ok.all()
+    values, vectors, labels, reason = eigensystems(h)
+    assert not reason.any()
     for k in range(len(h)):
         eig = eigensystem(h[k])
+        assert np.array_equal(eig.labels, labels[k])
         assert eig.manifold == tuple(MANIFOLD_LABELS[j] for j in labels[k])
         assert np.allclose(eig.values, values[k], rtol=0, atol=1e-9)
         assert np.allclose(eig.vectors, vectors[k], rtol=0, atol=1e-12)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from nvbeat.spin_core import (
+    DRIVE_SX,
+    EIGEN_REASONS,
     LAMBDA_REASONS,
     FieldOrientation,
     HyperfineTensor,
@@ -20,6 +22,7 @@ from nvbeat.spin_core import (
     lambda_transition_amplitudes,
     main_four_lines,
     nuclear_eigenstates_excited,
+    single_quantum_transitions,
     spin_matrices,
     unit_vectors,
     wrap_azimuth,
@@ -204,6 +207,33 @@ def test_lambda_amplitudes_at_single_transition_axis():
     assert amps[0] < 1e-3 * amps[-1]
 
 
+def test_sq_lines_match_the_state_loop():
+    # reference: the loop over ms0 states and the states outside ms0, each
+    # ascending, sorted stably by frequency; the batched amplitude squares
+    # the same matrix element as an array, the loop as a scalar (libm pow),
+    # so the two may differ by one float64 rounding
+    rng = np.random.default_rng(12)
+    zero = SystemParams()
+    cases = [(zero, FieldOrientation(0.0, 0.0, 0.0)), (zero, FieldOrientation(30.0, 0.0, 0.0))]
+    cases += [random_system(rng) for _ in range(40)]
+    for params, field in cases:
+        eig = eigensystem(build_hamiltonian(params, field))
+        want = []
+        for i in range(6):
+            for j in range(6):
+                if eig.manifold[i] == "ms0" and eig.manifold[j] != "ms0":
+                    amp = np.abs(np.vdot(eig.vectors[:, j], DRIVE_SX @ eig.vectors[:, i])) ** 2
+                    want.append((abs(float(eig.values[j] - eig.values[i])), amp, i, j))
+        want.sort(key=lambda ln: ln[0])
+        got = single_quantum_transitions(eig)
+        assert [(ln.frequency, ln.from_state, ln.to_state) for ln in got] == [
+            (f, i, j) for f, _, i, j in want
+        ]
+        np.testing.assert_allclose(
+            [ln.amplitude for ln in got], [w[1] for w in want], rtol=2**-51, atol=0
+        )
+
+
 def test_labeling_at_theta90():
     # linear Zeeman vanishes between ms_plus and ms_minus at theta=90;
     # labeling must still resolve the ms0 doublet without raising
@@ -264,23 +294,31 @@ def test_fix_phases_matches_column_loop():
 
 
 def _walk(over):
-    """Reference labelling walk, one state at a time (see eigensystem)."""
+    """Reference labelling walk, one state at a time (see eigensystem).
+
+    Returns (labels, reason): the EIGEN_REASONS code is 2 where the walk
+    stops at an ambiguous state, 3 where the state's manifold is full.
+    """
     labels, counts = [], [0, 0, 0]
+    reason = 0
     for o in over:
         if o[1] >= 0.6:
             choice = 1
         elif o[1] <= 0.4:
             avail = [j for j in (0, 2) if counts[j] < 2]
             if not avail:
+                reason = 3
                 break
             choice = max(avail, key=lambda j: o[j])
         else:
+            reason = 2
             break
         if counts[choice] >= 2:
+            reason = 3
             break
         counts[choice] += 1
         labels.append(choice)
-    return labels + [-1] * (6 - len(labels)), len(labels) == 6
+    return labels + [-1] * (6 - len(labels)), reason
 
 
 def test_label_manifolds_follows_the_walk():
@@ -291,25 +329,42 @@ def test_label_manifolds_follows_the_walk():
                       p=[0.3, 0.2, 0.05, 0.05, 0.05, 0.25, 0.1])
     split = rng.choice([0.0, 0.3, 0.5, 0.7, 1.0], size=(20000, 6))
     over = np.stack([(1 - zero) * split, zero, (1 - zero) * (1 - split)], axis=-1)
-    labels, ok = label_manifolds(over)
+    labels, reason = label_manifolds(over)
     want = [_walk(o) for o in over]
     assert np.array_equal(labels, [w[0] for w in want])
-    assert np.array_equal(ok, [w[1] for w in want])
-    assert 0.1 < ok.mean() < 0.9
+    assert np.array_equal(reason, [w[1] for w in want])
+    assert 0.1 < (reason == 0).mean() < 0.9
+    assert set(reason) == {0, 2, 3}
 
 
 def test_scalar_errors_keep_their_messages():
     h = build_hamiltonian(SYS, FieldOrientation(40.3, 40.0, 90.0))
     skew = h.copy()
     skew[0, 1] += 1.0
-    with pytest.raises(ValueError, match="not Hermitian"):
-        eigensystem(skew)
     # the lowest state is half ms_plus, half ms0
     u = np.eye(6)
     u[0, 0] = u[0, 2] = u[2, 2] = math.sqrt(0.5)
     u[2, 0] = -math.sqrt(0.5)
-    with pytest.raises(ValueError, match="ambiguous for state 0"):
-        eigensystem(u @ np.diag(np.arange(6.0)) @ u.T)
+    # states 0, 2 and 3 each 2/3 ms0: the third takes a full manifold
+    w = np.eye(6)
+    w[np.ix_([2, 3, 0], [2, 3, 0])] = [
+        np.array([1, -1, 0]) / math.sqrt(2),
+        np.array([1, 1, -2]) / math.sqrt(6),
+        np.array([1, 1, 1]) / math.sqrt(3),
+    ]
+    diag = np.diag(np.arange(6.0))
+    cases = [  # one per EIGEN_REASONS message, in its order
+        (skew, "matrix is not Hermitian"),
+        (u @ diag @ u.T, "manifold assignment ambiguous for state 0 "
+         "(overlaps ms_plus=0.500 ms0=0.500 ms_minus=0.000)"),
+        (w @ diag @ w.T, "ground manifold not resolved: labels ['ms0', 'ms_plus', 'ms0']"),
+    ]
+    assert len(cases) == len(EIGEN_REASONS)
+    for (m, message), template in zip(cases, EIGEN_REASONS):
+        assert message.startswith(template.split("{")[0])
+        with pytest.raises(ValueError) as err:
+            eigensystem(m)
+        assert str(err.value) == message
 
     def turn(i, j, deg):
         u = np.eye(6)
