@@ -179,13 +179,16 @@ def cmd_spectrum(cfg, args) -> str:
     field = _resolved_field(cfg, args.at_sta)
     eig = eigensystem(build_hamiltonian(params, field))
     lines = single_quantum_transitions(eig)
-    # merge degenerate lines (zero tensor collapses each branch to one line)
+    # merge degenerate lines within a branch (a zero tensor collapses each
+    # branch to one line)
     merged = []
     for ln in lines:
-        if merged and abs(ln.frequency - merged[-1][0]) < 1e-9:
-            merged[-1][1] += ln.amplitude
-            continue
-        merged.append([ln.frequency, ln.amplitude, eig.manifold[ln.to_state]])
+        branch = eig.manifold[ln.to_state]
+        same = [m for m in merged if m[2] == branch and abs(ln.frequency - m[0]) < 1e-9]
+        if same:
+            same[-1][1] += ln.amplitude
+        else:
+            merged.append([ln.frequency, ln.amplitude, branch])
     rows = [
         _comment(cfg),
         "# field: b=%.6g G theta=%.6g phi=%.6g (NV frame)"

@@ -104,8 +104,8 @@ def _unitary(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-2j * np.pi * w * t)) @ v.conj().T
 
 
-def _carrier_frequency(eig: Eigensystem, params: SystemParams, detuning: float) -> float:
-    exc = lambda_excited_index(eig, params.tensor)
+def _carrier_frequency(eig: Eigensystem, exc: int, detuning: float) -> float:
+    """Mean of the two ms0 -> excited level (index exc) frequencies, plus detuning."""
     g = np.flatnonzero(eig.labels == 1)  # the ms0 pair
     center = float(eig.values[exc] - 0.5 * (eig.values[g[0]] + eig.values[g[1]]))
     return center + detuning
@@ -160,7 +160,8 @@ def simulate_rabi(
     t_grid = np.asarray(t_grid, dtype=float)
     h0 = build_hamiltonian(params, field)
     eig = eigensystem(h0)
-    omega_c = _carrier_frequency(eig, params, pulse.carrier_detuning)
+    exc = lambda_excited_index(eig, params.tensor)
+    omega_c = _carrier_frequency(eig, exc, pulse.carrier_detuning)
     if lab_frame:
         inits = [eig.vectors[:, i] for i in np.flatnonzero(eig.labels == 1)]
         sig = _rabi_lab_frame(h0, omega_c, pulse.rabi_amplitude, inits, t_grid)
@@ -211,18 +212,16 @@ def pi_pulse_from_rabi(trace: RamseyTrace) -> float:
     raise ValueError("no Rabi minimum found")
 
 
-def _ideal_pi_unitary(eig: Eigensystem, params: SystemParams, field: FieldOrientation):
-    """Instantaneous population swap between the excited level and the bright state."""
-    op, om, exc, gp, gm = lambda_system(eig, params.tensor, field)
+def _ideal_pi_unitary(op, om, exc, gp, gm) -> np.ndarray:
+    """Instantaneous swap of the excited level and the bright state of a
+    ``lambda_system``, in the eigenbasis: the reflection I - d d^T with
+    d = (op e_gp + om e_gm) / hypot(op, om) - e_exc."""
     n = np.hypot(op, om)
     if n == 0:
         raise ValueError("both Lambda amplitudes vanish; no pulse defined")
-    bright = (op * eig.vectors[:, gp] + om * eig.vectors[:, gm]) / n
-    ve = eig.vectors[:, exc]
-    u = np.eye(6, dtype=complex)
-    u -= np.outer(bright, bright.conj()) + np.outer(ve, ve.conj())
-    u += np.outer(bright, ve.conj()) + np.outer(ve, bright.conj())
-    return u
+    d = np.zeros(6)
+    d[[gp, gm, exc]] = op / n, om / n, -1.0
+    return np.eye(6) - np.outer(d, d)
 
 
 def simulate_zq_ramsey(
@@ -244,13 +243,15 @@ def simulate_zq_ramsey(
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     eig = eigensystem(build_hamiltonian(params, field))
-    omega_c = _carrier_frequency(eig, params, detuning)
+    if ideal_pulses:
+        lam = lambda_system(eig, params.tensor, field)
+        exc, u_pulse = lam[2], _ideal_pi_unitary(*lam)
+    else:
+        exc = lambda_excited_index(eig, params.tensor)
+    omega_c = _carrier_frequency(eig, exc, detuning)
     # free evolution is diagonal in the eigenbasis rotating frame
     w_free, x = _rotating_frame(eig, omega_c)
-    if ideal_pulses:
-        u_bare = _ideal_pi_unitary(eig, params, field)
-        u_pulse = eig.vectors.conj().T @ u_bare @ eig.vectors
-    else:
+    if not ideal_pulses:
         if not (pi_duration > 0):
             raise ValueError("pi_duration must be positive")
         if rabi_amplitude is None:

@@ -22,16 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_core import (
-    _OP_IX,
-    _OP_IY,
-    _OP_IZ,
-    _OP_MIX,
-    _OP_SX,
-    _OP_SXIX,
-    _OP_SY,
-    _OP_SYIY,
-    _OP_SZ,
-    _OP_SZIZ,
+    _OP_TENSOR,
+    _OP_ZEEMAN,
     FieldOrientation,
     HyperfineTensor,
     SystemParams,
@@ -39,6 +31,7 @@ from .spin_core import (
     eigensystems,
     hamiltonians,
     label_manifolds,
+    label_order,
     lambda_excited_states,
     lambda_legs,
     manifold_overlaps,
@@ -329,7 +322,7 @@ def _forward_model(params, vec, data, keep=None):
             "manifold assignment ambiguous in forward model at point %d "
             "(theta=%.3f phi=%.3f)" % (k, data.theta[k], data.phi[k])
         )
-    order = np.argsort(labels, axis=1, kind="stable")
+    order = label_order(labels)
     lo, hi = order[at, 2], order[at, 3]  # the ms0 pair, for ZQ points
     if len(data.sq):
         lo[data.sq], hi[data.sq] = _sq_lines(w, vecs, order, data)
@@ -346,9 +339,8 @@ def _derivative_operators(gamma_e, gamma_n):
     dH/da, then G_c = gamma_e S_c + gamma_n I_c for c = x, y, z, from which
     the field derivatives follow.
     """
-    g = [gamma_e * s + gamma_n * i
-         for s, i in ((_OP_SX, _OP_IX), (_OP_SY, _OP_IY), (_OP_SZ, _OP_IZ))]
-    return np.concatenate([_OP_SXIX, _OP_SYIY, _OP_SZIZ, _OP_MIX] + g)
+    g = [gamma_e * s + gamma_n * i for s, i in zip(*_OP_ZEEMAN)]
+    return np.concatenate([*_OP_TENSOR, *g])
 
 
 def _jacobian(params, vec, data, keep=None):
@@ -799,9 +791,10 @@ def _lambda_amplitudes(params: SystemParams, b, theta, phi):
     ok = np.isfinite(b) & (b > 0) & (theta >= 0.0) & (theta <= 180.0)
     h = hamiltonians(params, np.where(ok, b, 0.0)[:, None] * unit_vectors(theta, phi))
     _, vectors, labels, eig_reason = eigensystems(h)
-    excited, _, _, reason = lambda_excited_states(vectors, labels, params.tensor)
+    order = label_order(labels)
+    excited, _, _, reason = lambda_excited_states(vectors, order, params.tensor)
     beta_plus, _ = zeeman_states(theta, phi)
-    op, om, _, _ = lambda_legs(vectors, labels, excited, beta_plus)
+    op, om, _, _ = lambda_legs(vectors, order, excited, beta_plus)
     return op, om, ok & (eig_reason == 0) & (reason == 0)
 
 
@@ -813,8 +806,7 @@ def _amplitude_ratios(params: SystemParams, b: float, theta, phi) -> np.ndarray:
     theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
     op, om, ok = _lambda_amplitudes(params, b, theta.ravel(), phi.ravel())
     hi = np.maximum(op, om)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(hi == 0, 1.0, np.minimum(op, om) / hi)
+    ratio = np.divide(np.minimum(op, om), hi, out=np.ones_like(hi), where=hi != 0)
     return np.where(ok, ratio, np.inf).reshape(theta.shape)
 
 

@@ -148,19 +148,17 @@ _N = spin_matrices(0.5)
 _ID2 = np.eye(2)
 _ID3 = np.eye(3)
 _OP_SZ2 = np.kron(_E.sz @ _E.sz, _ID2).astype(complex)
-_OP_SX = np.kron(_E.sx, _ID2).astype(complex)
-_OP_SY = np.kron(_E.sy, _ID2)
-_OP_SZ = np.kron(_E.sz, _ID2).astype(complex)
-_OP_IX = np.kron(_ID3, _N.sx).astype(complex)
-_OP_IY = np.kron(_ID3, _N.sy)
-_OP_IZ = np.kron(_ID3, _N.sz).astype(complex)
-_OP_SXIX = np.kron(_E.sx, _N.sx).astype(complex)
-_OP_SYIY = np.kron(_E.sy, _N.sy)
-_OP_SZIZ = np.kron(_E.sz, _N.sz).astype(complex)
-_OP_MIX = (np.kron(_E.sz, _N.sx) + np.kron(_E.sx, _N.sz)).astype(complex)
+# the field terms: Sx, Sy, Sz (electron row) and Ix, Iy, Iz (nuclear row)
+_OP_ZEEMAN = np.array([[np.kron(m, _ID2) for m in (_E.sx, _E.sy, _E.sz)],
+                       [np.kron(_ID3, m) for m in (_N.sx, _N.sy, _N.sz)]], dtype=complex)
+# the tensor terms: Sx Ix, Sy Iy, Sz Iz and Sz Ix + Sx Iz
+_OP_TENSOR = np.array([
+    np.kron(_E.sx, _N.sx), np.kron(_E.sy, _N.sy), np.kron(_E.sz, _N.sz),
+    np.kron(_E.sz, _N.sx) + np.kron(_E.sx, _N.sz),
+], dtype=complex)
 
 # Microwave drive operator: electron Sx in the NV frame.
-DRIVE_SX = _OP_SX
+DRIVE_SX = _OP_ZEEMAN[0, 0]
 
 
 def build_hamiltonian(params: SystemParams, field: FieldOrientation) -> np.ndarray:
@@ -185,10 +183,10 @@ def wrap_azimuth(phi):
     """Azimuth (degrees, scalar or array) wrapped into [0, 360).
 
     ``phi % 360`` rounds a tiny negative phi up to exactly 360; that case
-    maps to 0, so wrapping twice is a no-op.
+    maps to 0, so wrapping twice is a no-op. A Python float stays one.
     """
-    w = np.mod(phi, 360.0)
-    return np.where(w == 360.0, 0.0, w)
+    w = phi % 360.0
+    return w - (w == 360.0) * 360.0
 
 
 def unit_vectors(theta, phi) -> np.ndarray:
@@ -197,11 +195,11 @@ def unit_vectors(theta, phi) -> np.ndarray:
     phi is used as given: wrap it with ``wrap_azimuth`` first to reproduce
     the vectors of ``FieldOrientation``, which stores it wrapped.
     """
-    th = np.radians(theta)
-    ph = np.radians(phi)
-    return np.stack(
-        [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1
-    )
+    th, ph = np.radians(theta), np.radians(phi)
+    s = np.sin(th)
+    out = np.empty(np.shape(th) + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = s * np.cos(ph), s * np.sin(ph), np.cos(th)
+    return out
 
 
 def hamiltonians(params: SystemParams, bvec, tensor=None) -> np.ndarray:
@@ -213,21 +211,20 @@ def hamiltonians(params: SystemParams, bvec, tensor=None) -> np.ndarray:
     takes ``params.tensor``. ``build_hamiltonian`` is the batch of one.
     """
     bvec = np.asarray(bvec, dtype=float)
-    bx, by, bz = (bvec[..., k, None, None] for k in range(3))
     if tensor is None:
         t = params.tensor
         tensor = (t.a_xx, t.a_yy, t.a_zz, t.a)
     tensor = np.asarray(tensor, dtype=float)
-    a_xx, a_yy, a_zz, a = (tensor[..., k, None, None] for k in range(4))
-    return (
-        params.d * _OP_SZ2
-        + params.gamma_e * (bx * _OP_SX + by * _OP_SY + bz * _OP_SZ)
-        + params.gamma_n * (bx * _OP_IX + by * _OP_IY + bz * _OP_IZ)
-        + a_xx * _OP_SXIX
-        + a_yy * _OP_SYIY
-        + a_zz * _OP_SZIZ
-        + a * _OP_MIX
-    )
+    # every product and sum of the formula above in its order; the
+    # products of one kind in one stacked multiply
+    gamma = np.array([params.gamma_e, params.gamma_n])[:, None, None]
+    zeeman = gamma * np.add.reduce(bvec[..., None, :, None, None] * _OP_ZEEMAN, axis=-3)
+    terms = tensor[..., :, None, None] * _OP_TENSOR
+    h = params.d * _OP_SZ2 + zeeman[..., 0, :, :] + zeeman[..., 1, :, :]
+    h = h + terms[..., 0, :, :]  # now shaped for the rows of bvec and tensor
+    for k in (1, 2, 3):
+        h += terms[..., k, :, :]
+    return h
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -235,12 +232,13 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
     Works on one (6, n) matrix or a stack (..., 6, n).
     """
-    idx = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
-    piv = np.take_along_axis(vectors, idx, axis=-2)
+    stack = vectors.reshape((-1,) + vectors.shape[-2:])
+    idx = np.argmax(np.abs(stack), axis=1)
+    piv = stack[np.arange(len(stack))[:, None], idx, np.arange(idx.shape[1])]
     mag = np.abs(piv)
-    factor = np.ones_like(piv)
+    factor = np.ones(piv.shape, dtype=complex)
     np.divide(np.conj(piv), mag, out=factor, where=mag > 0)
-    return vectors * factor
+    return vectors * factor.reshape(vectors.shape[:-2] + (1, -1))
 
 
 def manifold_overlaps(vectors: np.ndarray) -> np.ndarray:
@@ -250,14 +248,13 @@ def manifold_overlaps(vectors: np.ndarray) -> np.ndarray:
     for a stack of eigenvector matrices.
     """
     pops = np.abs(vectors) ** 2
-    pairs = pops.reshape(pops.shape[:-2] + (3, 2, pops.shape[-1]))
-    return np.swapaxes(pairs.sum(axis=-2), -1, -2)
+    return (pops[..., 0::2, :] + pops[..., 1::2, :]).swapaxes(-1, -2)
 
 
 def _hermitian(h: np.ndarray) -> np.ndarray:
     """Per matrix of a stack (n, k, k): Hermitian to 1e-9 of its largest entry."""
-    scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
-    skew = np.max(np.abs(h - np.conj(np.swapaxes(h, 1, 2))), axis=(1, 2))
+    scale = np.maximum(1.0, np.maximum.reduce(np.abs(h), axis=(1, 2)))
+    skew = np.maximum.reduce(np.abs(h - h.transpose(0, 2, 1).conj()), axis=(1, 2))
     return ~(skew > 1e-9 * scale)
 
 
@@ -374,6 +371,10 @@ def drive_amplitudes(vectors: np.ndarray, lo, hi) -> np.ndarray:
     return np.abs(_vdot(states[hi], drive)) ** 2
 
 
+# the four main lines: (from, to) positions in a ``label_order``, ms0 to ms_minus
+_MAIN_LINES = np.array([[2, 2, 3, 3], [4, 5, 4, 5]])
+
+
 def single_quantum_transitions(eig: Eigensystem) -> list[TransitionLine]:
     """Allowed single-quantum lines between ms0 and the ms_plus/ms_minus manifolds.
 
@@ -383,23 +384,21 @@ def single_quantum_transitions(eig: Eigensystem) -> list[TransitionLine]:
     ms0 <-> ms_minus lines are the main lines of the low-frequency branch
     (see ``main_four_lines``).
     """
-    upper = np.flatnonzero(eig.labels != 1)
-    lo, hi = np.repeat(np.flatnonzero(eig.labels == 1), 4), np.tile(upper, 2)
-    freq = np.abs(eig.values[hi] - eig.values[lo])
-    amp = drive_amplitudes(eig.vectors, lo, hi)
-    return [
-        TransitionLine(float(freq[k]), float(amp[k]), int(lo[k]), int(hi[k]))
-        for k in np.argsort(freq, kind="stable")
-    ]
+    ms0, upper = np.flatnonzero(eig.labels == 1), np.flatnonzero(eig.labels != 1)
+    return _sorted_lines(eig, np.repeat(ms0, 4), np.tile(upper, 2))
 
 
 def main_four_lines(eig: Eigensystem) -> list[TransitionLine]:
-    """The four ms0 <-> ms_minus lines, ascending in frequency."""
-    return [
-        ln
-        for ln in single_quantum_transitions(eig)
-        if eig.labels[ln.to_state] == 2
-    ]
+    """The four ms0 <-> ms_minus lines of ``single_quantum_transitions``."""
+    return _sorted_lines(eig, *label_order(eig.labels)[_MAIN_LINES])
+
+
+def _sorted_lines(eig: Eigensystem, lo: np.ndarray, hi: np.ndarray) -> list:
+    """TransitionLines from states lo to states hi, stably sorted by frequency."""
+    freq = np.abs(eig.values[hi] - eig.values[lo])
+    amp = drive_amplitudes(eig.vectors, lo, hi)
+    rows = list(zip(freq.tolist(), amp.tolist(), lo.tolist(), hi.tolist()))
+    return [TransitionLine(*rows[k]) for k in freq.argsort(kind="stable").tolist()]
 
 
 def zero_quantum_splitting_exact(eig: Eigensystem) -> float:
@@ -419,8 +418,9 @@ def nuclear_eigenstates_excited(tensor: HyperfineTensor):
     if tensor.a_zz == 0.0 and tensor.a == 0.0:
         raise ValueError("quantization axis undefined (a_zz = a = 0)")
     tp = np.arctan2(tensor.a, tensor.a_zz)
-    alpha_plus = np.array([np.cos(tp / 2), np.sin(tp / 2)], dtype=complex)
-    alpha_minus = np.array([np.sin(tp / 2), -np.cos(tp / 2)], dtype=complex)
+    c, s = np.cos(tp / 2), np.sin(tp / 2)
+    alpha_plus = np.array([c, s], dtype=complex)
+    alpha_minus = np.array([s, -c], dtype=complex)
     return float(np.degrees(tp)), alpha_plus, alpha_minus
 
 
@@ -430,14 +430,13 @@ def zeeman_states(theta, phi):
     Returns (beta_plus, beta_minus), each of shape (..., 2), as
     ``ground_zeeman_states`` describes them.
     """
-    th = np.radians(theta)
-    ph = np.radians(phi)
-    e = np.exp(1j * ph)
-    c = np.cos(th / 2)
-    s = np.sin(th / 2)
-    beta_plus = np.stack([c + 0j, e * s], axis=-1)
-    beta_minus = np.stack([s + 0j, -e * c], axis=-1)
-    return beta_plus, beta_minus
+    half = np.radians(theta) / 2
+    e = np.exp(1j * np.radians(phi))
+    c, s = np.cos(half), np.sin(half)
+    beta = np.empty(np.shape(e) + (2, 2), dtype=complex)
+    beta[..., 0, 0], beta[..., 0, 1] = c + 0j, e * s
+    beta[..., 1, 0], beta[..., 1, 1] = s + 0j, -e * c
+    return beta[..., 0, :], beta[..., 1, :]
 
 
 def ground_zeeman_states(field: FieldOrientation):
@@ -457,24 +456,24 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.conj(a)[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _nuclear_overlaps(states: np.ndarray, rows: list, ref: np.ndarray) -> np.ndarray:
-    """|<ref|nuclear part>|^2 for states (n, m, 6); result (n, m).
+def _nuclear_overlaps(sub: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """|<ref|nuclear part>|^2 for blocks sub (n, m, 2); result (n, m).
 
-    The nuclear part is a state's block on ``rows`` (one electron
-    manifold), normalised; a state without weight there gives nan.
-    ref has shape (2,) or (n, 1, 2).
+    sub holds the states' components in one electron manifold; the nuclear
+    part is that block normalised, nan for a block without weight. ref has
+    shape (2,) or (n, 1, 2).
     """
-    sub = states[..., rows]
-    nrm = np.sqrt(_vdot(sub.real, sub.real) + _vdot(sub.imag, sub.imag))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nuc = sub / nrm[..., None]
+    parts = np.array([sub.real, sub.imag])  # real: _vdot without its conj
+    sq = (parts[..., None, :] @ parts[..., :, None])[..., 0, 0]
+    nrm = np.sqrt(sq[0] + sq[1])
+    nrm[nrm == 0] = np.nan  # x / nan is a quiet nan, 0 / 0 is not
+    nuc = sub / nrm[..., None]
     return np.abs(_vdot(ref, nuc)) ** 2
 
 
-def _pair(vectors: np.ndarray, labels: np.ndarray, label: int):
-    """Indices (n, 2) and states (n, 2, 6) of the two states with a label."""
-    idx = np.argsort(labels, axis=1, kind="stable")[:, 2 * label : 2 * label + 2]
-    return idx, vectors[np.arange(len(idx))[:, None], :, idx]
+def label_order(labels: np.ndarray) -> np.ndarray:
+    """Stable argsort of labels (..., 6): ms_plus, ms0, ms_minus states."""
+    return labels.argsort(axis=-1, kind="stable")
 
 
 # Why one eigensystem has no Lambda system: the reason code of a row is 0
@@ -489,75 +488,74 @@ LAMBDA_REASONS = (
 
 
 def lambda_excited_states(
-    vectors: np.ndarray, labels: np.ndarray, tensor: HyperfineTensor
+    vectors: np.ndarray, order: np.ndarray, tensor: HyperfineTensor
 ):
     """Batched ``lambda_excited_index`` over labelled eigensystems.
 
-    vectors (n, 6, 6) and labels (n, 6) as from ``eigensystems``, where
-    that marks them ok. Returns (excited, purity, overlap, reason): the
-    index of the excited level (n,), the ms_minus weight (n, 2) and
-    alpha_minus overlap (n, 2) of the two ms_minus states (nan where a
-    state has no ms_minus weight or the quantization axis is undefined),
-    and the reason code (n,) of LAMBDA_REASONS, 0 where the
-    identification holds. The Lambda model needs a clean ms_minus excited
-    level; near theta = 90 the transverse field mixes ms_plus and ms_minus
-    and no such level exists. A clean state has ms_minus weight, so its
-    overlap is defined with the axis.
+    vectors (n, 6, 6) as from ``eigensystems``, where that marks them ok,
+    and order (n, 6), the ``label_order`` of their labels. Returns
+    (excited, purity, overlap, reason): the index of the excited level
+    (n,), the ms_minus weight (n, 2) and alpha_minus overlap (n, 2) of the
+    two ms_minus states (nan where a state has no ms_minus weight or the
+    quantization axis is undefined), and the reason code (n,) of
+    LAMBDA_REASONS, 0 where the identification holds. The Lambda model
+    needs a clean ms_minus excited level; near theta = 90 the transverse
+    field mixes ms_plus and ms_minus and no such level exists. A clean
+    state has ms_minus weight, so its overlap is defined with the axis.
     """
-    idx, states = _pair(vectors, labels, 2)
-    purity = manifold_overlaps(np.swapaxes(states, 1, 2))[..., 2]
+    rows, idx = np.arange(len(order)), order[:, 4:]  # the ms_minus pair
+    block = vectors[rows[:, None], 4:, idx]  # their ms_minus components
+    pops = np.abs(block) ** 2
+    purity = pops[..., 0] + pops[..., 1]
     try:
         _, _, alpha_minus = nuclear_eigenstates_excited(tensor)
         axis_code = 0
     except ValueError:  # a_zz = a = 0: no quantization axis
         alpha_minus = np.full(2, np.nan)
         axis_code = 2
-    overlap = _nuclear_overlaps(states, [4, 5], alpha_minus)
+    overlap = _nuclear_overlaps(block, alpha_minus)
+    o1, o2 = overlap.T
     # nan overlaps, from an undefined axis, never compare as ambiguous
-    ambiguous = np.abs(overlap[:, 0] - overlap[:, 1]) < 0.05 * np.max(overlap, axis=1)
-    clean = np.all(purity >= _MANIFOLD_OVERLAP_MIN, axis=1)
+    ambiguous = np.abs(o1 - o2) < 0.05 * np.maximum(o1, o2)
+    clean = np.minimum.reduce(purity, axis=1) >= _MANIFOLD_OVERLAP_MIN
     reason = np.where(clean, np.where(ambiguous, 3, axis_code), 1)
-    excited = idx[np.arange(len(idx)), np.argmax(overlap, axis=1)]
+    excited = idx[rows, overlap.argmax(axis=1)]
     return excited, purity, overlap, reason
 
 
 def lambda_legs(
-    vectors: np.ndarray, labels: np.ndarray, excited: np.ndarray, beta_plus: np.ndarray
+    vectors: np.ndarray, order: np.ndarray, excited: np.ndarray, beta_plus: np.ndarray
 ):
     """Batched Lambda legs for labelled eigensystems and their excited levels.
 
-    The two ms0 states are told apart by their overlap with beta_plus
-    (n, 2); a labelled ms0 state has ms0 weight at least 0.6, so the
-    overlap is defined. Returns (omega_plus, omega_minus, g_plus, g_minus):
-    |<excited|DRIVE_SX|g>| for both legs and the ground state indices.
+    vectors and order as for ``lambda_excited_states``. The two ms0 states
+    are told apart by their overlap with beta_plus (n, 2); a labelled ms0
+    state has ms0 weight at least 0.6, so the overlap is defined. Returns
+    (omega_plus, omega_minus, g_plus, g_minus): |<excited|DRIVE_SX|g>| for
+    both legs and the ground state indices.
     """
-    rows = np.arange(len(labels))
-    idx, states = _pair(vectors, labels, 1)
-    gp = _nuclear_overlaps(states, [2, 3], beta_plus[:, None, :])
-    first = gp[:, 0] >= gp[:, 1]
-    g_plus = np.where(first, idx[:, 0], idx[:, 1])
-    g_minus = np.where(first, idx[:, 1], idx[:, 0])
-    ve = vectors[rows, :, excited]
-
-    def leg(g):
-        return np.abs(_vdot(ve, (DRIVE_SX @ vectors[rows, :, g][..., None])[..., 0]))
-
-    return leg(g_plus), leg(g_minus), g_plus, g_minus
+    rows, idx = np.arange(len(order))[:, None], order[:, 2:4]  # the ms0 pair
+    gp = _nuclear_overlaps(vectors[rows, 2:4, idx], beta_plus[:, None, :])
+    # (g_plus, g_minus) per row, both legs in one stacked product
+    g = np.where((gp[:, 0] >= gp[:, 1])[:, None], idx, idx[:, ::-1])
+    drive = (DRIVE_SX @ vectors[rows, :, g][..., None])[..., 0]
+    legs = np.abs(_vdot(vectors[rows, :, excited[:, None]], drive))
+    return legs[:, 0], legs[:, 1], g[:, 0], g[:, 1]
 
 
 def _lambda_states(eig: Eigensystem, tensor: HyperfineTensor):
-    """(vectors, labels, excited) of ``lambda_excited_states`` as a batch of one.
+    """(vectors, order, excited) of ``lambda_excited_states`` as a batch of one.
 
     Raises the LAMBDA_REASONS message of its reason code.
     """
-    vectors, labels = eig.vectors[None], eig.labels[None]
-    excited, purity, overlap, reason = lambda_excited_states(vectors, labels, tensor)
+    vectors, order = eig.vectors[None], label_order(eig.labels[None])
+    excited, purity, overlap, reason = lambda_excited_states(vectors, order, tensor)
     if reason[0]:
         low = purity[0, np.argmax(purity[0] < _MANIFOLD_OVERLAP_MIN)]
         raise ValueError(
             LAMBDA_REASONS[reason[0] - 1].format(purity=low, overlap=overlap[0])
         )
-    return vectors, labels, excited
+    return vectors, order, excited
 
 
 def lambda_excited_index(eig: Eigensystem, tensor: HyperfineTensor) -> int:
@@ -579,9 +577,9 @@ def lambda_system(eig: Eigensystem, tensor: HyperfineTensor, field: FieldOrienta
     beta_minus. The batch of one of ``lambda_excited_states`` and
     ``lambda_legs``.
     """
-    vectors, labels, excited = _lambda_states(eig, tensor)
+    vectors, order, excited = _lambda_states(eig, tensor)
     beta_plus, _ = ground_zeeman_states(field)
-    op, om, gp, gm = lambda_legs(vectors, labels, excited, beta_plus[None])
+    op, om, gp, gm = lambda_legs(vectors, order, excited, beta_plus[None])
     return float(op[0]), float(om[0]), int(excited[0]), int(gp[0]), int(gm[0])
 
 

@@ -241,8 +241,8 @@ def test_spectrum_output(tmp_path, capsys):
 
 
 def test_spectrum_merges_degenerate_lines(tmp_path, capsys):
-    # zero tensor: at b = 0 all eight lines sit at D and merge into the
-    # first one's branch; at 30 G the two nuclear-conserving lines of each
+    # zero tensor: at b = 0 all eight lines sit at D and merge within each
+    # branch, never across; at 30 G the two nuclear-conserving lines of each
     # branch coincide, the forbidden ones (amplitude 0) stay apart
     rows = {}
     for b in ("0", "30"):
@@ -250,7 +250,7 @@ def test_spectrum_merges_degenerate_lines(tmp_path, capsys):
         assert main(["--config", cfgp, "spectrum"]) == 0
         out = capsys.readouterr().out.splitlines()
         rows[b] = out[out.index("frequency_mhz,amplitude,branch") + 1:]
-    assert rows["0"] == ["2870,2,ms_plus"]
+    assert rows["0"] == ["2870,1,ms_plus", "2870,1,ms_minus"]
     assert rows["30"] == [
         "2785.892885,0,ms_minus",
         "2785.925,1,ms_minus",

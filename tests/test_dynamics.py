@@ -146,6 +146,25 @@ def test_zq_ramsey_lambda_v_relation():
     assert np.max(np.abs(sim.signal - (0.5 + 0.5 * pv))) < 0.05
 
 
+def test_zq_ramsey_identifies_the_excited_level_once(monkeypatch):
+    # the carrier and the ideal swap share one Lambda system
+    from nvbeat import spin_core
+
+    calls = []
+    kernel = spin_core.lambda_excited_states
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(spin_core, "lambda_excited_states", counted)
+    tau = np.linspace(0, 5.0, 64)
+    for kwargs in (dict(ideal_pulses=True), dict(rabi_amplitude=14.3)):
+        calls.clear()
+        simulate_zq_ramsey(SYS, F40, 0.035, 0.0, tau, **kwargs)
+        assert len(calls) == 1, kwargs
+
+
 def test_zq_ramsey_dominant_peak():
     t_pi = pi_pulse_from_rabi(
         simulate_rabi(SYS, F40, PulseParams(14.3), np.linspace(0, 1.0, 2048))

@@ -1,14 +1,17 @@
 """Golden outputs: CLI text and fit results compared exactly.
 
 The files under ``tests/golden/`` pin the program bit for bit: the output of
-every subcommand on the benchmark session config, two more ``fit`` runs, and
-``float.hex`` records of five fits. A change that moves any printed digit or
+every subcommand on the benchmark session config, two more ``fit`` runs,
+``float.hex`` records of five fits, and digests of the scalar ``spin_core``
+outputs on about forty (tensor, field) cases. A change that moves any printed digit or
 any bit of a fit result fails here. When a change of output is intended,
 rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` and say
 why in the change log.
 """
 
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -22,7 +25,18 @@ from nvbeat.estimation import (
     fit_hyperfine,
     synthesize_dataset,
 )
-from nvbeat.spin_core import HyperfineTensor, SystemParams
+from nvbeat.spin_core import (
+    FieldOrientation,
+    HyperfineTensor,
+    SystemParams,
+    build_hamiltonian,
+    eigensystem,
+    lambda_system,
+    lambda_transition_amplitudes,
+    main_four_lines,
+    single_quantum_transitions,
+    zero_quantum_splitting_exact,
+)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -124,6 +138,133 @@ def fit_records():
     return records
 
 
+def _digest(*outputs):
+    """sha256 of the ``float.hex`` of every number in outputs (ints as text).
+
+    Arrays count element by element, complex numbers as real then imaginary
+    part, so a signed zero or a last bit anywhere changes the digest.
+    """
+    words = []
+    for out in outputs:
+        for x in np.ravel(np.asarray(out)):
+            if isinstance(x, (np.integer, int)):
+                words.append(str(int(x)))
+            else:
+                x = complex(x)
+                words += [x.real.hex(), x.imag.hex()]
+    return hashlib.sha256(" ".join(words).encode()).hexdigest()
+
+
+def _turn(i, j, deg):
+    """The 6x6 rotation by deg between basis states i and j."""
+    u = np.eye(6)
+    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+    u[[i, i, j, j], [i, j, i, j]] = [c, -s, s, c]
+    return u
+
+
+def scalar_cases():
+    """name -> (params, field, matrix or None) for the scalar-layer records.
+
+    A case with a matrix diagonalizes that matrix instead of the case's
+    Hamiltonian (the Lambda calls still take the case's tensor and field).
+    """
+    ref = HyperfineTensor(166.9, 122.9, 90.0, -90.3)
+    zero = HyperfineTensor(0.0, 0.0, 0.0, 0.0)
+    flat = HyperfineTensor(150.0, 120.0, 0.0, 0.0)
+    zz = HyperfineTensor(0.0, 0.0, 1.0, 0.0)
+    cases = {
+        "ref_theta0": (ref, (40.3, 0.0, 0.0)),
+        "ref_theta0_phi90": (ref, (40.3, 0.0, 90.0)),
+        "ref_theta40_phi90": (ref, (40.3, 40.0, 90.0)),
+        "ref_theta90": (ref, (40.3, 90.0, 90.0)),  # LAMBDA_REASONS 1
+        "ref_theta90_phi0": (ref, (40.3, 90.0, 0.0)),
+        "ref_sta": (ref, (40.3, 5.008965663741781, 0.0)),
+        "ref_phi_rounds_to_360": (ref, (37.5, 12.0, -3.2751579226442118e-15)),
+        "ref_theta180": (ref, (40.3, 180.0, 45.0)),
+        "ref_b0": (ref, (0.0, 0.0, 0.0)),
+        "ref_1200G_theta2": (ref, (1200.0, 2.0, 30.0)),  # above the ms0/ms-1 crossing
+        "ref_1098G_theta20": (ref, (1098.0, 20.0, 0.0)),  # no labelling
+        "zero_b0": (zero, (0.0, 0.0, 0.0)),
+        "zero_30G_theta0": (zero, (30.0, 0.0, 0.0)),  # LAMBDA_REASONS 2
+        "zero_30G_theta60": (zero, (30.0, 60.0, 210.0)),
+        "flat_theta40": (flat, (40.3, 40.0, 90.0)),  # LAMBDA_REASONS 2
+        "a0_theta0": (HyperfineTensor(100.0, 80.0, 60.0, 0.0), (40.3, 0.0, 0.0)),
+    }
+    rng = np.random.default_rng(1300)
+    for k in range(20):
+        tensor = HyperfineTensor(*(float(x) for x in rng.uniform(-200, 200, size=4)))
+        field = tuple(float(x) for x in rng.uniform([0, 0, -360], [80, 180, 360]))
+        cases["random_%02d" % k] = (tensor, field)
+    out = {
+        name: (SystemParams(tensor=t), FieldOrientation(*f), None)
+        for name, (t, f) in cases.items()
+    }
+    params = SystemParams(tensor=ref)
+    field = FieldOrientation(40.3, 40.0, 90.0)
+    skew = build_hamiltonian(params, field)
+    skew[0, 1] += 1.0
+    # the lowest state half ms_plus, half ms0
+    half = _turn(0, 2, -45.0)
+    # states 0, 2 and 3 each 2/3 ms0: the third takes a full manifold
+    third = np.eye(6)
+    third[np.ix_([2, 3, 0], [2, 3, 0])] = [
+        np.array([1, -1, 0]) / math.sqrt(2),
+        np.array([1, 1, -2]) / math.sqrt(6),
+        np.array([1, 1, 1]) / math.sqrt(3),
+    ]
+    def turned(u):
+        return u @ np.diag(np.arange(6.0)) @ u.T
+
+    matrices = {
+        "eigen_not_hermitian": (params, skew),  # EIGEN_REASONS 1
+        "eigen_ambiguous": (params, turned(half)),  # EIGEN_REASONS 2
+        "eigen_ground_unresolved": (params, turned(third)),  # EIGEN_REASONS 3
+        # both ms_minus states overlap alpha_minus of zz within 5 %
+        "lambda_ambiguous": (SystemParams(tensor=zz), turned(_turn(4, 5, 44.5))),
+        # 0.587 pure ms_minus states: the first reason that holds wins
+        "lambda_impure_first": (SystemParams(tensor=zz), turned(
+            _turn(4, 5, 44.5) @ _turn(0, 4, 50.0) @ _turn(1, 5, 50.0))),
+    }
+    for name, (p, m) in matrices.items():
+        out[name] = (p, field, m)
+    return out
+
+
+def _outcome(fn, *args):
+    """(True, fn(*args)) or (False, the text of the ValueError it raises)."""
+    try:
+        return True, fn(*args)
+    except ValueError as exc:
+        return False, "error: %s" % exc
+
+
+def scalar_layer_records():
+    """name -> {output: digest or error text} for every ``scalar_cases`` case."""
+    records = {}
+    for name, (params, field, matrix) in scalar_cases().items():
+        h = build_hamiltonian(params, field)
+        rec = {"build_hamiltonian": _digest(h)}
+        ok, eig = _outcome(eigensystem, h if matrix is None else matrix)
+        if not ok:
+            rec["eigensystem"] = eig
+            records[name] = rec
+            continue
+        rec["eigensystem.values"] = _digest(eig.values)
+        rec["eigensystem.vectors"] = _digest(eig.vectors)
+        rec["eigensystem.labels"] = _digest(eig.labels)
+        for fn in (single_quantum_transitions, main_four_lines):
+            rec[fn.__name__] = _digest(*(
+                (ln.frequency, ln.amplitude, ln.from_state, ln.to_state) for ln in fn(eig)
+            ))
+        rec["zero_quantum_splitting_exact"] = _digest(zero_quantum_splitting_exact(eig))
+        for fn in (lambda_transition_amplitudes, lambda_system):
+            ok, out = _outcome(fn, eig, params.tensor, field)
+            rec[fn.__name__] = _digest(*out) if ok else out
+        records[name] = rec
+    return records
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     return cli_outputs(str(tmp_path_factory.mktemp("golden")))
@@ -144,6 +285,15 @@ def test_fit_results_are_golden():
         assert got[name] == want[name], name
 
 
+def test_scalar_layer_is_golden():
+    with open(os.path.join(GOLDEN, "scalar_layer.json")) as fh:
+        want = json.load(fh)
+    got = scalar_layer_records()
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], name
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -154,4 +304,7 @@ if __name__ == "__main__":
                 fh.write(text)
     with open(os.path.join(GOLDEN, "fits.json"), "w") as fh:
         json.dump(fit_records(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    with open(os.path.join(GOLDEN, "scalar_layer.json"), "w") as fh:
+        json.dump(scalar_layer_records(), fh, indent=1, sort_keys=True)
         fh.write("\n")

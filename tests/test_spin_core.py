@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nvbeat.estimation import _lambda_amplitudes
 from nvbeat.spin_core import (
     DRIVE_SX,
     EIGEN_REASONS,
@@ -15,10 +16,13 @@ from nvbeat.spin_core import (
     _fix_phases,
     build_hamiltonian,
     eigensystem,
+    eigensystems,
     ground_zeeman_states,
     hamiltonians,
     label_manifolds,
+    label_order,
     lambda_excited_index,
+    lambda_excited_states,
     lambda_transition_amplitudes,
     main_four_lines,
     nuclear_eigenstates_excited,
@@ -337,7 +341,8 @@ def test_label_manifolds_follows_the_walk():
     assert set(reason) == {0, 2, 3}
 
 
-def test_scalar_errors_keep_their_messages():
+def _eigen_failures():
+    """One (matrix, message) case per EIGEN_REASONS message, in its order."""
     h = build_hamiltonian(SYS, FieldOrientation(40.3, 40.0, 90.0))
     skew = h.copy()
     skew[0, 1] += 1.0
@@ -353,27 +358,35 @@ def test_scalar_errors_keep_their_messages():
         np.array([1, 1, 1]) / math.sqrt(3),
     ]
     diag = np.diag(np.arange(6.0))
-    cases = [  # one per EIGEN_REASONS message, in its order
+    return [
         (skew, "matrix is not Hermitian"),
         (u @ diag @ u.T, "manifold assignment ambiguous for state 0 "
          "(overlaps ms_plus=0.500 ms0=0.500 ms_minus=0.000)"),
         (w @ diag @ w.T, "ground manifold not resolved: labels ['ms0', 'ms_plus', 'ms0']"),
     ]
+
+
+def turn(i, j, deg):
+    """The 6x6 rotation by deg between basis states i and j."""
+    u = np.eye(6)
+    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+    u[[i, i, j, j], [i, j, i, j]] = [c, -s, s, c]
+    return u
+
+
+def turned(u):
+    """The eigensystem of diag(0..5) in the basis turned by u."""
+    return eigensystem(u @ np.diag(np.arange(6.0)) @ u.T)
+
+
+def test_scalar_errors_keep_their_messages():
+    cases = _eigen_failures()
     assert len(cases) == len(EIGEN_REASONS)
     for (m, message), template in zip(cases, EIGEN_REASONS):
         assert message.startswith(template.split("{")[0])
         with pytest.raises(ValueError) as err:
             eigensystem(m)
         assert str(err.value) == message
-
-    def turn(i, j, deg):
-        u = np.eye(6)
-        c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
-        u[[i, i, j, j], [i, j, i, j]] = [c, -s, s, c]
-        return u
-
-    def turned(u):
-        return eigensystem(u @ np.diag(np.arange(6.0)) @ u.T)
 
     f = FieldOrientation(40.3, 40.0, 90.0)
     flat = HyperfineTensor(150.0, 120.0, 0.0, 0.0)
@@ -404,3 +417,75 @@ def test_scalar_errors_keep_their_messages():
     for tensor in (zz, flat):
         with pytest.raises(ValueError, match=r"clean ms_minus state \(overlap 0.587\)"):
             lambda_excited_index(eig, tensor)
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def _raises_reason(call, reasons, code):
+    """call() raises the message of reason ``code``, up to its fields."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value).startswith(reasons[code - 1].split("{")[0])
+
+
+def test_scalar_calls_are_rows_of_the_batched_kernels():
+    # bit for bit (signed zeros included) on mixed stacks: random systems,
+    # the axis, 90 degrees, fields across the ms0/ms-1 crossing, and one
+    # failing matrix per EIGEN_REASONS code
+    rng = np.random.default_rng(14)
+    systems = [random_system(rng) for _ in range(60)]
+    systems += [(SYS, FieldOrientation(*f)) for f in (
+        (40.3, 0.0, 0.0), (40.3, 90.0, 90.0), (1200.0, 2.0, 30.0), (1098.0, 20.0, 0.0),
+        (0.0, 0.0, 0.0), (37.5, 12.0, -3.2751579226442118e-15),
+    )]
+    stack = [build_hamiltonian(p, f) for p, f in systems]
+    stack += [m for m, _ in _eigen_failures()]
+    values, vectors, labels, reason = eigensystems(np.stack(stack))
+    assert set(reason) == {0, 1, 2, 3}
+    for k, h in enumerate(stack):
+        if reason[k]:
+            _raises_reason(lambda: eigensystem(h), EIGEN_REASONS, reason[k])
+            continue
+        eig = eigensystem(h)
+        assert _bits(eig.values, eig.vectors, eig.labels) == _bits(
+            values[k], vectors[k], labels[k]
+        )
+
+    # the Lambda legs: one tensor over a field grid, as the STA search runs
+    theta = np.r_[rng.uniform(0, 180, 60), 0.0, 90.0, 45.0, 180.0]
+    phi = np.r_[rng.uniform(-360, 360, 60), 0.0, 90.0, -3.2751579226442118e-15, 45.0]
+    b = 40.3
+    codes = set()
+    for params in (SYS, SystemParams(tensor=HyperfineTensor(150.0, 120.0, 0.0, 0.0))):
+        op, om, ok = _lambda_amplitudes(params, b, theta, phi)
+        h = hamiltonians(params, b * unit_vectors(theta, wrap_azimuth(phi)))
+        _, vecs, lab, eig_reason = eigensystems(h)
+        lambda_reason = lambda_excited_states(vecs, label_order(lab), params.tensor)[3]
+        for k in range(len(theta)):
+            f = FieldOrientation(b, float(theta[k]), float(phi[k]))
+            assert not eig_reason[k]
+            eig = eigensystem(build_hamiltonian(params, f))
+            if ok[k]:
+                got = lambda_transition_amplitudes(eig, params.tensor, f)
+                assert [x.hex() for x in got] == [op[k].hex(), om[k].hex()]
+                continue
+            codes.add(int(lambda_reason[k]))
+            _raises_reason(
+                lambda: lambda_transition_amplitudes(eig, params.tensor, f),
+                LAMBDA_REASONS, lambda_reason[k],
+            )
+    # the ambiguous code needs a built matrix: ms_minus turned 44.5 degrees
+    zz = HyperfineTensor(0.0, 0.0, 1.0, 0.0)
+    eigs = [turned(turn(4, 5, deg)) for deg in (10.0, 44.5, 60.0)]
+    vectors = np.stack([e.vectors for e in eigs])
+    order = label_order(np.stack([e.labels for e in eigs]))
+    excited, _, _, code = lambda_excited_states(vectors, order, zz)
+    for eig, ex, c in zip(eigs, excited, code):
+        if c:
+            codes.add(int(c))
+            _raises_reason(lambda: lambda_excited_index(eig, zz), LAMBDA_REASONS, c)
+        else:
+            assert lambda_excited_index(eig, zz) == ex
+    assert codes == {1, 2, 3}
