@@ -1,15 +1,15 @@
 """Parameter estimation: datasets, fitting, sensitivities, axis searches.
 
 The forward model everywhere is exact diagonalization of the 6x6
-Hamiltonian. Fits run a damped Gauss-Newton iteration on a joint
-inverse-variance chi^2 over single-quantum line frequencies and
-zero-quantum splittings; their Jacobian is exact, the Hellmann-Feynman
-derivatives of the model's eigenvalues. With a_zz and a both free the
-iteration steps in valley coordinates, r = hypot(a_zz, a) and
-psi = atan2(a, a_zz), along the soft curved valley that single-axis data
-leave (Transtrum, Machta & Sethna, PRL 104, 060201 (2010)), once r is
-past 40/3 MHz; psi moves at most 0.3 rad per iteration. Results are
-reported in PARAM_IDS.
+Hamiltonian. Fits run a damped Gauss-Newton iteration, one model
+evaluation per pass, on a joint inverse-variance chi^2 over
+single-quantum line frequencies and zero-quantum splittings; their
+Jacobian is exact, the Hellmann-Feynman derivatives of the model's
+eigenvalues. With a_zz and a both free the iteration steps in valley
+coordinates, r = hypot(a_zz, a) and psi = atan2(a, a_zz), along the soft
+curved valley that single-axis data leave (Transtrum, Machta & Sethna,
+PRL 104, 060201 (2010)), once r is past 40/3 MHz; psi moves at most 0.3
+rad per iteration. Results are reported in PARAM_IDS.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_core import (
+    _MAIN_LINES,
     _OP_TENSOR,
     _OP_ZEEMAN,
     FieldOrientation,
@@ -129,6 +130,7 @@ class FitResult:
     n_iterations: int
     converged: bool
     residuals: np.ndarray  # value - model, per point, point units
+    stop_reason: str = "chi2_stalled"  # or "damping_cap", "max_iterations"
 
 
 @dataclass(frozen=True)
@@ -273,7 +275,7 @@ def _sq_lines(w, vecs, order, data):
     state.
     """
     at = data.dist[data.sq]
-    lo, hi = order[at][:, [2, 2, 3, 3]], order[at][:, [4, 5, 4, 5]]
+    lo, hi = (order[at][:, m] for m in _MAIN_LINES)
     rows = np.arange(len(at))
     wa = w[at]
     freqs = np.abs(wa[rows[:, None], hi] - wa[rows[:, None], lo])
@@ -430,15 +432,22 @@ def fit_hyperfine(
 
     Free parameters default to all of PARAM_IDS; names in ``fixed`` are
     held at their initial values. With b free a single global field
-    strength is fitted and the per-point b column is ignored; with b
-    fixed the column is used. An SQ point with a ``transition_index`` is
-    fitted to that line, in ascending frequency; one without is fitted to
-    the nearest line. Damped Gauss-Newton: the normal equations carry an
-    adaptive Marquardt damping term and each step passes a halving line
-    search. The Jacobian, in the iterations and in the final covariance,
-    is exact: Hellmann-Feynman derivatives from one eigensolve at the
-    accepted vector (``_jacobian``). Convergence requires relative chi^2
-    change < 1e-10 or gradient norm < 1e-8 on 3 consecutive iterations.
+    strength is fitted and the per-point b column is ignored; with b fixed
+    the column is used. An SQ point with a ``transition_index`` is fitted
+    to that line, in ascending frequency; one without is fitted to the
+    nearest line. The Jacobian, in the iterations and in the final
+    covariance, is exact: Hellmann-Feynman derivatives from one eigensolve
+    at the accepted vector (``_jacobian``).
+
+    Marquardt-damped Gauss-Newton, one model evaluation per pass: a step
+    that lowers chi^2 is taken and sets mu *= max(1/3, 1 - (2 rho - 1)^3),
+    rho the ratio of actual to predicted drop; else the Jacobian stays and
+    mu *= nu, nu doubling per rejection in a row (Nielsen,
+    IMM-REP-1999-05). ``n_iterations`` counts passes, rejected ones too.
+    ``stop_reason``: "chi2_stalled" (converged) after 3 taken steps in a
+    row with relative chi^2 change < 1e-10 or gradient norm < 1e-8;
+    "damping_cap" on a step rejected at mu = 1e8, the rounding floor
+    (converged if its chi^2 was finite); else "max_iterations".
 
     With a_zz and a both free and r = hypot(a_zz, a) at least 40/3 MHz
     (where r's cap below leaves its floor), the iteration steps in valley
@@ -447,8 +456,8 @@ def fit_hyperfine(
     coordinates until r grows.
     The data pin r but barely the angle psi, so the fit walks a curved
     valley that these coordinates straighten. The step's Jacobian is the
-    exact one by the chain rule (``_valley_jacobian``). Each iteration
-    caps r, like every tensor component, at max(2, 0.15 |r|) MHz and psi
+    exact one by the chain rule (``_valley_jacobian``). Each pass caps
+    r, like every tensor component, at max(2, 0.15 |r|) MHz and psi
     at 0.3 rad; psi is capped by raising the damping on its diagonal alone
     (x4 until the step fits), which keeps the step downhill. The rank
     check, the trial vectors, the covariance, the sigmas and the
@@ -502,15 +511,14 @@ def fit_hyperfine(
             return math.inf
 
     keep = {}
-    fvec = model(vec, keep)
-    resid = (fvec - values) / sigmas
+    resid = (model(vec, keep) - values) / sigmas
     chi2 = chi2_of(resid)
     if not math.isfinite(chi2):
         raise ValueError("chi^2 not finite at the initial guess; check the data values")
     consecutive = 0
-    converged = False
+    converged, stop_reason = False, "max_iterations"
     n_iter = 0
-    mu = 1e-3
+    mu, nu = 1e-3, 2.0
     need_jac = True
     both = 2 in free and 3 in free  # (r, psi) steps possible, see the docstring
     psi = free.index(3) if both else None
@@ -538,51 +546,41 @@ def fit_hyperfine(
                 lhs[psi, psi] += 3.0 * extra
                 extra *= 4.0
                 step = np.linalg.solve(lhs, -0.5 * grad)
-        # per-iteration trust cap: large raw steps jump between basins
-        # (an x/y-swapped tensor with phi_offset near +-90 is a sticky
-        # false minimum); the line search then polishes within the cap
+        # per-pass trust cap: large raw steps jump between basins (an
+        # x/y-swapped tensor with phi_offset near +-90 is a sticky false minimum)
         cap = np.maximum(2.0, 0.15 * np.abs(u[free]))
         for col, pi in enumerate(free):
             if pi == 5:
                 cap[col] = 5.0  # degrees per iteration
         over = np.max(np.abs(step) / cap)
-        scale0 = 1.0 if over <= 1.0 else 1.0 / over
-        scale = scale0
-        improved = False
-        for _ in range(25):
-            trial = u.copy()
-            trial[free] += scale * step
-            if valley:
-                trial = _from_valley(trial)
-            trial_keep = {}
-            try:
-                trial_f = model(trial, trial_keep)
-            except ValueError:
-                # trial point outside the model's labelable regime
-                scale *= 0.5
-                continue
-            trial_resid = (trial_f - values) / sigmas
-            trial_chi2 = chi2_of(trial_resid)
-            if trial_chi2 < chi2:
-                improved = True
+        scale = 1.0 if over <= 1.0 else 1.0 / over
+        trial = u.copy()
+        trial[free] += scale * step
+        trial = _from_valley(trial) if valley else trial
+        trial_keep = {}
+        try:
+            trial_resid = (model(trial, trial_keep) - values) / sigmas
+        except ValueError:
+            trial_resid = None  # trial point outside the labelable regime
+        trial_chi2 = math.inf if trial_resid is None else chi2_of(trial_resid)
+        if not trial_chi2 < chi2:
+            if mu >= 1e8:
+                converged, stop_reason = math.isfinite(trial_chi2), "damping_cap"
                 break
-            scale *= 0.5
-        if improved:
-            rel_change = (chi2 - trial_chi2) / max(chi2, 1e-300)
-            vec, fvec, resid, chi2 = trial, trial_f, trial_resid, trial_chi2
-            keep = trial_keep
-            mu = max(mu / 3.0, 1e-12) if scale == scale0 else min(mu * 2.0, 1e8)
-            need_jac = True
-        else:
-            rel_change = 0.0
-            mu = min(mu * 10.0, 1e8)
-            need_jac = False
+            mu, nu, need_jac = min(mu * nu, 1e8), 2.0 * nu, False
+            continue
+        pred = -(scale * grad @ step + scale * scale * step @ jtj @ step)
+        rho = (chi2 - trial_chi2) / max(pred, 1e-300)
+        mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-12)
+        nu, need_jac = 2.0, True
+        rel_change = (chi2 - trial_chi2) / max(chi2, 1e-300)
+        vec, resid, chi2, keep = trial, trial_resid, trial_chi2, trial_keep
         if rel_change < 1e-10 or np.linalg.norm(grad) < 1e-8:
             consecutive += 1
         else:
             consecutive = 0
         if consecutive >= 3:
-            converged = True
+            converged, stop_reason = True, "chi2_stalled"
             break
 
     if 3 in free and 5 in free and not -90.0 < vec[5] <= 90.0:
@@ -616,6 +614,7 @@ def fit_hyperfine(
         n_iterations=n_iter,
         converged=converged,
         residuals=-resid * sigmas,
+        stop_reason=stop_reason,
     )
 
 
