@@ -339,10 +339,10 @@ def test_fit_recovers_truth_from_far_starts():
 # acceptance 6: SQ at the searched STA, find_single_transition_axis(SYS, 40.3),
 # and its first start, the truth's tensor scaled by 1 +- 0.2 from default_rng(7)
 A6_DESIGN = [(5.01, 0.0, "sq_frequency")] + STA_PHI[1:]
-A6_START = FitParams(*(
-    v * f for v, f in zip(dataclasses.astuple(TRUTH)[:4],
-                          1.0 + 0.2 * np.random.default_rng(7).choice([-1.0, 1.0], size=4))
-), b=40.3)
+A6_FACTORS = 1.0 + 0.2 * np.random.default_rng(7).choice([-1.0, 1.0], size=4)
+A6_START = FitParams(
+    *(v * f for v, f in zip(dataclasses.astuple(TRUTH)[:4], A6_FACTORS)), b=40.3
+)
 
 
 @pytest.mark.parametrize("seed, max_iterations, reason", [
