@@ -339,6 +339,7 @@ def cmd_fit(cfg, args) -> str:
     rows.append("dof = %d" % dof)
     rows.append("iterations = %d" % result.n_iterations)
     rows.append("converged = %s" % ("yes" if result.converged else "no"))
+    rows.append("stop_reason = %s" % result.stop_reason)
     if args.bootstrap > 0:
         sig = _bootstrap_sigmas(dataset, result, fixed, args.bootstrap, cfg["seed"])
         for name in PARAM_IDS:

@@ -212,8 +212,11 @@ class _FitData:
     """A dataset as the fit's arrays, plus its distinct (theta, phi, b) points.
 
     ``zq``/``sq`` index the zq_frequency/sq_frequency data points and
-    ``dist`` maps every data point into the list of distinct points.
-    ``sq_index`` is each SQ point's ``transition_index``, -1 when it has none.
+    ``dist`` maps every data point into the list of distinct points, which
+    are every point's (theta, phi, b) bits in ascending signed-int64 order.
+    ``sq_index`` is each SQ point's ``transition_index``, -1 when it has
+    none; ``sq_free`` lists those SQ rows. The rest are per-fit constants
+    of ``_forward_model`` and ``_jacobian``.
     """
 
     def __init__(self, dataset: ScanDataset):
@@ -229,11 +232,10 @@ class _FitData:
         self.phi = np.array([p.phi for p in pts])
         keys = np.stack([self.theta, self.phi, [p.b for p in pts]], axis=1)
         # keyed on the bits, so 0.0 and -0.0 stay apart as in the Hamiltonian
-        first, inverse = np.unique(
-            keys.view(np.int64), axis=0, return_index=True, return_inverse=True
-        )[1:]
-        self.dist = inverse.reshape(-1)
-        th, self.phi_dist, self.b_dist = keys[first].T
+        bits = [tuple(k) for k in keys.view(np.int64).tolist()]
+        where = {k: i for i, k in enumerate(sorted(set(bits)))}
+        self.dist = np.array([where[k] for k in bits], dtype=np.intp)
+        th, self.phi_dist, self.b_dist = np.reshape(list(where), (-1, 3)).view(float).T
         self.sin_t, self.cos_t = np.sin(np.radians(th)), np.cos(np.radians(th))
         zq = np.array([p.kind == "zq_frequency" for p in pts], dtype=bool)
         self.zq, self.sq = np.nonzero(zq)[0], np.nonzero(~zq)[0]
@@ -242,23 +244,10 @@ class _FitData:
              for k in self.sq],
             dtype=int,
         )
-
-
-def _field(vec, data):
-    """Field magnitude (G) and azimuth (rad) at every distinct point.
-
-    A nan in the b slot of vec takes the per-point b column.
-    """
-    b = np.where(np.isnan(vec[4]), data.b_dist, vec[4])
-    return b, np.radians(data.phi_dist + vec[5])
-
-
-def _hamiltonians(params, vec, data):
-    """Hamiltonians (distinct points, 6, 6) at a parameter vector (6,)."""
-    b, ph = _field(vec, data)
-    bs = b * data.sin_t
-    bvec = np.stack([bs * np.cos(ph), bs * np.sin(ph), b * data.cos_t], axis=-1)
-    return hamiltonians(params, bvec, vec[:4])
+        self.sq_at, self.sq_rows = self.dist[self.sq], np.arange(len(self.sq))
+        self.sq_free = np.nonzero(self.sq_index < 0)[0].tolist()
+        self.dist2, self.ms0_pair = np.tile(self.dist, 2), np.repeat([2, 3], len(pts))
+        self.sin_at, self.cos_at = self.sin_t[self.dist], self.cos_t[self.dist]
 
 
 def _sq_lines(w, vecs, order, data):
@@ -274,14 +263,13 @@ def _sq_lines(w, vecs, order, data):
     are comparable too. Returns (lo, hi): each point's ms0 and ms_minus
     state.
     """
-    at = data.dist[data.sq]
-    lo, hi = (order[at][:, m] for m in _MAIN_LINES)
-    rows = np.arange(len(at))
-    wa = w[at]
-    freqs = np.abs(wa[rows[:, None], hi] - wa[rows[:, None], lo])
+    at, rows = data.sq_at, data.sq_rows
+    lo, hi = states = order[at[:, None], _MAIN_LINES[:, None]]
+    e = w[at[:, None], states]
+    freqs = np.abs(e[1] - e[0])
     # the line of each indexed point; unindexed points are set below
     col = np.argsort(freqs, axis=1, kind="stable")[rows, data.sq_index]
-    for r in np.nonzero(data.sq_index < 0)[0]:
+    for r in data.sq_free:
         k = int(data.sq[r])
         dist = np.abs(freqs[r] - data.values[k])
         best, second = np.argsort(dist)[:2]
@@ -311,26 +299,37 @@ def _forward_model(params, vec, data, keep=None):
     solve: a ZQ point's ms0 pair, an SQ point's line from ``_sq_lines``.
     ``model_values`` runs this model at the truth, so synthetic data,
     ``zq-scan`` and the fit share it. With a dict ``keep``, the call
-    leaves there what ``_jacobian`` reuses at this vector: the solve ("w",
-    "vecs") and each point's lower and upper state ("lo", "hi").
+    leaves there what ``_jacobian`` reuses at this vector: the eigenvectors
+    ("vecs"), every point's lower then upper state ("states", (2n,)), its
+    signed gap ("gap"), and per distinct point b in G ("b", a scalar unless
+    the b slot is nan) and the azimuth's cosine and sine ("cph", "sph").
     """
     vec = np.asarray(vec, dtype=float)
-    w, vecs = np.linalg.eigh(_hamiltonians(params, vec, data))
+    b = data.b_dist if math.isnan(vec[4]) else vec[4]
+    ph = np.radians(data.phi_dist + vec[5])
+    cph, sph = np.cos(ph), np.sin(ph)
+    bs = b * data.sin_t
+    bvec = np.empty((len(ph), 3))
+    bvec[:, 0], bvec[:, 1], bvec[:, 2] = bs * cph, bs * sph, b * data.cos_t
+    w, vecs = np.linalg.eigh(hamiltonians(params, bvec, vec[:4]))
     labels, reason = label_manifolds(manifold_overlaps(vecs))
-    at = data.dist
-    if reason[at].any():
-        k = int(np.argmax(reason[at] > 0))
+    if reason.any():  # every distinct point belongs to a data point
+        k = int(np.argmax(reason[data.dist] > 0))
         raise ValueError(
             "manifold assignment ambiguous in forward model at point %d "
             "(theta=%.3f phi=%.3f)" % (k, data.theta[k], data.phi[k])
         )
     order = label_order(labels)
-    lo, hi = order[at, 2], order[at, 3]  # the ms0 pair, for ZQ points
+    n = len(data.dist)
+    states = order[data.dist2, data.ms0_pair]  # the ms0 pair, for ZQ points
     if len(data.sq):
+        lo, hi = states[:n], states[n:]
         lo[data.sq], hi[data.sq] = _sq_lines(w, vecs, order, data)
+    e = w[data.dist2, states]
+    gap = e[n:] - e[:n]
     if keep is not None:
-        keep.update(w=w, vecs=vecs, lo=lo, hi=hi)
-    return np.abs(w[at, hi] - w[at, lo])
+        keep.update(vecs=vecs, states=states, gap=gap, b=b, cph=cph, sph=sph)
+    return np.abs(gap)
 
 
 @functools.lru_cache(maxsize=8)
@@ -361,24 +360,25 @@ def _jacobian(params, vec, data, keep=None):
     if keep is None:
         keep = {}
         _forward_model(params, vec, data, keep)
-    w, vecs, lo, hi = keep["w"], keep["vecs"], keep["lo"], keep["hi"]
-    at = data.dist
-    n = len(at)
-    s = np.concatenate([vecs[at, :, lo], vecs[at, :, hi]])
+    vecs, states = keep["vecs"], keep["states"]
+    n = len(data.dist)
+    s = vecs[data.dist2, :, states]
     # <s|O|s> of the seven operators, (7, 2n): one matmul, then
     # Re(conj(s) O s) as one sum over interleaved real and imaginary parts
     ops = _derivative_operators(params.gamma_e, params.gamma_n)
     x = (s @ ops.T).view(float).reshape(len(s), 7, 12)
     e = (x * s.view(float)[:, None]).sum(axis=-1).T
     # per data point, the change of each expectation value along its gap
-    de = np.sign(w[at, hi] - w[at, lo]) * (e[:, n:] - e[:, :n])
-    b, ph = (f[at] for f in _field(np.asarray(vec, dtype=float), data))
-    sin_t, cos_t = data.sin_t[at], data.cos_t[at]
+    de = np.sign(keep["gap"]) * (e[:, n:] - e[:, :n])
+    b, cph, sph = keep["b"], keep["cph"][data.dist], keep["sph"][data.dist]
+    if np.ndim(b):  # the per-point b column
+        b = b[data.dist]
+    sin_t, cos_t = data.sin_at, data.cos_at
     gx, gy, gz = de[4:]
     out = np.empty((n, 6))
     out[:, :4] = de[:4].T
-    out[:, 4] = sin_t * (np.cos(ph) * gx + np.sin(ph) * gy) + cos_t * gz
-    out[:, 5] = np.radians(b * sin_t * (np.cos(ph) * gy - np.sin(ph) * gx))
+    out[:, 4] = sin_t * (cph * gx + sph * gy) + cos_t * gz
+    out[:, 5] = np.radians(b * sin_t * (cph * gy - sph * gx))
     return out
 
 
@@ -465,8 +465,11 @@ def fit_hyperfine(
     other case the step is taken in PARAM_IDS coordinates.
 
     Raises ValueError("degenerate parameter direction: ...") when the
-    Jacobian loses rank, naming the unconstrained combination; raises when
-    chi^2 or the covariance is not finite.
+    Jacobian loses rank, naming the unconstrained combination. That check
+    (``_check_rank``) runs on two Jacobians only: the first, before any
+    step, and the final one, which gives the covariance; a loss of rank in
+    mid-fit does not stop the iteration. Raises when chi^2 or the
+    covariance is not finite.
     """
     fixed = frozenset(fixed)
     for name in fixed:
@@ -502,11 +505,9 @@ def fit_hyperfine(
     def chi2_of(r):
         # exact summation: noiseless datasets weight chi^2 to ~1e10 where
         # plain accumulation hides real sub-unit improvements; an overflow
-        # gives inf, which the caller rejects
-        with np.errstate(over="ignore"):
-            terms = (r * r).tolist()
+        # gives inf (Python floats square silently), which the caller rejects
         try:
-            return math.fsum(terms)
+            return math.fsum([x * x for x in r.tolist()])
         except OverflowError:
             return math.inf
 
@@ -522,11 +523,14 @@ def fit_hyperfine(
     need_jac = True
     both = 2 in free and 3 in free  # (r, psi) steps possible, see the docstring
     psi = free.index(3) if both else None
+    phi_col = free.index(5) if 5 in free else None
+    cols, diag = np.array(free), np.diag_indices(len(free))
     u = grad = jtj = damp = None
     for n_iter in range(1, max_iterations + 1):
         if need_jac:
             jac = jacobian(vec, keep)
-            _check_rank(jac[:, free], free)
+            if n_iter == 1:
+                _check_rank(jac[:, free], free)
             valley = both and math.hypot(vec[2], vec[3]) >= _VALLEY_R
             u = _to_valley(vec) if valley else vec
             if valley:
@@ -534,28 +538,28 @@ def fit_hyperfine(
             jac = jac[:, free]
             grad = 2.0 * jac.T @ resid
             jtj = jac.T @ jac
-            damp = np.diag(np.clip(np.diag(jtj), 1e-300, None))
-        lhs = jtj + mu * damp
+            damp = np.clip(np.diag(jtj), 1e-300, None)
+        lhs = jtj.copy()
+        lhs[diag] += mu * damp
         step = np.linalg.solve(lhs, -0.5 * grad)
         if valley:
             # psi moves at most _PSI_CAP: its damping alone grows x4 until
             # the step fits, which keeps the step downhill (scaling the
             # whole step lets psi run first, into a second minimum)
-            extra = mu * damp[psi, psi]
+            extra = mu * damp[psi]
             while abs(step[psi]) > _PSI_CAP:
                 lhs[psi, psi] += 3.0 * extra
                 extra *= 4.0
                 step = np.linalg.solve(lhs, -0.5 * grad)
         # per-pass trust cap: large raw steps jump between basins (an
         # x/y-swapped tensor with phi_offset near +-90 is a sticky false minimum)
-        cap = np.maximum(2.0, 0.15 * np.abs(u[free]))
-        for col, pi in enumerate(free):
-            if pi == 5:
-                cap[col] = 5.0  # degrees per iteration
+        cap = np.maximum(2.0, 0.15 * np.abs(u[cols]))
+        if phi_col is not None:
+            cap[phi_col] = 5.0  # degrees per iteration
         over = np.max(np.abs(step) / cap)
         scale = 1.0 if over <= 1.0 else 1.0 / over
         trial = u.copy()
-        trial[free] += scale * step
+        trial[cols] += scale * step
         trial = _from_valley(trial) if valley else trial
         trial_keep = {}
         try:
@@ -575,7 +579,7 @@ def fit_hyperfine(
         nu, need_jac = 2.0, True
         rel_change = (chi2 - trial_chi2) / max(chi2, 1e-300)
         vec, resid, chi2, keep = trial, trial_resid, trial_chi2, trial_keep
-        if rel_change < 1e-10 or np.linalg.norm(grad) < 1e-8:
+        if rel_change < 1e-10 or math.sqrt(grad @ grad) < 1e-8:
             consecutive += 1
         else:
             consecutive = 0

@@ -151,6 +151,7 @@ _OP_SZ2 = np.kron(_E.sz @ _E.sz, _ID2).astype(complex)
 # the field terms: Sx, Sy, Sz (electron row) and Ix, Iy, Iz (nuclear row)
 _OP_ZEEMAN = np.array([[np.kron(m, _ID2) for m in (_E.sx, _E.sy, _E.sz)],
                        [np.kron(_ID3, m) for m in (_N.sx, _N.sy, _N.sz)]], dtype=complex)
+_OP_FIELD = tuple(_OP_ZEEMAN[:, k] for k in range(3))  # (2, 6, 6) per component
 # the tensor terms: Sx Ix, Sy Iy, Sz Iz and Sz Ix + Sx Iz
 _OP_TENSOR = np.array([
     np.kron(_E.sx, _N.sx), np.kron(_E.sy, _N.sy), np.kron(_E.sz, _N.sz),
@@ -215,10 +216,14 @@ def hamiltonians(params: SystemParams, bvec, tensor=None) -> np.ndarray:
         t = params.tensor
         tensor = (t.a_xx, t.a_yy, t.a_zz, t.a)
     tensor = np.asarray(tensor, dtype=float)
-    # every product and sum of the formula above in its order; the
-    # products of one kind in one stacked multiply
-    gamma = np.array([params.gamma_e, params.gamma_n])[:, None, None]
-    zeeman = gamma * np.add.reduce(bvec[..., None, :, None, None] * _OP_ZEEMAN, axis=-3)
+    # every product and sum of the formula above in its order: the field
+    # terms one component at a time, electron and nuclear rows together (no
+    # temporary holds all three), the tensor products in one multiply
+    b = bvec[..., None, None, None]
+    zeeman = b[..., 0, :, :, :] * _OP_FIELD[0]
+    zeeman += b[..., 1, :, :, :] * _OP_FIELD[1]
+    zeeman += b[..., 2, :, :, :] * _OP_FIELD[2]
+    zeeman *= np.array([params.gamma_e, params.gamma_n])[:, None, None]
     terms = tensor[..., :, None, None] * _OP_TENSOR
     h = params.d * _OP_SZ2 + zeeman[..., 0, :, :] + zeeman[..., 1, :, :]
     h = h + terms[..., 0, :, :]  # now shaped for the rows of bvec and tensor

@@ -7,16 +7,23 @@ import json
 import os
 import sys
 
+import numpy as np
+
 SPANS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "spans.py"
 )
 
 
-def test_tracer_targets_resolve():
-    # a renamed or deleted function would otherwise break only --trace 1
+def _spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_tracer_targets_resolve():
+    # a renamed or deleted function would otherwise break only --trace 1
+    spans = _spans()
     assert spans.TARGETS
     for module, function, _ in spans.TARGETS:
         target = getattr(importlib.import_module(module), function, None)
@@ -45,3 +52,29 @@ def test_workloads_run_against_the_package(tmp_path):
         del sys.modules[spec.name]
     assert len(ops) == 3
     assert all(op.ok for op in ops), [(op.name, op.detail) for op in ops]
+
+
+def test_tracer_counts_one_fit():
+    # the per-layer fit metrics read _forward_model's second positional
+    # argument as the vector, see its calls through the module global and
+    # count its solves through np.linalg.eigh
+    from nvbeat import estimation
+    from nvbeat.spin_core import HyperfineTensor, SystemParams
+
+    truth = estimation.FitParams(166.9, 122.9, 90.0, -90.3, 40.3)
+    design = [(5.01, 0.0, "sq_frequency")]
+    design += [(40.0, float(p), "zq_frequency") for p in np.linspace(-90, 90, 19)]
+    ds = estimation.synthesize_dataset(
+        SystemParams(tensor=HyperfineTensor(166.9, 122.9, 90.0, -90.3)), 40.3, design
+    )
+    start = estimation.FitParams(200.0, 100.0, 110.0, -75.0, 40.3)
+    tracer = _spans().Tracer()
+    result = tracer.traced("fit", lambda: estimation.fit_hyperfine(ds, start))
+    assert result.converged and abs(result.params.a_xx - truth.a_xx) < 1e-6
+    m = tracer.agg.layer_metrics()
+    calls = m["estimation.forward_model.calls"]
+    assert calls > 2
+    assert m["estimation.forward_model.rows"] == calls
+    assert m["linalg.eigh.calls"] == calls
+    assert m["linalg.eigh.matrices"] == 20 * calls
+    assert len(tracer.agg.fits) == 1

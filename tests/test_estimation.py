@@ -439,11 +439,40 @@ def test_forward_model_and_jacobian_mirror_phi():
     assert np.abs(jac - jac_m * [1, 1, 1, 1, 1, -1]).max() < 1e-9 * np.abs(jac).max()
 
 
-def test_zq_only_fit_is_degenerate():
+def test_zq_only_fit_is_degenerate(monkeypatch):
     design = [(40.0, float(p), "zq_frequency") for p in np.linspace(-90, 90, 19)]
     ds = synthesize_dataset(SYS, b=40.3, design=design, noise_sigma=None, seed=0)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return _forward_model(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_forward_model", counting)
     with pytest.raises(ValueError, match="degenerate parameter direction"):
         fit_hyperfine(ds, TRUTH)
+    # the rank check of the first Jacobian raises before any step is tried
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("design, start", [
+    (DESIGN2, FitParams(160.0, 130.0, 95.0, -85.0, 40.3, 0.0)),
+    (A6_DESIGN, A6_START),
+], ids=["two_theta", "sta_phi"])
+def test_rank_checked_at_the_ends_only(monkeypatch, design, start):
+    # on the first Jacobian and on the final covariance, never in mid-fit
+    ds = synthesize_dataset(SYS, b=40.3, design=design, noise_sigma=NOISE, seed=100)
+    shapes = []
+
+    def counting(jac, free):
+        shapes.append(jac.shape)
+        return check_rank(jac, free)
+
+    check_rank = estimation._check_rank
+    monkeypatch.setattr(estimation, "_check_rank", counting)
+    r = fit_hyperfine(ds, start)
+    assert r.converged and r.n_iterations > 2
+    assert shapes == [(len(ds), 6)] * 2
 
 
 def test_fit_input_checks():
