@@ -9,7 +9,9 @@ eigenvalues. With a_zz and a both free the iteration steps in valley
 coordinates, r = hypot(a_zz, a) and psi = atan2(a, a_zz), along the soft
 curved valley that single-axis data leave (Transtrum, Machta & Sethna,
 PRL 104, 060201 (2010)), once r is past 40/3 MHz; psi moves at most 0.3
-rad per iteration. Results are reported in PARAM_IDS.
+rad per iteration, with a geodesic acceleration from the second-order
+perturbation theory of the pass's own eigensolve. Results are reported
+in PARAM_IDS.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ class FitResult:
     n_iterations: int
     converged: bool
     residuals: np.ndarray  # value - model, per point, point units
-    stop_reason: str = "chi2_stalled"  # or "damping_cap", "max_iterations"
+    stop_reason: str = "chi2_stalled"  # or "grad_small", "damping_cap", "max_iterations"
 
 
 @dataclass(frozen=True)
@@ -299,10 +301,11 @@ def _forward_model(params, vec, data, keep=None):
     solve: a ZQ point's ms0 pair, an SQ point's line from ``_sq_lines``.
     ``model_values`` runs this model at the truth, so synthetic data,
     ``zq-scan`` and the fit share it. With a dict ``keep``, the call
-    leaves there what ``_jacobian`` reuses at this vector: the eigenvectors
-    ("vecs"), every point's lower then upper state ("states", (2n,)), its
-    signed gap ("gap"), and per distinct point b in G ("b", a scalar unless
-    the b slot is nan) and the azimuth's cosine and sine ("cph", "sph").
+    leaves there what ``_jacobian`` and ``_second_directional`` reuse at
+    this vector: the eigenvalues ("w") and eigenvectors ("vecs"), every
+    point's lower then upper state ("states", (2n,)), its signed gap
+    ("gap"), and per distinct point b in G ("b", a scalar unless the b slot
+    is nan) and the azimuth's cosine and sine ("cph", "sph").
     """
     vec = np.asarray(vec, dtype=float)
     b = data.b_dist if math.isnan(vec[4]) else vec[4]
@@ -328,7 +331,7 @@ def _forward_model(params, vec, data, keep=None):
     e = w[data.dist2, states]
     gap = e[n:] - e[:n]
     if keep is not None:
-        keep.update(vecs=vecs, states=states, gap=gap, b=b, cph=cph, sph=sph)
+        keep.update(w=w, vecs=vecs, states=states, gap=gap, b=b, cph=cph, sph=sph)
     return np.abs(gap)
 
 
@@ -355,7 +358,9 @@ def _jacobian(params, vec, data, keep=None):
     in ``_derivative_operators``, dH/db = sin(theta) (cos(phi) G_x +
     sin(phi) G_y) + cos(theta) G_z and dH/dphi_offset = (pi/180) b
     sin(theta) (cos(phi) G_y - sin(phi) G_x). Columns follow PARAM_IDS;
-    with a nan b slot the b column is meaningless.
+    with a nan b slot the b column is meaningless. It adds to ``keep`` what
+    ``_second_directional`` reads: O s per state and operator ("ops_s"),
+    ``de`` and the result ("jac").
     """
     if keep is None:
         keep = {}
@@ -366,8 +371,8 @@ def _jacobian(params, vec, data, keep=None):
     # <s|O|s> of the seven operators, (7, 2n): one matmul, then
     # Re(conj(s) O s) as one sum over interleaved real and imaginary parts
     ops = _derivative_operators(params.gamma_e, params.gamma_n)
-    x = (s @ ops.T).view(float).reshape(len(s), 7, 12)
-    e = (x * s.view(float)[:, None]).sum(axis=-1).T
+    ops_s = (s @ ops.T).reshape(len(s), 7, 6)
+    e = (ops_s.view(float) * s.view(float)[:, None]).sum(axis=-1).T
     # per data point, the change of each expectation value along its gap
     de = np.sign(keep["gap"]) * (e[:, n:] - e[:, :n])
     b, cph, sph = keep["b"], keep["cph"][data.dist], keep["sph"][data.dist]
@@ -379,11 +384,57 @@ def _jacobian(params, vec, data, keep=None):
     out[:, :4] = de[:4].T
     out[:, 4] = sin_t * (cph * gx + sph * gy) + cos_t * gz
     out[:, 5] = np.radians(b * sin_t * (cph * gy - sph * gx))
+    keep.update(ops_s=ops_s, de=de, jac=out)
     return out
+
+
+def _second_directional(data, keep, dx, ddx):
+    """Second derivative (n,) of ``_forward_model`` along vec + t dx + t^2 ddx / 2.
+
+    Second-order perturbation theory on the solve that ``_forward_model``
+    and ``_jacobian`` left in ``keep`` at vec: lambda_k'' = <k|H''|k> +
+    2 sum_{j != k} |<j|H'|k>|^2 / (lambda_k - lambda_j), H' = sum_p dx_p
+    dH/dp, H'' = sum_p ddx_p dH/dp + 2 dx_b dx_phi (pi/180) sin(theta)
+    (cos(phi) G_y - sin(phi) G_x) - dx_phi^2 (pi/180)^2 b sin(theta)
+    (cos(phi) G_x + sin(phi) G_y), G_c of ``_derivative_operators``. The
+    first call at a vector keeps its per-solve arrays there ("pt2"). With a
+    nan b slot, dx and ddx must be 0 there. nan where two levels coincide.
+    """
+    n = len(data.dist)
+    if "pt2" not in keep:
+        rows, lam, states = np.arange(2 * n), keep["w"][data.dist2], keep["states"]
+        gaps = lam[rows, states][:, None] - lam
+        gaps[:n] *= -1.0  # the upper state's sum less the lower's
+        gaps[gaps == 0.0] = np.nan  # coinciding levels: nan, quietly
+        gaps[rows, states] = np.inf  # j = k drops out of the sum
+        inv_gap = np.repeat((1.0 / gaps).reshape(2, n, 6).transpose(1, 0, 2), 2, axis=2)
+        inv_gap *= np.sign(keep["gap"])[:, None, None]
+        # conj(<j|O_q|k>) of the seven operators, (n, 2, 7, 12)
+        x = keep["ops_s"].conj().reshape(2, n, 42).transpose(1, 0, 2).reshape(n, 14, 6)
+        x = (x @ keep["vecs"][data.dist]).view(float).reshape(n, 2, 7, 12)
+        # the field's dB/db, dB/dphi, d^2B/db dphi and d^2B/dphi^2 (n, 3, 4)
+        b, cph, sph = keep["b"], keep["cph"][data.dist], keep["sph"][data.dist]
+        b = b[data.dist, None] if np.ndim(b) else b
+        k, sc, ss = math.pi / 180.0, data.sin_at * cph, data.sin_at * sph
+        dirs = np.zeros((n, 3, 4))
+        dirs[:, :, 0] = np.stack([sc, ss, data.cos_at], axis=1)
+        dirs[:, :2, 2] = np.stack([-k * ss, k * sc], axis=1)
+        dirs[:, :2, 3] = -k * k * dirs[:, :2, 0]
+        dirs[:, :, 1], dirs[:, :, 3] = dirs[:, :, 2] * b, dirs[:, :, 3] * b
+        # conj(<j|dH/dp|k>) per parameter; the field curvatures along the gap
+        xp = np.concatenate([x[:, :, :4], dirs[:, None, :, :2].transpose(0, 1, 3, 2)
+                             @ x[:, :, 4:]], axis=2)
+        keep["pt2"] = xp, inv_gap, (keep["de"][4:].T[:, None] @ dirs[:, :, 2:])[:, 0]
+    x, inv_gap, curv = keep["pt2"]
+    h = dx @ x  # conj(<j|H'|k>)
+    return (keep["jac"] @ ddx + curv @ [2.0 * dx[4] * dx[5], dx[5] * dx[5]]
+            + 2.0 * (h * h * inv_gap).sum(axis=(1, 2)))
 
 
 # the largest change of psi, the angle of (a_zz, a), in one fit iteration
 _PSI_CAP = 0.3  # rad
+# a valley step v takes its geodesic acceleration a when 2 |a|_D <= this |v|_D
+_ACCEL_RATIO = 3.0
 # the fit steps in (r, psi) from this r on, where r's cap 0.15 r leaves its
 # 2 MHz floor; nearer r = 0 psi is ill-defined and a step of the floor
 # turns it by more than 0.15 rad
@@ -391,11 +442,7 @@ _VALLEY_R = 2.0 / 0.15  # MHz
 
 
 def _to_valley(vec):
-    """Valley coordinates of a PARAM_IDS vector (6,).
-
-    (a_zz, a) become r = hypot(a_zz, a) and psi = atan2(a, a_zz); the other
-    slots are copied.
-    """
+    """Valley coordinates of a PARAM_IDS vector: r = hypot(a_zz, a), psi = atan2(a, a_zz)."""
     u = np.array(vec, dtype=float)
     u[2], u[3] = math.hypot(u[2], u[3]), math.atan2(u[3], u[2])
     return u
@@ -409,16 +456,22 @@ def _from_valley(u):
 
 
 def _valley_jacobian(jac, u):
-    """A PARAM_IDS Jacobian (n, 6) by the chain rule in valley coordinates u.
-
-    d/dr = cos(psi) d/da_zz + sin(psi) d/da and
-    d/dpsi = r (cos(psi) d/da - sin(psi) d/da_zz).
-    """
-    c, s = math.cos(u[3]), math.sin(u[3])
+    """A PARAM_IDS Jacobian (n, 6) by the chain rule in valley coordinates u:
+    d/dr = cos(psi) d/da_zz + sin(psi) d/da, d/dpsi = r (cos(psi) d/da -
+    sin(psi) d/da_zz)."""
+    c, s, r = math.cos(u[3]), math.sin(u[3]), u[2]
     out = jac.copy()
-    out[:, 2] = c * jac[:, 2] + s * jac[:, 3]
-    out[:, 3] = u[2] * (c * jac[:, 3] - s * jac[:, 2])
+    out[:, 2], out[:, 3] = c * jac[:, 2] + s * jac[:, 3], r * (c * jac[:, 3] - s * jac[:, 2])
     return out
+
+
+def _valley_curve(u, du):
+    """(dx, ddx) at t = 0 of the PARAM_IDS curve _from_valley(u + t du)."""
+    c, s, r, dr, dp = math.cos(u[3]), math.sin(u[3]), u[2], du[2], du[3]
+    dx, ddx = np.array(du, dtype=float), np.zeros(6)
+    dx[2:4] = c * dr - r * s * dp, s * dr + r * c * dp
+    ddx[2:4] = -2.0 * s * dr * dp - r * c * dp * dp, 2.0 * c * dr * dp - r * s * dp * dp
+    return dx, ddx
 
 
 def fit_hyperfine(
@@ -439,30 +492,33 @@ def fit_hyperfine(
     covariance, is exact: Hellmann-Feynman derivatives from one eigensolve
     at the accepted vector (``_jacobian``).
 
-    Marquardt-damped Gauss-Newton, one model evaluation per pass: a step
-    that lowers chi^2 is taken and sets mu *= max(1/3, 1 - (2 rho - 1)^3),
-    rho the ratio of actual to predicted drop; else the Jacobian stays and
-    mu *= nu, nu doubling per rejection in a row (Nielsen,
-    IMM-REP-1999-05). ``n_iterations`` counts passes, rejected ones too.
-    ``stop_reason``: "chi2_stalled" (converged) after 3 taken steps in a
-    row with relative chi^2 change < 1e-10 or gradient norm < 1e-8;
-    "damping_cap" on a step rejected at mu = 1e8, the rounding floor
-    (converged if its chi^2 was finite); else "max_iterations".
+    Marquardt-damped Gauss-Newton, one model evaluation and one inverse of
+    the damped normal matrix per pass: a step that lowers chi^2 is taken
+    and sets mu *= max(1/3, 1 - (2 rho - 1)^3), rho (at most 1) the ratio
+    of actual to predicted drop; else the Jacobian stays and mu *= nu, nu
+    doubling per rejection in a row (Nielsen, IMM-REP-1999-05).
+    ``n_iterations`` counts passes, rejected ones too. ``stop_reason``:
+    "chi2_stalled" (converged) after 3 taken steps in a row with relative
+    chi^2 change < 1e-10 or gradient norm < 1e-8, "grad_small" if the last
+    met only the latter; "damping_cap" on a step rejected at mu = 1e8, the
+    rounding floor (converged if its chi^2 was finite); "max_iterations".
 
     With a_zz and a both free and r = hypot(a_zz, a) at least 40/3 MHz
     (where r's cap below leaves its floor), the iteration steps in valley
-    coordinates: (a_zz, a) = r (cos psi, sin psi), the other parameters as
-    they are; nearer r = 0, where psi is ill-defined, it steps in PARAM_IDS
-    coordinates until r grows.
-    The data pin r but barely the angle psi, so the fit walks a curved
-    valley that these coordinates straighten. The step's Jacobian is the
-    exact one by the chain rule (``_valley_jacobian``). Each pass caps
-    r, like every tensor component, at max(2, 0.15 |r|) MHz and psi
-    at 0.3 rad; psi is capped by raising the damping on its diagonal alone
-    (x4 until the step fits), which keeps the step downhill. The rank
-    check, the trial vectors, the covariance, the sigmas and the
-    (a, phi_offset) branch choice stay in PARAM_IDS coordinates. In every
-    other case the step is taken in PARAM_IDS coordinates.
+    coordinates, (a_zz, a) = r (cos psi, sin psi), which straighten the
+    curved valley of data that pin r but barely psi; nearer r = 0, where
+    psi is ill-defined, and in every other case it takes plain PARAM_IDS
+    steps. The valley Jacobian is exact by the chain rule. Each pass caps
+    r, like every tensor component, at max(2, 0.15 |r|) MHz and psi at 0.3
+    rad, psi by raising its damping alone (x4 until the step fits, each a
+    rank-one update of the inverse), which keeps the step downhill. A
+    valley step v then becomes v + a/2 (geodesic acceleration, Transtrum &
+    Sethna, arXiv:1201.5885), a = -(J^T J + mu D)^-1 J^T r''_v with the
+    same capped matrix and r''_v the residuals' exact second derivative
+    along v (``_second_directional``), when 2 |a|_D <= 3 |v|_D
+    (``_ACCEL_RATIO``, D the damping diagonal). The rank check, the trial
+    vectors, the covariance, the sigmas and the (a, phi_offset) branch
+    choice stay in PARAM_IDS coordinates.
 
     Raises ValueError("degenerate parameter direction: ...") when the
     Jacobian loses rank, naming the unconstrained combination. That check
@@ -516,11 +572,8 @@ def fit_hyperfine(
     chi2 = chi2_of(resid)
     if not math.isfinite(chi2):
         raise ValueError("chi^2 not finite at the initial guess; check the data values")
-    consecutive = 0
     converged, stop_reason = False, "max_iterations"
-    n_iter = 0
-    mu, nu = 1e-3, 2.0
-    need_jac = True
+    consecutive, n_iter, mu, nu, need_jac = 0, 0, 1e-3, 2.0, True
     both = 2 in free and 3 in free  # (r, psi) steps possible, see the docstring
     psi = free.index(3) if both else None
     phi_col = free.index(5) if 5 in free else None
@@ -541,16 +594,27 @@ def fit_hyperfine(
             damp = np.clip(np.diag(jtj), 1e-300, None)
         lhs = jtj.copy()
         lhs[diag] += mu * damp
-        step = np.linalg.solve(lhs, -0.5 * grad)
+        inv = np.linalg.inv(lhs)
+        step = inv @ (-0.5 * grad)
         if valley:
             # psi moves at most _PSI_CAP: its damping alone grows x4 until
             # the step fits, which keeps the step downhill (scaling the
-            # whole step lets psi run first, into a second minimum)
-            extra = mu * damp[psi]
-            while abs(step[psi]) > _PSI_CAP:
-                lhs[psi, psi] += 3.0 * extra
+            # whole step lets psi run first, into a second minimum). Adding
+            # t there divides step[psi] by 1 + t col[psi] (Sherman-Morrison)
+            col, add, extra = inv[:, psi], 0.0, mu * damp[psi]
+            while abs(step[psi]) > _PSI_CAP * (1.0 + add * col[psi]):
+                add += 3.0 * extra
                 extra *= 4.0
-                step = np.linalg.solve(lhs, -0.5 * grad)
+            if add:
+                inv = inv - np.outer(col, col) * (add / (1.0 + add * col[psi]))
+                step = inv @ (-0.5 * grad)
+            du = np.zeros(6)  # geodesic acceleration, see the docstring
+            du[cols] = step
+            curv = _second_directional(data, keep, *_valley_curve(u, du)) / sigmas
+            if np.isfinite(curv).all():
+                accel = inv @ -(jac.T @ curv)
+                if 4.0 * (accel * accel @ damp) <= _ACCEL_RATIO**2 * (step * step @ damp):
+                    step = step + 0.5 * accel
         # per-pass trust cap: large raw steps jump between basins (an
         # x/y-swapped tensor with phi_offset near +-90 is a sticky false minimum)
         cap = np.maximum(2.0, 0.15 * np.abs(u[cols]))
@@ -574,7 +638,8 @@ def fit_hyperfine(
             mu, nu, need_jac = min(mu * nu, 1e8), 2.0 * nu, False
             continue
         pred = -(scale * grad @ step + scale * scale * step @ jtj @ step)
-        rho = (chi2 - trial_chi2) / max(pred, 1e-300)
+        # every rho >= 1 gives 1/3, and a pred at its floor cannot overflow
+        rho = min((chi2 - trial_chi2) / max(pred, 1e-300), 1.0)
         mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-12)
         nu, need_jac = 2.0, True
         rel_change = (chi2 - trial_chi2) / max(chi2, 1e-300)
@@ -584,7 +649,8 @@ def fit_hyperfine(
         else:
             consecutive = 0
         if consecutive >= 3:
-            converged, stop_reason = True, "chi2_stalled"
+            converged = True
+            stop_reason = "chi2_stalled" if rel_change < 1e-10 else "grad_small"
             break
 
     if 3 in free and 5 in free and not -90.0 < vec[5] <= 90.0:
@@ -608,18 +674,11 @@ def fit_hyperfine(
     if chi2_red > 1.0:
         cov = cov * chi2_red
     sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    sigmas_out = {name: 0.0 for name in PARAM_IDS}
-    for col, pi in enumerate(free):
-        sigmas_out[PARAM_IDS[pi]] = float(sig[col])
-    return FitResult(
-        params=FitParams.from_vector(vec),
-        sigmas=sigmas_out,
-        chi2=chi2,
-        n_iterations=n_iter,
-        converged=converged,
-        residuals=-resid * sigmas,
-        stop_reason=stop_reason,
-    )
+    sigmas_out = dict.fromkeys(PARAM_IDS, 0.0)
+    sigmas_out.update((PARAM_IDS[pi], float(sig[col])) for col, pi in enumerate(free))
+    return FitResult(params=FitParams.from_vector(vec), sigmas=sigmas_out, chi2=chi2,
+                     n_iterations=n_iter, converged=converged,
+                     residuals=-resid * sigmas, stop_reason=stop_reason)
 
 
 def _check_rank(jac: np.ndarray, free):

@@ -1,7 +1,9 @@
 """Dataset I/O, synthetic scans, hyperfine fitting, sensitivity tools."""
 
+import collections
 import dataclasses
 import itertools
+import math
 import re
 
 import numpy as np
@@ -18,9 +20,12 @@ from nvbeat.estimation import (
     _amplitude_ratios,
     _FitData,
     _forward_model,
+    _VALLEY_R,
     _from_valley,
     _jacobian,
+    _second_directional,
     _to_valley,
+    _valley_curve,
     _valley_jacobian,
     find_axis_minimum,
     find_single_transition_axis,
@@ -279,6 +284,40 @@ def test_jacobian_matches_central_differences(case, b_fixed):
             assert np.abs(fd - j[:, col]).max() <= 1e-5 * scale, col
 
 
+@pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
+@pytest.mark.parametrize("b_fixed", [False, True])
+def test_second_directional_matches_central_differences(case, b_fixed):
+    # the model's second derivative along x(t) = vec + t dx + t^2 ddx / 2
+    # (second-order perturbation theory on the kept solve) against central
+    # second differences with step 1e-3, whose rounding error is a few
+    # 1e-6 MHz; random directions reach every term, the field's
+    # b-phi_offset and phi_offset curvature included. The valley chain rule
+    # is checked the same way along straight lines in (a_xx, a_yy, r, psi,
+    # b, phi_offset)
+    design, b = JACOBIAN_CASES[case]
+    data = _FitData(synthesize_dataset(SYS, b=b, design=design, noise_sigma=NOISE, seed=3))
+    vec = TRUTH.as_vector() + np.array([3.0, -2.0, 5.0, 4.0, 0.0, 2.0])
+    vec[4] = np.nan if b_fixed else b + 0.5  # nan: the per-point b column
+    keep = {}
+    _forward_model(SYS, vec, data, keep)
+    _jacobian(SYS, vec, data, keep)
+    u = _to_valley(vec)
+    rng = np.random.default_rng(5)
+    h = 1e-3
+    for _ in range(4):
+        dx, ddx, du = rng.normal(size=(3, 6))
+        if b_fixed:
+            dx[4] = ddx[4] = du[4] = 0.0
+        for curve, (d1, d2) in (
+            (lambda t: vec + t * dx + 0.5 * t * t * ddx, (dx, ddx)),
+            (lambda t: _from_valley(u + t * du), _valley_curve(u, du)),
+        ):
+            exact = _second_directional(data, keep, d1, d2)
+            model = [_forward_model(SYS, curve(t), data) for t in (-h, 0.0, h)]
+            fd = (model[0] - 2.0 * model[1] + model[2]) / (h * h)
+            assert np.abs(fd - exact).max() <= 3e-5 * max(1.0, np.abs(exact).max())
+
+
 @pytest.mark.parametrize("design", [STA_PHI, DESIGN2], ids=["sta_phi", "two_theta"])
 @pytest.mark.parametrize("imperfection", [None, (1.0, 120.0, 30.0)])
 def test_synthesize_is_the_fit_model(design, imperfection):
@@ -347,7 +386,7 @@ A6_START = FitParams(
 
 @pytest.mark.parametrize("seed, max_iterations, reason", [
     (None, 500, "damping_cap"),  # noiseless: rejected at the rounding floor
-    (100, 500, "chi2_stalled"),
+    (101, 500, "chi2_stalled"),  # seed 100 now ends at the damping cap, chi^2 as low
     (100, 5, "max_iterations"),
 ])
 def test_fit_stop_reason_and_model_calls(monkeypatch, seed, max_iterations, reason):
@@ -378,6 +417,83 @@ def test_converged_fit_is_stationary():
         r = fit_hyperfine(ds, A6_START)
         assert r.converged
         assert fit_hyperfine(ds, r.params).chi2 >= r.chi2 * (1.0 - 1e-9), seed
+
+
+def test_fit_stops_on_a_small_gradient():
+    # noiseless values at sigma 1 MHz from just off the truth: each taken
+    # step still halves chi^2, but the gradient is below 1e-8
+    ds = synthesize_dataset(SYS, b=40.3, design=A6_DESIGN)
+    ds = ScanDataset(dataclasses.replace(p, sigma=1.0) for p in ds.points)
+    r = fit_hyperfine(ds, dataclasses.replace(TRUTH, a_xx=TRUTH.a_xx + 1e-3))
+    assert r.stop_reason == "grad_small" and r.converged
+    assert r.chi2 < 1e-12
+
+
+def test_acceleration_adds_no_eigensolve(monkeypatch):
+    # the geodesic acceleration of a valley step reads the pass's own
+    # solve: eigh runs exactly as often as the forward model
+    ds = synthesize_dataset(SYS, b=40.3, design=A6_DESIGN)
+    counts = collections.Counter()
+    # r of the vector each Jacobian and kernel call works at; a kernel
+    # call reads the keep dict of its vector's Jacobian
+    radii, r_of_keep = collections.defaultdict(list), {}
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            if name == "jacobian":
+                r_of_keep[id(args[3])] = math.hypot(args[1][2], args[1][3])
+                radii[name].append(r_of_keep[id(args[3])])
+            elif name == "second_directional":
+                radii[name].append(r_of_keep[id(args[1])])
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    for name in ("forward_model", "jacobian", "second_directional"):
+        monkeypatch.setattr(
+            estimation, "_" + name, counting(name, getattr(estimation, "_" + name))
+        )
+    r = fit_hyperfine(ds, A6_START)
+    assert r.converged and counts["second_directional"] > 0
+    assert counts["eigh"] == counts["forward_model"] == r.n_iterations + 1
+    # from r = 0 the fit steps in PARAM_IDS coordinates, where the kernel
+    # never runs, until r reaches _VALLEY_R; from there it runs on every
+    # pass, at the pass's taken vector (the last Jacobian is the covariance's)
+    radii.clear()
+    ds = synthesize_dataset(SYS, b=40.3, design=DESIGN2)
+    r = fit_hyperfine(ds, FitParams(170.0, 120.0, 0.0, 0.0, 40.3), fixed={"b"})
+    assert r.converged
+    steps = radii["jacobian"][:-1]
+    assert steps[0] == 0.0 and sum(x < _VALLEY_R for x in steps) > 1
+    valley = [x for x in steps if x >= _VALLEY_R]
+    assert valley and set(radii["second_directional"]) == set(valley)
+    assert len(radii["second_directional"]) >= len(valley)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_curvature_takes_the_plain_step(monkeypatch, bad):
+    # where two levels of a solve coincide the kernel gives nan at the
+    # points of that solve, without a warning; a non-finite second derivative fails the acceleration test,
+    # so the fit is the one that never accelerates
+    ds = synthesize_dataset(SYS, b=40.3, design=A6_DESIGN, noise_sigma=NOISE, seed=101)
+    data, vec, keep = _FitData(ds), A6_START.as_vector(), {}
+    _forward_model(SYS, vec, data, keep)
+    _jacobian(SYS, vec, data, keep)
+    keep["w"] = keep["w"].copy()
+    keep["w"][data.dist2[0], (keep["states"][0] + 1) % 6] = keep["w"][data.dist2[0], keep["states"][0]]
+    curv = _second_directional(data, keep, np.ones(6), np.ones(6))
+    assert np.isnan(curv[0]) and np.isfinite(curv[data.dist != data.dist[0]]).all()
+    accelerated = fit_hyperfine(ds, A6_START)
+    ratio = estimation._ACCEL_RATIO
+    monkeypatch.setattr(estimation, "_ACCEL_RATIO", 0.0)
+    plain = fit_hyperfine(ds, A6_START)
+    assert plain.n_iterations > accelerated.n_iterations
+    monkeypatch.setattr(estimation, "_ACCEL_RATIO", ratio)
+    monkeypatch.setattr(estimation, "_second_directional",
+                        lambda data, keep, dx, ddx: np.full(len(data.dist), bad))
+    r = fit_hyperfine(ds, A6_START)
+    assert r.chi2 == plain.chi2 and r.n_iterations == plain.n_iterations
 
 
 def test_zq_point_above_the_crossing_fits():
