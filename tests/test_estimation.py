@@ -386,7 +386,7 @@ A6_START = FitParams(
 
 @pytest.mark.parametrize("seed, max_iterations, reason", [
     (None, 500, "damping_cap"),  # noiseless: rejected at the rounding floor
-    (101, 500, "chi2_stalled"),  # seed 100 now ends at the damping cap, chi^2 as low
+    (101, 500, "chi2_stalled"),  # seed 100 stops as damping_cap at the same chi^2
     (100, 5, "max_iterations"),
 ])
 def test_fit_stop_reason_and_model_calls(monkeypatch, seed, max_iterations, reason):
@@ -474,14 +474,15 @@ def test_acceleration_adds_no_eigensolve(monkeypatch):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_curvature_takes_the_plain_step(monkeypatch, bad):
     # where two levels of a solve coincide the kernel gives nan at the
-    # points of that solve, without a warning; a non-finite second derivative fails the acceleration test,
-    # so the fit is the one that never accelerates
+    # points of that solve, without a warning; a non-finite second
+    # derivative fails the acceleration test, so the fit is the one that
+    # never accelerates
     ds = synthesize_dataset(SYS, b=40.3, design=A6_DESIGN, noise_sigma=NOISE, seed=101)
     data, vec, keep = _FitData(ds), A6_START.as_vector(), {}
     _forward_model(SYS, vec, data, keep)
     _jacobian(SYS, vec, data, keep)
-    keep["w"] = keep["w"].copy()
-    keep["w"][data.dist2[0], (keep["states"][0] + 1) % 6] = keep["w"][data.dist2[0], keep["states"][0]]
+    keep["w"], d, k = keep["w"].copy(), data.dist2[0], keep["states"][0]
+    keep["w"][d, (k + 1) % 6] = keep["w"][d, k]
     curv = _second_directional(data, keep, np.ones(6), np.ones(6))
     assert np.isnan(curv[0]) and np.isfinite(curv[data.dist != data.dist[0]]).all()
     accelerated = fit_hyperfine(ds, A6_START)
