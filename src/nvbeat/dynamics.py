@@ -44,8 +44,10 @@ class PulseParams:
     carrier_detuning: float = 0.0
 
     def __post_init__(self):
-        if self.rabi_amplitude < 0:
-            raise ValueError("rabi_amplitude must be >= 0")
+        if not (np.isfinite(self.rabi_amplitude) and self.rabi_amplitude >= 0):
+            raise ValueError("rabi_amplitude must be finite and >= 0")
+        if not np.isfinite(self.carrier_detuning):
+            raise ValueError("carrier_detuning must be finite")
 
 
 @dataclass(frozen=True)
@@ -252,8 +254,8 @@ def simulate_zq_ramsey(
     # free evolution is diagonal in the eigenbasis rotating frame
     w_free, x = _rotating_frame(eig, omega_c)
     if not ideal_pulses:
-        if not (pi_duration > 0):
-            raise ValueError("pi_duration must be positive")
+        if not (np.isfinite(pi_duration) and pi_duration > 0):
+            raise ValueError("pi_duration must be finite and positive")
         if rabi_amplitude is None:
             rabi_amplitude = 1.0 / (2.0 * pi_duration)
         u_pulse = _unitary(np.diag(w_free) + 0.5 * rabi_amplitude * x, pi_duration)

@@ -6,12 +6,13 @@ evaluation per pass, on a joint inverse-variance chi^2 over
 single-quantum line frequencies and zero-quantum splittings; their
 Jacobian is exact, the Hellmann-Feynman derivatives of the model's
 eigenvalues. With a_zz and a both free the iteration steps in valley
-coordinates, r = hypot(a_zz, a) and psi = atan2(a, a_zz), along the soft
-curved valley that single-axis data leave (Transtrum, Machta & Sethna,
-PRL 104, 060201 (2010)), once r is past 40/3 MHz; psi moves at most 0.3
-rad per iteration, with a geodesic acceleration from the second-order
-perturbation theory of the pass's own eigensolve. Results are reported
-in PARAM_IDS.
+coordinates, r = hypot(a_zz, a), psi = atan2(a, a_zz) and mostly q =
+sign(a_xx) hypot(a_xx, a), along the soft curved valley that single-axis
+data leave (Transtrum, Machta & Sethna, PRL 104, 060201 (2010)), once r
+is past 40/3 MHz; psi moves at most 0.3 rad per iteration, with a
+geodesic acceleration from the second-order perturbation theory of the
+pass's own eigensolve. A fit stops where its Gauss-Newton decrement
+certifies a stationary point. Results are reported in PARAM_IDS.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class FitResult:
     n_iterations: int
     converged: bool
     residuals: np.ndarray  # value - model, per point, point units
-    stop_reason: str = "chi2_stalled"  # or "grad_small", "damping_cap", "max_iterations"
+    stop_reason: str = "chi2_stalled"  # or stationary, grad_small, damping_cap, max_iterations
 
 
 @dataclass(frozen=True)
@@ -439,38 +440,66 @@ _ACCEL_RATIO = 3.0
 # 2 MHz floor; nearer r = 0 psi is ill-defined and a step of the floor
 # turns it by more than 0.15 rad
 _VALLEY_R = 2.0 / 0.15  # MHz
+# the q chart needs |a_xx| >= this share of q, capping d a_xx/dq = q/a_xx at 5
+_Q_SHARE = 0.2
 
 
-def _to_valley(vec):
-    """Valley coordinates of a PARAM_IDS vector: r = hypot(a_zz, a), psi = atan2(a, a_zz)."""
+def _valley_axx(u):
+    """a_xx = sign(q) sqrt(q^2 - a^2) of q-chart coordinates u; raises where q^2 <= a^2."""
+    g = u[0] * u[0] - (u[2] * math.sin(u[3])) ** 2
+    if not g > 0.0:
+        raise ValueError("q^2 <= a^2: outside the valley chart")
+    return math.copysign(math.sqrt(g), u[0])
+
+
+def _to_valley(vec, q=False):
+    """Valley coordinates of a PARAM_IDS vector: r = hypot(a_zz, a), psi =
+    atan2(a, a_zz); with ``q`` also q = sign(a_xx) hypot(a_xx, a) for a_xx."""
     u = np.array(vec, dtype=float)
     u[2], u[3] = math.hypot(u[2], u[3]), math.atan2(u[3], u[2])
+    if q:
+        u[0] = math.copysign(math.hypot(vec[0], vec[3]), vec[0])
     return u
 
 
-def _from_valley(u):
-    """The PARAM_IDS vector of valley coordinates: a_zz = r cos psi, a = r sin psi."""
+def _from_valley(u, q=False):
+    """The PARAM_IDS vector of valley coordinates: a_zz = r cos psi, a = r sin
+    psi; with ``q`` also a_xx = ``_valley_axx(u)``."""
     vec = np.array(u, dtype=float)
     vec[2], vec[3] = u[2] * math.cos(u[3]), u[2] * math.sin(u[3])
+    if q:
+        vec[0] = _valley_axx(u)
     return vec
 
 
-def _valley_jacobian(jac, u):
+def _valley_jacobian(jac, u, q=False):
     """A PARAM_IDS Jacobian (n, 6) by the chain rule in valley coordinates u:
     d/dr = cos(psi) d/da_zz + sin(psi) d/da, d/dpsi = r (cos(psi) d/da -
-    sin(psi) d/da_zz)."""
+    sin(psi) d/da_zz); with ``q``, d/dq = (q / a_xx) d/da_xx and d/dr, d/dpsi
+    gain -a (sin(psi), r cos(psi)) / a_xx d/da_xx."""
     c, s, r = math.cos(u[3]), math.sin(u[3]), u[2]
     out = jac.copy()
     out[:, 2], out[:, 3] = c * jac[:, 2] + s * jac[:, 3], r * (c * jac[:, 3] - s * jac[:, 2])
+    if q:
+        x = _valley_axx(u)
+        out[:, 0] = (u[0] / x) * jac[:, 0]
+        out[:, 2] -= (r * s * s / x) * jac[:, 0]
+        out[:, 3] -= (r * r * s * c / x) * jac[:, 0]
     return out
 
 
-def _valley_curve(u, du):
-    """(dx, ddx) at t = 0 of the PARAM_IDS curve _from_valley(u + t du)."""
+def _valley_curve(u, du, q=False):
+    """(dx, ddx) at t = 0 of the PARAM_IDS curve _from_valley(u + t du, q); with
+    ``q``, a_xx^2 = q^2 - a^2 gives a_xx' = (q q' - a a') / a_xx and a_xx''
+    = (q'^2 - a'^2 - a a'' - a_xx'^2) / a_xx."""
     c, s, r, dr, dp = math.cos(u[3]), math.sin(u[3]), u[2], du[2], du[3]
     dx, ddx = np.array(du, dtype=float), np.zeros(6)
     dx[2:4] = c * dr - r * s * dp, s * dr + r * c * dp
     ddx[2:4] = -2.0 * s * dr * dp - r * c * dp * dp, 2.0 * c * dr * dp - r * s * dp * dp
+    if q:
+        x, a = _valley_axx(u), r * s
+        dx[0] = (u[0] * du[0] - a * dx[3]) / x
+        ddx[0] = (du[0] * du[0] - dx[3] * dx[3] - a * ddx[3] - dx[0] * dx[0]) / x
     return dx, ddx
 
 
@@ -497,28 +526,34 @@ def fit_hyperfine(
     and sets mu *= max(1/3, 1 - (2 rho - 1)^3), rho (at most 1) the ratio
     of actual to predicted drop; else the Jacobian stays and mu *= nu, nu
     doubling per rejection in a row (Nielsen, IMM-REP-1999-05).
-    ``n_iterations`` counts passes, rejected ones too. ``stop_reason``:
-    "chi2_stalled" (converged) after 3 taken steps in a row with relative
-    chi^2 change < 1e-10 or gradient norm < 1e-8, "grad_small" if the last
-    met only the latter; "damping_cap" on a step rejected at mu = 1e8, the
-    rounding floor (converged if its chi^2 was finite); "max_iterations".
+    ``n_iterations`` counts passes that evaluate the model, rejected ones
+    too. ``stop_reason``: "stationary" (converged) when a step changed chi^2
+    by < 1e-10 relative and the Jacobian at its vector gives a Gauss-Newton
+    decrement 1/4 g^T (J^T J)^-1 g (a full undamped step's drop) <= 1e-10
+    chi^2, J^T J regular; "chi2_stalled" (converged) after 3 taken steps in
+    a row with relative chi^2 change < 1e-10 or gradient norm < 1e-8,
+    "grad_small" if the last met only the latter; "damping_cap" on a step
+    rejected at mu = 1e8, the rounding floor (converged if its chi^2 was
+    finite); "max_iterations".
 
     With a_zz and a both free and r = hypot(a_zz, a) at least 40/3 MHz
     (where r's cap below leaves its floor), the iteration steps in valley
     coordinates, (a_zz, a) = r (cos psi, sin psi), which straighten the
-    curved valley of data that pin r but barely psi; nearer r = 0, where
-    psi is ill-defined, and in every other case it takes plain PARAM_IDS
-    steps. The valley Jacobian is exact by the chain rule. Each pass caps
-    r, like every tensor component, at max(2, 0.15 |r|) MHz and psi at 0.3
-    rad, psi by raising its damping alone (x4 until the step fits, each a
-    rank-one update of the inverse), which keeps the step downhill. A
-    valley step v then becomes v + a/2 (geodesic acceleration, Transtrum &
-    Sethna, arXiv:1201.5885), a = -(J^T J + mu D)^-1 J^T r''_v with the
-    same capped matrix and r''_v the residuals' exact second derivative
-    along v (``_second_directional``), when 2 |a|_D <= 3 |v|_D
-    (``_ACCEL_RATIO``, D the damping diagonal). The rank check, the trial
-    vectors, the covariance, the sigmas and the (a, phi_offset) branch
-    choice stay in PARAM_IDS coordinates.
+    curved valley of data that pin r but barely psi. With a_xx free and
+    |a_xx| >= 0.2 q (``_Q_SHARE``) too, it trades a_xx for q = sign(a_xx)
+    hypot(a_xx, a), which a ZQ phi sweep pins (a trial with q^2 <= a^2 is a
+    rejected pass). Nearer r = 0, where psi is ill-defined, and in every
+    other case it takes PARAM_IDS steps. Each pass caps r and q, like every
+    tensor component, at max(2, 0.15 |x|) MHz and psi at 0.3 rad, psi by
+    raising its damping alone (x4 until the step fits, each a rank-one
+    update of the inverse), which keeps the step downhill. A valley step v
+    then becomes v + a/2 (geodesic acceleration, Transtrum & Sethna,
+    arXiv:1201.5885), a = -(J^T J + mu D)^-1 J^T r''_v with the same capped
+    matrix and r''_v the residuals' exact second derivative along v
+    (``_second_directional``), when 2 |a|_D <= 3 |v|_D (``_ACCEL_RATIO``, D
+    the damping diagonal). Valley Jacobians are exact by the chain rule; the
+    rank check, the trial vectors, the covariance, the sigmas and the (a,
+    phi_offset) branch choice stay in PARAM_IDS coordinates.
 
     Raises ValueError("degenerate parameter direction: ...") when the
     Jacobian loses rank, naming the unconstrained combination. That check
@@ -573,24 +608,31 @@ def fit_hyperfine(
     if not math.isfinite(chi2):
         raise ValueError("chi^2 not finite at the initial guess; check the data values")
     converged, stop_reason = False, "max_iterations"
-    consecutive, n_iter, mu, nu, need_jac = 0, 0, 1e-3, 2.0, True
+    consecutive, n_iter, mu, nu, need_jac, rel_change = 0, 0, 1e-3, 2.0, True, math.inf
     both = 2 in free and 3 in free  # (r, psi) steps possible, see the docstring
     psi = free.index(3) if both else None
     phi_col = free.index(5) if 5 in free else None
     cols, diag = np.array(free), np.diag_indices(len(free))
-    u = grad = jtj = damp = None
     for n_iter in range(1, max_iterations + 1):
         if need_jac:
             jac = jacobian(vec, keep)
             if n_iter == 1:
                 _check_rank(jac[:, free], free)
             valley = both and math.hypot(vec[2], vec[3]) >= _VALLEY_R
-            u = _to_valley(vec) if valley else vec
+            q = valley and 0 in free and abs(vec[0]) >= _Q_SHARE * math.hypot(vec[0], vec[3]) > 0
+            u = _to_valley(vec, q) if valley else vec
             if valley:
-                jac = _valley_jacobian(jac, u)
+                jac = _valley_jacobian(jac, u, q)
             jac = jac[:, free]
             grad = 2.0 * jac.T @ resid
             jtj = jac.T @ jac
+            if rel_change < 1e-10:  # a stationary point? See the docstring
+                try:
+                    if 0.25 * grad @ np.linalg.solve(jtj, grad) <= 1e-10 * chi2:
+                        converged, stop_reason, n_iter = True, "stationary", n_iter - 1
+                        break
+                except np.linalg.LinAlgError:
+                    pass  # singular J^T J: no certificate
             damp = np.clip(np.diag(jtj), 1e-300, None)
         lhs = jtj.copy()
         lhs[diag] += mu * damp
@@ -610,7 +652,7 @@ def fit_hyperfine(
                 step = inv @ (-0.5 * grad)
             du = np.zeros(6)  # geodesic acceleration, see the docstring
             du[cols] = step
-            curv = _second_directional(data, keep, *_valley_curve(u, du)) / sigmas
+            curv = _second_directional(data, keep, *_valley_curve(u, du, q)) / sigmas
             if np.isfinite(curv).all():
                 accel = inv @ -(jac.T @ curv)
                 if 4.0 * (accel * accel @ damp) <= _ACCEL_RATIO**2 * (step * step @ damp):
@@ -624,12 +666,12 @@ def fit_hyperfine(
         scale = 1.0 if over <= 1.0 else 1.0 / over
         trial = u.copy()
         trial[cols] += scale * step
-        trial = _from_valley(trial) if valley else trial
         trial_keep = {}
         try:
+            trial = _from_valley(trial, q) if valley else trial
             trial_resid = (model(trial, trial_keep) - values) / sigmas
         except ValueError:
-            trial_resid = None  # trial point outside the labelable regime
+            trial_resid = None  # outside the labelable regime or the q chart
         trial_chi2 = math.inf if trial_resid is None else chi2_of(trial_resid)
         if not trial_chi2 < chi2:
             if mu >= 1e8:
@@ -686,10 +728,8 @@ def _check_rank(jac: np.ndarray, free):
     norms = np.linalg.norm(jac, axis=0)
     top = float(np.max(norms))
     if top == 0.0:
-        raise ValueError(
-            "degenerate parameter direction: "
-            + " , ".join(PARAM_IDS[i] for i in free)
-        )
+        raise ValueError("degenerate parameter direction: "
+                         + " , ".join(PARAM_IDS[i] for i in free))
     scaled = jac / np.where(norms > top * 1e-300, norms, top)
     dead = norms < top * 1e-12
     if dead.any():
@@ -754,9 +794,11 @@ def synthesize_dataset(
     if not design:
         raise ValueError("design must be non-empty")
     noise_sigma = dict(noise_sigma or {})
-    for kind in noise_sigma:
+    for kind, sigma in noise_sigma.items():
         if kind not in OBSERVABLE_KINDS:
             raise ValueError("unknown observable kind %r" % (kind,))
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise ValueError("noise_sigma[%r] must be finite and >= 0, got %r" % (kind, sigma))
     points = []
     for theta, phi, kind in design:
         b_eff = b

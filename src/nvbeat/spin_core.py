@@ -83,11 +83,11 @@ class SystemParams:
     tensor: HyperfineTensor = HyperfineTensor(0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not (self.d > 0):
-            raise ValueError("d must be positive")
-        if not (self.gamma_e > 0):
-            raise ValueError("gamma_e must be positive")
-        if abs(self.gamma_n) >= self.gamma_e / 100.0:
+        if not (math.isfinite(self.d) and self.d > 0):
+            raise ValueError("d must be finite and positive")
+        if not (math.isfinite(self.gamma_e) and self.gamma_e > 0):
+            raise ValueError("gamma_e must be finite and positive")
+        if not abs(self.gamma_n) < self.gamma_e / 100.0:  # nan fails too
             raise ValueError("gamma_n out of range (|gamma_n| must be << gamma_e)")
 
 

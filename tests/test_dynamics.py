@@ -1,5 +1,7 @@
 """Pulse simulations: Rabi traces, ZQ Ramsey, spectra, dephasing."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -216,6 +218,24 @@ def test_spectrum_peaks_input_checks():
     bad = np.array([0.0, 0.1, 0.15, 0.4, 0.41, 0.6, 0.8, 1.0] * 3)
     with pytest.raises(ValueError):
         spectrum_peaks(RamseyTrace(tau=bad, signal=np.zeros(len(bad))))
+
+
+def test_pulse_and_ramsey_input_checks():
+    # a nan or inf drive once reached eigh, and an infinite pi pulse gave
+    # an all-nan trace
+    for kwargs, message in (
+        (dict(rabi_amplitude=math.nan), "rabi_amplitude must be finite"),
+        (dict(rabi_amplitude=math.inf), "rabi_amplitude must be finite"),
+        (dict(rabi_amplitude=-1.0), "rabi_amplitude must be finite and >= 0"),
+        (dict(rabi_amplitude=14.3, carrier_detuning=math.nan), "carrier_detuning must be finite"),
+        (dict(rabi_amplitude=14.3, carrier_detuning=-math.inf), "carrier_detuning must be finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            PulseParams(**kwargs)
+    tau = np.linspace(0, 5.0, 64)
+    for bad in (math.inf, math.nan, 0.0, -0.035):
+        with pytest.raises(ValueError, match="pi_duration must be finite and positive"):
+            simulate_zq_ramsey(SYS, F40, bad, 0.0, tau, rabi_amplitude=14.3)
 
 
 def test_dephasing_identity_limit():

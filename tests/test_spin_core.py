@@ -267,6 +267,20 @@ def test_field_orientation_rejects_non_finite():
             FieldOrientation(40.3, theta, 0.0)
 
 
+def test_system_params_reject_non_finite():
+    # inf or nan constants once reached eigh, which failed to converge
+    for kwargs, message in (
+        (dict(d=math.inf), "d must be finite"), (dict(d=math.nan), "d must be finite"),
+        (dict(d=0.0), "d must be finite and positive"),
+        (dict(gamma_e=math.inf), "gamma_e must be finite"),
+        (dict(gamma_e=math.nan), "gamma_e must be finite"),
+        (dict(gamma_n=math.nan), "gamma_n out of range"),
+        (dict(gamma_n=math.inf), "gamma_n out of range"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            SystemParams(**kwargs)
+
+
 def test_stacked_hamiltonians_match_scalar_builder():
     rng = np.random.default_rng(5)
     params, _ = random_system(rng)
