@@ -70,10 +70,20 @@ def _build_parser():
 
     p = sub.add_parser("fit", parents=[common], help="fit the hyperfine tensor to a scan CSV")
     p.add_argument("dataset", help="scan CSV path")
-    p.add_argument("--fix", action="append", default=[], metavar="PARAM",
-                   help="hold a parameter at its initial value (repeatable)")
-    p.add_argument("--bootstrap", type=int, default=0, metavar="N",
-                   help="parametric bootstrap refits for empirical uncertainties")
+    p.add_argument(
+        "--fix",
+        action="append",
+        default=[],
+        metavar="PARAM",
+        help="hold a parameter at its initial value (repeatable)",
+    )
+    p.add_argument(
+        "--bootstrap",
+        type=int,
+        default=0,
+        metavar="N",
+        help="parametric bootstrap refits for empirical uncertainties",
+    )
 
     p = sub.add_parser("sensitivity", parents=[common], help="exact line-shift slopes per tensor component")
     p.add_argument("--at-sta", action="store_true")
@@ -112,7 +122,10 @@ def _run(args) -> int:
     from .config import apply_overrides, parse, parse_file
 
     config_path = getattr(args, "config", None)
-    cfg = parse_file(config_path) if config_path else parse("")
+    if config_path:
+        cfg = parse_file(config_path)
+    else:
+        cfg = parse("")
     seed = getattr(args, "seed", None)
     if seed is not None:
         cfg = apply_overrides(cfg, ["seed=%d" % seed])

@@ -11,12 +11,12 @@ sign(a_xx) hypot(a_xx, a), along the soft curved valley that single-axis
 data leave (Transtrum, Machta & Sethna, PRL 104, 060201 (2010)), once r
 is past 40/3 MHz; psi moves at most 0.3 rad per iteration, with a
 geodesic acceleration from the second-order perturbation theory of the
-pass's own eigensolve. A fit stops where its Gauss-Newton decrement
-certifies a stationary point. Results are reported in PARAM_IDS.
+pass's own eigensolve. Results are reported in PARAM_IDS.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -453,8 +453,7 @@ def _valley_axx(u):
 
 
 def _to_valley(vec, q=False):
-    """Valley coordinates of a PARAM_IDS vector: r = hypot(a_zz, a), psi =
-    atan2(a, a_zz); with ``q`` also q = sign(a_xx) hypot(a_xx, a) for a_xx."""
+    """Valley coordinates (see fit_hyperfine) of a PARAM_IDS vector; ``q``: the q chart."""
     u = np.array(vec, dtype=float)
     u[2], u[3] = math.hypot(u[2], u[3]), math.atan2(u[3], u[2])
     if q:
@@ -463,8 +462,7 @@ def _to_valley(vec, q=False):
 
 
 def _from_valley(u, q=False):
-    """The PARAM_IDS vector of valley coordinates: a_zz = r cos psi, a = r sin
-    psi; with ``q`` also a_xx = ``_valley_axx(u)``."""
+    """The PARAM_IDS vector of valley coordinates u; ``q``: the q chart."""
     vec = np.array(u, dtype=float)
     vec[2], vec[3] = u[2] * math.cos(u[3]), u[2] * math.sin(u[3])
     if q:
@@ -489,9 +487,8 @@ def _valley_jacobian(jac, u, q=False):
 
 
 def _valley_curve(u, du, q=False):
-    """(dx, ddx) at t = 0 of the PARAM_IDS curve _from_valley(u + t du, q); with
-    ``q``, a_xx^2 = q^2 - a^2 gives a_xx' = (q q' - a a') / a_xx and a_xx''
-    = (q'^2 - a'^2 - a a'' - a_xx'^2) / a_xx."""
+    """(dx, ddx) at t = 0 of the PARAM_IDS curve _from_valley(u + t du, q); in the
+    q chart a_xx' = (q q' - a a') / a_xx, a_xx'' = (q'^2 - a'^2 - a a'' - a_xx'^2) / a_xx."""
     c, s, r, dr, dp = math.cos(u[3]), math.sin(u[3]), u[2], du[2], du[3]
     dx, ddx = np.array(du, dtype=float), np.zeros(6)
     dx[2:4] = c * dr - r * s * dp, s * dr + r * c * dp
@@ -528,26 +525,25 @@ def fit_hyperfine(
     doubling per rejection in a row (Nielsen, IMM-REP-1999-05).
     ``n_iterations`` counts passes that evaluate the model, rejected ones
     too. ``stop_reason``: "stationary" (converged) when a step changed chi^2
-    by < 1e-10 relative and the Jacobian at its vector gives a Gauss-Newton
-    decrement 1/4 g^T (J^T J)^-1 g (a full undamped step's drop) <= 1e-10
-    chi^2, J^T J regular; "chi2_stalled" (converged) after 3 taken steps in
-    a row with relative chi^2 change < 1e-10 or gradient norm < 1e-8,
-    "grad_small" if the last met only the latter; "damping_cap" on a step
-    rejected at mu = 1e8, the rounding floor (converged if its chi^2 was
-    finite); "max_iterations".
+    by < 1e-10 relative and, at its vector, the Gauss-Newton decrement 1/4
+    g^T (J^T J)^-1 g (a full undamped step's drop) is <= 1e-10 chi^2;
+    "chi2_stalled" (converged) after 3 taken steps in a row with relative
+    chi^2 change < 1e-10 or gradient norm < 1e-8, "grad_small" if the last
+    met only the latter; "damping_cap" on a step rejected at mu = 1e8, the
+    rounding floor (converged if its chi^2 was finite); "max_iterations".
 
     With a_zz and a both free and r = hypot(a_zz, a) at least 40/3 MHz
     (where r's cap below leaves its floor), the iteration steps in valley
     coordinates, (a_zz, a) = r (cos psi, sin psi), which straighten the
-    curved valley of data that pin r but barely psi. With a_xx free and
-    |a_xx| >= 0.2 q (``_Q_SHARE``) too, it trades a_xx for q = sign(a_xx)
-    hypot(a_xx, a), which a ZQ phi sweep pins (a trial with q^2 <= a^2 is a
-    rejected pass). Nearer r = 0, where psi is ill-defined, and in every
-    other case it takes PARAM_IDS steps. Each pass caps r and q, like every
-    tensor component, at max(2, 0.15 |x|) MHz and psi at 0.3 rad, psi by
-    raising its damping alone (x4 until the step fits, each a rank-one
-    update of the inverse), which keeps the step downhill. A valley step v
-    then becomes v + a/2 (geodesic acceleration, Transtrum & Sethna,
+    curved valley of data that pin r but barely psi; with a_xx free and
+    |a_xx| >= 0.2 q (``_Q_SHARE``), also in q = sign(a_xx) hypot(a_xx, a)
+    for a_xx, which a ZQ phi sweep pins (the q chart; a trial with q^2 <=
+    a^2 is a rejected pass). Nearer r = 0, where psi is ill-defined, and
+    with a_zz or a fixed it takes PARAM_IDS steps. Each pass caps r and q,
+    like every tensor component, at max(2, 0.15 |x|) MHz and psi at 0.3 rad,
+    psi by raising its damping alone (x4 until the step fits, each a
+    rank-one update of the inverse), which keeps the step downhill. A valley
+    step v then becomes v + a/2 (geodesic acceleration, Transtrum & Sethna,
     arXiv:1201.5885), a = -(J^T J + mu D)^-1 J^T r''_v with the same capped
     matrix and r''_v the residuals' exact second derivative along v
     (``_second_directional``), when 2 |a|_D <= 3 |v|_D (``_ACCEL_RATIO``, D
@@ -627,12 +623,10 @@ def fit_hyperfine(
             grad = 2.0 * jac.T @ resid
             jtj = jac.T @ jac
             if rel_change < 1e-10:  # a stationary point? See the docstring
-                try:
+                with contextlib.suppress(np.linalg.LinAlgError):  # singular J^T J: no stop
                     if 0.25 * grad @ np.linalg.solve(jtj, grad) <= 1e-10 * chi2:
                         converged, stop_reason, n_iter = True, "stationary", n_iter - 1
                         break
-                except np.linalg.LinAlgError:
-                    pass  # singular J^T J: no certificate
             damp = np.clip(np.diag(jtj), 1e-300, None)
         lhs = jtj.copy()
         lhs[diag] += mu * damp
@@ -728,8 +722,10 @@ def _check_rank(jac: np.ndarray, free):
     norms = np.linalg.norm(jac, axis=0)
     top = float(np.max(norms))
     if top == 0.0:
-        raise ValueError("degenerate parameter direction: "
-                         + " , ".join(PARAM_IDS[i] for i in free))
+        raise ValueError(
+            "degenerate parameter direction: "
+            + " , ".join(PARAM_IDS[i] for i in free)
+        )
     scaled = jac / np.where(norms > top * 1e-300, norms, top)
     dead = norms < top * 1e-12
     if dead.any():
