@@ -450,7 +450,8 @@ def test_stationary_stop_is_certified():
     # a "stationary" stop has a Gauss-Newton decrement 1/4 g^T (J^T J)^-1 g,
     # the chi^2 drop of a full undamped step, of at most 1e-10 chi^2. The
     # fit takes it in its step chart; it is the same in PARAM_IDS, where it
-    # is recomputed here from _jacobian at the returned params
+    # is recomputed here from _jacobian at the returned params. The restart
+    # of test_converged_fit_is_stationary covers these fits too
     stationary = [(seed, ds, r) for seed, ds, r in a6_fits() if r.stop_reason == "stationary"]
     assert len(stationary) >= 3
     for seed, ds, r in stationary:
@@ -460,7 +461,6 @@ def test_stationary_stop_is_certified():
         grad = 2.0 * jac.T @ resid
         assert r.converged and math.fsum(resid * resid) == r.chi2
         assert 0.25 * grad @ np.linalg.solve(jac.T @ jac, grad) <= 1e-10 * r.chi2, seed
-        assert fit_hyperfine(ds, r.params).chi2 >= r.chi2 * (1.0 - 1e-9), seed
 
 
 def test_pass_budget():
