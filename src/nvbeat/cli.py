@@ -42,6 +42,12 @@ def _build_parser():
         default=argparse.SUPPRESS,
         help="cap BLAS/OpenMP thread pools (set before numpy loads)",
     )
+    at_sta = argparse.ArgumentParser(add_help=False)
+    at_sta.add_argument(
+        "--at-sta",
+        action="store_true",
+        help="evaluate at the single-transition axis instead of the config field",
+    )
     ap = argparse.ArgumentParser(
         prog="nvbeat",
         description="NV-13C spin simulation and hyperfine-tensor estimation",
@@ -49,12 +55,7 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common], help="single-quantum transition lines")
-    p.add_argument(
-        "--at-sta",
-        action="store_true",
-        help="evaluate at the single-transition axis instead of the config field",
-    )
+    sub.add_parser("spectrum", parents=[common, at_sta], help="single-quantum transition lines")
 
     p = sub.add_parser("zq-scan", parents=[common], help="zero-quantum splitting vs field angle")
     p.add_argument("--sweep", choices=("theta", "phi"), required=True)
@@ -62,11 +63,8 @@ def _build_parser():
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
 
-    p = sub.add_parser("rabi", parents=[common], help="driven ms0 population trace")
-    p.add_argument("--at-sta", action="store_true")
-
-    p = sub.add_parser("ramsey", parents=[common], help="zero-quantum Ramsey trace")
-    p.add_argument("--at-sta", action="store_true")
+    sub.add_parser("rabi", parents=[common, at_sta], help="driven ms0 population trace")
+    sub.add_parser("ramsey", parents=[common, at_sta], help="zero-quantum Ramsey trace")
 
     p = sub.add_parser("fit", parents=[common], help="fit the hyperfine tensor to a scan CSV")
     p.add_argument("dataset", help="scan CSV path")
@@ -85,8 +83,9 @@ def _build_parser():
         help="parametric bootstrap refits for empirical uncertainties",
     )
 
-    p = sub.add_parser("sensitivity", parents=[common], help="exact line-shift slopes per tensor component")
-    p.add_argument("--at-sta", action="store_true")
+    sub.add_parser(
+        "sensitivity", parents=[common, at_sta], help="exact line-shift slopes per tensor component"
+    )
 
     sub.add_parser("principal", parents=[common], help="principal values and theta_P")
 
@@ -119,6 +118,7 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    from . import __version__
     from .config import apply_overrides, parse, parse_file
 
     config_path = getattr(args, "config", None)
@@ -139,23 +139,16 @@ def _run(args) -> int:
         "principal": cmd_principal,
         "synth": cmd_synth,
     }[args.command]
-    text = handler(cfg, args)
-    _write(text, getattr(args, "out", None))
-    return 0
-
-
-def _write(text: str, out: str | None):
+    rows = ["# nvbeat %s config=%s" % (__version__, cfg.digest())]
+    rows += handler(cfg, args)
+    text = "\n".join(rows) + "\n"
+    out = getattr(args, "out", None)
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w") as fh:
             fh.write(text)
-
-
-def _comment(cfg) -> str:
-    from . import __version__
-
-    return "# nvbeat %s config=%s" % (__version__, cfg.digest())
+    return 0
 
 
 def _resolved_field(cfg, at_sta: bool):
@@ -172,7 +165,8 @@ def _resolved_field(cfg, at_sta: bool):
 # subcommands
 
 
-def cmd_spectrum(cfg, args) -> str:
+def cmd_spectrum(cfg, args) -> list:
+    from .estimation import csv_row
     from .spin_core import build_hamiltonian, eigensystem, single_quantum_transitions
 
     params = cfg.system()
@@ -190,21 +184,19 @@ def cmd_spectrum(cfg, args) -> str:
         else:
             merged.append([ln.frequency, ln.amplitude, branch])
     rows = [
-        _comment(cfg),
         "# field: b=%.6g G theta=%.6g phi=%.6g (NV frame)"
         % (field.b, field.theta, field.phi),
         "frequency_mhz,amplitude,branch",
     ]
-    for freq, amp, branch in merged:
-        rows.append("%.10g,%.10g,%s" % (freq, amp, branch))
-    return "\n".join(rows) + "\n"
+    rows += [csv_row(*m) for m in merged]
+    return rows
 
 
-def cmd_zq_scan(cfg, args) -> str:
+def cmd_zq_scan(cfg, args) -> list:
     import numpy as np
 
     from .analytic import delta_perturbative
-    from .estimation import MIN_SIGMA, ScanPoint, model_values
+    from .estimation import MIN_SIGMA, ScanPoint, csv_row, model_values
     from .spin_core import FieldOrientation
 
     if args.step <= 0:
@@ -224,17 +216,18 @@ def cmd_zq_scan(cfg, args) -> str:
         for kind in ("zq_frequency", "zq_amplitude")
         for f in fields
     ]).reshape(2, -1)
-    rows = [_comment(cfg), "angle_deg,delta_exact_mhz,delta_perturbative_mhz,beat_amplitude"]
+    rows = ["angle_deg,delta_exact_mhz,delta_perturbative_mhz,beat_amplitude"]
     for ang, field, ex, amp in zip(angles, fields, exact, beat):
         pert = delta_perturbative(params, field)
-        rows.append("%.10g,%.10g,%.10g,%.10g" % (ang, ex, pert, amp))
-    return "\n".join(rows) + "\n"
+        rows.append(csv_row(ang, ex, pert, amp))
+    return rows
 
 
-def _trace_text(cfg, trace, peaks) -> str:
-    rows = [_comment(cfg), "tau_us,signal"]
-    for t, s in zip(trace.tau, trace.signal):
-        rows.append("%.10g,%.10g" % (t, s))
+def _trace_rows(trace, peaks) -> list:
+    from .estimation import csv_row
+
+    rows = ["tau_us,signal"]
+    rows += [csv_row(t, s) for t, s in zip(trace.tau, trace.signal)]
     for k in range(len(peaks.frequency)):
         rows.append(
             "# peak %d: %.4f MHz (magnitude %.6g)"
@@ -242,10 +235,10 @@ def _trace_text(cfg, trace, peaks) -> str:
         )
     if len(peaks.frequency) == 0:
         rows.append("# no peaks")
-    return "\n".join(rows) + "\n"
+    return rows
 
 
-def cmd_rabi(cfg, args) -> str:
+def cmd_rabi(cfg, args) -> list:
     import numpy as np
 
     from .dynamics import PulseParams, simulate_rabi, spectrum_peaks
@@ -259,7 +252,7 @@ def cmd_rabi(cfg, args) -> str:
     t_grid = np.linspace(0.0, 4.0 / amp, cfg["sequence.n_points"])
     pulse = PulseParams(rabi_amplitude=amp, carrier_detuning=cfg["sequence.detuning"])
     trace = simulate_rabi(params, field, pulse, t_grid)
-    return _trace_text(cfg, trace, spectrum_peaks(trace))
+    return _trace_rows(trace, spectrum_peaks(trace))
 
 
 def _pi_duration(cfg, params, field) -> float:
@@ -278,7 +271,7 @@ def _pi_duration(cfg, params, field) -> float:
     return pi_pulse_from_rabi(trace)
 
 
-def cmd_ramsey(cfg, args) -> str:
+def cmd_ramsey(cfg, args) -> list:
     import numpy as np
 
     from .dynamics import apply_dephasing, simulate_zq_ramsey, spectrum_peaks
@@ -297,37 +290,19 @@ def cmd_ramsey(cfg, args) -> str:
     )
     if cfg["sequence.t2_star"] > 0:
         trace = apply_dephasing(trace, cfg["sequence.t2_star"], cfg["sequence.envelope"])
-    return _trace_text(cfg, trace, spectrum_peaks(trace))
+    return _trace_rows(trace, spectrum_peaks(trace))
 
 
-def cmd_fit(cfg, args) -> str:
-    import numpy as np
+def cmd_fit(cfg, args) -> list:
+    from dataclasses import astuple
 
-    from .estimation import (
-        CSV_HEADER,
-        PARAM_IDS,
-        FitParams,
-        csv_row,
-        fit_hyperfine,
-        read_dataset,
-    )
+    from .estimation import CSV_HEADER, PARAM_IDS, FitParams, csv_row, fit_hyperfine, read_dataset
 
     dataset = read_dataset(args.dataset)
     fixed = frozenset(args.fix)
-    for name in fixed:
-        if name not in PARAM_IDS:
-            raise ValueError("unknown parameter id %r in --fix" % name)
-    tensor = cfg.system().tensor
-    initial = FitParams(
-        a_xx=tensor.a_xx,
-        a_yy=tensor.a_yy,
-        a_zz=tensor.a_zz,
-        a=tensor.a,
-        b=cfg["field.b"],
-        phi_offset=0.0,
-    )
+    initial = FitParams(*astuple(cfg.system().tensor), b=cfg["field.b"])
     result = fit_hyperfine(dataset, initial, fixed=fixed)
-    rows = [_comment(cfg)]
+    rows = []
     for name in PARAM_IDS:
         value = getattr(result.params, name)
         if name in fixed:
@@ -348,8 +323,8 @@ def cmd_fit(cfg, args) -> str:
     rows.append("")
     rows.append(CSV_HEADER + ",model,residual")
     for p, res in zip(dataset.points, result.residuals):
-        rows.append("%s,%.10g,%.10g" % (csv_row(p), p.value - res, res))
-    return "\n".join(rows) + "\n"
+        rows.append(csv_row(*astuple(p), p.value - res, res))
+    return rows
 
 
 def _bootstrap_sigmas(dataset, result, fixed, n_draws, seed) -> dict:
@@ -384,13 +359,12 @@ def _bootstrap_sigmas(dataset, result, fixed, n_draws, seed) -> dict:
     return {name: float(spread[k]) for k, name in enumerate(PARAM_IDS)}
 
 
-def cmd_sensitivity(cfg, args) -> str:
+def cmd_sensitivity(cfg, args) -> list:
     from .estimation import sensitivity_c
 
     params = cfg.system()
     field = _resolved_field(cfg, args.at_sta)
     rows = [
-        _comment(cfg),
         "# field: b=%.6g G theta=%.6g phi=%.6g (NV frame)"
         % (field.b, field.theta, field.phi),
         "parameter  c_value  slopes(line0..line3)",
@@ -401,16 +375,15 @@ def cmd_sensitivity(cfg, args) -> str:
             "%-9s  %.4f  %s"
             % (name, rep.c_value, " ".join("%+.4f" % s for s in rep.slopes))
         )
-    return "\n".join(rows) + "\n"
+    return rows
 
 
-def cmd_principal(cfg, args) -> str:
+def cmd_principal(cfg, args) -> list:
     from .tensor_geometry import magnitude_sorted, principal_axes
 
     axes = principal_axes(cfg.system().tensor)
     small, y_val, big = axes.values
     rows = [
-        _comment(cfg),
         "principal_small = %.10g" % small,
         "principal_y = %.10g" % y_val,
         "principal_big = %.10g" % big,
@@ -419,7 +392,7 @@ def cmd_principal(cfg, args) -> str:
         "theta_p = %.10g" % axes.theta_p,
         "theta_p_alt = %.10g" % axes.theta_p_alt,
     ]
-    return "\n".join(rows) + "\n"
+    return rows
 
 
 def _synth_design(cfg, which: str):
@@ -446,7 +419,9 @@ def _synth_design(cfg, which: str):
     return design
 
 
-def cmd_synth(cfg, args) -> str:
+def cmd_synth(cfg, args) -> list:
+    from dataclasses import astuple
+
     from .estimation import CSV_HEADER, csv_row, synthesize_dataset
 
     dataset = synthesize_dataset(
@@ -457,9 +432,9 @@ def cmd_synth(cfg, args) -> str:
         field_imperfection=cfg.imperfection(),
         seed=cfg["seed"],
     )
-    rows = [_comment(cfg), "# design: %s" % args.design, CSV_HEADER]
-    rows += [csv_row(p) for p in dataset.points]
-    return "\n".join(rows) + "\n"
+    rows = ["# design: %s" % args.design, CSV_HEADER]
+    rows += [csv_row(*astuple(p)) for p in dataset.points]
+    return rows
 
 
 if __name__ == "__main__":

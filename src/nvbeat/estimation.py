@@ -63,6 +63,7 @@ _SV_FLOOR = 1e-6
 class ScanPoint:
     """One measured observable at one field configuration."""
 
+    # field order must match CSV_HEADER: a dataset row is csv_row(*astuple(point))
     theta: float  # deg, NV frame
     phi: float  # deg
     b: float  # Gauss
@@ -185,12 +186,9 @@ def read_dataset(path: str) -> ScanDataset:
     return ScanDataset(tuple(points))
 
 
-def csv_row(p: ScanPoint) -> str:
-    """One scan CSV row, columns as CSV_HEADER, without the newline."""
-    idx = "" if p.transition_index is None else str(p.transition_index)
-    return "%.10g,%.10g,%.10g,%s,%.10g,%.10g,%s" % (
-        p.theta, p.phi, p.b, p.kind, p.value, p.sigma, idx
-    )
+def csv_row(*cells) -> str:
+    """One CSV row without the newline: numbers as %.10g, None empty, text as is."""
+    return ",".join("" if c is None else c if isinstance(c, str) else "%.10g" % c for c in cells)
 
 
 def write_dataset(dataset: ScanDataset, path: str, comments=()):
@@ -200,7 +198,7 @@ def write_dataset(dataset: ScanDataset, path: str, comments=()):
             fh.write("# %s\n" % c)
         fh.write(CSV_HEADER + "\n")
         for p in dataset.points:
-            fh.write(csv_row(p) + "\n")
+            fh.write(csv_row(*dataclasses.astuple(p)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,41 +27,34 @@ class PrincipalAxes:
     theta_p_alt: float
 
 
-def principal_axes(tensor: HyperfineTensor) -> PrincipalAxes:
-    """Diagonalize the xz block analytically and attach the y principal value.
+def _xz_block(tensor: HyperfineTensor):
+    """(mean, h, r, phi) of [[a_xx, a], [a, a_zz]]: eigenvalues mean -+ r,
+    h = (a_xx - a_zz)/2, phi (rad, in (-pi/2, pi/2]) the large axis's angle from z."""
+    mean = 0.5 * (tensor.a_xx + tensor.a_zz)
+    h = 0.5 * (tensor.a_xx - tensor.a_zz)
+    phi = 0.5 * math.atan2(2.0 * tensor.a, tensor.a_zz - tensor.a_xx)
+    if phi <= -0.5 * math.pi:  # atan2(-0.0, x < 0) = -pi; -90 deg is the axis of +90
+        phi += math.pi
+    return mean, h, float(np.hypot(h, tensor.a)), phi
 
-    Mirror symmetry makes y an exact principal axis; the in-plane pair comes
-    from the 2x2 block [[a_xx, a], [a, a_zz]].
+
+def principal_axes(tensor: HyperfineTensor) -> PrincipalAxes:
+    """Diagonalize the xz block in closed form and attach the y principal value.
+
+    Mirror symmetry makes y an exact principal axis. The large in-plane axis
+    is (sin phi, 0, cos phi), phi = atan2(2a, a_zz - a_xx)/2 in (-90, 90] deg
+    (0 for an isotropic block), and theta_p = |phi|. Under the gauge (a,
+    phi_offset) -> (-a, phi_offset + 180) the values and theta_p do not
+    change and the x component of the large axis flips sign.
     """
-    axx, azz, a = tensor.a_xx, tensor.a_zz, tensor.a
-    mean = 0.5 * (axx + azz)
-    half_diff = 0.5 * (axx - azz)
-    r = np.hypot(half_diff, a)
-    lam_big = mean + r
-    lam_small = mean - r
-    # Eigenvector of the 2x2 block for lam_big, components (x, z).
-    if r == 0.0:
-        vx, vz = 0.0, 1.0  # isotropic in-plane block: any axis; keep z
-    else:
-        # (axx - lam) vx + a vz = 0
-        vx, vz = a, lam_big - axx
-        if vx == 0.0 and vz == 0.0:
-            vx, vz = lam_big - azz, a
-        nrm = np.hypot(vx, vz)
-        vx, vz = vx / nrm, vz / nrm
-    theta_p = float(np.degrees(np.arccos(np.clip(abs(vz), 0.0, 1.0))))
-    big_axis = np.array([vx, 0.0, vz])
-    if vz < 0:
-        big_axis = -big_axis
-    small_axis = np.array([big_axis[2], 0.0, -big_axis[0]])
-    rotation = np.column_stack([small_axis, [0.0, 1.0, 0.0], big_axis])
-    if np.linalg.det(rotation) < 0:
-        rotation[:, 0] = -rotation[:, 0]
+    mean, _, r, phi = _xz_block(tensor)
+    c, s = math.cos(phi), math.sin(phi)
+    theta_p = math.degrees(abs(phi))
     return PrincipalAxes(
-        values=(float(lam_small), float(tensor.a_yy), float(lam_big)),
-        rotation=rotation,
+        values=(mean - r, float(tensor.a_yy), mean + r),
+        rotation=np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]),
         theta_p=theta_p,
-        theta_p_alt=float(180.0 - theta_p),
+        theta_p_alt=180.0 - theta_p,
     )
 
 
@@ -80,7 +74,9 @@ def principal_sigmas(
 
     ``sigmas`` maps component names ('a_xx', 'a_yy', 'a_zz', 'a') to 1-sigma
     values; an optional 4x4 covariance (same order) overrides the diagonal.
-    Returns sigma for the three principal values and theta_p (degrees).
+    Returns sigma for the three principal values and theta_p (degrees), from
+    the exact derivatives dr = (h, 0, -h, 2a)/(2r) and dphi = (a, 0, -a,
+    -2h)/(4r^2). Raises ValueError at r = 0, where the frame is undefined.
     """
     order = ("a_xx", "a_yy", "a_zz", "a")
     if covariance is None:
@@ -89,24 +85,13 @@ def principal_sigmas(
         cov = np.asarray(covariance, dtype=float)
         if cov.shape != (4, 4):
             raise ValueError("covariance must be 4x4 over (a_xx, a_yy, a_zz, a)")
-    base = principal_axes(tensor)
-    step = 1e-5 * max(1.0, max(abs(getattr(tensor, k)) for k in order))
-    jac = np.zeros((4, 4))  # rows: three values + theta_p; cols: components
-    for c, name in enumerate(order):
-        tp = {k: getattr(tensor, k) for k in order}
-        tm = dict(tp)
-        tp[name] += step
-        tm[name] -= step
-        pp = principal_axes(HyperfineTensor(**tp))
-        pm = principal_axes(HyperfineTensor(**tm))
-        jac[0:3, c] = (np.array(pp.values) - np.array(pm.values)) / (2 * step)
-        jac[3, c] = (pp.theta_p - pm.theta_p) / (2 * step)
-    var = np.einsum("ij,jk,ik->i", jac, cov, jac)
-    var = np.clip(var, 0.0, None)
-    return {
-        "value_small": float(np.sqrt(var[0])),
-        "value_y": float(np.sqrt(var[1])),
-        "value_big": float(np.sqrt(var[2])),
-        "theta_p": float(np.sqrt(var[3])),
-        "base": base,
-    }
+    _, h, r, _ = _xz_block(tensor)
+    if r == 0.0:
+        raise ValueError("principal frame undefined: a_xx == a_zz and a == 0")
+    a = tensor.a
+    dmean = np.array([0.5, 0.0, 0.5, 0.0])
+    dr = np.array([h, 0.0, -h, 2.0 * a]) / (2.0 * r)
+    dphi = np.degrees(np.array([a, 0.0, -a, -2.0 * h]) / (4.0 * r * r))
+    jac = np.array([dmean - dr, [0.0, 1.0, 0.0, 0.0], dmean + dr, dphi])
+    var = np.clip(np.einsum("ij,jk,ik->i", jac, cov, jac), 0.0, None)
+    return dict(zip(("value_small", "value_y", "value_big", "theta_p"), np.sqrt(var).tolist()))

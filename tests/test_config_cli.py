@@ -308,6 +308,24 @@ def test_fit_fixed_parameters(tmp_path, capsys):
     assert "phi_offset = 0 (fixed)" in out
 
 
+def test_fit_rejects_unknown_fixed_parameter(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, TABLE_CFG)
+    ds_path = str(tmp_path / "scan.csv")
+    assert main(["--config", cfgp, "--out", ds_path, "synth", "--design", "two-theta"]) == 0
+    assert main(["--config", cfgp, "fit", ds_path, "--fix", "bogus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'bogus'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "rabi", "ramsey", "sensitivity"])
+def test_at_sta_is_documented(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--at-sta evaluate at the single-transition axis" in help_text
+
+
 def test_fit_rejects_bad_csv_rows(tmp_path, capsys):
     cfgp = write_cfg(tmp_path, TABLE_CFG)
     ds_path = tmp_path / "scan.csv"

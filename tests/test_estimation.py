@@ -29,6 +29,7 @@ from nvbeat.estimation import (
     _to_valley,
     _valley_curve,
     _valley_jacobian,
+    csv_row,
     find_axis_minimum,
     find_single_transition_axis,
     fit_hyperfine,
@@ -95,6 +96,14 @@ def test_csv_round_trip(tmp_path):
         assert p.kind == q.kind and p.transition_index == q.transition_index
         assert abs(p.value - q.value) < 1e-9 * max(1.0, abs(p.value))
         assert abs(p.sigma - q.sigma) < 1e-12
+
+
+def test_csv_row_cells():
+    assert csv_row(1.0, np.float64(2.5e-11), 3, None, "ms_plus") == "1,2.5e-11,3,,ms_plus"
+    p = ScanPoint(40.0, -90.0, 40.3, "sq_frequency", 2873.123456789012, 0.2, 1)
+    row = csv_row(*dataclasses.astuple(p))
+    assert row == "40,-90,40.3,sq_frequency,2873.123457,0.2,1"
+    assert len(row.split(",")) == len(CSV_HEADER.split(","))
 
 
 def test_csv_errors(tmp_path):

@@ -1,5 +1,7 @@
 """Principal-axis decomposition and uncertainty propagation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,82 @@ def test_y_sigma_passthrough():
     out = principal_sigmas(REF, {"a_yy": 0.7})
     assert abs(out["value_y"] - 0.7) < 1e-6
     assert out["value_small"] < 1e-9
+
+
+def random_tensors(seed, n, r_min=1.0):
+    """Seeded tensors with in-plane radius r >= r_min MHz."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        t = HyperfineTensor(*(float(x) for x in rng.uniform(-200, 200, size=4)))
+        if np.hypot(0.5 * (t.a_xx - t.a_zz), t.a) >= r_min:
+            out.append(t)
+    return out
+
+
+def test_principal_sigmas_match_central_differences():
+    # the exact Jacobian against a central difference of principal_axes, one
+    # full non-diagonal covariance per tensor; theta_p = |phi| has kinks at 0
+    # and 90 deg, so tensors within 1 deg of them are left out
+    rng = np.random.default_rng(9)
+    order = ("a_xx", "a_yy", "a_zz", "a")
+    step = 1e-4
+    checked = 0
+    for t in random_tensors(10, 300):
+        base = principal_axes(t)
+        if not 1.0 <= base.theta_p <= 89.0:
+            continue
+        jac = np.zeros((4, 4))
+        for c, name in enumerate(order):
+            hi = principal_axes(dataclasses.replace(t, **{name: getattr(t, name) + step}))
+            lo = principal_axes(dataclasses.replace(t, **{name: getattr(t, name) - step}))
+            jac[:3, c] = (np.array(hi.values) - np.array(lo.values)) / (2 * step)
+            jac[3, c] = (hi.theta_p - lo.theta_p) / (2 * step)
+        root = rng.normal(size=(4, 4))
+        cov = root @ root.T
+        expected = np.sqrt(np.einsum("ij,jk,ik->i", jac, cov, jac))
+        got = principal_sigmas(t, {}, covariance=cov)
+        for k, key in enumerate(("value_small", "value_y", "value_big", "theta_p")):
+            assert abs(got[key] - expected[k]) <= 1e-6 * expected[k], (t, key)
+        checked += 1
+    assert checked > 250
+
+
+def test_gauge_flips_only_the_xz_rotation_entries():
+    # (a, phi_offset) -> (-a, phi_offset + 180): same values and theta_p,
+    # phi -> -phi, so the x component of the large axis flips sign
+    flip = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
+    for t in random_tensors(11, 200):
+        ax = principal_axes(t)
+        mirror = principal_axes(dataclasses.replace(t, a=-t.a))
+        assert mirror.values == ax.values
+        assert mirror.theta_p == ax.theta_p
+        assert mirror.theta_p_alt == ax.theta_p_alt
+        assert np.array_equal(mirror.rotation, flip * ax.rotation)
+
+
+def test_principal_sigmas_raise_without_an_in_plane_frame():
+    with pytest.raises(ValueError, match="undefined"):
+        principal_sigmas(HyperfineTensor(50.0, 70.0, 50.0, 0.0), {"a": 0.1})
+
+
+S = np.sqrt(0.5)
+
+
+@pytest.mark.parametrize(
+    "tensor, theta_p, rotation",
+    [
+        # a = +0.0 and -0.0 with a_zz < a_xx: the large axis is x
+        (HyperfineTensor(150.0, 100.0, 90.0, 0.0), 90.0, [[0, 0, 1], [0, 1, 0], [-1, 0, 0]]),
+        (HyperfineTensor(150.0, 100.0, 90.0, -0.0), 90.0, [[0, 0, 1], [0, 1, 0], [-1, 0, 0]]),
+        (HyperfineTensor(90.0, 100.0, 150.0, 0.0), 0.0, np.eye(3)),
+        (HyperfineTensor(50.0, 70.0, 50.0, 0.0), 0.0, np.eye(3)),
+        (HyperfineTensor(50.0, 70.0, 50.0, -0.0), 0.0, np.eye(3)),
+        (HyperfineTensor(0.0, 10.0, 0.0, 5.0), 45.0, [[S, 0, S], [0, 1, 0], [-S, 0, S]]),
+        (HyperfineTensor(0.0, 10.0, 0.0, -5.0), 45.0, [[S, 0, -S], [0, 1, 0], [S, 0, S]]),
+    ],
+)
+def test_edge_case_frames(tensor, theta_p, rotation):
+    ax = principal_axes(tensor)
+    assert abs(ax.theta_p - theta_p) <= 1e-12
+    assert np.max(np.abs(ax.rotation - np.array(rotation, dtype=float))) <= 1e-12
