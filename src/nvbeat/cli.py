@@ -166,7 +166,7 @@ def _resolved_field(cfg, at_sta: bool):
 
 
 def cmd_spectrum(cfg, args) -> list:
-    from .estimation import csv_row
+    from .config import csv_row
     from .spin_core import build_hamiltonian, eigensystem, single_quantum_transitions
 
     params = cfg.system()
@@ -196,7 +196,8 @@ def cmd_zq_scan(cfg, args) -> list:
     import numpy as np
 
     from .analytic import delta_perturbative
-    from .estimation import MIN_SIGMA, ScanPoint, csv_row, model_values
+    from .config import csv_row
+    from .estimation import MIN_SIGMA, ScanPoint, model_values
     from .spin_core import FieldOrientation
 
     if args.step <= 0:
@@ -224,7 +225,7 @@ def cmd_zq_scan(cfg, args) -> list:
 
 
 def _trace_rows(trace, peaks) -> list:
-    from .estimation import csv_row
+    from .config import csv_row
 
     rows = ["tau_us,signal"]
     rows += [csv_row(t, s) for t, s in zip(trace.tau, trace.signal)]
@@ -296,7 +297,8 @@ def cmd_ramsey(cfg, args) -> list:
 def cmd_fit(cfg, args) -> list:
     from dataclasses import astuple
 
-    from .estimation import CSV_HEADER, PARAM_IDS, FitParams, csv_row, fit_hyperfine, read_dataset
+    from .config import csv_row
+    from .estimation import CSV_HEADER, PARAM_IDS, FitParams, fit_hyperfine, read_dataset
 
     dataset = read_dataset(args.dataset)
     fixed = frozenset(args.fix)
@@ -422,7 +424,8 @@ def _synth_design(cfg, which: str):
 def cmd_synth(cfg, args) -> list:
     from dataclasses import astuple
 
-    from .estimation import CSV_HEADER, csv_row, synthesize_dataset
+    from .config import csv_row
+    from .estimation import CSV_HEADER, synthesize_dataset
 
     dataset = synthesize_dataset(
         cfg.system(),

@@ -32,6 +32,11 @@ from .spin_core import (
 )
 
 
+def csv_row(*cells) -> str:
+    """One CSV row without the newline: numbers as %.10g, None empty, text as is."""
+    return ",".join("" if c is None else c if isinstance(c, str) else "%.10g" % c for c in cells)
+
+
 class ConfigError(ValueError):
     """Raised for unparsable text, unknown keys, or out-of-range values."""
 

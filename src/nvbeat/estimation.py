@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import csv_row
 from .spin_core import (
     _MAIN_LINES,
     _OP_TENSOR,
@@ -184,11 +185,6 @@ def read_dataset(path: str) -> ScanDataset:
     if not header_seen:
         raise ValueError("%s: no header line found" % path)
     return ScanDataset(tuple(points))
-
-
-def csv_row(*cells) -> str:
-    """One CSV row without the newline: numbers as %.10g, None empty, text as is."""
-    return ",".join("" if c is None else c if isinstance(c, str) else "%.10g" % c for c in cells)
 
 
 def write_dataset(dataset: ScanDataset, path: str, comments=()):
@@ -858,22 +854,33 @@ def sensitivity_c(
     """
     if which not in PARAM_IDS[:4]:
         raise ValueError("unknown parameter id %r" % (which,))
+    slopes = _tensor_slopes(params, field)[PARAM_IDS.index(which)]
+    return SensitivityReport(which, float(np.mean(np.abs(slopes))), slopes)
+
+
+@functools.lru_cache(maxsize=1)
+def _tensor_slopes(params: SystemParams, field: FieldOrientation) -> tuple:
+    """The four lines' slopes per tensor component, from one ``_jacobian``.
+
+    Kept for the last (params, field), so the four components of one point
+    share a solve. Keys that compare equal differ at most in the sign of a
+    zero, which leaves the Hamiltonian's bits as they are.
+    """
     data = _FitData(ScanDataset(
         ScanPoint(field.theta, field.phi, field.b, "sq_frequency", 0.0, MIN_SIGMA, k)
         for k in range(4)
     ))
     truth = np.r_[dataclasses.astuple(params.tensor), field.b, 0.0]
     jac = _jacobian(params, truth, data)
-    slopes = tuple(float(x) for x in jac[:, PARAM_IDS.index(which)])
-    return SensitivityReport(which, float(np.mean(np.abs(slopes))), slopes)
+    return tuple(tuple(float(x) for x in col) for col in jac[:, :4].T)
 
 
 def precision_propagation(delta_omega: float, c: float) -> float:
     """Parameter precision from frequency precision: delta_A = delta_omega / c."""
     if not c > 0:
         raise ValueError("parameter unobservable (c = %r)" % (c,))
-    if delta_omega < 0:
-        raise ValueError("delta_omega must be >= 0")
+    if not (0 <= delta_omega < math.inf and c < math.inf):
+        raise ValueError("delta_omega and c must be finite, delta_omega >= 0")
     return delta_omega / c
 
 

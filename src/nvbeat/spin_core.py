@@ -8,6 +8,7 @@ electron x nucleus with m_S = +1, 0, -1 and m_I = +1/2, -1/2, i.e.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,6 +72,15 @@ class HyperfineTensor:
         for name in ("a_xx", "a_yy", "a_zz", "a"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError("non-finite tensor component %s" % name)
+
+    @functools.cached_property
+    def _alpha_minus(self):
+        """alpha_minus of ``nuclear_eigenstates_excited`` and the LAMBDA_REASONS
+        code of its axis, once per tensor (nan and 2 without an axis)."""
+        try:
+            return nuclear_eigenstates_excited(self)[2], 0
+        except ValueError:  # a_zz = a = 0: no quantization axis
+            return np.full(2, np.nan), 2
 
 
 @dataclass(frozen=True)
@@ -151,7 +161,6 @@ _OP_SZ2 = np.kron(_E.sz @ _E.sz, _ID2).astype(complex)
 # the field terms: Sx, Sy, Sz (electron row) and Ix, Iy, Iz (nuclear row)
 _OP_ZEEMAN = np.array([[np.kron(m, _ID2) for m in (_E.sx, _E.sy, _E.sz)],
                        [np.kron(_ID3, m) for m in (_N.sx, _N.sy, _N.sz)]], dtype=complex)
-_OP_FIELD = tuple(_OP_ZEEMAN[:, k] for k in range(3))  # (2, 6, 6) per component
 # the tensor terms: Sx Ix, Sy Iy, Sz Iz and Sz Ix + Sx Iz
 _OP_TENSOR = np.array([
     np.kron(_E.sx, _N.sx), np.kron(_E.sy, _N.sy), np.kron(_E.sz, _N.sz),
@@ -160,6 +169,34 @@ _OP_TENSOR = np.array([
 
 # Microwave drive operator: electron Sx in the NV frame.
 DRIVE_SX = _OP_ZEEMAN[0, 0]
+
+
+def _assembly_table():
+    """The products and the gather of ``hamiltonians``, from the operators.
+
+    A float of a flat H (72 per matrix, real and imaginary parts
+    interleaved) is the sum of the formula's structurally nonzero products
+    in its order: D, electron field, nuclear field, tensor terms 0 to 3.
+    Product k is (src[SRC[k]] * VAL[k]) * gamma[GAM[k]] over a row src =
+    (b_x, b_y, b_z, a_xx, a_yy, a_zz, a, d, 0) and gamma = (gamma_e,
+    gamma_n, 1); product 0 is +0. A sum of n products takes n of the
+    gather's first two rounds (for all 72 floats) and two more (the six
+    diagonal real parts); the rest gather +0.
+    """
+    ops = [(_OP_SZ2, 7, 2)] + [(_OP_ZEEMAN[s, c], c, s) for s in (0, 1) for c in range(3)]
+    ops += [(m, 3 + k, 2) for k, m in enumerate(_OP_TENSOR)]
+    terms, rounds = [(8, 0.0, 2)], np.zeros((4, 72), dtype=int)
+    flat = np.stack([m for m, _, _ in ops]).view(float).reshape(len(ops), 72)
+    for slot, f in enumerate(flat.T):
+        for r, t in enumerate((src, v, g) for (_, src, g), v in zip(ops, f) if v != 0):
+            terms += [t] * (t not in terms)
+            rounds[r, slot] = terms.index(t)
+    assert not rounds[2:].any(axis=0)[np.arange(72) % 14 != 0].any()
+    src, val, gam = (np.array(x) for x in zip(*terms))
+    return src, val[:, None], gam, np.r_[rounds[:2].ravel(), rounds[2:, ::14].ravel()]
+
+
+_H_SRC, _H_VAL, _H_GAM, _H_GATHER = _assembly_table()
 
 
 def build_hamiltonian(params: SystemParams, field: FieldOrientation) -> np.ndarray:
@@ -216,20 +253,29 @@ def hamiltonians(params: SystemParams, bvec, tensor=None) -> np.ndarray:
         t = params.tensor
         tensor = (t.a_xx, t.a_yy, t.a_zz, t.a)
     tensor = np.asarray(tensor, dtype=float)
-    # every product and sum of the formula above in its order: the field
-    # terms one component at a time, electron and nuclear rows together (no
-    # temporary holds all three), the tensor products in one multiply
-    b = bvec[..., None, None, None]
-    zeeman = b[..., 0, :, :, :] * _OP_FIELD[0]
-    zeeman += b[..., 1, :, :, :] * _OP_FIELD[1]
-    zeeman += b[..., 2, :, :, :] * _OP_FIELD[2]
-    zeeman *= np.array([params.gamma_e, params.gamma_n])[:, None, None]
-    terms = tensor[..., :, None, None] * _OP_TENSOR
-    h = params.d * _OP_SZ2 + zeeman[..., 0, :, :] + zeeman[..., 1, :, :]
-    h = h + terms[..., 0, :, :]  # now shaped for the rows of bvec and tensor
-    for k in (1, 2, 3):
-        h += terms[..., k, :, :]
-    return h
+    # the formula's products (b_c F) gamma and a_k O_k, each float of H
+    # their sum in its order (``_assembly_table``); every sum starts at +0
+    # or d, so it is never -0 and the structural zeros it skips add nothing
+    src = np.empty(np.broadcast(bvec[..., 0], tensor[..., 0]).shape + (9,))
+    src[..., :3] = bvec
+    src[..., 3:7] = tensor
+    src[..., 7:] = params.d, 0.0
+    p = src.reshape(-1, 9).T[_H_SRC]  # products by rows: the gather copies rows
+    p *= _H_VAL
+    p *= _gammas(params.gamma_e, params.gamma_n)
+    g = p[_H_GATHER]
+    h = g[:72] + g[72:144]
+    diag = h[::14]
+    diag += g[144:150]
+    diag += g[150:]
+    h = np.add(h.T, 0.0, order="C")  # +0 where a sum read -0
+    return h.view(complex).reshape(src.shape[:-1] + (6, 6))
+
+
+@functools.lru_cache(maxsize=8)
+def _gammas(gamma_e, gamma_n):
+    """The gamma column of ``hamiltonians``' products."""
+    return np.array([gamma_e, gamma_n, 1.0])[_H_GAM][:, None]
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -238,7 +284,7 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     Works on one (6, n) matrix or a stack (..., 6, n).
     """
     stack = vectors.reshape((-1,) + vectors.shape[-2:])
-    idx = np.argmax(np.abs(stack), axis=1)
+    idx = np.abs(stack).argmax(axis=1)
     piv = stack[np.arange(len(stack))[:, None], idx, np.arange(idx.shape[1])]
     mag = np.abs(piv)
     factor = np.ones(piv.shape, dtype=complex)
@@ -256,11 +302,28 @@ def manifold_overlaps(vectors: np.ndarray) -> np.ndarray:
     return (pops[..., 0::2, :] + pops[..., 1::2, :]).swapaxes(-1, -2)
 
 
+@functools.lru_cache(maxsize=4)
+def _triangle(k: int):
+    """Flat indices of a k x k matrix's upper triangle with its diagonal,
+    and of their mirror entries."""
+    i, j = np.triu_indices(k)
+    return i * k + j, j * k + i
+
+
 def _hermitian(h: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack (n, k, k): Hermitian to 1e-9 of its largest entry."""
-    scale = np.maximum(1.0, np.maximum.reduce(np.abs(h), axis=(1, 2)))
-    skew = np.maximum.reduce(np.abs(h - h.transpose(0, 2, 1).conj()), axis=(1, 2))
-    return ~(skew > 1e-9 * scale)
+    """Per matrix of a stack (n, k, k): finite, and Hermitian to 1e-9 of its
+    largest entry.
+
+    |h_ij - conj(h_ji)| is the same float from either side, so the upper
+    triangle with the diagonal gives the whole matrix's skew. A nan entry
+    makes the skew nan, an inf one inf or nan, and the difference below
+    nan: they fail (inf - inf warns as invalid).
+    """
+    upper, mirror = _triangle(h.shape[-1])
+    flat = h.reshape(len(h), -1)
+    scale = np.maximum.reduce(np.abs(flat), axis=1, initial=1.0)
+    skew = np.maximum.reduce(np.abs(flat[:, upper] - flat[:, mirror].conj()), axis=1)
+    return skew - 1e-9 * scale <= 0.0
 
 
 # Why one matrix has no labelled eigensystem: the reason code of a row is 0
@@ -304,6 +367,9 @@ def _labelling_walk(kinds: np.ndarray):
 
 # the walk tabulated once for all 4**6 kind sequences; base-4 digits
 _KIND_WEIGHTS = 4 ** np.arange(6)
+# a state's kind by [ms_plus overlap >= ms_minus one, ms0 <= 0.4, ms0 >= 0.6]:
+# 3 (ambiguous, nan too) between the thresholds, else 1 or the larger side
+_KINDS = np.array([[[3, 1], [2, 2]], [[3, 1], [0, 0]]])
 _WALK_LABELS, _WALK_REASON = _labelling_walk(
     (np.arange(4**6)[:, None] // _KIND_WEIGHTS) % 4
 )
@@ -319,12 +385,11 @@ def label_manifolds(over: np.ndarray):
     exactly twice.
     """
     o_zero = over[..., 1]
-    side = np.where(over[..., 0] >= over[..., 2], 0, 2)
-    kinds = np.where(
-        o_zero >= _MANIFOLD_OVERLAP_MIN,
-        1,
-        np.where(o_zero <= 1.0 - _MANIFOLD_OVERLAP_MIN, side, 3),
-    )
+    kinds = _KINDS[
+        (over[..., 0] >= over[..., 2]).view(np.int8),  # bools as indices
+        (o_zero <= 1.0 - _MANIFOLD_OVERLAP_MIN).view(np.int8),
+        (o_zero >= _MANIFOLD_OVERLAP_MIN).view(np.int8),
+    ]
     key = kinds @ _KIND_WEIGHTS
     return _WALK_LABELS[key], _WALK_REASON[key]
 
@@ -334,13 +399,17 @@ def eigensystems(h: np.ndarray):
 
     Returns (values, vectors, labels, reason) with labels as from
     ``label_manifolds``; reason (n,) is the EIGEN_REASONS code, 0 where
-    the matrix is Hermitian and its states are labelled.
+    the matrix is Hermitian and its states are labelled. A matrix with a
+    nan or inf entry is not Hermitian; it is solved with zeros there.
     """
     h = np.asarray(h, dtype=complex)
+    hermitian = _hermitian(h)
+    if not hermitian.all():  # LAPACK stops on nan or inf: solve zeros there
+        h = np.where(np.isfinite(h), h, 0.0)
     values, vectors = np.linalg.eigh(h)
     vectors = _fix_phases(vectors)
     labels, reason = label_manifolds(manifold_overlaps(vectors))
-    return values, vectors, labels, np.where(_hermitian(h), reason, 1)
+    return values, vectors, labels, np.where(hermitian, reason, 1)
 
 
 def eigensystem(h: np.ndarray) -> Eigensystem:
@@ -439,8 +508,8 @@ def zeeman_states(theta, phi):
     e = np.exp(1j * np.radians(phi))
     c, s = np.cos(half), np.sin(half)
     beta = np.empty(np.shape(e) + (2, 2), dtype=complex)
-    beta[..., 0, 0], beta[..., 0, 1] = c + 0j, e * s
-    beta[..., 1, 0], beta[..., 1, 1] = s + 0j, -e * c
+    beta[..., 0, 0], beta[..., 0, 1] = c, e * s  # a real c or s takes +0j
+    beta[..., 1, 0], beta[..., 1, 1] = s, -e * c
     return beta[..., 0, :], beta[..., 1, :]
 
 
@@ -470,7 +539,7 @@ def _nuclear_overlaps(sub: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """
     parts = np.array([sub.real, sub.imag])  # real: _vdot without its conj
     sq = (parts[..., None, :] @ parts[..., :, None])[..., 0, 0]
-    nrm = np.sqrt(sq[0] + sq[1])
+    nrm = np.sqrt(sq.sum(axis=0))
     nrm[nrm == 0] = np.nan  # x / nan is a quiet nan, 0 / 0 is not
     nuc = sub / nrm[..., None]
     return np.abs(_vdot(ref, nuc)) ** 2
@@ -510,19 +579,13 @@ def lambda_excited_states(
     """
     rows, idx = np.arange(len(order)), order[:, 4:]  # the ms_minus pair
     block = vectors[rows[:, None], 4:, idx]  # their ms_minus components
-    pops = np.abs(block) ** 2
-    purity = pops[..., 0] + pops[..., 1]
-    try:
-        _, _, alpha_minus = nuclear_eigenstates_excited(tensor)
-        axis_code = 0
-    except ValueError:  # a_zz = a = 0: no quantization axis
-        alpha_minus = np.full(2, np.nan)
-        axis_code = 2
+    purity = (np.abs(block) ** 2).sum(axis=-1)
+    alpha_minus, axis_code = tensor._alpha_minus
     overlap = _nuclear_overlaps(block, alpha_minus)
     o1, o2 = overlap.T
     # nan overlaps, from an undefined axis, never compare as ambiguous
     ambiguous = np.abs(o1 - o2) < 0.05 * np.maximum(o1, o2)
-    clean = np.minimum.reduce(purity, axis=1) >= _MANIFOLD_OVERLAP_MIN
+    clean = purity.min(axis=1) >= _MANIFOLD_OVERLAP_MIN
     reason = np.where(clean, np.where(ambiguous, 3, axis_code), 1)
     excited = idx[rows, overlap.argmax(axis=1)]
     return excited, purity, overlap, reason

@@ -78,3 +78,31 @@ def test_tracer_counts_one_fit():
     assert m["linalg.eigh.calls"] == calls
     assert m["linalg.eigh.matrices"] == 20 * calls
     assert len(tracer.agg.fits) == 1
+
+
+def test_tracer_counts_the_sta_search_and_one_sensitivity_solve():
+    # a speed-up may not come from solving past the np.linalg.eigh the
+    # tracer wraps: the STA search sends its 2 809 matrices in 13 calls,
+    # and the four components of one sensitivity point share one solve
+    from nvbeat import estimation
+    from nvbeat.spin_core import FieldOrientation, HyperfineTensor, SystemParams
+
+    spans = _spans()
+    for module, _, _ in spans.TARGETS:  # the tracer wraps every target module
+        importlib.import_module(module)
+    params = SystemParams(tensor=HyperfineTensor(166.9, 122.9, 90.0, -90.3))
+    tracer = spans.Tracer()
+    theta, phi, _ = tracer.traced(
+        "sta", lambda: estimation.find_single_transition_axis(params, 40.3)
+    )
+    m = tracer.agg.layer_metrics()
+    assert (m["linalg.eigh.calls"], m["linalg.eigh.matrices"]) == (13, 2809)
+
+    field = FieldOrientation(40.3, theta, phi)
+    estimation._tensor_slopes.cache_clear()
+    tracer = spans.Tracer()
+    tracer.traced("sensitivity", lambda: [
+        estimation.sensitivity_c(params, field, which) for which in estimation.PARAM_IDS[:4]
+    ])
+    m = tracer.agg.layer_metrics()
+    assert (m["linalg.eigh.calls"], m["linalg.eigh.matrices"]) == (1, 1)

@@ -411,6 +411,28 @@ def test_default_commands_do_not_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_table_commands_do_not_import_the_fit_module(tmp_path):
+    # spectrum, rabi and ramsey format their rows with config's csv_row
+    cfgp = write_cfg(tmp_path, TABLE_CFG)
+    script = (
+        "import sys\n"
+        "from nvbeat.cli import main\n"
+        "for args in (['spectrum'], ['rabi'], ['ramsey']):\n"
+        "    assert main(['--config', %r, '--out', %r] + args) == 0, args\n"
+        "    assert 'nvbeat.estimation' not in sys.modules, args\n"
+        % (cfgp, str(tmp_path / "out.txt"))
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_error_exits(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.cfg"), "principal"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -236,6 +236,17 @@ def test_pulse_and_ramsey_input_checks():
     for bad in (math.inf, math.nan, 0.0, -0.035):
         with pytest.raises(ValueError, match="pi_duration must be finite and positive"):
             simulate_zq_ramsey(SYS, F40, bad, 0.0, tau, rabi_amplitude=14.3)
+    # a nan time gave a nan signal and a nan detuning numpy's LinAlgError
+    pulse = PulseParams(14.3)
+    for grid in ([0.0, math.nan], [0.0, math.inf], [-0.01, 0.0]):
+        with pytest.raises(ValueError, match="t_grid must hold finite times >= 0"):
+            simulate_rabi(SYS, F40, pulse, grid)
+        for ideal in (False, True):
+            with pytest.raises(ValueError, match="tau_grid must hold finite times >= 0"):
+                simulate_zq_ramsey(SYS, F40, 0.035, 0.0, grid, ideal_pulses=ideal)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="detuning must be finite"):
+            simulate_zq_ramsey(SYS, F40, 0.035, bad, tau)
 
 
 def test_dephasing_identity_limit():

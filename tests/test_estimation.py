@@ -938,6 +938,11 @@ def test_precision_propagation():
         precision_propagation(0.2, 0.0)
     with pytest.raises(ValueError):
         precision_propagation(-0.1, 0.3)
+    for delta, c in ((math.nan, 1.0), (math.inf, 1.0), (0.2, math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            precision_propagation(delta, c)
+    with pytest.raises(ValueError, match="unobservable"):
+        precision_propagation(0.2, math.nan)
 
 
 def test_find_single_transition_axis_reference():

@@ -20,6 +20,7 @@ import pytest
 from nvbeat.cli import main
 from nvbeat.estimation import (
     PARAM_IDS,
+    _amplitude_ratios,
     FitParams,
     find_single_transition_axis,
     fit_hyperfine,
@@ -262,7 +263,32 @@ def scalar_layer_records():
             ok, out = _outcome(fn, eig, params.tensor, field)
             rec[fn.__name__] = _digest(*out) if ok else out
         records[name] = rec
-    return records
+    return {**records, **sta_grid_records()}
+
+
+def sta_grid_records():
+    """name -> {"_amplitude_ratios": digest} over the STA search's coarse grid.
+
+    The grid is theta 0..90 by phi 0..90 at 2 degrees, the mirrored half the
+    search solves, in its stacks of five theta rows; for the reference
+    tensor at 40.3 G and two seeded tensors (reference +-10 %, 20-60 G).
+    """
+    rng = np.random.default_rng(2020)
+    cases = {"sta_grid_ref": (SYS, 40.3)}
+    for k in range(2):
+        t = [r * f for r, f in zip((166.9, 122.9, 90.0, -90.3), rng.uniform(0.9, 1.1, 4))]
+        cases["sta_grid_seeded_%d" % k] = (
+            SystemParams(tensor=HyperfineTensor(*(float(x) for x in t))),
+            float(rng.uniform(20.0, 60.0)),
+        )
+    thetas = phis = np.arange(0.0, 90.0 + 1e-9, 2.0)
+    return {
+        name: {"_amplitude_ratios": _digest(*(
+            _amplitude_ratios(params, b, thetas[k : k + 5, None], phis)
+            for k in range(0, len(thetas), 5)
+        ))}
+        for name, (params, b) in cases.items()
+    }
 
 
 @pytest.fixture(scope="module")

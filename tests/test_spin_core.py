@@ -13,7 +13,11 @@ from nvbeat.spin_core import (
     FieldOrientation,
     HyperfineTensor,
     SystemParams,
+    _OP_SZ2,
+    _OP_TENSOR,
+    _OP_ZEEMAN,
     _fix_phases,
+    _hermitian,
     build_hamiltonian,
     eigensystem,
     eigensystems,
@@ -295,6 +299,73 @@ def test_stacked_hamiltonians_match_scalar_builder():
         assert np.array_equal(stack[k], build_hamiltonian(params, f))
 
 
+def _formula(params, bvec, tensor):
+    """H by complex numpy ops in the formula's order: D, the electron and
+    nuclear field terms (b_c F_c summed over c, then times gamma), then the
+    tensor terms a_k O_k for k = 0 to 3."""
+    b = bvec[..., None, None, None]
+    zeeman = b[..., 0, :, :, :] * _OP_ZEEMAN[:, 0]
+    zeeman += b[..., 1, :, :, :] * _OP_ZEEMAN[:, 1]
+    zeeman += b[..., 2, :, :, :] * _OP_ZEEMAN[:, 2]
+    zeeman *= np.array([params.gamma_e, params.gamma_n])[:, None, None]
+    terms = tensor[..., :, None, None] * _OP_TENSOR
+    h = params.d * _OP_SZ2 + zeeman[..., 0, :, :] + zeeman[..., 1, :, :]
+    for k in range(4):
+        h = h + terms[..., k, :, :]
+    return h
+
+
+@pytest.mark.parametrize("n", [1, 20, 500])
+def test_hamiltonians_equal_the_formula_bit_for_bit(n):
+    # signed zeros included: field components of +-0, zero tensor entries,
+    # per-row tensors, non-default d and gammas
+    rng = np.random.default_rng(2000 + n)
+    for _ in range(20):
+        bvec = rng.normal(0.0, 60.0, (n, 3))
+        bvec[rng.random((n, 3)) < 0.2] = 0.0
+        bvec[rng.random((n, 3)) < 0.2] = -0.0
+        tensor = rng.uniform(-200.0, 200.0, (n, 4))
+        tensor[rng.random((n, 4)) < 0.1] = 0.0
+        tensor[rng.random((n, 4)) < 0.1] = -0.0
+        params = SystemParams(
+            d=float(rng.uniform(100.0, 4000.0)), gamma_e=float(rng.uniform(1.0, 4.0)),
+            gamma_n=float(rng.uniform(-0.009, 0.009)),
+            tensor=HyperfineTensor(*(float(x) for x in tensor[0])),
+        )
+        for args in ((bvec, tensor), (bvec, tensor[0]), (bvec[0], tensor), (bvec[0], tensor[0])):
+            got = hamiltonians(params, *args)
+            want = _formula(params, *args)
+            assert got.shape == want.shape
+            assert _bits(got) == _bits(want)
+        assert _bits(hamiltonians(params, bvec)) == _bits(hamiltonians(params, bvec, tensor[0]))
+
+
+def _full_hermitian(h):
+    """The Hermitian check over every entry of finite matrices."""
+    scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
+    with np.errstate(invalid="ignore"):
+        skew = np.abs(h - h.transpose(0, 2, 1).conj()).max(axis=(1, 2))
+    return np.isfinite(h).all(axis=(1, 2)) & (skew <= 1e-9 * scale)
+
+
+def test_hermitian_check_reads_one_triangle():
+    rng = np.random.default_rng(9)
+    h = np.stack([build_hamiltonian(*random_system(rng)) for _ in range(300)])
+    # skews around the 1e-9 bound on either side, one side of the diagonal
+    # or the diagonal's imaginary part; then nan and inf entries
+    for k in range(60, 300):
+        i, j = rng.integers(0, 6, 2)
+        scale = max(1.0, np.abs(h[k]).max())
+        h[k, i, j] += 1e-9 * scale * rng.choice([0.4, 0.5, 1.0, 2.0]) * rng.choice([1, 1j])
+    for k, bad in zip(range(240, 300), [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)] * 15):
+        h[k, rng.integers(0, 6), rng.integers(0, 6)] = bad
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got = _hermitian(h)
+        assert np.array_equal(_hermitian(h[:, :3, :3]), _full_hermitian(h[:, :3, :3]))
+    assert np.array_equal(got, _full_hermitian(h))
+    assert got[:60].all() and not got[240:].any() and 0 < got[60:240].sum() < 180
+
+
 def test_fix_phases_matches_column_loop():
     rng = np.random.default_rng(6)
     vecs = np.linalg.eigh(
@@ -401,6 +472,12 @@ def test_scalar_errors_keep_their_messages():
         with pytest.raises(ValueError) as err:
             eigensystem(m)
         assert str(err.value) == message
+    # nan passed the Hermitian check and stopped LAPACK with its LinAlgError
+    inf = cases[0][0].copy()
+    inf[2, 2] = math.inf
+    for m in (np.full((6, 6), math.nan), inf):
+        with pytest.raises(ValueError, match="^matrix is not Hermitian$"), np.errstate(invalid="ignore"):
+            eigensystem(m)
 
     f = FieldOrientation(40.3, 40.0, 90.0)
     flat = HyperfineTensor(150.0, 120.0, 0.0, 0.0)
