@@ -175,13 +175,12 @@ def _assembly_table():
     """The products and the gather of ``hamiltonians``, from the operators.
 
     A float of a flat H (72 per matrix, real and imaginary parts
-    interleaved) is the sum of the formula's structurally nonzero products
+    interleaved) is a sum of the formula's structurally nonzero products,
     in its order: D, electron field, nuclear field, tensor terms 0 to 3.
     Product k is (src[SRC[k]] * VAL[k]) * gamma[GAM[k]] over a row src =
     (b_x, b_y, b_z, a_xx, a_yy, a_zz, a, d, 0) and gamma = (gamma_e,
-    gamma_n, 1); product 0 is +0. A sum of n products takes n of the
-    gather's first two rounds (for all 72 floats) and two more (the six
-    diagonal real parts); the rest gather +0.
+    gamma_n, 1); product 0 is +0. GATHER (4, 72) lists each float's
+    products (at most four), padded with product 0.
     """
     ops = [(_OP_SZ2, 7, 2)] + [(_OP_ZEEMAN[s, c], c, s) for s in (0, 1) for c in range(3)]
     ops += [(m, 3 + k, 2) for k, m in enumerate(_OP_TENSOR)]
@@ -191,9 +190,8 @@ def _assembly_table():
         for r, t in enumerate((src, v, g) for (_, src, g), v in zip(ops, f) if v != 0):
             terms += [t] * (t not in terms)
             rounds[r, slot] = terms.index(t)
-    assert not rounds[2:].any(axis=0)[np.arange(72) % 14 != 0].any()
     src, val, gam = (np.array(x) for x in zip(*terms))
-    return src, val[:, None], gam, np.r_[rounds[:2].ravel(), rounds[2:, ::14].ravel()]
+    return src, val[:, None], gam, rounds
 
 
 _H_SRC, _H_VAL, _H_GAM, _H_GATHER = _assembly_table()
@@ -253,23 +251,21 @@ def hamiltonians(params: SystemParams, bvec, tensor=None) -> np.ndarray:
         t = params.tensor
         tensor = (t.a_xx, t.a_yy, t.a_zz, t.a)
     tensor = np.asarray(tensor, dtype=float)
-    # the formula's products (b_c F) gamma and a_k O_k, each float of H
-    # their sum in its order (``_assembly_table``); every sum starts at +0
-    # or d, so it is never -0 and the structural zeros it skips add nothing
-    src = np.empty(np.broadcast(bvec[..., 0], tensor[..., 0]).shape + (9,))
+    # the formula's products (b_c F) gamma and a_k O_k, and per float of H
+    # their sum from +0 in the formula's order (``_assembly_table``); the
+    # formula's sums start at +0 or d, so they never read -0 and the
+    # structural zeros skipped here change no bit
+    src = np.zeros(np.broadcast(bvec[..., 0], tensor[..., 0]).shape + (9,))
     src[..., :3] = bvec
     src[..., 3:7] = tensor
-    src[..., 7:] = params.d, 0.0
+    src[..., 7] = params.d
     p = src.reshape(-1, 9).T[_H_SRC]  # products by rows: the gather copies rows
     p *= _H_VAL
     p *= _gammas(params.gamma_e, params.gamma_n)
-    g = p[_H_GATHER]
-    h = g[:72] + g[72:144]
-    diag = h[::14]
-    diag += g[144:150]
-    diag += g[150:]
-    h = np.add(h.T, 0.0, order="C")  # +0 where a sum read -0
-    return h.view(complex).reshape(src.shape[:-1] + (6, 6))
+    h = np.add.reduce(p[_H_GATHER], axis=0, initial=0.0)  # (72, rows)
+    out = np.empty(src.shape[:-1] + (6, 6), dtype=complex)
+    out.reshape(-1, 36).view(float)[...] = h.T
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -287,8 +283,8 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     idx = np.abs(stack).argmax(axis=1)
     piv = stack[np.arange(len(stack))[:, None], idx, np.arange(idx.shape[1])]
     mag = np.abs(piv)
-    factor = np.ones(piv.shape, dtype=complex)
-    np.divide(np.conj(piv), mag, out=factor, where=mag > 0)
+    factor = np.conj(piv)  # an empty column (mag 0) stays empty
+    np.divide(factor, mag, out=factor, where=mag > 0)
     return vectors * factor.reshape(vectors.shape[:-2] + (1, -1))
 
 
@@ -582,9 +578,8 @@ def lambda_excited_states(
     purity = (np.abs(block) ** 2).sum(axis=-1)
     alpha_minus, axis_code = tensor._alpha_minus
     overlap = _nuclear_overlaps(block, alpha_minus)
-    o1, o2 = overlap.T
     # nan overlaps, from an undefined axis, never compare as ambiguous
-    ambiguous = np.abs(o1 - o2) < 0.05 * np.maximum(o1, o2)
+    ambiguous = np.abs(np.subtract.reduce(overlap, axis=1)) < 0.05 * overlap.max(axis=1)
     clean = purity.min(axis=1) >= _MANIFOLD_OVERLAP_MIN
     reason = np.where(clean, np.where(ambiguous, 3, axis_code), 1)
     excited = idx[rows, overlap.argmax(axis=1)]
