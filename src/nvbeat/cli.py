@@ -196,8 +196,7 @@ def cmd_zq_scan(cfg, args) -> list:
     import numpy as np
 
     from .analytic import delta_perturbative
-    from .config import csv_row
-    from .estimation import MIN_SIGMA, ScanPoint, model_values
+    from .estimation import MIN_SIGMA, ScanPoint, csv_row, model_values
     from .spin_core import FieldOrientation
 
     if args.step <= 0:
@@ -297,8 +296,7 @@ def cmd_ramsey(cfg, args) -> list:
 def cmd_fit(cfg, args) -> list:
     from dataclasses import astuple
 
-    from .config import csv_row
-    from .estimation import CSV_HEADER, PARAM_IDS, FitParams, fit_hyperfine, read_dataset
+    from .estimation import CSV_HEADER, PARAM_IDS, FitParams, csv_row, fit_hyperfine, read_dataset
 
     dataset = read_dataset(args.dataset)
     fixed = frozenset(args.fix)
@@ -424,8 +422,7 @@ def _synth_design(cfg, which: str):
 def cmd_synth(cfg, args) -> list:
     from dataclasses import astuple
 
-    from .config import csv_row
-    from .estimation import CSV_HEADER, synthesize_dataset
+    from .estimation import CSV_HEADER, csv_row, synthesize_dataset
 
     dataset = synthesize_dataset(
         cfg.system(),

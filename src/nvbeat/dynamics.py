@@ -113,14 +113,6 @@ def _carrier_frequency(eig: Eigensystem, exc: int, detuning: float) -> float:
     return center + detuning
 
 
-def _times(grid, name: str) -> np.ndarray:
-    """A grid of times (us) as floats; nan, inf or a negative time raises."""
-    grid = np.asarray(grid, dtype=float)
-    if not ((grid >= 0) & (grid < np.inf)).all():
-        raise ValueError("%s must hold finite times >= 0" % name)
-    return grid
-
-
 def _p_ms0(psi_rows: np.ndarray) -> np.ndarray:
     return np.abs(psi_rows[..., 2]) ** 2 + np.abs(psi_rows[..., 3]) ** 2
 
@@ -167,7 +159,9 @@ def simulate_rabi(
     (no rotating wave approximation) on a 100x finer time mesh, for
     validating the default rotating-frame path.
     """
-    t_grid = _times(t_grid, "t_grid")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if not ((t_grid >= 0) & (t_grid < np.inf)).all():  # nan fails too
+        raise ValueError("t_grid must hold finite times >= 0")
     h0 = build_hamiltonian(params, field)
     eig = eigensystem(h0)
     exc = lambda_excited_index(eig, params.tensor)
@@ -251,7 +245,9 @@ def simulate_zq_ramsey(
     pi pulse. ``ideal_pulses=True`` replaces the physical pulses with the
     instantaneous excited/bright population swap (pi_duration ignored).
     """
-    tau_grid = _times(tau_grid, "tau_grid")
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    if not ((tau_grid >= 0) & (tau_grid < np.inf)).all():  # nan fails too
+        raise ValueError("tau_grid must hold finite times >= 0")
     if not np.isfinite(detuning):
         raise ValueError("detuning must be finite")
     eig = eigensystem(build_hamiltonian(params, field))

@@ -860,12 +860,9 @@ def sensitivity_c(
 
 @functools.lru_cache(maxsize=1)
 def _tensor_slopes(params: SystemParams, field: FieldOrientation) -> tuple:
-    """The four lines' slopes per tensor component, from one ``_jacobian``.
-
-    Kept for the last (params, field), so the four components of one point
-    share a solve. Keys that compare equal differ at most in the sign of a
-    zero, which leaves the Hamiltonian's bits as they are.
-    """
+    """The four lines' slopes per tensor component from one ``_jacobian``,
+    kept for the last point (equal keys differ at most in zero signs,
+    which leave the Hamiltonian's bits as they are)."""
     data = _FitData(ScanDataset(
         ScanPoint(field.theta, field.phi, field.b, "sq_frequency", 0.0, MIN_SIGMA, k)
         for k in range(4)

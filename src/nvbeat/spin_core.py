@@ -75,8 +75,7 @@ class HyperfineTensor:
 
     @functools.cached_property
     def _alpha_minus(self):
-        """alpha_minus of ``nuclear_eigenstates_excited`` and the LAMBDA_REASONS
-        code of its axis, once per tensor (nan and 2 without an axis)."""
+        """(alpha_minus, LAMBDA_REASONS axis code), once per tensor."""
         try:
             return nuclear_eigenstates_excited(self)[2], 0
         except ValueError:  # a_zz = a = 0: no quantization axis
@@ -172,16 +171,11 @@ DRIVE_SX = _OP_ZEEMAN[0, 0]
 
 
 def _assembly_table():
-    """The products and the gather of ``hamiltonians``, from the operators.
-
-    A float of a flat H (72 per matrix, real and imaginary parts
-    interleaved) is a sum of the formula's structurally nonzero products,
-    in its order: D, electron field, nuclear field, tensor terms 0 to 3.
-    Product k is (src[SRC[k]] * VAL[k]) * gamma[GAM[k]] over a row src =
-    (b_x, b_y, b_z, a_xx, a_yy, a_zz, a, d, 0) and gamma = (gamma_e,
-    gamma_n, 1); product 0 is +0. GATHER (4, 72) lists each float's
-    products (at most four), padded with product 0.
-    """
+    """Products and gather of ``hamiltonians``: product k is (src[SRC[k]] *
+    VAL[k]) * (gamma_e, gamma_n, 1)[GAM[k]] over src = (b_x, b_y, b_z, a_xx,
+    a_yy, a_zz, a, d, 0); GATHER (4, 72) lists, per float of a flat H, its
+    structurally nonzero products in the formula's order, padded with
+    product 0 (+0)."""
     ops = [(_OP_SZ2, 7, 2)] + [(_OP_ZEEMAN[s, c], c, s) for s in (0, 1) for c in range(3)]
     ops += [(m, 3 + k, 2) for k, m in enumerate(_OP_TENSOR)]
     terms, rounds = [(8, 0.0, 2)], np.zeros((4, 72), dtype=int)
@@ -246,14 +240,10 @@ def hamiltonians(params: SystemParams, bvec, tensor=None) -> np.ndarray:
     (..., 4), broadcast against bvec's leading axes; by default every row
     takes ``params.tensor``. ``build_hamiltonian`` is the batch of one.
     """
-    bvec = np.asarray(bvec, dtype=float)
-    if tensor is None:
-        t = params.tensor
-        tensor = (t.a_xx, t.a_yy, t.a_zz, t.a)
-    tensor = np.asarray(tensor, dtype=float)
-    # the formula's products (b_c F) gamma and a_k O_k, and per float of H
-    # their sum from +0 in the formula's order (``_assembly_table``); the
-    # formula's sums start at +0 or d, so they never read -0 and the
+    bvec, t = np.asarray(bvec, dtype=float), params.tensor
+    tensor = np.asarray((t.a_xx, t.a_yy, t.a_zz, t.a) if tensor is None else tensor, dtype=float)
+    # the formula's products (b_c F) gamma and a_k O_k, summed per float from
+    # +0 in its order; its sums start at +0 or d, never read -0, so the
     # structural zeros skipped here change no bit
     src = np.zeros(np.broadcast(bvec[..., 0], tensor[..., 0]).shape + (9,))
     src[..., :3] = bvec
@@ -261,17 +251,9 @@ def hamiltonians(params: SystemParams, bvec, tensor=None) -> np.ndarray:
     src[..., 7] = params.d
     p = src.reshape(-1, 9).T[_H_SRC]  # products by rows: the gather copies rows
     p *= _H_VAL
-    p *= _gammas(params.gamma_e, params.gamma_n)
+    p *= np.array([params.gamma_e, params.gamma_n, 1.0])[_H_GAM, None]
     h = np.add.reduce(p[_H_GATHER], axis=0, initial=0.0)  # (72, rows)
-    out = np.empty(src.shape[:-1] + (6, 6), dtype=complex)
-    out.reshape(-1, 36).view(float)[...] = h.T
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _gammas(gamma_e, gamma_n):
-    """The gamma column of ``hamiltonians``' products."""
-    return np.array([gamma_e, gamma_n, 1.0])[_H_GAM][:, None]
+    return np.ascontiguousarray(h.T).view(complex).reshape(src.shape[:-1] + (6, 6))
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -298,27 +280,16 @@ def manifold_overlaps(vectors: np.ndarray) -> np.ndarray:
     return (pops[..., 0::2, :] + pops[..., 1::2, :]).swapaxes(-1, -2)
 
 
-@functools.lru_cache(maxsize=4)
-def _triangle(k: int):
-    """Flat indices of a k x k matrix's upper triangle with its diagonal,
-    and of their mirror entries."""
-    i, j = np.triu_indices(k)
-    return i * k + j, j * k + i
+_triangle = functools.lru_cache(maxsize=4)(np.triu_indices)
 
 
 def _hermitian(h: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack (n, k, k): finite, and Hermitian to 1e-9 of its
-    largest entry.
-
-    |h_ij - conj(h_ji)| is the same float from either side, so the upper
-    triangle with the diagonal gives the whole matrix's skew. A nan entry
-    makes the skew nan, an inf one inf or nan, and the difference below
-    nan: they fail (inf - inf warns as invalid).
-    """
-    upper, mirror = _triangle(h.shape[-1])
-    flat = h.reshape(len(h), -1)
-    scale = np.maximum.reduce(np.abs(flat), axis=1, initial=1.0)
-    skew = np.maximum.reduce(np.abs(flat[:, upper] - flat[:, mirror].conj()), axis=1)
+    """Per matrix of a stack (n, k, k): finite, Hermitian to 1e-9 of its
+    largest entry. |h_ij - conj(h_ji)| is the same float from either side,
+    so one triangle gives the skew; nan or inf fails (inf - inf warns)."""
+    i, j = _triangle(h.shape[-1])
+    scale = np.maximum.reduce(np.abs(h), axis=(1, 2), initial=1.0)
+    skew = np.maximum.reduce(np.abs(h[:, i, j] - h[:, j, i].conj()), axis=1)
     return skew - 1e-9 * scale <= 0.0
 
 
@@ -363,8 +334,7 @@ def _labelling_walk(kinds: np.ndarray):
 
 # the walk tabulated once for all 4**6 kind sequences; base-4 digits
 _KIND_WEIGHTS = 4 ** np.arange(6)
-# a state's kind by [ms_plus overlap >= ms_minus one, ms0 <= 0.4, ms0 >= 0.6]:
-# 3 (ambiguous, nan too) between the thresholds, else 1 or the larger side
+# a state's kind by [ms_plus >= ms_minus overlap, ms0 <= 0.4, ms0 >= 0.6]
 _KINDS = np.array([[[3, 1], [2, 2]], [[3, 1], [0, 0]]])
 _WALK_LABELS, _WALK_REASON = _labelling_walk(
     (np.arange(4**6)[:, None] // _KIND_WEIGHTS) % 4
@@ -381,11 +351,9 @@ def label_manifolds(over: np.ndarray):
     exactly twice.
     """
     o_zero = over[..., 1]
-    kinds = _KINDS[
-        (over[..., 0] >= over[..., 2]).view(np.int8),  # bools as indices
-        (o_zero <= 1.0 - _MANIFOLD_OVERLAP_MIN).view(np.int8),
-        (o_zero >= _MANIFOLD_OVERLAP_MIN).view(np.int8),
-    ]
+    kinds = _KINDS[(over[..., 0] >= over[..., 2]).view(np.int8),  # bools as indices
+                   (o_zero <= 1.0 - _MANIFOLD_OVERLAP_MIN).view(np.int8),
+                   (o_zero >= _MANIFOLD_OVERLAP_MIN).view(np.int8)]
     key = kinds @ _KIND_WEIGHTS
     return _WALK_LABELS[key], _WALK_REASON[key]
 
@@ -395,12 +363,11 @@ def eigensystems(h: np.ndarray):
 
     Returns (values, vectors, labels, reason) with labels as from
     ``label_manifolds``; reason (n,) is the EIGEN_REASONS code, 0 where
-    the matrix is Hermitian and its states are labelled. A matrix with a
-    nan or inf entry is not Hermitian; it is solved with zeros there.
+    the matrix is Hermitian (nan and inf solved as 0) and its states labelled.
     """
     h = np.asarray(h, dtype=complex)
     hermitian = _hermitian(h)
-    if not hermitian.all():  # LAPACK stops on nan or inf: solve zeros there
+    if not hermitian.all():  # nan or inf would stop LAPACK
         h = np.where(np.isfinite(h), h, 0.0)
     values, vectors = np.linalg.eigh(h)
     vectors = _fix_phases(vectors)
