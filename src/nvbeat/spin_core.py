@@ -242,9 +242,8 @@ def hamiltonians(params: SystemParams, bvec, tensor=None) -> np.ndarray:
     """
     bvec, t = np.asarray(bvec, dtype=float), params.tensor
     tensor = np.asarray((t.a_xx, t.a_yy, t.a_zz, t.a) if tensor is None else tensor, dtype=float)
-    # the formula's products (b_c F) gamma and a_k O_k, summed per float from
-    # +0 in its order; its sums start at +0 or d, never read -0, so the
-    # structural zeros skipped here change no bit
+    # the formula's products (b_c F) gamma and a_k O_k, summed per float from +0 in
+    # its order; its sums start at +0 or d, so the zeros skipped here change no bit
     src = np.zeros(np.broadcast(bvec[..., 0], tensor[..., 0]).shape + (9,))
     src[..., :3] = bvec
     src[..., 3:7] = tensor
@@ -350,10 +349,9 @@ def label_manifolds(over: np.ndarray):
     EIGEN_REASONS code, 0 for complete labellings, which hold each manifold
     exactly twice.
     """
-    o_zero = over[..., 1]
-    kinds = _KINDS[(over[..., 0] >= over[..., 2]).view(np.int8),  # bools as indices
-                   (o_zero <= 1.0 - _MANIFOLD_OVERLAP_MIN).view(np.int8),
-                   (o_zero >= _MANIFOLD_OVERLAP_MIN).view(np.int8)]
+    o_zero, side = over[..., 1], (over[..., 0] >= over[..., 2]).view(np.int8)
+    low, high = o_zero <= 1.0 - _MANIFOLD_OVERLAP_MIN, o_zero >= _MANIFOLD_OVERLAP_MIN
+    kinds = _KINDS[side, low.view(np.int8), high.view(np.int8)]  # bools as indices
     key = kinds @ _KIND_WEIGHTS
     return _WALK_LABELS[key], _WALK_REASON[key]
 
@@ -502,7 +500,7 @@ def _nuclear_overlaps(sub: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """
     parts = np.array([sub.real, sub.imag])  # real: _vdot without its conj
     sq = (parts[..., None, :] @ parts[..., :, None])[..., 0, 0]
-    nrm = np.sqrt(sq.sum(axis=0))
+    nrm = np.sqrt(sq[0] + sq[1])
     nrm[nrm == 0] = np.nan  # x / nan is a quiet nan, 0 / 0 is not
     nuc = sub / nrm[..., None]
     return np.abs(_vdot(ref, nuc)) ** 2
@@ -542,12 +540,14 @@ def lambda_excited_states(
     """
     rows, idx = np.arange(len(order)), order[:, 4:]  # the ms_minus pair
     block = vectors[rows[:, None], 4:, idx]  # their ms_minus components
-    purity = (np.abs(block) ** 2).sum(axis=-1)
+    pops = np.abs(block) ** 2
+    purity = pops[..., 0] + pops[..., 1]
     alpha_minus, axis_code = tensor._alpha_minus
     overlap = _nuclear_overlaps(block, alpha_minus)
+    o1, o2 = overlap.T
     # nan overlaps, from an undefined axis, never compare as ambiguous
-    ambiguous = np.abs(np.subtract.reduce(overlap, axis=1)) < 0.05 * overlap.max(axis=1)
-    clean = purity.min(axis=1) >= _MANIFOLD_OVERLAP_MIN
+    ambiguous = np.abs(o1 - o2) < 0.05 * np.maximum(o1, o2)
+    clean = np.minimum.reduce(purity, axis=1) >= _MANIFOLD_OVERLAP_MIN
     reason = np.where(clean, np.where(ambiguous, 3, axis_code), 1)
     excited = idx[rows, overlap.argmax(axis=1)]
     return excited, purity, overlap, reason
