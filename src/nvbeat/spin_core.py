@@ -289,7 +289,7 @@ def _hermitian(h: np.ndarray) -> np.ndarray:
     i, j = _triangle(h.shape[-1])
     scale = np.maximum.reduce(np.abs(h), axis=(1, 2), initial=1.0)
     skew = np.maximum.reduce(np.abs(h[:, i, j] - h[:, j, i].conj()), axis=1)
-    return skew - 1e-9 * scale <= 0.0
+    return skew - 1e-9 * scale <= 0.0  # not skew <= tol: inf <= inf would pass
 
 
 # Why one matrix has no labelled eigensystem: the reason code of a row is 0
