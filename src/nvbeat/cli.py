@@ -350,7 +350,8 @@ def _bootstrap_sigmas(dataset, result, fixed, n_draws, seed) -> dict:
             r = fit_hyperfine(ScanDataset(points), result.params, fixed=fixed)
         except ValueError:
             continue
-        draws.append(r.params.as_vector())
+        if r.converged:  # a refit stopped at max_iterations is no draw
+            draws.append(r.params.as_vector())
     if len(draws) < 2:
         raise ValueError(
             "bootstrap failed: %d of %d refits usable" % (len(draws), n_draws)

@@ -20,6 +20,7 @@ import contextlib
 import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,7 @@ class FitResult:
     converged: bool
     residuals: np.ndarray  # value - model, per point, point units
     stop_reason: str = "chi2_stalled"  # or stationary, grad_small, damping_cap, max_iterations
+    n_rejected: int = 0  # passes whose trial was not taken
 
 
 @dataclass(frozen=True)
@@ -187,16 +189,6 @@ def read_dataset(path: str) -> ScanDataset:
     return ScanDataset(tuple(points))
 
 
-def write_dataset(dataset: ScanDataset, path: str, comments=()):
-    """Write a scan CSV; ``comments`` become leading '#' lines."""
-    with open(path, "w") as fh:
-        for c in comments:
-            fh.write("# %s\n" % c)
-        fh.write(CSV_HEADER + "\n")
-        for p in dataset.points:
-            fh.write(csv_row(*dataclasses.astuple(p)) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # batched forward model
 
@@ -234,6 +226,8 @@ class _FitData:
         self.dist = np.array([where[k] for k in bits], dtype=np.intp)
         th, self.phi_dist, self.b_dist = np.reshape(list(where), (-1, 3)).view(float).T
         self.sin_t, self.cos_t = np.sin(np.radians(th)), np.cos(np.radians(th))
+        # the field direction is this times (cos(phi), sin(phi), 1)
+        self.axes = np.stack([self.sin_t, self.sin_t, self.cos_t], axis=1)
         zq = np.array([p.kind == "zq_frequency" for p in pts], dtype=bool)
         self.zq, self.sq = np.nonzero(zq)[0], np.nonzero(~zq)[0]
         self.sq_index = np.array(
@@ -243,8 +237,11 @@ class _FitData:
         )
         self.sq_at, self.sq_rows = self.dist[self.sq], np.arange(len(self.sq))
         self.sq_free = np.nonzero(self.sq_index < 0)[0].tolist()
-        self.dist2, self.ms0_pair = np.tile(self.dist, 2), np.repeat([2, 3], len(pts))
+        # every point's lower then upper state: rows 2k, 2k + 1 of a (2n,) gather
+        self.dist2, self.ms0_pair = np.repeat(self.dist, 2), np.tile([2, 3], len(pts))
+        self.rows2 = np.arange(2 * len(pts))
         self.sin_at, self.cos_at = self.sin_t[self.dist], self.cos_t[self.dist]
+        self.axes_at = self.axes[self.dist]
 
 
 def _sq_lines(w, vecs, order, data):
@@ -258,14 +255,14 @@ def _sq_lines(w, vecs, order, data):
     takes the nearest line, and a near-tie between distinct lines resolves
     toward the stronger transition amplitude and raises when the amplitudes
     are comparable too. Returns (lo, hi): each point's ms0 and ms_minus
-    state.
+    state, stacked (2, nsq).
     """
-    at, rows = data.sq_at, data.sq_rows
-    lo, hi = states = order[at[:, None], _MAIN_LINES[:, None]]
-    e = w[at[:, None], states]
+    at, rows = data.sq_at[:, None], data.sq_rows
+    pairs = order[at, _MAIN_LINES[:, None]]  # (2, nsq, 4): ms0, ms_minus states
+    e = w[at, pairs]
     freqs = np.abs(e[1] - e[0])
     # the line of each indexed point; unindexed points are set below
-    col = np.argsort(freqs, axis=1, kind="stable")[rows, data.sq_index]
+    col = freqs.argsort(axis=1, kind="stable")[rows, data.sq_index]
     for r in data.sq_free:
         k = int(data.sq[r])
         dist = np.abs(freqs[r] - data.values[k])
@@ -274,7 +271,7 @@ def _sq_lines(w, vecs, order, data):
         if not (dist[second] - dist[best] < _MATCH_TIE
                 and abs(freqs[r, second] - freqs[r, best]) > 1e-9):
             continue
-        amp = drive_amplitudes(vecs[at[r]], lo[r], hi[r])
+        amp = drive_amplitudes(vecs[at[r, 0]], *pairs[:, r])
         if abs(amp[best] - amp[second]) <= 0.1 * max(amp[best], amp[second]):
             raise ValueError(
                 "ambiguous transition matching at point %d: two lines "
@@ -283,7 +280,7 @@ def _sq_lines(w, vecs, order, data):
             )
         if amp[second] > amp[best]:
             col[r] = second
-    return lo[rows, col], hi[rows, col]
+    return pairs[:, rows, col]
 
 
 def _forward_model(params, vec, data, keep=None):
@@ -305,10 +302,10 @@ def _forward_model(params, vec, data, keep=None):
     vec = np.asarray(vec, dtype=float)
     b = data.b_dist if math.isnan(vec[4]) else vec[4]
     ph = np.radians(data.phi_dist + vec[5])
-    cph, sph = np.cos(ph), np.sin(ph)
-    bs = b * data.sin_t
-    bvec = np.empty((len(ph), 3))
-    bvec[:, 0], bvec[:, 1], bvec[:, 2] = bs * cph, bs * sph, b * data.cos_t
+    trig = np.ones((len(ph), 3))  # cos(phi), sin(phi), 1
+    np.cos(ph, out=trig[:, 0])
+    np.sin(ph, out=trig[:, 1])
+    bvec = (b * data.axes if np.ndim(b) == 0 else b[:, None] * data.axes) * trig
     w, vecs = np.linalg.eigh(hamiltonians(params, bvec, vec[:4]))
     labels, reason = label_manifolds(manifold_overlaps(vecs))
     if reason.any():  # every distinct point belongs to a data point
@@ -318,15 +315,14 @@ def _forward_model(params, vec, data, keep=None):
             "(theta=%.3f phi=%.3f)" % (k, data.theta[k], data.phi[k])
         )
     order = label_order(labels)
-    n = len(data.dist)
     states = order[data.dist2, data.ms0_pair]  # the ms0 pair, for ZQ points
     if len(data.sq):
-        lo, hi = states[:n], states[n:]
+        lo, hi = states[0::2], states[1::2]
         lo[data.sq], hi[data.sq] = _sq_lines(w, vecs, order, data)
     e = w[data.dist2, states]
-    gap = e[n:] - e[:n]
+    gap = e[1::2] - e[0::2]
     if keep is not None:
-        keep.update(w=w, vecs=vecs, states=states, gap=gap, b=b, cph=cph, sph=sph)
+        keep.update(w=w, vecs=vecs, states=states, e=e, gap=gap, b=b, trig=trig)
     return np.abs(gap)
 
 
@@ -360,26 +356,26 @@ def _jacobian(params, vec, data, keep=None):
     if keep is None:
         keep = {}
         _forward_model(params, vec, data, keep)
-    vecs, states = keep["vecs"], keep["states"]
     n = len(data.dist)
-    s = vecs[data.dist2, :, states]
-    # <s|O|s> of the seven operators, (7, 2n): one matmul, then
+    s = keep["vecs"][data.dist2, :, keep["states"]]
+    # <s|O|s> of the seven operators, (2n, 7): one matmul, then
     # Re(conj(s) O s) as one sum over interleaved real and imaginary parts
     ops = _derivative_operators(params.gamma_e, params.gamma_n)
-    ops_s = (s @ ops.T).reshape(len(s), 7, 6)
-    e = (ops_s.view(float) * s.view(float)[:, None]).sum(axis=-1).T
+    ops_s = (s @ ops.T).reshape(2 * n, 7, 6)
+    e = (ops_s.view(float) * s.view(float)[:, None]).sum(axis=-1)
     # per data point, the change of each expectation value along its gap
-    de = np.sign(keep["gap"]) * (e[:, n:] - e[:, :n])
-    b, cph, sph = keep["b"], keep["cph"][data.dist], keep["sph"][data.dist]
+    sg = np.sign(keep["gap"])
+    de = sg[:, None] * (e[1::2] - e[0::2])
+    b, trig = keep["b"], keep["trig"][data.dist]
     if np.ndim(b):  # the per-point b column
         b = b[data.dist]
+    cph, sph = trig[:, 0], trig[:, 1]
     sin_t, cos_t = data.sin_at, data.cos_at
-    gx, gy, gz = de[4:]
-    out = np.empty((n, 6))
-    out[:, :4] = de[:4].T
+    gx, gy, gz = de[:, 4], de[:, 5], de[:, 6]
+    out = de[:, :6].copy()
     out[:, 4] = sin_t * (cph * gx + sph * gy) + cos_t * gz
     out[:, 5] = np.radians(b * sin_t * (cph * gy - sph * gx))
-    keep.update(ops_s=ops_s, de=de, jac=out)
+    keep.update(ops_s=ops_s, de=de, sg=sg, jac=out, at=(b, trig))
     return out
 
 
@@ -397,39 +393,37 @@ def _second_directional(data, keep, dx, ddx):
     """
     n = len(data.dist)
     if "pt2" not in keep:
-        rows, lam, states = np.arange(2 * n), keep["w"][data.dist2], keep["states"]
-        gaps = lam[rows, states][:, None] - lam
-        gaps[:n] *= -1.0  # the upper state's sum less the lower's
+        gaps = keep["e"][:, None] - keep["w"][data.dist2]
         gaps[gaps == 0.0] = np.nan  # coinciding levels: nan, quietly
-        gaps[rows, states] = np.inf  # j = k drops out of the sum
-        inv_gap = np.repeat((1.0 / gaps).reshape(2, n, 6).transpose(1, 0, 2), 2, axis=2)
-        inv_gap *= np.sign(keep["gap"])[:, None, None]
-        # conj(<j|O_q|k>) of the seven operators, (n, 2, 7, 12)
-        x = keep["ops_s"].conj().reshape(2, n, 42).transpose(1, 0, 2).reshape(n, 14, 6)
-        x = (x @ keep["vecs"][data.dist]).view(float).reshape(n, 2, 7, 12)
+        gaps[data.rows2, keep["states"]] = np.inf  # j = k drops out of the sum
+        # twice the upper state's sum less the lower's, along the gap's sign
+        sg = keep["sg"][:, None] * [-2.0, 2.0]
+        inv_gap = (sg.reshape(2 * n, 1) / gaps).reshape(n, 2, 6, 1)
+        # <j|O_q|k> of the seven operators (conjugated), (n, 2, 7, 12)
+        x = keep["ops_s"].reshape(n, 14, 6) @ keep["vecs"][data.dist].conj()
+        x = x.view(float).reshape(n, 2, 7, 12)
         # the field's dB/db, dB/dphi, d^2B/db dphi and d^2B/dphi^2 (n, 3, 4)
-        b, cph, sph = keep["b"], keep["cph"][data.dist], keep["sph"][data.dist]
-        b = b[data.dist, None] if np.ndim(b) else b
-        k, sc, ss = math.pi / 180.0, data.sin_at * cph, data.sin_at * sph
-        dirs = np.zeros((n, 3, 4))
-        dirs[:, :, 0] = np.stack([sc, ss, data.cos_at], axis=1)
-        dirs[:, :2, 2] = np.stack([-k * ss, k * sc], axis=1)
-        dirs[:, :2, 3] = -k * k * dirs[:, :2, 0]
-        dirs[:, :, 1], dirs[:, :, 3] = dirs[:, :, 2] * b, dirs[:, :, 3] * b
-        # conj(<j|dH/dp|k>) per parameter; the field curvatures along the gap
-        xp = np.concatenate([x[:, :, :4], dirs[:, None, :, :2].transpose(0, 1, 3, 2)
-                             @ x[:, :, 4:]], axis=2)
-        keep["pt2"] = xp, inv_gap, (keep["de"][4:].T[:, None] @ dirs[:, :, 2:])[:, 0]
+        b, trig = keep["at"]
+        b = b[:, None] if np.ndim(b) else b
+        k, dirs = math.pi / 180.0, np.zeros((n, 3, 4))
+        np.multiply(data.axes_at, trig, out=dirs[:, :, 0])
+        np.multiply(dirs[:, 1::-1, 0], [-k, k], out=dirs[:, :2, 2])
+        np.multiply(dirs[:, :2, 0], -k * k, out=dirs[:, :2, 3])
+        np.multiply(dirs[:, :, 2], b, out=dirs[:, :, 1])
+        dirs[:, :, 3] *= b
+        # <j|dH/dp|k> per parameter in rows 0-5 (b and phi_offset replace the
+        # G_x and G_y rows); the field curvatures along the gap
+        np.matmul(dirs[:, None, :, :2].transpose(0, 1, 3, 2), x[:, :, 4:], out=x[:, :, 4:6])
+        keep["pt2"] = x[:, :, :6], inv_gap, (keep["de"][:, None, 4:] @ dirs[:, :, 2:])[:, 0]
     x, inv_gap, curv = keep["pt2"]
     h = dx @ x  # conj(<j|H'|k>)
+    hh = (h * h).reshape(n, 2, 6, 2) * inv_gap
     return (keep["jac"] @ ddx + curv @ [2.0 * dx[4] * dx[5], dx[5] * dx[5]]
-            + 2.0 * (h * h * inv_gap).sum(axis=(1, 2)))
+            + hh.reshape(n, 24).sum(axis=1))
 
 
 # the largest change of psi, the angle of (a_zz, a), in one fit iteration
 _PSI_CAP = 0.3  # rad
-# a valley step v takes its geodesic acceleration a when 2 |a|_D <= this |v|_D
-_ACCEL_RATIO = 3.0
 # the fit steps in (r, psi) from this r on, where r's cap 0.15 r leaves its
 # 2 MHz floor; nearer r = 0 psi is ill-defined and a step of the floor
 # turns it by more than 0.15 rad
@@ -483,15 +477,16 @@ def _valley_jacobian(jac, u, q=False):
 def _valley_curve(u, du, q=False):
     """(dx, ddx) at t = 0 of the PARAM_IDS curve _from_valley(u + t du, q); in the
     q chart a_xx' = (q q' - a a') / a_xx, a_xx'' = (q'^2 - a'^2 - a a'' - a_xx'^2) / a_xx."""
-    c, s, r, dr, dp = math.cos(u[3]), math.sin(u[3]), u[2], du[2], du[3]
-    dx, ddx = np.array(du, dtype=float), np.zeros(6)
-    dx[2:4] = c * dr - r * s * dp, s * dr + r * c * dp
-    ddx[2:4] = -2.0 * s * dr * dp - r * c * dp * dp, 2.0 * c * dr * dp - r * s * dp * dp
+    c, s, r = math.cos(u[3]), math.sin(u[3]), u[2]
+    dq, dy, dr, dp, db, dph = du.tolist()
+    dz, da = c * dr - r * s * dp, s * dr + r * c * dp
+    ddz, dda = -2.0 * s * dr * dp - r * c * dp * dp, 2.0 * c * dr * dp - r * s * dp * dp
+    dxx, ddxx = dq, 0.0
     if q:
         x, a = _valley_axx(u), r * s
-        dx[0] = (u[0] * du[0] - a * dx[3]) / x
-        ddx[0] = (du[0] * du[0] - dx[3] * dx[3] - a * ddx[3] - dx[0] * dx[0]) / x
-    return dx, ddx
+        dxx = (u[0] * dq - a * da) / x
+        ddxx = (dq * dq - da * da - a * dda - dxx * dxx) / x
+    return np.array([dxx, dy, dz, da, db, dph]), np.array([ddxx, 0.0, ddz, dda, 0.0, 0.0])
 
 
 def fit_hyperfine(
@@ -572,9 +567,10 @@ def fit_hyperfine(
         raise ValueError("initial guess must be finite")
 
     def internal(v):
+        if "b" not in fixed:
+            return v
         u = np.array(v, dtype=float, copy=True)
-        if "b" in fixed:
-            u[4] = np.nan  # sentinel: use the per-point column
+        u[4] = np.nan  # sentinel: use the per-point column
         return u
 
     def model(v, keep=None):
@@ -588,7 +584,8 @@ def fit_hyperfine(
         # plain accumulation hides real sub-unit improvements; an overflow
         # gives inf (Python floats square silently), which the caller rejects
         try:
-            return math.fsum([x * x for x in r.tolist()])
+            r = r.tolist()
+            return math.fsum(map(operator.mul, r, r))
         except OverflowError:
             return math.inf
 
@@ -599,10 +596,12 @@ def fit_hyperfine(
         raise ValueError("chi^2 not finite at the initial guess; check the data values")
     converged, stop_reason = False, "max_iterations"
     consecutive, n_iter, mu, nu, need_jac, rel_change = 0, 0, 1e-3, 2.0, True, math.inf
+    n_rejected = 0
     both = 2 in free and 3 in free  # (r, psi) steps possible, see the docstring
     psi = free.index(3) if both else None
     phi_col = free.index(5) if 5 in free else None
-    cols, diag = np.array(free), np.diag_indices(len(free))
+    # all six free (the usual case): plain slices, which copy nothing
+    cols = slice(None) if len(free) == 6 else np.array(free)
     for n_iter in range(1, max_iterations + 1):
         if need_jac:
             jac = jacobian(vec, keep)
@@ -613,44 +612,44 @@ def fit_hyperfine(
             u = _to_valley(vec, q) if valley else vec
             if valley:
                 jac = _valley_jacobian(jac, u, q)
-            jac = jac[:, free]
+            jac = jac[:, free]  # F-ordered, which sets the BLAS calls below
             grad = 2.0 * jac.T @ resid
-            jtj = jac.T @ jac
+            jtj, descent = jac.T @ jac, -0.5 * grad
             if rel_change < 1e-10:  # a stationary point? See the docstring
                 with contextlib.suppress(np.linalg.LinAlgError):  # singular J^T J: no stop
                     if 0.25 * grad @ np.linalg.solve(jtj, grad) <= 1e-10 * chi2:
                         converged, stop_reason, n_iter = True, "stationary", n_iter - 1
                         break
-            damp = np.clip(np.diag(jtj), 1e-300, None)
+            damp = np.maximum(jtj.diagonal(), 1e-300)
+            # per-pass trust cap: large raw steps jump between basins (an x/y-swapped
+            # tensor with phi_offset near +-90 is a sticky false minimum)
+            cap = np.maximum(2.0, 0.15 * np.abs(u[cols]))
+            if phi_col is not None:
+                cap[phi_col] = 5.0  # degrees per iteration
         lhs = jtj.copy()
-        lhs[diag] += mu * damp
+        lhs.ravel()[:: len(free) + 1] += mu * damp
         inv = np.linalg.inv(lhs)
-        step = inv @ (-0.5 * grad)
+        step = vel = inv @ descent
         if valley:
             # psi moves at most _PSI_CAP: its damping alone grows x4 until
             # the step fits, which keeps the step downhill (scaling the
             # whole step lets psi run first, into a second minimum). Adding
-            # t there divides step[psi] by 1 + t col[psi] (Sherman-Morrison)
+            # t there divides vel[psi] by 1 + t col[psi] (Sherman-Morrison)
             col, add, extra = inv[:, psi], 0.0, mu * damp[psi]
-            while abs(step[psi]) > _PSI_CAP * (1.0 + add * col[psi]):
+            while abs(vel[psi]) > _PSI_CAP * (1.0 + add * col[psi]):
                 add += 3.0 * extra
                 extra *= 4.0
             if add:
                 inv = inv - np.outer(col, col) * (add / (1.0 + add * col[psi]))
-                step = inv @ (-0.5 * grad)
+                step = vel = inv @ descent
             du = np.zeros(6)  # geodesic acceleration, see the docstring
-            du[cols] = step
+            du[cols] = vel
             curv = _second_directional(data, keep, *_valley_curve(u, du, q)) / sigmas
             if np.isfinite(curv).all():
-                accel = inv @ -(jac.T @ curv)
-                if 4.0 * (accel * accel @ damp) <= _ACCEL_RATIO**2 * (step * step @ damp):
-                    step = step + 0.5 * accel
-        # per-pass trust cap: large raw steps jump between basins (an
-        # x/y-swapped tensor with phi_offset near +-90 is a sticky false minimum)
-        cap = np.maximum(2.0, 0.15 * np.abs(u[cols]))
-        if phi_col is not None:
-            cap[phi_col] = 5.0  # degrees per iteration
-        over = np.max(np.abs(step) / cap)
+                accel = vel - 0.5 * (inv @ (jac.T @ curv))
+                if abs(accel[psi]) <= _PSI_CAP:
+                    step = accel
+        over = (np.abs(step) / cap).max()
         scale = 1.0 if over <= 1.0 else 1.0 / over
         trial = u.copy()
         trial[cols] += scale * step
@@ -662,12 +661,13 @@ def fit_hyperfine(
             trial_resid = None  # outside the labelable regime or the q chart
         trial_chi2 = math.inf if trial_resid is None else chi2_of(trial_resid)
         if not trial_chi2 < chi2:
+            n_rejected += 1
             if mu >= 1e8:
                 converged, stop_reason = math.isfinite(trial_chi2), "damping_cap"
                 break
             mu, nu, need_jac = min(mu * nu, 1e8), 2.0 * nu, False
             continue
-        pred = -(scale * grad @ step + scale * scale * step @ jtj @ step)
+        pred = -(scale * grad @ vel + scale * scale * vel @ jtj @ vel)
         # every rho >= 1 gives 1/3, and a pred at its floor cannot overflow
         rho = min((chi2 - trial_chi2) / max(pred, 1e-300), 1.0)
         mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-12)
@@ -708,7 +708,7 @@ def fit_hyperfine(
     sigmas_out.update((PARAM_IDS[pi], float(sig[col])) for col, pi in enumerate(free))
     return FitResult(params=FitParams.from_vector(vec), sigmas=sigmas_out, chi2=chi2,
                      n_iterations=n_iter, converged=converged,
-                     residuals=-resid * sigmas, stop_reason=stop_reason)
+                     residuals=-resid * sigmas, stop_reason=stop_reason, n_rejected=n_rejected)
 
 
 def _check_rank(jac: np.ndarray, free):

@@ -1,5 +1,6 @@
 """Config parsing, frame conversion, and the command-line front end."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -306,6 +307,39 @@ def test_fit_fixed_parameters(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "b = 40.3 (fixed)" in out
     assert "phi_offset = 0 (fixed)" in out
+
+
+@pytest.mark.parametrize("unconverged", [1, 2])
+def test_bootstrap_drops_unconverged_refits(tmp_path, monkeypatch, capsys, unconverged):
+    # a refit that stops at max_iterations is unusable, like one that raises:
+    # with one of three unconverged the spread is the other two's, with two
+    # too few refits are left
+    from nvbeat import estimation
+
+    cfgp = write_cfg(tmp_path, TABLE_CFG + "noise.sigma.sq_frequency = 0.2\n"
+                     "noise.sigma.zq_frequency = 0.2\nseed = 3\n")
+    ds_path = str(tmp_path / "scan.csv")
+    assert main(["--config", cfgp, "--out", ds_path, "synth", "--design", "two-theta"]) == 0
+    fit, refits = estimation.fit_hyperfine, []
+
+    def refit(*args, **kwargs):
+        r = fit(*args, **kwargs)
+        refits.append(r)
+        if 2 <= len(refits) <= 1 + unconverged:  # the first call is the fit itself
+            r = dataclasses.replace(r, converged=False, stop_reason="max_iterations")
+        return r
+
+    monkeypatch.setattr(estimation, "fit_hyperfine", refit)
+    code = main(["--config", cfgp, "fit", ds_path, "--bootstrap", "3"])
+    out, err = capsys.readouterr()
+    assert len(refits) == 4 and all(r.converged for r in refits)
+    if unconverged == 2:
+        assert code == 1 and err == "error: bootstrap failed: 1 of 3 refits usable\n"
+        return
+    assert code == 0
+    spread = np.std([r.params.as_vector() for r in refits[2:]], axis=0, ddof=1)
+    for k, name in enumerate(("a_xx", "a_yy", "a_zz", "a", "b", "phi_offset")):
+        assert "bootstrap_sigma.%s = %.4g\n" % (name, spread[k]) in out
 
 
 def test_fit_rejects_unknown_fixed_parameter(tmp_path, capsys):

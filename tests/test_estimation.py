@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from nvbeat import estimation
+from nvbeat.cli import main
 from nvbeat.analytic import zq_beat_amplitude
 from nvbeat.estimation import (
     CSV_HEADER,
@@ -37,7 +38,6 @@ from nvbeat.estimation import (
     read_dataset,
     sensitivity_c,
     synthesize_dataset,
-    write_dataset,
 )
 from nvbeat.spin_core import (
     FieldOrientation,
@@ -82,13 +82,17 @@ def test_scan_point_validation():
 
 
 def test_csv_round_trip(tmp_path):
+    # the dataset written by `nvbeat synth --out` reads back as synthesized
     ds = synthesize_dataset(
         SYS, b=40.3, design=DESIGN2, noise_sigma={"zq_frequency": 0.1}, seed=4
     )
-    path = str(tmp_path / "scan.csv")
-    write_dataset(ds, path, comments=("generated for a test",))
+    cfg, path = tmp_path / "synth.cfg", str(tmp_path / "scan.csv")
+    cfg.write_text("tensor.a_xx = 166.9\ntensor.a_yy = 122.9\ntensor.a_zz = 90.0\n"
+                   "tensor.a = -90.3\nfield.b = 40.3\nnoise.sigma.zq_frequency = 0.1\n"
+                   "seed = 4\n")
+    assert main(["--config", str(cfg), "--out", path, "synth", "--design", "two-theta"]) == 0
     text = open(path).read()
-    assert text.startswith("# generated for a test\n")
+    assert text.startswith("# nvbeat ") and "\n# design: two-theta\n" in text
     assert "theta_deg,phi_deg,b_gauss,kind,value,sigma,transition_index" in text
     back = read_dataset(path)
     assert len(back) == len(ds)
@@ -474,11 +478,51 @@ def test_stationary_stop_is_certified():
 
 def test_pass_budget():
     # a guard on the fit's pass count: these ten fits took 533 passes before
-    # the q chart and the stationary stop, and 429 with them; a change that
-    # gives up that gain fails here, not only in the benchmark. A change that
-    # cuts passes further records its own count
+    # the q chart and the stationary stop, 429 with them, and 352 with the
+    # gain ratio of the velocity alone and acceleration on every valley step;
+    # a change that gives up that gain fails here, not only in the benchmark.
+    # A change that cuts passes further records its own count
     total = sum(r.n_iterations for _, _, r in a6_fits())
-    assert abs(total - 429) <= 0.05 * 429, total
+    assert abs(total - 352) <= 0.05 * 352, total
+
+
+def test_rejected_pass_count():
+    # n_rejected counts the passes whose trial was not taken; each fit takes
+    # at least one step. These ten fits reject 107 of their 352 passes
+    for _, _, r in a6_fits():
+        assert 0 <= r.n_rejected < r.n_iterations
+    total = sum(r.n_rejected for _, _, r in a6_fits())
+    assert abs(total - 107) <= 0.05 * 107, total
+    # a trailing field with a default: FitResult's older constructors still work
+    r = a6_fits()[0][2]
+    assert estimation.FitResult(r.params, r.sigmas, r.chi2, r.n_iterations, r.converged,
+                                r.residuals, r.stop_reason).n_rejected == 0
+
+
+def test_trials_keep_within_the_psi_cap(monkeypatch):
+    # every trial turns psi = atan2(a, a_zz) by at most _PSI_CAP from the
+    # vector of its pass's Jacobian, the geodesic acceleration included
+    jac_vec, turns = [None], []
+
+    def recording_jacobian(params, vec, data, keep=None):
+        jac_vec[0] = np.array(vec)
+        return _jacobian(params, vec, data, keep)
+
+    def recording_model(params, vec, data, keep=None):
+        if jac_vec[0] is not None:
+            psi0, psi = (math.atan2(v[3], v[2]) for v in (jac_vec[0], vec))
+            turns.append(abs(math.remainder(psi - psi0, 2.0 * math.pi)))
+        return _forward_model(params, vec, data, keep)
+
+    datasets = [synthesize_dataset(SYS, b=40.3, design=A6_DESIGN, noise_sigma=NOISE, seed=seed)
+                for seed in range(100, 110)]
+    monkeypatch.setattr(estimation, "_jacobian", recording_jacobian)
+    monkeypatch.setattr(estimation, "_forward_model", recording_model)
+    for ds in datasets:
+        jac_vec[0] = None
+        fit_hyperfine(ds, A6_START)
+    assert len(turns) > 300
+    assert max(turns) <= estimation._PSI_CAP * (1.0 + 1e-12), max(turns)
 
 
 def test_q_chart_round_trip_and_fallback(monkeypatch):
@@ -607,11 +651,11 @@ def test_non_finite_curvature_takes_the_plain_step(monkeypatch, bad):
     curv = _second_directional(data, keep, np.ones(6), np.ones(6))
     assert np.isnan(curv[0]) and np.isfinite(curv[data.dist != data.dist[0]]).all()
     accelerated = fit_hyperfine(ds, A6_START)
-    ratio = estimation._ACCEL_RATIO
-    monkeypatch.setattr(estimation, "_ACCEL_RATIO", 0.0)
+    # a zero second derivative makes the acceleration zero: the plain fit
+    monkeypatch.setattr(estimation, "_second_directional",
+                        lambda data, keep, dx, ddx: np.zeros(len(data.dist)))
     plain = fit_hyperfine(ds, A6_START)
     assert plain.n_iterations > accelerated.n_iterations
-    monkeypatch.setattr(estimation, "_ACCEL_RATIO", ratio)
     monkeypatch.setattr(estimation, "_second_directional",
                         lambda data, keep, dx, ddx: np.full(len(data.dist), bad))
     r = fit_hyperfine(ds, A6_START)

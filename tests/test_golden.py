@@ -5,8 +5,9 @@ every subcommand on the benchmark session config, two more ``fit`` runs,
 ``float.hex`` records of five fits, and digests of the scalar ``spin_core``
 outputs on about forty (tensor, field) cases. A change that moves any printed digit or
 any bit of a fit result fails here. When a change of output is intended,
-rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` and say
-why in the change log.
+rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``, which
+prints each file it changed and each changed record of the two JSON files,
+and say why in the change log.
 """
 
 import hashlib
@@ -320,17 +321,28 @@ def test_scalar_layer_is_golden():
         assert got[name] == want[name], name
 
 
+def _rewrite(name, text):
+    """Write one golden file; print its name when it changed. Returns the old text."""
+    path = os.path.join(GOLDEN, name)
+    old = open(path).read() if os.path.exists(path) else None
+    if text != old:
+        with open(path, "w") as fh:
+            fh.write(text)
+        print("rewrote %s" % name)
+    return old
+
+
 if __name__ == "__main__":
     import tempfile
 
     os.makedirs(GOLDEN, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in cli_outputs(tmp).items():
-            with open(os.path.join(GOLDEN, "cli_%s.txt" % name), "w") as fh:
-                fh.write(text)
-    with open(os.path.join(GOLDEN, "fits.json"), "w") as fh:
-        json.dump(fit_records(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(GOLDEN, "scalar_layer.json"), "w") as fh:
-        json.dump(scalar_layer_records(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+            _rewrite("cli_%s.txt" % name, text)
+    for name, records in (("fits.json", fit_records()),
+                          ("scalar_layer.json", scalar_layer_records())):
+        old = _rewrite(name, json.dumps(records, indent=1, sort_keys=True) + "\n")
+        old = json.loads(old) if old else {}
+        for key in sorted(set(old) | set(records)):
+            if old.get(key) != records.get(key):
+                print("  record %s" % key)
