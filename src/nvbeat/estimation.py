@@ -205,7 +205,7 @@ class _FitData:
     are every point's (theta, phi, b) bits in ascending signed-int64 order.
     ``sq_index`` is each SQ point's ``transition_index``, -1 when it has
     none; ``sq_free`` lists those SQ rows. The rest are per-fit constants
-    of ``_forward_model`` and ``_jacobian``.
+    of ``_forward_model``, ``_jacobian`` and ``_second_directional``.
     """
 
     def __init__(self, dataset: ScanDataset):
@@ -225,9 +225,9 @@ class _FitData:
         where = {k: i for i, k in enumerate(sorted(set(bits)))}
         self.dist = np.array([where[k] for k in bits], dtype=np.intp)
         th, self.phi_dist, self.b_dist = np.reshape(list(where), (-1, 3)).view(float).T
-        self.sin_t, self.cos_t = np.sin(np.radians(th)), np.cos(np.radians(th))
+        sin_t, cos_t = np.sin(np.radians(th)), np.cos(np.radians(th))
         # the field direction is this times (cos(phi), sin(phi), 1)
-        self.axes = np.stack([self.sin_t, self.sin_t, self.cos_t], axis=1)
+        self.axes = np.stack([sin_t, sin_t, cos_t], axis=1)
         zq = np.array([p.kind == "zq_frequency" for p in pts], dtype=bool)
         self.zq, self.sq = np.nonzero(zq)[0], np.nonzero(~zq)[0]
         self.sq_index = np.array(
@@ -240,7 +240,6 @@ class _FitData:
         # every point's lower then upper state: rows 2k, 2k + 1 of a (2n,) gather
         self.dist2, self.ms0_pair = np.repeat(self.dist, 2), np.tile([2, 3], len(pts))
         self.rows2 = np.arange(2 * len(pts))
-        self.sin_at, self.cos_at = self.sin_t[self.dist], self.cos_t[self.dist]
         self.axes_at = self.axes[self.dist]
 
 
@@ -295,9 +294,10 @@ def _forward_model(params, vec, data, keep=None):
     ``zq-scan`` and the fit share it. With a dict ``keep``, the call
     leaves there what ``_jacobian`` and ``_second_directional`` reuse at
     this vector: the eigenvalues ("w") and eigenvectors ("vecs"), every
-    point's lower then upper state ("states", (2n,)), its signed gap
-    ("gap"), and per distinct point b in G ("b", a scalar unless the b slot
-    is nan) and the azimuth's cosine and sine ("cph", "sph").
+    point's lower and upper state ("states", (2n,), point k at 2k and
+    2k + 1) and their energies ("e"), its signed gap ("gap"), and per
+    distinct point b in G ("b", a scalar unless the b slot is nan) and the
+    azimuth's (cos, sin, 1) ("trig").
     """
     vec = np.asarray(vec, dtype=float)
     b = data.b_dist if math.isnan(vec[4]) else vec[4]
@@ -351,7 +351,8 @@ def _jacobian(params, vec, data, keep=None):
     sin(theta) (cos(phi) G_y - sin(phi) G_x). Columns follow PARAM_IDS;
     with a nan b slot the b column is meaningless. It adds to ``keep`` what
     ``_second_directional`` reads: O s per state and operator ("ops_s"),
-    ``de`` and the result ("jac").
+    ``de``, the gap's sign ("sg"), each point's b and trig ("at") and the
+    result ("jac").
     """
     if keep is None:
         keep = {}
@@ -370,7 +371,7 @@ def _jacobian(params, vec, data, keep=None):
     if np.ndim(b):  # the per-point b column
         b = b[data.dist]
     cph, sph = trig[:, 0], trig[:, 1]
-    sin_t, cos_t = data.sin_at, data.cos_at
+    sin_t, cos_t = data.axes_at[:, 0], data.axes_at[:, 2]
     gx, gy, gz = de[:, 4], de[:, 5], de[:, 6]
     out = de[:, :6].copy()
     out[:, 4] = sin_t * (cph * gx + sph * gy) + cos_t * gz
@@ -399,7 +400,7 @@ def _second_directional(data, keep, dx, ddx):
         # twice the upper state's sum less the lower's, along the gap's sign
         sg = keep["sg"][:, None] * [-2.0, 2.0]
         inv_gap = (sg.reshape(2 * n, 1) / gaps).reshape(n, 2, 6, 1)
-        # <j|O_q|k> of the seven operators (conjugated), (n, 2, 7, 12)
+        # <j|O_q|k> of the seven operators, (n, 2, 7, 12)
         x = keep["ops_s"].reshape(n, 14, 6) @ keep["vecs"][data.dist].conj()
         x = x.view(float).reshape(n, 2, 7, 12)
         # the field's dB/db, dB/dphi, d^2B/db dphi and d^2B/dphi^2 (n, 3, 4)
@@ -416,7 +417,7 @@ def _second_directional(data, keep, dx, ddx):
         np.matmul(dirs[:, None, :, :2].transpose(0, 1, 3, 2), x[:, :, 4:], out=x[:, :, 4:6])
         keep["pt2"] = x[:, :, :6], inv_gap, (keep["de"][:, None, 4:] @ dirs[:, :, 2:])[:, 0]
     x, inv_gap, curv = keep["pt2"]
-    h = dx @ x  # conj(<j|H'|k>)
+    h = dx @ x  # <j|H'|k>
     hh = (h * h).reshape(n, 2, 6, 2) * inv_gap
     return (keep["jac"] @ ddx + curv @ [2.0 * dx[4] * dx[5], dx[5] * dx[5]]
             + hh.reshape(n, 24).sum(axis=1))
@@ -510,10 +511,13 @@ def fit_hyperfine(
     Marquardt-damped Gauss-Newton, one model evaluation and one inverse of
     the damped normal matrix per pass: a step that lowers chi^2 is taken
     and sets mu *= max(1/3, 1 - (2 rho - 1)^3), rho (at most 1) the ratio
-    of actual to predicted drop; else the Jacobian stays and mu *= nu, nu
-    doubling per rejection in a row (Nielsen, IMM-REP-1999-05).
-    ``n_iterations`` counts passes that evaluate the model, rejected ones
-    too. ``stop_reason``: "stationary" (converged) when a step changed chi^2
+    of the actual drop to the drop the linear model predicts for the
+    velocity v, the damped Gauss-Newton step (under the same trust cap)
+    without the acceleration below, a drop that is always positive; else
+    the Jacobian stays and mu *= nu, nu doubling per rejection in a row
+    (Nielsen, IMM-REP-1999-05). ``n_iterations`` counts passes that
+    evaluate the model, rejected ones too, and ``n_rejected`` the passes
+    whose trial was not taken. ``stop_reason``: "stationary" (converged) when a step changed chi^2
     by < 1e-10 relative and, at its vector, the Gauss-Newton decrement 1/4
     g^T (J^T J)^-1 g (a full undamped step's drop) is <= 1e-10 chi^2;
     "chi2_stalled" (converged) after 3 taken steps in a row with relative
@@ -534,9 +538,10 @@ def fit_hyperfine(
     rank-one update of the inverse), which keeps the step downhill. A valley
     step v then becomes v + a/2 (geodesic acceleration, Transtrum & Sethna,
     arXiv:1201.5885), a = -(J^T J + mu D)^-1 J^T r''_v with the same capped
-    matrix and r''_v the residuals' exact second derivative along v
-    (``_second_directional``), when 2 |a|_D <= 3 |v|_D (``_ACCEL_RATIO``, D
-    the damping diagonal). Valley Jacobians are exact by the chain rule; the
+    matrix, D the damping diagonal, and r''_v the residuals' exact second
+    derivative along v (``_second_directional``), wherever r''_v is finite;
+    where v + a/2 would turn psi by more than 0.3 rad (``_PSI_CAP``) the
+    step stays v. Valley Jacobians are exact by the chain rule; the
     rank check, the trial vectors, the covariance, the sigmas and the (a,
     phi_offset) branch choice stay in PARAM_IDS coordinates.
 
