@@ -517,13 +517,14 @@ def fit_hyperfine(
     the Jacobian stays and mu *= nu, nu doubling per rejection in a row
     (Nielsen, IMM-REP-1999-05). ``n_iterations`` counts passes that
     evaluate the model, rejected ones too, and ``n_rejected`` the passes
-    whose trial was not taken. ``stop_reason``: "stationary" (converged) when a step changed chi^2
-    by < 1e-10 relative and, at its vector, the Gauss-Newton decrement 1/4
-    g^T (J^T J)^-1 g (a full undamped step's drop) is <= 1e-10 chi^2;
-    "chi2_stalled" (converged) after 3 taken steps in a row with relative
-    chi^2 change < 1e-10 or gradient norm < 1e-8, "grad_small" if the last
-    met only the latter; "damping_cap" on a step rejected at mu = 1e8, the
-    rounding floor (converged if its chi^2 was finite); "max_iterations".
+    whose trial was not taken. ``stop_reason``: "stationary" (converged)
+    when a step changed chi^2 by < 1e-10 relative and, at its vector, the
+    Gauss-Newton decrement 1/4 g^T (J^T J)^-1 g (a full undamped step's
+    drop) is <= 1e-10 chi^2; "chi2_stalled" (converged) after 3 taken steps
+    in a row with relative chi^2 change < 1e-10 or gradient norm < 1e-8,
+    "grad_small" if the last met only the latter; "damping_cap" on a step
+    rejected at mu = 1e8, the rounding floor (converged if its chi^2 was
+    finite); "max_iterations".
 
     With a_zz and a both free and r = hypot(a_zz, a) at least 40/3 MHz
     (where r's cap below leaves its floor), the iteration steps in valley
