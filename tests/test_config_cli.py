@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from nvbeat import estimation
 from nvbeat.cli import main
 from nvbeat.config import (
     ConfigError,
@@ -314,8 +315,6 @@ def test_bootstrap_drops_unconverged_refits(tmp_path, monkeypatch, capsys, uncon
     # a refit that stops at max_iterations is unusable, like one that raises:
     # with one of three unconverged the spread is the other two's, with two
     # too few refits are left
-    from nvbeat import estimation
-
     cfgp = write_cfg(tmp_path, TABLE_CFG + "noise.sigma.sq_frequency = 0.2\n"
                      "noise.sigma.zq_frequency = 0.2\nseed = 3\n")
     ds_path = str(tmp_path / "scan.csv")

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from nvbeat import estimation
-from nvbeat.cli import main
 from nvbeat.analytic import zq_beat_amplitude
+from nvbeat.cli import main
 from nvbeat.estimation import (
     CSV_HEADER,
     PARAM_IDS,
