@@ -618,7 +618,7 @@ def fit_hyperfine(
             u = _to_valley(vec, q) if valley else vec
             if valley:
                 jac = _valley_jacobian(jac, u, q)
-            jac = jac[:, free]  # F-ordered, which sets the BLAS calls below
+            jac = jac[:, free]  # a Fortran-ordered copy; the products below read that layout
             grad = 2.0 * jac.T @ resid
             jtj, descent = jac.T @ jac, -0.5 * grad
             if rel_change < 1e-10:  # a stationary point? See the docstring
@@ -652,9 +652,9 @@ def fit_hyperfine(
             du[cols] = vel
             curv = _second_directional(data, keep, *_valley_curve(u, du, q)) / sigmas
             if np.isfinite(curv).all():
-                accel = vel - 0.5 * (inv @ (jac.T @ curv))
-                if abs(accel[psi]) <= _PSI_CAP:
-                    step = accel
+                accelerated = vel - 0.5 * (inv @ (jac.T @ curv))
+                if abs(accelerated[psi]) <= _PSI_CAP:
+                    step = accelerated
         over = (np.abs(step) / cap).max()
         scale = 1.0 if over <= 1.0 else 1.0 / over
         trial = u.copy()
