@@ -76,7 +76,13 @@ def principal_sigmas(
     values; an optional 4x4 covariance (same order) overrides the diagonal.
     Returns sigma for the three principal values and theta_p (degrees), from
     the exact derivatives dr = (h, 0, -h, 2a)/(2r) and dphi = (a, 0, -a,
-    -2h)/(4r^2). Raises ValueError at r = 0, where the frame is undefined.
+    -2h)/(4r^2). theta_p = |phi| folds at 0 and 90 deg, where that slope
+    overstates its scatter; 'theta_p_folded' is the sigma of the normal
+    N(d, s) folded at the nearer fold, d the distance to it and s the
+    first-order sigma: with z = d/s, delta = s sqrt(2/pi) exp(-z^2/2)
+    - 2 d Phi(-z) and sigma = sqrt(s^2 - 2 d delta - delta^2), which is s
+    far from the folds. Raises ValueError at r = 0, where the frame is
+    undefined.
     """
     order = ("a_xx", "a_yy", "a_zz", "a")
     if covariance is None:
@@ -85,7 +91,7 @@ def principal_sigmas(
         cov = np.asarray(covariance, dtype=float)
         if cov.shape != (4, 4):
             raise ValueError("covariance must be 4x4 over (a_xx, a_yy, a_zz, a)")
-    _, h, r, _ = _xz_block(tensor)
+    _, h, r, phi = _xz_block(tensor)
     if r == 0.0:
         raise ValueError("principal frame undefined: a_xx == a_zz and a == 0")
     a = tensor.a
@@ -94,4 +100,10 @@ def principal_sigmas(
     dphi = np.degrees(np.array([a, 0.0, -a, -2.0 * h]) / (4.0 * r * r))
     jac = np.array([dmean - dr, [0.0, 1.0, 0.0, 0.0], dmean + dr, dphi])
     var = np.clip(np.einsum("ij,jk,ik->i", jac, cov, jac), 0.0, None)
-    return dict(zip(("value_small", "value_y", "value_big", "theta_p"), np.sqrt(var).tolist()))
+    out = dict(zip(("value_small", "value_y", "value_big", "theta_p"), np.sqrt(var).tolist()))
+    s, theta_p = out["theta_p"], math.degrees(abs(phi))
+    d = min(theta_p, 90.0 - theta_p)
+    z = d / s if s > 0.0 else math.inf  # s = 0: delta = 0, the sigma stays 0
+    delta = s * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * z * z) - d * math.erfc(z / 2**0.5)
+    out["theta_p_folded"] = math.sqrt(s * s - 2.0 * d * delta - delta * delta)
+    return out

@@ -82,8 +82,9 @@ def test_tracer_counts_one_fit():
 
 def test_tracer_counts_the_sta_search_and_one_sensitivity_solve():
     # a speed-up may not come from solving past the np.linalg.eigh the
-    # tracer wraps: the STA search sends its 2 809 matrices in 13 calls,
-    # and the four components of one sensitivity point share one solve
+    # tracer wraps: the STA search sends its 109 matrices (the phi = 0
+    # plane pass, 46 + 3 x 21) in 4 calls, and the four components of one
+    # sensitivity point share one solve
     from nvbeat import estimation
     from nvbeat.spin_core import FieldOrientation, HyperfineTensor, SystemParams
 
@@ -96,7 +97,7 @@ def test_tracer_counts_the_sta_search_and_one_sensitivity_solve():
         "sta", lambda: estimation.find_single_transition_axis(params, 40.3)
     )
     m = tracer.agg.layer_metrics()
-    assert (m["linalg.eigh.calls"], m["linalg.eigh.matrices"]) == (13, 2809)
+    assert (m["linalg.eigh.calls"], m["linalg.eigh.matrices"]) == (4, 109)
 
     field = FieldOrientation(40.3, theta, phi)
     estimation._tensor_slopes.cache_clear()

@@ -1053,9 +1053,55 @@ def test_sta_search_solves_the_phi_mirror_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     find_single_transition_axis(SYS, 40.3)
-    # the 46 x 46 phi >= 0 half of the 2 degree grid, then three 21 x 11
-    # halves of zoom grids centred on phi = 0 (all 46 x 91 + 3 x 441 = 5 509)
-    assert sum(solved) == 46 * 46 + 3 * 21 * 11 == 2809
+    # the reference axis lies on phi = 0: the plane pass alone, 46 coarse
+    # thetas and three zooms of 21, each one stacked solve
+    assert solved == [46, 21, 21, 21]
+    solved.clear()
+    off_plane = SystemParams(tensor=HyperfineTensor(-221.6, -170.2, -68.3, 121.0))
+    find_single_transition_axis(off_plane, 57.4)
+    # an off-plane axis: the plane pass finds none, then the 2D pass solves
+    # the 46 x 46 phi >= 0 half of the 2 degree grid (ten rows per solve)
+    # and three 21 x 21 zooms off phi = 0
+    assert solved[:4] == [46, 21, 21, 21]
+    assert sum(solved[4:]) == 46 * 46 + 3 * 21 * 21 == 3439
+
+
+def test_sta_plane_pass_keeps_the_full_grid_answer():
+    # wide-family tensors with random signs: where the full grid finds its
+    # axis on phi = 0 the bits are equal; where it finds one off the plane,
+    # or none, the result is its answer (or the answer's mirror) or an axis
+    # on the plane below the threshold; it never raises where the grid returns
+    rng = np.random.default_rng(0)
+    for _ in range(24):
+        vec = TRUTH.as_vector()[:4] * rng.uniform(0.5, 1.5, 4) * rng.choice([-1.0, 1.0], 4)
+        params = SystemParams(tensor=HyperfineTensor(*(float(x) for x in vec)))
+        b = float(rng.uniform(5.0, 100.0))
+        th_full, ph_full, ratio_full = _full_grid_sta(params, b)
+        try:
+            th, ph, ratio = find_single_transition_axis(params, b)
+        except ValueError:
+            assert not ratio_full < 0.05
+            continue
+        assert ratio < 0.05
+        if ph_full == 0.0 and ratio_full < 0.05:
+            got, full = (th, ph, ratio), (th_full, 0.0, ratio_full)
+            assert [x.hex() for x in got] == [x.hex() for x in full]
+        elif ph != 0.0:
+            assert (th, abs(ph)) == (th_full, abs(ph_full))
+            assert abs(ratio - ratio_full) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "tensor, b, theta",
+    [((242.08, 79.17, -130.38, 73.31), 43.87, 0.206), ((12.0, 11.0, 13.7, -2.0), 40.3, 0.45)],
+)
+def test_sta_search_finds_an_axis_next_to_the_pole(tensor, b, theta):
+    # at theta = 0 every phi is the same field; the 2D grid's coarse tie
+    # goes to (0, -90), and zooms around phi = -90 missed these axes
+    th, ph, ratio = find_single_transition_axis(SystemParams(tensor=HyperfineTensor(*tensor)), b)
+    assert ph == 0.0
+    assert abs(th - theta) < 0.01
+    assert ratio < 1e-3
 
 
 def test_find_single_transition_axis_no_off_diagonal():

@@ -187,3 +187,30 @@ def test_edge_case_frames(tensor, theta_p, rotation):
     ax = principal_axes(tensor)
     assert abs(ax.theta_p - theta_p) <= 1e-12
     assert np.max(np.abs(ax.rotation - np.array(rotation, dtype=float))) <= 1e-12
+
+
+def test_theta_p_sigma_folds_at_0_and_90_deg():
+    # theta_p = |phi| half a degree from the fold at 0 deg: the first-order
+    # sigma (0.955 deg) overstates the scatter of theta_p, which the folded
+    # normal gives; the mirror tensor sits as far from the fold at 90 deg
+    vec = np.array([90.0, 100.0, 150.0, 0.5235])
+    sig = {"a_xx": 1.0, "a_yy": 1.0, "a_zz": 1.0, "a": 1.0}
+    out = principal_sigmas(HyperfineTensor(*vec), sig)
+    assert abs(out["theta_p"] - 0.9547116383210615) < 1e-12
+    rng = np.random.default_rng(20)
+    draws = vec + rng.normal(size=(20000, 4))
+    scatter = np.std([principal_axes(HyperfineTensor(*map(float, x))).theta_p for x in draws])
+    assert abs(out["theta_p_folded"] - scatter) < 0.03 * scatter
+    mirror = principal_sigmas(HyperfineTensor(150.0, 100.0, 90.0, 0.5235), sig)
+    assert abs(principal_axes(HyperfineTensor(150.0, 100.0, 90.0, 0.5235)).theta_p - 89.5) < 0.01
+    assert abs(mirror["theta_p_folded"] - out["theta_p_folded"]) <= 1e-12 * out["theta_p_folded"]
+
+
+def test_theta_p_sigma_far_from_the_folds_is_first_order():
+    sig = {"a_xx": 1.0, "a_yy": 1.0, "a_zz": 1.0, "a": 1.0}
+    for tensor, sigmas in ((HyperfineTensor(100.0, 120.0, 100.0, 50.0), sig), (REF, {"a": 0.04})):
+        out = principal_sigmas(tensor, sigmas)
+        assert abs(out["theta_p_folded"] - out["theta_p"]) <= 1e-12 * out["theta_p"]
+    out = principal_sigmas(HyperfineTensor(100.0, 120.0, 100.0, 50.0), sig)
+    assert abs(out["theta_p"] - 0.40514234227069773) <= 1e-12 * out["theta_p"]
+    assert principal_sigmas(REF, {"a_yy": 0.7})["theta_p_folded"] == 0.0
