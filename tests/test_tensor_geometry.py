@@ -201,16 +201,16 @@ def test_theta_p_sigma_folds_at_0_and_90_deg():
     draws = vec + rng.normal(size=(20000, 4))
     scatter = np.std([principal_axes(HyperfineTensor(*map(float, x))).theta_p for x in draws])
     assert abs(out["theta_p_folded"] - scatter) < 0.03 * scatter
-    mirror = principal_sigmas(HyperfineTensor(150.0, 100.0, 90.0, 0.5235), sig)
-    assert abs(principal_axes(HyperfineTensor(150.0, 100.0, 90.0, 0.5235)).theta_p - 89.5) < 0.01
-    assert abs(mirror["theta_p_folded"] - out["theta_p_folded"]) <= 1e-12 * out["theta_p_folded"]
+    near_90 = HyperfineTensor(150.0, 100.0, 90.0, 0.5235)
+    assert abs(principal_axes(near_90).theta_p - 89.5) < 0.01
+    mirror = principal_sigmas(near_90, sig)["theta_p_folded"]
+    assert abs(mirror - out["theta_p_folded"]) <= 1e-12 * mirror
 
 
 def test_theta_p_sigma_far_from_the_folds_is_first_order():
     sig = {"a_xx": 1.0, "a_yy": 1.0, "a_zz": 1.0, "a": 1.0}
-    for tensor, sigmas in ((HyperfineTensor(100.0, 120.0, 100.0, 50.0), sig), (REF, {"a": 0.04})):
-        out = principal_sigmas(tensor, sigmas)
+    at_45 = principal_sigmas(HyperfineTensor(100.0, 120.0, 100.0, 50.0), sig)
+    assert abs(at_45["theta_p"] - 0.40514234227069773) <= 1e-12 * at_45["theta_p"]
+    for out in (at_45, principal_sigmas(REF, {"a": 0.04})):
         assert abs(out["theta_p_folded"] - out["theta_p"]) <= 1e-12 * out["theta_p"]
-    out = principal_sigmas(HyperfineTensor(100.0, 120.0, 100.0, 50.0), sig)
-    assert abs(out["theta_p"] - 0.40514234227069773) <= 1e-12 * out["theta_p"]
     assert principal_sigmas(REF, {"a_yy": 0.7})["theta_p_folded"] == 0.0
