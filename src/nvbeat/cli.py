@@ -119,7 +119,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     from . import __version__
-    from .config import apply_overrides, parse, parse_file
+    from .config import RunConfig, parse, parse_file
 
     config_path = getattr(args, "config", None)
     if config_path:
@@ -128,7 +128,7 @@ def _run(args) -> int:
         cfg = parse("")
     seed = getattr(args, "seed", None)
     if seed is not None:
-        cfg = apply_overrides(cfg, ["seed=%d" % seed])
+        cfg = RunConfig({**cfg.values, "seed": seed})
     handler = {
         "spectrum": cmd_spectrum,
         "zq-scan": cmd_zq_scan,
@@ -196,9 +196,12 @@ def cmd_zq_scan(cfg, args) -> list:
     import numpy as np
 
     from .analytic import delta_perturbative
-    from .estimation import MIN_SIGMA, ScanPoint, csv_row, model_values
+    from .config import csv_row
+    from .estimation import MIN_SIGMA, ScanPoint, model_values
     from .spin_core import FieldOrientation
 
+    if not np.isfinite([args.start, args.stop, args.step]).all():
+        raise ValueError("sweep start, stop and step must be finite")
     if args.step <= 0:
         raise ValueError("sweep step must be positive")
     angles = np.arange(args.start, args.stop + 1e-9 * args.step, args.step)
@@ -296,7 +299,8 @@ def cmd_ramsey(cfg, args) -> list:
 def cmd_fit(cfg, args) -> list:
     from dataclasses import astuple
 
-    from .estimation import CSV_HEADER, PARAM_IDS, FitParams, csv_row, fit_hyperfine, read_dataset
+    from .config import csv_row
+    from .estimation import CSV_HEADER, PARAM_IDS, FitParams, fit_hyperfine, read_dataset
 
     dataset = read_dataset(args.dataset)
     fixed = frozenset(args.fix)
@@ -423,7 +427,8 @@ def _synth_design(cfg, which: str):
 def cmd_synth(cfg, args) -> list:
     from dataclasses import astuple
 
-    from .estimation import CSV_HEADER, csv_row, synthesize_dataset
+    from .config import csv_row
+    from .estimation import CSV_HEADER, synthesize_dataset
 
     dataset = synthesize_dataset(
         cfg.system(),

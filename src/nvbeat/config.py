@@ -17,7 +17,7 @@ fixes the azimuth convention.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,7 @@ def _choice(*allowed):
     return conv
 
 
-# key -> (converter, default). Registry order is the canonical emit order.
+# key -> (converter, default). Registry order is the digest's order.
 _REGISTRY = {
     "constants.d": (_float, D_DEFAULT),
     "constants.gamma_e": (_float, GAMMA_E_DEFAULT),
@@ -122,11 +122,9 @@ def _format_value(v) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration; ``values`` holds every key, ``explicit`` the
-    keys actually present in the source (emit writes only those)."""
+    """Parsed configuration; ``values`` holds every key."""
 
     values: dict
-    explicit: tuple = ()
 
     def __getitem__(self, key):
         return self.values[key]
@@ -183,7 +181,6 @@ class RunConfig:
 def parse(text: str, name: str = "<config>") -> RunConfig:
     """Parse config text; errors carry ``name:line``."""
     values = {k: d for k, (_, d) in _REGISTRY.items()}
-    explicit = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -202,10 +199,8 @@ def parse(text: str, name: str = "<config>") -> RunConfig:
             values[key] = conv(val)
         except ConfigError as exc:
             raise ConfigError("%s:%d: %s: %s" % (name, lineno, key, exc)) from None
-        if key not in explicit:
-            explicit.append(key)
     _validate(values, name)
-    return RunConfig(values=values, explicit=tuple(explicit))
+    return RunConfig(values=values)
 
 
 def _validate(values, name):
@@ -235,38 +230,6 @@ def _validate(values, name):
 def parse_file(path: str) -> RunConfig:
     with open(path) as fh:
         return parse(fh.read(), name=path)
-
-
-def emit(cfg: RunConfig) -> str:
-    """Canonical text for the explicitly set keys, in registry order."""
-    keys = [k for k in _REGISTRY if k in cfg.explicit]
-    return "".join(
-        "%s = %s\n" % (k, _format_value(cfg.values[k])) for k in keys
-    )
-
-
-def normalize(text: str, name: str = "<config>") -> str:
-    """Canonical form of config text: emit(parse(text))."""
-    return emit(parse(text, name=name))
-
-
-def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:
-    """New config with ``key=value`` override strings applied."""
-    values = dict(cfg.values)
-    explicit = list(cfg.explicit)
-    for item in pairs:
-        key, sep, val = item.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if not sep:
-            raise ConfigError("override %r is not key=value" % item)
-        if key not in _REGISTRY:
-            raise ConfigError("unknown key %r" % key)
-        values[key] = _REGISTRY[key][0](val)
-        if key not in explicit:
-            explicit.append(key)
-    _validate(values, "<override>")
-    return RunConfig(values=values, explicit=tuple(explicit))
 
 
 def lab_to_nv(theta_lab, phi_lab, axis_theta, axis_phi):

@@ -106,13 +106,6 @@ def _unitary(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-2j * np.pi * w * t)) @ v.conj().T
 
 
-def _carrier_frequency(eig: Eigensystem, exc: int, detuning: float) -> float:
-    """Mean of the two ms0 -> excited level (index exc) frequencies, plus detuning."""
-    g = np.flatnonzero(eig.labels == 1)  # the ms0 pair
-    center = float(eig.values[exc] - 0.5 * (eig.values[g[0]] + eig.values[g[1]]))
-    return center + detuning
-
-
 def _p_ms0(psi_rows: np.ndarray) -> np.ndarray:
     return np.abs(psi_rows[..., 2]) ** 2 + np.abs(psi_rows[..., 3]) ** 2
 
@@ -132,17 +125,21 @@ def _ms0_mixture_trace(eig: Eigensystem, times, w, before, after) -> RamseyTrace
     return RamseyTrace(tau=times, signal=sig / 2)
 
 
-def _rotating_frame(eig: Eigensystem, omega_c: float):
-    """Rotating-frame energies and drive in the eigenbasis of the static problem.
+def _rotating_frame(eig: Eigensystem, exc: int, detuning: float):
+    """Carrier, rotating-frame energies and drive in the eigenbasis of the static problem.
 
-    Energies: eigenvalues, shifted down by omega_c on the ms_plus/ms_minus
-    states. Drive: the carrier-resonant blocks of ``_DRIVE_NORM``, those
-    connecting ms0 to the excited manifolds; H adds them at half amplitude.
+    Carrier omega_c: the mean of the two ms0 -> excited level (index exc)
+    frequencies, plus detuning. Energies: eigenvalues, shifted down by
+    omega_c on the ms_plus/ms_minus states. Drive: the carrier-resonant
+    blocks of ``_DRIVE_NORM``, those connecting ms0 to the excited
+    manifolds; H adds them at half amplitude. Returns (omega_c, w, x).
     """
+    g = np.flatnonzero(eig.labels == 1)  # the ms0 pair
+    omega_c = float(eig.values[exc] - 0.5 * (eig.values[g[0]] + eig.values[g[1]])) + detuning
     excited = eig.labels != 1
     x = eig.vectors.conj().T @ _DRIVE_NORM @ eig.vectors
     x = np.where(excited[:, None] != excited[None, :], x, 0.0)
-    return eig.values - omega_c * excited, x
+    return omega_c, eig.values - omega_c * excited, x
 
 
 def simulate_rabi(
@@ -165,12 +162,11 @@ def simulate_rabi(
     h0 = build_hamiltonian(params, field)
     eig = eigensystem(h0)
     exc = lambda_excited_index(eig, params.tensor)
-    omega_c = _carrier_frequency(eig, exc, pulse.carrier_detuning)
+    omega_c, w_rot, x = _rotating_frame(eig, exc, pulse.carrier_detuning)
     if lab_frame:
         inits = [eig.vectors[:, i] for i in np.flatnonzero(eig.labels == 1)]
         sig = _rabi_lab_frame(h0, omega_c, pulse.rabi_amplitude, inits, t_grid)
         return RamseyTrace(tau=t_grid, signal=sig)
-    w_rot, x = _rotating_frame(eig, omega_c)
     w, v = np.linalg.eigh(np.diag(w_rot) + 0.5 * pulse.rabi_amplitude * x)
     return _ms0_mixture_trace(eig, t_grid, w, v.conj().T, v)
 
@@ -256,9 +252,8 @@ def simulate_zq_ramsey(
         exc, u_pulse = lam[2], _ideal_pi_unitary(*lam)
     else:
         exc = lambda_excited_index(eig, params.tensor)
-    omega_c = _carrier_frequency(eig, exc, detuning)
     # free evolution is diagonal in the eigenbasis rotating frame
-    w_free, x = _rotating_frame(eig, omega_c)
+    _, w_free, x = _rotating_frame(eig, exc, detuning)
     if not ideal_pulses:
         if not (np.isfinite(pi_duration) and pi_duration > 0):
             raise ValueError("pi_duration must be finite and positive")

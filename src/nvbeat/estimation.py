@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import csv_row
 from .spin_core import (
     _MAIN_LINES,
     _OP_TENSOR,
@@ -86,7 +85,10 @@ class ScanPoint:
             raise ValueError("b must be >= 0, got %r" % (self.b,))
         if not self.sigma >= MIN_SIGMA:
             raise ValueError("sigma must be >= %g, got %r" % (MIN_SIGMA, self.sigma))
-        if self.kind == "sq_frequency" and self.transition_index is not None:
+        if self.transition_index is not None:
+            if self.kind != "sq_frequency":
+                raise ValueError("a %s row takes no transition_index, got %r"
+                                 % (self.kind, self.transition_index))
             if self.transition_index not in (0, 1, 2, 3):
                 raise ValueError(
                     "transition_index must be 0..3, got %r" % (self.transition_index,)
@@ -200,21 +202,24 @@ _MATCH_TIE = 1e-6
 class _FitData:
     """A dataset as the fit's arrays, plus its distinct (theta, phi, b) points.
 
-    ``zq``/``sq`` index the zq_frequency/sq_frequency data points and
-    ``dist`` maps every data point into the list of distinct points, which
-    are every point's (theta, phi, b) bits in ascending signed-int64 order.
+    ``sq`` indexes the sq_frequency data points and ``dist`` maps every
+    data point into the list of distinct points, which are every point's
+    (theta, phi, b) bits in ascending signed-int64 order.
     ``sq_index`` is each SQ point's ``transition_index``, -1 when it has
-    none; ``sq_free`` lists those SQ rows. The rest are per-fit constants
-    of ``_forward_model``, ``_jacobian`` and ``_second_directional``.
+    none; ``sq_free`` lists those SQ rows. With ``per_point_b`` every
+    point takes the b of its own row, else every vector's b slot. The rest
+    are per-fit constants of ``_forward_model``, ``_jacobian`` and
+    ``_second_directional``.
     """
 
-    def __init__(self, dataset: ScanDataset):
+    def __init__(self, dataset: ScanDataset, per_point_b=False):
         pts = dataset.points
         if any(p.kind == "zq_amplitude" for p in pts):
             raise ValueError(
                 "zq_amplitude points cannot enter the frequency fit; "
                 "drop them or fit frequencies only"
             )
+        self.per_point_b = per_point_b
         self.values = np.array([p.value for p in pts])
         self.sigmas = np.array([p.sigma for p in pts])
         self.theta = np.array([p.theta for p in pts])
@@ -228,8 +233,7 @@ class _FitData:
         sin_t, cos_t = np.sin(np.radians(th)), np.cos(np.radians(th))
         # the field direction is this times (cos(phi), sin(phi), 1)
         self.axes = np.stack([sin_t, sin_t, cos_t], axis=1)
-        zq = np.array([p.kind == "zq_frequency" for p in pts], dtype=bool)
-        self.zq, self.sq = np.nonzero(zq)[0], np.nonzero(~zq)[0]
+        self.sq = np.flatnonzero([p.kind == "sq_frequency" for p in pts])
         self.sq_index = np.array(
             [-1 if pts[k].transition_index is None else pts[k].transition_index
              for k in self.sq],
@@ -285,8 +289,7 @@ def _sq_lines(w, vecs, order, data):
 def _forward_model(params, vec, data, keep=None):
     """Model frequencies (n,) for every point of a ``_FitData`` at vec (6,).
 
-    A nan in the b slot switches to the per-point b column. The
-    Hamiltonians are assembled and solved (``eigh``) once per call, over
+    The Hamiltonians are assembled and solved (``eigh``) once per call, over
     the distinct field points only, and their states labelled by
     ``label_manifolds``. Every point is the gap between two states of its
     solve: a ZQ point's ms0 pair, an SQ point's line from ``_sq_lines``.
@@ -296,16 +299,16 @@ def _forward_model(params, vec, data, keep=None):
     this vector: the eigenvalues ("w") and eigenvectors ("vecs"), every
     point's lower and upper state ("states", (2n,), point k at 2k and
     2k + 1) and their energies ("e"), its signed gap ("gap"), and per
-    distinct point b in G ("b", a scalar unless the b slot is nan) and the
-    azimuth's (cos, sin, 1) ("trig").
+    distinct point b in G ("b", a scalar unless ``data.per_point_b``) and
+    the azimuth's (cos, sin, 1) ("trig").
     """
     vec = np.asarray(vec, dtype=float)
-    b = data.b_dist if math.isnan(vec[4]) else vec[4]
+    b = data.b_dist if data.per_point_b else vec[4]
     ph = np.radians(data.phi_dist + vec[5])
     trig = np.ones((len(ph), 3))  # cos(phi), sin(phi), 1
     np.cos(ph, out=trig[:, 0])
     np.sin(ph, out=trig[:, 1])
-    bvec = (b * data.axes if np.ndim(b) == 0 else b[:, None] * data.axes) * trig
+    bvec = (b[:, None] * data.axes if data.per_point_b else b * data.axes) * trig
     w, vecs = np.linalg.eigh(hamiltonians(params, bvec, vec[:4]))
     labels, reason = label_manifolds(manifold_overlaps(vecs))
     if reason.any():  # every distinct point belongs to a data point
@@ -349,10 +352,10 @@ def _jacobian(params, vec, data, keep=None):
     in ``_derivative_operators``, dH/db = sin(theta) (cos(phi) G_x +
     sin(phi) G_y) + cos(theta) G_z and dH/dphi_offset = (pi/180) b
     sin(theta) (cos(phi) G_y - sin(phi) G_x). Columns follow PARAM_IDS;
-    with a nan b slot the b column is meaningless. It adds to ``keep`` what
-    ``_second_directional`` reads: O s per state and operator ("ops_s"),
-    ``de``, the gap's sign ("sg"), each point's b and trig ("at") and the
-    result ("jac").
+    with ``data.per_point_b`` the b column is meaningless. It adds to
+    ``keep`` what ``_second_directional`` reads: O s per state and operator
+    ("ops_s"), ``de``, the gap's sign ("sg"), each point's b and trig
+    ("at") and the result ("jac").
     """
     if keep is None:
         keep = {}
@@ -368,7 +371,7 @@ def _jacobian(params, vec, data, keep=None):
     sg = np.sign(keep["gap"])
     de = sg[:, None] * (e[1::2] - e[0::2])
     b, trig = keep["b"], keep["trig"][data.dist]
-    if np.ndim(b):  # the per-point b column
+    if data.per_point_b:
         b = b[data.dist]
     cph, sph = trig[:, 0], trig[:, 1]
     sin_t, cos_t = data.axes_at[:, 0], data.axes_at[:, 2]
@@ -389,8 +392,9 @@ def _second_directional(data, keep, dx, ddx):
     dH/dp, H'' = sum_p ddx_p dH/dp + 2 dx_b dx_phi (pi/180) sin(theta)
     (cos(phi) G_y - sin(phi) G_x) - dx_phi^2 (pi/180)^2 b sin(theta)
     (cos(phi) G_x + sin(phi) G_y), G_c of ``_derivative_operators``. The
-    first call at a vector keeps its per-solve arrays there ("pt2"). With a
-    nan b slot, dx and ddx must be 0 there. nan where two levels coincide.
+    first call at a vector keeps its per-solve arrays there ("pt2"). With
+    ``data.per_point_b``, dx and ddx must be 0 in the b slot. nan where two
+    levels coincide.
     """
     n = len(data.dist)
     if "pt2" not in keep:
@@ -405,7 +409,7 @@ def _second_directional(data, keep, dx, ddx):
         x = x.view(float).reshape(n, 2, 7, 12)
         # the field's dB/db, dB/dphi, d^2B/db dphi and d^2B/dphi^2 (n, 3, 4)
         b, trig = keep["at"]
-        b = b[:, None] if np.ndim(b) else b
+        b = b[:, None] if data.per_point_b else b
         k, dirs = math.pi / 180.0, np.zeros((n, 3, 4))
         np.multiply(data.axes_at, trig, out=dirs[:, :, 0])
         np.multiply(dirs[:, 1::-1, 0], [-k, k], out=dirs[:, :2, 2])
@@ -560,7 +564,7 @@ def fit_hyperfine(
     free = [i for i, name in enumerate(PARAM_IDS) if name not in fixed]
     if not free:
         raise ValueError("no free parameters")
-    data = _FitData(dataset)
+    data = _FitData(dataset, "b" in fixed)
     values, sigmas = data.values, data.sigmas
     if len(dataset) < len(free):
         raise ValueError(
@@ -572,18 +576,11 @@ def fit_hyperfine(
     if not np.all(np.isfinite(vec)):
         raise ValueError("initial guess must be finite")
 
-    def internal(v):
-        if "b" not in fixed:
-            return v
-        u = np.array(v, dtype=float, copy=True)
-        u[4] = np.nan  # sentinel: use the per-point column
-        return u
-
     def model(v, keep=None):
-        return _forward_model(params, internal(v), data, keep)
+        return _forward_model(params, v, data, keep)
 
     def jacobian(v, keep=None):
-        return _jacobian(params, internal(v), data, keep) / sigmas[:, None]
+        return _jacobian(params, v, data, keep) / sigmas[:, None]
 
     def chi2_of(r):
         # exact summation: noiseless datasets weight chi^2 to ~1e10 where
@@ -747,17 +744,17 @@ def _check_rank(jac: np.ndarray, free):
 def model_values(params: SystemParams, points) -> np.ndarray:
     """The model value of every ScanPoint at params, each at its own field.
 
-    Frequencies come from one ``_forward_model`` call with a nan b slot, so
-    every point takes its own b; amplitudes (``zq_beat_amplitude`` / 2)
-    from one ``_lambda_amplitudes`` call, nan where no Lambda system
-    exists. An SQ point without a ``transition_index`` takes the line
-    nearest its value, as in the fit.
+    Frequencies come from one ``_forward_model`` call over the per-point b
+    column, so every point takes its own b; amplitudes
+    (``zq_beat_amplitude`` / 2) from one ``_lambda_amplitudes`` call, nan
+    where no Lambda system exists. An SQ point without a
+    ``transition_index`` takes the line nearest its value, as in the fit.
     """
     out = np.empty(len(points))
     amp = np.array([p.kind == "zq_amplitude" for p in points], dtype=bool)
     if not amp.all():
-        data = _FitData(ScanDataset(p for p, a in zip(points, amp) if not a))
-        truth = np.r_[dataclasses.astuple(params.tensor), np.nan, 0.0]
+        data = _FitData(ScanDataset(p for p, a in zip(points, amp) if not a), True)
+        truth = np.r_[dataclasses.astuple(params.tensor), 0.0, 0.0]
         out[~amp] = _forward_model(params, truth, data)
     if amp.any():
         fields = np.array([(p.b, p.theta, p.phi) for p, a in zip(points, amp) if a])

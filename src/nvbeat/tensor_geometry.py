@@ -67,13 +67,10 @@ def magnitude_sorted(axes: PrincipalAxes) -> tuple:
     return tuple(sorted(axes.values, key=abs, reverse=True))
 
 
-def principal_sigmas(
-    tensor: HyperfineTensor, sigmas: dict, covariance: np.ndarray | None = None
-) -> dict:
+def principal_sigmas(tensor: HyperfineTensor, covariance: np.ndarray) -> dict:
     """First-order propagation of tensor uncertainties to the principal frame.
 
-    ``sigmas`` maps component names ('a_xx', 'a_yy', 'a_zz', 'a') to 1-sigma
-    values; an optional 4x4 covariance (same order) overrides the diagonal.
+    ``covariance`` is the 4x4 covariance over (a_xx, a_yy, a_zz, a).
     Returns sigma for the three principal values and theta_p (degrees), from
     the exact derivatives dr = (h, 0, -h, 2a)/(2r) and dphi = (a, 0, -a,
     -2h)/(4r^2). theta_p = |phi| folds at 0 and 90 deg, where that slope
@@ -84,13 +81,9 @@ def principal_sigmas(
     far from the folds. Raises ValueError at r = 0, where the frame is
     undefined.
     """
-    order = ("a_xx", "a_yy", "a_zz", "a")
-    if covariance is None:
-        cov = np.diag([sigmas.get(k, 0.0) ** 2 for k in order])
-    else:
-        cov = np.asarray(covariance, dtype=float)
-        if cov.shape != (4, 4):
-            raise ValueError("covariance must be 4x4 over (a_xx, a_yy, a_zz, a)")
+    cov = np.asarray(covariance, dtype=float)
+    if cov.shape != (4, 4):
+        raise ValueError("covariance must be 4x4 over (a_xx, a_yy, a_zz, a)")
     _, h, r, phi = _xz_block(tensor)
     if r == 0.0:
         raise ValueError("principal frame undefined: a_xx == a_zz and a == 0")

@@ -11,14 +11,7 @@ import pytest
 
 from nvbeat import estimation
 from nvbeat.cli import main
-from nvbeat.config import (
-    ConfigError,
-    apply_overrides,
-    emit,
-    lab_to_nv,
-    normalize,
-    parse,
-)
+from nvbeat.config import ConfigError, lab_to_nv, parse
 from nvbeat.spin_core import SystemParams
 
 TABLE_CFG = """\
@@ -40,17 +33,6 @@ def test_parse_defaults():
     assert cfg["constants.gamma_n"] == 0.0010705
     assert cfg["field.b"] == 40.3
     assert cfg["sequence.pi_duration"] == "auto"
-    assert cfg.explicit == ()
-    assert emit(cfg) == ""
-
-
-def test_emit_normalize_idempotent():
-    text = "field.phi = 90\ntensor.a_xx = 166.9  # comment\n\nseed = 7\n"
-    once = normalize(text)
-    assert normalize(once) == once
-    # registry order, not source order
-    assert once.index("tensor.a_xx") < once.index("field.phi") < once.index("seed")
-    assert "# comment" not in once
 
 
 def test_digest_tracks_values():
@@ -59,7 +41,7 @@ def test_digest_tracks_values():
     assert parse("# just a comment\n").digest() == base.digest()
     assert parse("field.b = 40.3\n").digest() == base.digest()
     assert parse("field.b = 41.0\n").digest() != base.digest()
-    assert apply_overrides(base, ["seed=3"]).digest() != base.digest()
+    assert parse("seed = 3\n").digest() != base.digest()
 
 
 def test_parse_errors_carry_location():
@@ -89,15 +71,25 @@ def test_parse_errors_carry_location():
                 parse("%s = %s\n" % (key, text), name="t.cfg")
 
 
-def test_apply_overrides():
-    cfg = parse("field.b = 40.3\n")
-    cfg2 = apply_overrides(cfg, ["field.theta=30", "seed=9"])
-    assert cfg2["field.theta"] == 30.0 and cfg2["seed"] == 9
-    assert "field.theta" in cfg2.explicit
-    with pytest.raises(ConfigError, match="not key=value"):
-        apply_overrides(cfg, ["field.theta"])
-    with pytest.raises(ConfigError, match="unknown key 'nope'"):
-        apply_overrides(cfg, ["nope=1"])
+def test_parse_rejects_out_of_range_values():
+    for text in ("0", "-2.5"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "t.cfg:1: sequence.pi_duration: pi_duration must be positive or 'auto'")):
+            parse("sequence.pi_duration = %s\n" % text, name="t.cfg")
+    with pytest.raises(ConfigError, match=re.escape(
+            "t.cfg:1: seed: expected an integer, got '1.5'")):
+        parse("seed = 1.5\n", name="t.cfg")
+    with pytest.raises(ConfigError, match=re.escape("t.cfg:2: empty value for 'field.b'")):
+        parse("seed = 1\nfield.b =   # nothing\n", name="t.cfg")
+    with pytest.raises(ConfigError, match=re.escape(
+            "t.cfg: sequence.t2_star must be >= 0 (0 disables dephasing)")):
+        parse("sequence.t2_star = -1\n", name="t.cfg")
+    with pytest.raises(ConfigError, match=re.escape(
+            "t.cfg: noise.imperfection.period must be nonzero")):
+        parse("noise.imperfection.amplitude = 0.5\nnoise.imperfection.period = 0\n",
+              name="t.cfg")
+    # a zero period is harmless while the imperfection is off
+    assert parse("noise.imperfection.period = 0\n").imperfection() is None
 
 
 def test_lab_to_nv_along_axis():
@@ -156,6 +148,13 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def test_seed_flag_sets_the_config_seed(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, TABLE_CFG)
+    assert main(["--config", cfgp, "--seed", "-3", "principal"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.endswith("config=%s" % parse(TABLE_CFG + "seed = -3\n").digest())
 
 
 def test_synth_byte_identical_and_flag_positions(tmp_path):
@@ -488,6 +487,18 @@ def test_cli_error_exits(tmp_path, capsys):
 
     assert main(["--threads", "0", "principal"]) == 1
     assert "--threads must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start, stop, step", [
+    ("nan", "40", "1"), ("0", "nan", "1"), ("0", "40", "nan"),
+    ("0", "inf", "1"), ("-inf", "40", "1"), ("0", "40", "inf"),
+])
+def test_zq_scan_rejects_non_finite_bounds(tmp_path, capsys, start, stop, step):
+    # numpy's arange would fail on these with its own message, or try to allocate
+    cfgp = write_cfg(tmp_path, TABLE_CFG)
+    assert main(["--config", cfgp, "zq-scan", "--sweep", "phi", "--start=" + start,
+                 "--stop=" + stop, "--step=" + step]) == 1
+    assert capsys.readouterr().err == "error: sweep start, stop and step must be finite\n"
 
 
 def test_threads_flag_sets_env(tmp_path, capsys):

@@ -14,6 +14,7 @@ import pytest
 from nvbeat import estimation
 from nvbeat.analytic import zq_beat_amplitude
 from nvbeat.cli import main
+from nvbeat.config import csv_row
 from nvbeat.estimation import (
     CSV_HEADER,
     PARAM_IDS,
@@ -30,7 +31,6 @@ from nvbeat.estimation import (
     _to_valley,
     _valley_curve,
     _valley_jacobian,
-    csv_row,
     find_axis_minimum,
     find_single_transition_axis,
     fit_hyperfine,
@@ -79,6 +79,20 @@ def test_scan_point_validation():
     ):
         with pytest.raises(ValueError, match=name):
             ScanPoint(**{**good, name: bad})
+
+
+def test_zq_rows_take_no_transition_index(tmp_path):
+    # the fit ignores it, and the CSV contract leaves it empty on ZQ rows
+    for kind, k in (("zq_frequency", 7), ("zq_amplitude", 2), ("zq_frequency", 0)):
+        with pytest.raises(ValueError, match=re.escape(
+                "a %s row takes no transition_index, got %d" % (kind, k))):
+            ScanPoint(40.0, 0.0, 40.3, kind, 1.0, 0.1, k)
+    path = tmp_path / "zq.csv"
+    path.write_text(CSV_HEADER + "\n40,0,40.3,sq_frequency,2873.1,0.1,1\n"
+                    "40,10,40.3,zq_frequency,6.2,0.1,1\n")
+    with pytest.raises(ValueError, match=re.escape(
+            "zq.csv:3: a zq_frequency row takes no transition_index, got 1")):
+        read_dataset(str(path))
 
 
 def test_csv_round_trip(tmp_path):
@@ -226,12 +240,11 @@ def test_forward_model_points_are_independent():
     )
     pts = base.points + (base.points[4], base.points[0]) + ties
     pts += (dataclasses.replace(base.points[4], b=45.0),)
-    data = _FitData(ScanDataset(pts))
-    column_b = TRUTH.as_vector()
-    column_b[4] = np.nan  # the per-point b column, as with b fixed
-    for vec in (TRUTH.as_vector(), column_b):
-        model = _forward_model(SYS, vec, data)
-        alone = [_forward_model(SYS, vec, _FitData(ScanDataset((p,))))[0] for p in pts]
+    vec = TRUTH.as_vector()
+    for per_point_b in (False, True):  # True: the per-point b column, as with b fixed
+        model = _forward_model(SYS, vec, _FitData(ScanDataset(pts), per_point_b))
+        alone = [_forward_model(SYS, vec, _FitData(ScanDataset((p,)), per_point_b))[0]
+                 for p in pts]
         assert model.tolist() == alone
         assert model[9] == model[4] and model[10] == model[0]
         assert np.abs(model[:9] - f).max() < 1e-9
@@ -293,11 +306,13 @@ def test_jacobian_matches_central_differences(case, b_fixed):
     # psi = atan2(a, a_zz), and in its q chart, which also trades a_xx for
     # q = sign(a_xx) hypot(a_xx, a); their columns follow by the chain rule
     design, b = JACOBIAN_CASES[case]
-    data = _FitData(synthesize_dataset(SYS, b=b, design=design, noise_sigma=NOISE, seed=3))
+    # b_fixed: the per-point b column, and the b slot goes unread
+    data = _FitData(synthesize_dataset(SYS, b=b, design=design, noise_sigma=NOISE, seed=3),
+                    b_fixed)
     vec = TRUTH.as_vector() + np.array([3.0, -2.0, 5.0, 4.0, 0.0, 2.0])
-    vec[4] = np.nan if b_fixed else b + 0.5  # nan: the per-point b column
+    vec[4] = b + 0.5
     u, uq = _to_valley(vec), _to_valley(vec, q=True)
-    assert np.allclose(_from_valley(u), vec, rtol=1e-15, atol=0.0, equal_nan=True)
+    assert np.allclose(_from_valley(u), vec, rtol=1e-15, atol=0.0)
     jac = _jacobian(SYS, vec, data)
     h = 1e-5
     for x, to_vec, j in ((vec, np.asarray, jac), (u, _from_valley, _valley_jacobian(jac, u)),
@@ -325,9 +340,11 @@ def test_second_directional_matches_central_differences(case, b_fixed):
     # is checked the same way along straight lines in (a_xx, a_yy, r, psi,
     # b, phi_offset) and in the q chart's (q, a_yy, r, psi, b, phi_offset)
     design, b = JACOBIAN_CASES[case]
-    data = _FitData(synthesize_dataset(SYS, b=b, design=design, noise_sigma=NOISE, seed=3))
+    # b_fixed: the per-point b column, and the b slot goes unread
+    data = _FitData(synthesize_dataset(SYS, b=b, design=design, noise_sigma=NOISE, seed=3),
+                    b_fixed)
     vec = TRUTH.as_vector() + np.array([3.0, -2.0, 5.0, 4.0, 0.0, 2.0])
-    vec[4] = np.nan if b_fixed else b + 0.5  # nan: the per-point b column
+    vec[4] = b + 0.5
     keep = {}
     _forward_model(SYS, vec, data, keep)
     _jacobian(SYS, vec, data, keep)
@@ -369,8 +386,7 @@ def test_synthesize_is_the_fit_model(design, imperfection):
             for p in ds.points
         )
         assert not np.array_equal(_forward_model(SYS, truth, _FitData(ds)), values)
-    truth[4] = np.nan  # the per-point b column
-    assert np.array_equal(_forward_model(SYS, truth, _FitData(ds)), values)
+    assert np.array_equal(_forward_model(SYS, truth, _FitData(ds, True)), values)
 
 
 def test_fit_recovers_truth_from_far_starts():
@@ -780,6 +796,30 @@ def test_fit_input_checks():
     loose = ScanDataset(tuple(dataclasses.replace(p, sigma=1e155) for p in ds.points))
     with pytest.raises(ValueError, match="covariance not finite"):
         fit_hyperfine(loose, TRUTH)
+
+
+def test_fit_entry_checks_name_their_fault():
+    ds = synthesize_dataset(SYS, b=40.3, design=DESIGN2, noise_sigma=None, seed=0)
+    with pytest.raises(ValueError, match="^initial guess must be finite$"):
+        fit_hyperfine(ds, dataclasses.replace(TRUTH, a=np.nan))
+    amp = synthesize_dataset(SYS, b=40.3, design=[(40.0, 0.0, "zq_amplitude")])
+    with pytest.raises(ValueError, match="zq_amplitude points cannot enter the frequency fit"):
+        fit_hyperfine(ScanDataset(ds.points + amp.points), TRUTH)
+    with pytest.raises(ValueError, match=re.escape("no Lambda system at theta=40.000 phi=0.000")):
+        synthesize_dataset(SYS, b=0.0, design=[(40.0, 0.0, "zq_amplitude")])
+
+
+def test_check_rank_names_a_dead_phi_offset_column():
+    # at theta = 0 the field has no azimuth, so the phi_offset column is exactly 0:
+    # with all six free it is the dead column, alone it is an all-zero Jacobian
+    design = [(0.0, 0.0, "sq_frequency"), (0.0, 0.0, "zq_frequency"),
+              (0.0, 30.0, "zq_frequency")]
+    ds = synthesize_dataset(SYS, b=40.3, design=design)
+    assert len(ds) == 6
+    assert not _jacobian(SYS, TRUTH.as_vector(), _FitData(ds))[:, 5].any()
+    for fixed in (frozenset(), frozenset(PARAM_IDS[:5])):
+        with pytest.raises(ValueError, match="^degenerate parameter direction: phi_offset$"):
+            fit_hyperfine(ds, TRUTH, fixed=fixed)
 
 
 def test_round_trip_many_records():

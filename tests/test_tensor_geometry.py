@@ -11,6 +11,11 @@ from nvbeat.tensor_geometry import magnitude_sorted, principal_axes, principal_s
 REF = HyperfineTensor(166.9, 122.9, 90.0, -90.3)
 
 
+def diag_cov(a_xx=0.0, a_yy=0.0, a_zz=0.0, a=0.0):
+    """The covariance of uncorrelated components with these sigmas."""
+    return np.diag(np.square([a_xx, a_yy, a_zz, a]))
+
+
 def tensor_matrix(t):
     return np.array([[t.a_xx, 0.0, t.a], [0.0, t.a_yy, 0.0], [t.a, 0.0, t.a_zz]])
 
@@ -68,7 +73,7 @@ def test_magnitude_sorted():
 
 def test_principal_sigmas_monte_carlo():
     sig = {"a_xx": 0.02, "a_yy": 0.05, "a_zz": 0.03, "a": 0.04}
-    prop = principal_sigmas(REF, sig)
+    prop = principal_sigmas(REF, diag_cov(**sig))
     rng = np.random.default_rng(8)
     draws = {"small": [], "y": [], "big": [], "tp": []}
     for _ in range(4000):
@@ -94,18 +99,12 @@ def test_principal_sigmas_monte_carlo():
 
 
 def test_principal_sigmas_covariance_path():
-    sig = {"a_xx": 0.02, "a_yy": 0.05, "a_zz": 0.03, "a": 0.04}
-    cov = np.diag([sig[k] ** 2 for k in ("a_xx", "a_yy", "a_zz", "a")])
-    d1 = principal_sigmas(REF, sig)
-    d2 = principal_sigmas(REF, {}, covariance=cov)
-    for key in ("value_small", "value_y", "value_big", "theta_p"):
-        assert abs(d1[key] - d2[key]) < 1e-12
     with pytest.raises(ValueError, match="4x4"):
-        principal_sigmas(REF, {}, covariance=np.eye(3))
+        principal_sigmas(REF, np.eye(3))
 
 
 def test_y_sigma_passthrough():
-    out = principal_sigmas(REF, {"a_yy": 0.7})
+    out = principal_sigmas(REF, diag_cov(a_yy=0.7))
     assert abs(out["value_y"] - 0.7) < 1e-6
     assert out["value_small"] < 1e-9
 
@@ -142,7 +141,7 @@ def test_principal_sigmas_match_central_differences():
         root = rng.normal(size=(4, 4))
         cov = root @ root.T
         expected = np.sqrt(np.einsum("ij,jk,ik->i", jac, cov, jac))
-        got = principal_sigmas(t, {}, covariance=cov)
+        got = principal_sigmas(t, cov)
         for k, key in enumerate(("value_small", "value_y", "value_big", "theta_p")):
             assert abs(got[key] - expected[k]) <= 1e-6 * expected[k], (t, key)
         checked += 1
@@ -164,7 +163,7 @@ def test_gauge_flips_only_the_xz_rotation_entries():
 
 def test_principal_sigmas_raise_without_an_in_plane_frame():
     with pytest.raises(ValueError, match="undefined"):
-        principal_sigmas(HyperfineTensor(50.0, 70.0, 50.0, 0.0), {"a": 0.1})
+        principal_sigmas(HyperfineTensor(50.0, 70.0, 50.0, 0.0), diag_cov(a=0.1))
 
 
 S = np.sqrt(0.5)
@@ -194,8 +193,8 @@ def test_theta_p_sigma_folds_at_0_and_90_deg():
     # sigma (0.955 deg) overstates the scatter of theta_p, which the folded
     # normal gives; the mirror tensor sits as far from the fold at 90 deg
     vec = np.array([90.0, 100.0, 150.0, 0.5235])
-    sig = {"a_xx": 1.0, "a_yy": 1.0, "a_zz": 1.0, "a": 1.0}
-    out = principal_sigmas(HyperfineTensor(*vec), sig)
+    cov = np.eye(4)  # 1 MHz on each component
+    out = principal_sigmas(HyperfineTensor(*vec), cov)
     assert abs(out["theta_p"] - 0.9547116383210615) < 1e-12
     rng = np.random.default_rng(20)
     draws = vec + rng.normal(size=(20000, 4))
@@ -203,14 +202,13 @@ def test_theta_p_sigma_folds_at_0_and_90_deg():
     assert abs(out["theta_p_folded"] - scatter) < 0.03 * scatter
     near_90 = HyperfineTensor(150.0, 100.0, 90.0, 0.5235)
     assert abs(principal_axes(near_90).theta_p - 89.5) < 0.01
-    mirror = principal_sigmas(near_90, sig)["theta_p_folded"]
+    mirror = principal_sigmas(near_90, cov)["theta_p_folded"]
     assert abs(mirror - out["theta_p_folded"]) <= 1e-12 * mirror
 
 
 def test_theta_p_sigma_far_from_the_folds_is_first_order():
-    sig = {"a_xx": 1.0, "a_yy": 1.0, "a_zz": 1.0, "a": 1.0}
-    at_45 = principal_sigmas(HyperfineTensor(100.0, 120.0, 100.0, 50.0), sig)
+    at_45 = principal_sigmas(HyperfineTensor(100.0, 120.0, 100.0, 50.0), np.eye(4))
     assert abs(at_45["theta_p"] - 0.40514234227069773) <= 1e-12 * at_45["theta_p"]
-    for out in (at_45, principal_sigmas(REF, {"a": 0.04})):
+    for out in (at_45, principal_sigmas(REF, diag_cov(a=0.04))):
         assert abs(out["theta_p_folded"] - out["theta_p"]) <= 1e-12 * out["theta_p"]
-    assert principal_sigmas(REF, {"a_yy": 0.7})["theta_p_folded"] == 0.0
+    assert principal_sigmas(REF, diag_cov(a_yy=0.7))["theta_p_folded"] == 0.0
