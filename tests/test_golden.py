@@ -3,7 +3,8 @@
 The files under ``tests/golden/`` pin the program bit for bit: the output of
 every subcommand on the benchmark session config, two more ``fit`` runs,
 ``float.hex`` records of five fits, and digests of the scalar ``spin_core``
-outputs on about forty (tensor, field) cases. A change that moves any printed digit or
+outputs on about forty (tensor, field) cases and over the 137 scan points of
+one benchmark design. A change that moves any printed digit or
 any bit of a fit result fails here. When a change of output is intended,
 rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``, which
 prints each file it changed and each changed record of the two JSON files,
@@ -264,7 +265,49 @@ def scalar_layer_records():
             ok, out = _outcome(fn, eig, params.tensor, field)
             rec[fn.__name__] = _digest(*out) if ok else out
         records[name] = rec
-    return {**records, **sta_grid_records()}
+    return {**records, **sta_grid_records(), **design_scan_records()}
+
+
+# the benchmark's design_sweep, seed 101 unit 0: its tensor (the reference
+# times seeded factors), field and STA azimuth, as that design derives them
+DESIGN_SCAN_TENSOR = HyperfineTensor(
+    181.7051150372803, 119.44456899953587, 95.1264974154596, -91.94848402524318
+)
+DESIGN_SCAN_B, DESIGN_SCAN_PHI = 31.773142447877127, 0.0
+
+
+def design_scan_records():
+    """{"design_scan_seed101_unit0": {output: digest}} over that design's scan.
+
+    The 137 points are theta 0..90 at the STA azimuth and phi -90..90 at
+    theta 40, both in 2 degree steps, each through the scalar calls the
+    design makes. A Lambda call that raises counts by its error text.
+    """
+    params = SystemParams(tensor=DESIGN_SCAN_TENSOR)
+    scan = [(float(a), DESIGN_SCAN_PHI) for a in np.arange(0.0, 90.0 + 1e-9, 2.0)]
+    scan += [(40.0, float(a)) for a in np.arange(-90.0, 90.0 + 1e-9, 2.0)]
+    words = {}
+    for th, ph in scan:
+        field = FieldOrientation(DESIGN_SCAN_B, th, ph)
+        h = build_hamiltonian(params, field)
+        eig = eigensystem(h)
+        point = {
+            "build_hamiltonian": _digest(h),
+            "eigensystem": _digest(eig.values, eig.vectors, eig.labels),
+            "zero_quantum_splitting_exact": _digest(zero_quantum_splitting_exact(eig)),
+            "main_four_lines": _digest(*(
+                (ln.frequency, ln.amplitude, ln.from_state, ln.to_state)
+                for ln in main_four_lines(eig)
+            )),
+        }
+        for fn in (lambda_transition_amplitudes, lambda_system):
+            ok, out = _outcome(fn, eig, params.tensor, field)
+            point[fn.__name__] = _digest(*out) if ok else out
+        for key, word in point.items():
+            words.setdefault(key, []).append(word)
+    return {"design_scan_seed101_unit0": {
+        key: hashlib.sha256(" ".join(ws).encode()).hexdigest() for key, ws in words.items()
+    }}
 
 
 def sta_grid_records():
