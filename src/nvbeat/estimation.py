@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -37,8 +38,9 @@ from .spin_core import (
     hamiltonians,
     label_manifolds,
     label_order,
-    lambda_excited_states,
-    lambda_legs,
+    lambda_overlaps,
+    lambda_rule,
+    line_drives,
     manifold_overlaps,
     unit_vectors,
     wrap_azimuth,
@@ -888,19 +890,25 @@ def _lambda_amplitudes(params: SystemParams, b, theta, phi):
     """Lambda leg amplitudes at fields b (scalar or (n,)), theta, phi (n,).
 
     The batched form of ``lambda_transition_amplitudes``: one stacked
-    ``eigensystems``, then ``lambda_excited_states`` and ``lambda_legs``; a
-    single point is the batch of one. Returns (omega_plus, omega_minus, ok);
-    ok is False where the scalar form would raise.
+    ``eigensystems`` and ``lambda_overlaps``, ``lambda_rule`` on every row,
+    then ``line_drives`` for the two legs; a single point is the batch of
+    one. Returns (omega_plus, omega_minus, ok); ok is False where the
+    scalar form would raise.
     """
     phi = wrap_azimuth(phi)  # as FieldOrientation
     ok = np.isfinite(b) & (b > 0) & (theta >= 0.0) & (theta <= 180.0)
     h = hamiltonians(params, np.where(ok, b, 0.0)[:, None] * unit_vectors(theta, phi))
     _, vectors, labels, eig_reason = eigensystems(h)
     order = label_order(labels)
-    excited, _, _, reason = lambda_excited_states(vectors, order, params.tensor)
-    beta_plus, _ = zeeman_states(theta, phi)
-    op, om, _, _ = lambda_legs(vectors, order, excited, beta_plus)
-    return op, om, ok & (eig_reason == 0) & (reason == 0)
+    alpha_minus, axis_code = params.tensor._alpha_minus
+    overlap, purity = lambda_overlaps(vectors, order, zeeman_states(theta, phi)[0], alpha_minus)
+    rule = map(lambda_rule, overlap.tolist(), purity.tolist(), itertools.repeat(axis_code))
+    flat = np.fromiter(itertools.chain.from_iterable(rule), int, 3 * len(order))
+    reason, excited, g_plus = flat.reshape(-1, 3).T
+    rows = np.arange(len(order))[:, None]
+    ground = order[rows, np.stack([2 + g_plus, 3 - g_plus], axis=1)]  # g_plus, g_minus
+    legs = np.abs(line_drives(vectors, ground, order[rows, 4 + excited[:, None]]))
+    return legs[:, 0], legs[:, 1], ok & (eig_reason == 0) & (reason == 0)
 
 
 def _amplitude_ratios(params: SystemParams, b: float, theta, phi) -> np.ndarray:

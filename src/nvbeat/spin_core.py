@@ -140,6 +140,18 @@ class Eigensystem:
         """The labels as MANIFOLD_LABELS names."""
         return tuple(MANIFOLD_LABELS[j] for j in self.labels)
 
+    @functools.cached_property
+    def _order(self):
+        """``label_order`` of the labels, once per eigensystem."""
+        return label_order(self.labels)
+
+    @functools.cached_property
+    def _main_drives(self):
+        """<hi|DRIVE_SX|lo> of the four main lines, the (lo, hi) positions of
+        ``_MAIN_LINES`` in ``_order``, once per eigensystem."""
+        lo, hi = self._order[_MAIN_LINES]
+        return line_drives(self.vectors[None], lo[None], hi[None])[0]
+
 
 @dataclass(frozen=True)
 class TransitionLine:
@@ -250,9 +262,15 @@ def hamiltonians(params: SystemParams, bvec, tensor=None) -> np.ndarray:
     src[..., 7] = params.d
     p = src.reshape(-1, 9).T[_H_SRC]  # products by rows: the gather copies rows
     p *= _H_VAL
-    p *= np.array([params.gamma_e, params.gamma_n, 1.0])[_H_GAM, None]
+    p *= _gamma_column(params.gamma_e, params.gamma_n)
     h = np.add.reduce(p[_H_GATHER], axis=0, initial=0.0)  # (72, rows)
     return np.ascontiguousarray(h.T).view(complex).reshape(src.shape[:-1] + (6, 6))
+
+
+@functools.lru_cache(maxsize=8)
+def _gamma_column(gamma_e, gamma_n):
+    """Each product's factor (gamma_e, gamma_n, 1)[_H_GAM] of ``hamiltonians``."""
+    return np.array([gamma_e, gamma_n, 1.0])[_H_GAM, None]
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -365,12 +383,13 @@ def eigensystems(h: np.ndarray):
     """
     h = np.asarray(h, dtype=complex)
     hermitian = _hermitian(h)
-    if not hermitian.all():  # nan or inf would stop LAPACK
+    every = hermitian.all()
+    if not every:  # nan or inf would stop LAPACK
         h = np.where(np.isfinite(h), h, 0.0)
     values, vectors = np.linalg.eigh(h)
     vectors = _fix_phases(vectors)
     labels, reason = label_manifolds(manifold_overlaps(vectors))
-    return values, vectors, labels, np.where(hermitian, reason, 1)
+    return values, vectors, labels, reason if every else np.where(hermitian, reason, 1)
 
 
 def eigensystem(h: np.ndarray) -> Eigensystem:
@@ -398,12 +417,21 @@ def eigensystem(h: np.ndarray) -> Eigensystem:
     return Eigensystem(values=values[0], vectors=vectors[0], labels=labels[0])
 
 
+def line_drives(vectors: np.ndarray, lo, hi) -> np.ndarray:
+    """<hi|DRIVE_SX|lo> over a stack of eigenvector matrices vectors (n, 6, 6)
+    for state indices lo (n, m) and hi, broadcast against lo; result (n, m).
+
+    Each element is one gemv and one dot, as ``np.vdot(v_hi, DRIVE_SX @
+    v_lo)`` computes it, so it keeps its bits in any stack.
+    """
+    rows = np.arange(len(vectors))[:, None]
+    drive = (DRIVE_SX @ vectors[rows, :, lo][..., None])[..., 0]
+    return _vdot(vectors[rows, :, hi], drive)
+
+
 def drive_amplitudes(vectors: np.ndarray, lo, hi) -> np.ndarray:
-    """|<hi|DRIVE_SX|lo>|^2 for state index arrays lo and hi of vectors (6, 6),
-    each element as ``np.vdot(v_hi, DRIVE_SX @ v_lo)`` computes it."""
-    states = vectors.T
-    drive = (DRIVE_SX @ states[lo][..., None])[..., 0]
-    return np.abs(_vdot(states[hi], drive)) ** 2
+    """|<hi|DRIVE_SX|lo>|^2 for state index arrays lo and hi of vectors (6, 6)."""
+    return np.abs(line_drives(vectors[None], lo[None], hi[None])[0]) ** 2
 
 
 # the four main lines: (from, to) positions in a ``label_order``, ms0 to ms_minus
@@ -420,18 +448,20 @@ def single_quantum_transitions(eig: Eigensystem) -> list[TransitionLine]:
     (see ``main_four_lines``).
     """
     ms0, upper = np.flatnonzero(eig.labels == 1), np.flatnonzero(eig.labels != 1)
-    return _sorted_lines(eig, np.repeat(ms0, 4), np.tile(upper, 2))
+    lo, hi = np.repeat(ms0, 4), np.tile(upper, 2)
+    return _sorted_lines(eig, lo, hi, drive_amplitudes(eig.vectors, lo, hi))
 
 
 def main_four_lines(eig: Eigensystem) -> list[TransitionLine]:
     """The four ms0 <-> ms_minus lines of ``single_quantum_transitions``."""
-    return _sorted_lines(eig, *label_order(eig.labels)[_MAIN_LINES])
+    lo, hi = eig._order[_MAIN_LINES]
+    return _sorted_lines(eig, lo, hi, np.abs(eig._main_drives) ** 2)
 
 
-def _sorted_lines(eig: Eigensystem, lo: np.ndarray, hi: np.ndarray) -> list:
-    """TransitionLines from states lo to states hi, stably sorted by frequency."""
+def _sorted_lines(eig: Eigensystem, lo, hi, amp) -> list:
+    """TransitionLines from states lo to states hi with drive amplitudes amp,
+    stably sorted by frequency."""
     freq = np.abs(eig.values[hi] - eig.values[lo])
-    amp = drive_amplitudes(eig.vectors, lo, hi)
     rows = list(zip(freq.tolist(), amp.tolist(), lo.tolist(), hi.tolist()))
     return [TransitionLine(*rows[k]) for k in freq.argsort(kind="stable").tolist()]
 
@@ -495,8 +525,8 @@ def _nuclear_overlaps(sub: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """|<ref|nuclear part>|^2 for blocks sub (n, m, 2); result (n, m).
 
     sub holds the states' components in one electron manifold; the nuclear
-    part is that block normalised, nan for a block without weight. ref has
-    shape (2,) or (n, 1, 2).
+    part is that block normalised, nan for a block without weight. ref
+    broadcasts against sub.
     """
     parts = np.array([sub.real, sub.imag])  # real: _vdot without its conj
     sq = (parts[..., None, :] @ parts[..., :, None])[..., 0, 0]
@@ -522,70 +552,74 @@ LAMBDA_REASONS = (
 )
 
 
-def lambda_excited_states(
-    vectors: np.ndarray, order: np.ndarray, tensor: HyperfineTensor
-):
-    """Batched ``lambda_excited_index`` over labelled eigensystems.
+# per state of a ``lambda_overlaps`` row (the ms0 pair, then the ms_minus
+# pair): its components in its own manifold
+_PAIR_ROWS = np.array([[2, 3], [2, 3], [4, 5], [4, 5]])
+# beta_plus where only the excited level is asked for, which it does not decide
+_NO_ZEEMAN_STATE = np.full(2, np.nan)
+
+
+def lambda_overlaps(vectors: np.ndarray, order: np.ndarray, beta_plus, alpha_minus):
+    """The overlaps the Lambda systems of labelled eigensystems are read from.
 
     vectors (n, 6, 6) as from ``eigensystems``, where that marks them ok,
-    and order (n, 6), the ``label_order`` of their labels. Returns
-    (excited, purity, overlap, reason): the index of the excited level
-    (n,), the ms_minus weight (n, 2) and alpha_minus overlap (n, 2) of the
-    two ms_minus states (nan where a state has no ms_minus weight or the
-    quantization axis is undefined), and the reason code (n,) of
-    LAMBDA_REASONS, 0 where the identification holds. The Lambda model
-    needs a clean ms_minus excited level; near theta = 90 the transverse
-    field mixes ms_plus and ms_minus and no such level exists. A clean
-    state has ms_minus weight, so its overlap is defined with the axis.
+    order (n, 6) the ``label_order`` of their labels, beta_plus (n, 2) from
+    ``zeeman_states`` and alpha_minus (2,) from ``nuclear_eigenstates_excited``.
+    Returns (overlap, purity): overlap (n, 4) holds the two ms0 states'
+    overlaps with beta_plus, then the two ms_minus states' overlaps with
+    alpha_minus, by ``_nuclear_overlaps`` (nan where a state has no weight
+    in its manifold); purity (n, 2) holds the ms_minus states' ms_minus
+    weight. ``lambda_rule`` decides each row.
     """
-    rows, idx = np.arange(len(order)), order[:, 4:]  # the ms_minus pair
-    block = vectors[rows[:, None], 4:, idx]  # their ms_minus components
-    pops = np.abs(block) ** 2
-    purity = pops[..., 0] + pops[..., 1]
+    n = len(order)
+    block = vectors[np.arange(n)[:, None, None], _PAIR_ROWS, order[:, 2:, None]]
+    ref = np.empty((n, 4, 2), dtype=complex)
+    ref[:, :2], ref[:, 2:] = beta_plus[:, None], alpha_minus
+    pops = np.abs(block[:, 2:]) ** 2
+    return _nuclear_overlaps(block, ref), pops[..., 0] + pops[..., 1]
+
+
+def lambda_rule(overlap, purity, axis_code):
+    """The Lambda system of one ``lambda_overlaps`` row, as Python floats.
+
+    axis_code is the LAMBDA_REASONS code of the tensor's quantization axis
+    (0, or 2 where it is undefined and alpha_minus is nan). Returns
+    (reason, excited, g_plus): the reason code, 0 where the system is
+    found, and the positions within their pairs (bools: 0 or 1) of the
+    excited level, the ms_minus state nearer alpha_minus, and of the ms0
+    state nearer beta_plus. The Lambda model needs a clean ms_minus
+    excited level; near theta = 90 the transverse field mixes ms_plus and
+    ms_minus and no such level exists. A clean state has ms_minus weight,
+    so its overlap is defined with the axis. The comparisons are numpy's:
+    a nan purity is not clean, nan overlaps are never ambiguous, and the
+    excited level is the first nan overlap, else the first largest one
+    (``np.argmax``).
+    """
+    plus0, plus1, o1, o2 = overlap
+    p1, p2 = purity
+    if not (p1 >= _MANIFOLD_OVERLAP_MIN and p2 >= _MANIFOLD_OVERLAP_MIN):
+        reason = 1
+    elif abs(o1 - o2) < 0.05 * max(o1, o2):
+        reason = 3
+    else:
+        reason = axis_code
+    return reason, o1 == o1 and not o2 <= o1, not plus0 >= plus1
+
+
+def _lambda_row(eig: Eigensystem, tensor: HyperfineTensor, beta_plus):
+    """(excited, g_plus) of ``lambda_rule`` for one eigensystem, the batch of
+    one of ``lambda_overlaps``. Raises the LAMBDA_REASONS message of its
+    reason code."""
     alpha_minus, axis_code = tensor._alpha_minus
-    overlap = _nuclear_overlaps(block, alpha_minus)
-    o1, o2 = overlap.T
-    # nan overlaps, from an undefined axis, never compare as ambiguous
-    ambiguous = np.abs(o1 - o2) < 0.05 * np.maximum(o1, o2)
-    clean = np.minimum.reduce(purity, axis=1) >= _MANIFOLD_OVERLAP_MIN
-    reason = np.where(clean, np.where(ambiguous, 3, axis_code), 1)
-    excited = idx[rows, overlap.argmax(axis=1)]
-    return excited, purity, overlap, reason
-
-
-def lambda_legs(
-    vectors: np.ndarray, order: np.ndarray, excited: np.ndarray, beta_plus: np.ndarray
-):
-    """Batched Lambda legs for labelled eigensystems and their excited levels.
-
-    vectors and order as for ``lambda_excited_states``. The two ms0 states
-    are told apart by their overlap with beta_plus (n, 2); a labelled ms0
-    state has ms0 weight at least 0.6, so the overlap is defined. Returns
-    (omega_plus, omega_minus, g_plus, g_minus): |<excited|DRIVE_SX|g>| for
-    both legs and the ground state indices.
-    """
-    rows, idx = np.arange(len(order))[:, None], order[:, 2:4]  # the ms0 pair
-    gp = _nuclear_overlaps(vectors[rows, 2:4, idx], beta_plus[:, None, :])
-    # (g_plus, g_minus) per row, both legs in one stacked product
-    g = np.where((gp[:, 0] >= gp[:, 1])[:, None], idx, idx[:, ::-1])
-    drive = (DRIVE_SX @ vectors[rows, :, g][..., None])[..., 0]
-    legs = np.abs(_vdot(vectors[rows, :, excited[:, None]], drive))
-    return legs[:, 0], legs[:, 1], g[:, 0], g[:, 1]
-
-
-def _lambda_states(eig: Eigensystem, tensor: HyperfineTensor):
-    """(vectors, order, excited) of ``lambda_excited_states`` as a batch of one.
-
-    Raises the LAMBDA_REASONS message of its reason code.
-    """
-    vectors, order = eig.vectors[None], label_order(eig.labels[None])
-    excited, purity, overlap, reason = lambda_excited_states(vectors, order, tensor)
-    if reason[0]:
-        low = purity[0, np.argmax(purity[0] < _MANIFOLD_OVERLAP_MIN)]
-        raise ValueError(
-            LAMBDA_REASONS[reason[0] - 1].format(purity=low, overlap=overlap[0])
-        )
-    return vectors, order, excited
+    overlap, purity = lambda_overlaps(
+        eig.vectors[None], eig._order[None], beta_plus[None], alpha_minus
+    )
+    overlap, purity = overlap[0].tolist(), purity[0].tolist()
+    reason, excited, g_plus = lambda_rule(overlap, purity, axis_code)
+    if reason:
+        low = next((p for p in purity if p < _MANIFOLD_OVERLAP_MIN), purity[0])
+        raise ValueError(LAMBDA_REASONS[reason - 1].format(purity=low, overlap=overlap[2:]))
+    return excited, g_plus
 
 
 def lambda_excited_index(eig: Eigensystem, tensor: HyperfineTensor) -> int:
@@ -593,9 +627,10 @@ def lambda_excited_index(eig: Eigensystem, tensor: HyperfineTensor) -> int:
 
     Raises when the two ms_minus states overlap alpha_minus within 5% of each
     other (identification would be arbitrary), and for the other
-    LAMBDA_REASONS. The batch of one of ``lambda_excited_states``.
+    LAMBDA_REASONS. The batch of one of ``lambda_overlaps`` and
+    ``lambda_rule``.
     """
-    return int(_lambda_states(eig, tensor)[2][0])
+    return int(eig._order[4 + _lambda_row(eig, tensor, _NO_ZEEMAN_STATE)[0]])
 
 
 def lambda_system(eig: Eigensystem, tensor: HyperfineTensor, field: FieldOrientation):
@@ -604,13 +639,18 @@ def lambda_system(eig: Eigensystem, tensor: HyperfineTensor, field: FieldOrienta
     Returns (omega_plus, omega_minus, excited, g_plus, g_minus): the leg
     amplitudes of ``lambda_transition_amplitudes`` and the state indices
     of the excited level and of the ground states matching beta_plus and
-    beta_minus. The batch of one of ``lambda_excited_states`` and
-    ``lambda_legs``.
+    beta_minus. The batch of one of ``lambda_overlaps`` and ``lambda_rule``;
+    the legs are two of the eigensystem's main-line drives. Raises the
+    LAMBDA_REASONS first, then at b = 0 as ``ground_zeeman_states`` does.
     """
-    vectors, order, excited = _lambda_states(eig, tensor)
-    beta_plus, _ = ground_zeeman_states(field)
-    op, om, gp, gm = lambda_legs(vectors, order, excited, beta_plus[None])
-    return float(op[0]), float(om[0]), int(excited[0]), int(gp[0]), int(gm[0])
+    excited, g_plus = _lambda_row(eig, tensor, zeeman_states(field.theta, field.phi)[0])
+    if field.b <= 0:
+        raise ValueError("Zeeman axis undefined (b = 0)")
+    # _MAIN_LINES holds the line of ms0 position g and ms_minus position e at 2 g + e
+    op, om = np.abs(eig._main_drives[[2 * g_plus + excited, 2 - 2 * g_plus + excited]])
+    order = eig._order
+    return (float(op), float(om), int(order[4 + excited]), int(order[2 + g_plus]),
+            int(order[3 - g_plus]))
 
 
 def lambda_transition_amplitudes(

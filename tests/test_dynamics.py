@@ -153,18 +153,32 @@ def test_zq_ramsey_identifies_the_excited_level_once(monkeypatch):
     from nvbeat import spin_core
 
     calls = []
-    kernel = spin_core.lambda_excited_states
+    kernel = spin_core.lambda_overlaps
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(spin_core, "lambda_excited_states", counted)
+    monkeypatch.setattr(spin_core, "lambda_overlaps", counted)
     tau = np.linspace(0, 5.0, 64)
     for kwargs in (dict(ideal_pulses=True), dict(rabi_amplitude=14.3)):
         calls.clear()
         simulate_zq_ramsey(SYS, F40, 0.035, 0.0, tau, **kwargs)
         assert len(calls) == 1, kwargs
+
+
+def test_pulses_at_zero_field_need_only_the_excited_level():
+    # Rabi and finite pulses read the excited level alone, which b = 0
+    # leaves defined; the ideal swap needs the Zeeman states of the legs
+    f0 = FieldOrientation(0.0, 0.0, 0.0)
+    t = np.linspace(0, 1.0, 64)
+    rabi = simulate_rabi(SYS, f0, PulseParams(14.3), t)
+    ramsey = simulate_zq_ramsey(SYS, f0, 0.035, 0.0, t, rabi_amplitude=14.3)
+    for trace in (rabi, ramsey):
+        assert np.all((trace.signal >= -1e-12) & (trace.signal <= 1 + 1e-12))
+    assert rabi.signal[0] > 0.99 and rabi.signal.min() < 0.1  # the drive empties ms0
+    with pytest.raises(ValueError, match=r"^Zeeman axis undefined \(b = 0\)$"):
+        simulate_zq_ramsey(SYS, f0, 0.035, 0.0, t, ideal_pulses=True)
 
 
 def test_zq_ramsey_dominant_peak():

@@ -784,7 +784,7 @@ def test_fit_input_checks():
             ds, TRUTH,
             fixed=frozenset({"a_xx", "a_yy", "a_zz", "a", "b", "phi_offset"}),
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="4 points cannot constrain 6 free parameters"):
         fit_hyperfine(ds, FitParams(np.nan, 120.0, 90.0, -90.0, 40.3))
     # finite data whose weights overflow: chi^2 = inf, covariance = inf
     ds = synthesize_dataset(SYS, b=40.3, design=DESIGN2, noise_sigma=None, seed=0)

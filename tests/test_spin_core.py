@@ -26,14 +26,18 @@ from nvbeat.spin_core import (
     label_manifolds,
     label_order,
     lambda_excited_index,
-    lambda_excited_states,
+    lambda_overlaps,
+    lambda_rule,
+    lambda_system,
     lambda_transition_amplitudes,
+    line_drives,
     main_four_lines,
     nuclear_eigenstates_excited,
     single_quantum_transitions,
     spin_matrices,
     unit_vectors,
     wrap_azimuth,
+    zeeman_states,
     zero_quantum_splitting_exact,
 )
 
@@ -548,35 +552,84 @@ def test_scalar_calls_are_rows_of_the_batched_kernels():
     theta = np.r_[rng.uniform(0, 180, 60), 0.0, 90.0, 45.0, 180.0]
     phi = np.r_[rng.uniform(-360, 360, 60), 0.0, 90.0, -3.2751579226442118e-15, 45.0]
     b = 40.3
-    codes = set()
     for params in (SYS, SystemParams(tensor=HyperfineTensor(150.0, 120.0, 0.0, 0.0))):
         op, om, ok = _lambda_amplitudes(params, b, theta, phi)
-        h = hamiltonians(params, b * unit_vectors(theta, wrap_azimuth(phi)))
-        _, vecs, lab, eig_reason = eigensystems(h)
-        lambda_reason = lambda_excited_states(vecs, label_order(lab), params.tensor)[3]
         for k in range(len(theta)):
             f = FieldOrientation(b, float(theta[k]), float(phi[k]))
-            assert not eig_reason[k]
             eig = eigensystem(build_hamiltonian(params, f))
             if ok[k]:
                 got = lambda_transition_amplitudes(eig, params.tensor, f)
                 assert [x.hex() for x in got] == [op[k].hex(), om[k].hex()]
-                continue
-            codes.add(int(lambda_reason[k]))
-            _raises_reason(
-                lambda: lambda_transition_amplitudes(eig, params.tensor, f),
-                LAMBDA_REASONS, lambda_reason[k],
-            )
-    # the ambiguous code needs a built matrix: ms_minus turned 44.5 degrees
+            else:
+                with pytest.raises(ValueError):
+                    lambda_transition_amplitudes(eig, params.tensor, f)
+
+    # every output of lambda_system and lambda_excited_index, or the error
+    # text, is its row of one stacked lambda_overlaps and lambda_rule
+    fields = [FieldOrientation(*f) for f in (
+        (40.3, 0.0, 0.0), (40.3, 90.0, 90.0), (40.3, 90.0, 0.0), (40.3, 180.0, 45.0),
+        (0.0, 0.0, 0.0), (0.0, 40.0, 90.0), (1200.0, 2.0, 30.0),
+    )]
+    fields += [FieldOrientation(*rng.uniform([0, 0, -360], [80, 180, 360])) for _ in range(20)]
     zz = HyperfineTensor(0.0, 0.0, 1.0, 0.0)
-    eigs = [turned(turn(4, 5, deg)) for deg in (10.0, 44.5, 60.0)]
-    vectors = np.stack([e.vectors for e in eigs])
-    order = label_order(np.stack([e.labels for e in eigs]))
-    excited, _, _, code = lambda_excited_states(vectors, order, zz)
-    for eig, ex, c in zip(eigs, excited, code):
-        if c:
-            codes.add(int(c))
-            _raises_reason(lambda: lambda_excited_index(eig, zz), LAMBDA_REASONS, c)
-        else:
-            assert lambda_excited_index(eig, zz) == ex
-    assert codes == {1, 2, 3}
+    tensors = [REF, HyperfineTensor(0.0, 0.0, 0.0, 0.0), HyperfineTensor(150.0, 120.0, 0.0, 0.0),
+               zz, HyperfineTensor(100.0, 80.0, 60.0, 0.0)]
+    tensors += [HyperfineTensor(*rng.uniform(-200, 200, 4)) for _ in range(3)]
+    seen = set()
+    for tensor in tensors:
+        cases = [(eigensystem(build_hamiltonian(SystemParams(tensor=tensor), f)), f)
+                 for f in fields]
+        if tensor == zz:  # ms_minus turned: clean, ambiguous, impure and ambiguous
+            cases += [(turned(u), fields[-1]) for u in (
+                turn(4, 5, 10.0), turn(4, 5, 44.5),
+                turn(4, 5, 44.5) @ turn(0, 4, 50.0) @ turn(1, 5, 50.0),
+            )]
+        for (eig, f), want, want_excited in zip(cases, *_lambda_rows(cases, tensor)):
+            assert _outcome(lambda: lambda_system(eig, tensor, f)) == want
+            assert _outcome(lambda: lambda_excited_index(eig, tensor)) == want_excited
+            seen.add(want.split(" (")[0] if isinstance(want, str) else "ok")
+    assert seen == {
+        "ok", "Zeeman axis undefined", "quantization axis undefined",
+        "excited level not a clean ms_minus state",
+        "excited-state identification ambiguous: alpha_minus overlaps 0.4913 vs 0.5087",
+    }
+
+
+def _outcome(call):
+    """call()'s outputs, floats as float.hex, or the text of its ValueError."""
+    try:
+        out = call()
+    except ValueError as err:
+        return str(err)
+    return [x.hex() if isinstance(x, float) else x
+            for x in (out if isinstance(out, tuple) else (out,))]
+
+
+def _lambda_rows(cases, tensor):
+    """The ``_outcome`` of ``lambda_system`` and of ``lambda_excited_index``
+    for each (eigensystem, field) of cases, read off one stacked
+    ``lambda_overlaps`` call, ``lambda_rule`` per row and one
+    ``line_drives`` call."""
+    vectors = np.stack([eig.vectors for eig, _ in cases])
+    order = label_order(np.stack([eig.labels for eig, _ in cases]))
+    theta, phi = np.array([(f.theta, f.phi) for _, f in cases]).T
+    alpha_minus, axis_code = tensor._alpha_minus
+    overlap, purity = lambda_overlaps(vectors, order, zeeman_states(theta, phi)[0], alpha_minus)
+    rows = [lambda_rule(o, p, axis_code) for o, p in zip(overlap.tolist(), purity.tolist())]
+    reason, e, g = np.array(rows, dtype=int).T
+    n = np.arange(len(cases))
+    excited, ground = order[n, 4 + e], order[n[:, None], np.stack([2 + g, 3 - g], 1)]
+    legs = np.abs(line_drives(vectors, ground, excited[:, None]))
+    systems, indices = [], []
+    for k, (_, f) in enumerate(cases):
+        if reason[k]:
+            low = purity[k, np.argmax(purity[k] < 0.6)]
+            text = LAMBDA_REASONS[reason[k] - 1].format(purity=low, overlap=overlap[k, 2:])
+            systems.append(text)
+            indices.append(text)
+            continue
+        indices.append([int(excited[k])])
+        systems.append("Zeeman axis undefined (b = 0)" if f.b == 0 else [
+            legs[k, 0].hex(), legs[k, 1].hex(), int(excited[k]), *ground[k].tolist()
+        ])
+    return systems, indices
