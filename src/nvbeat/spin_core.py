@@ -25,6 +25,24 @@ MANIFOLD_LABELS = ("ms_plus", "ms0", "ms_minus")
 _MANIFOLD_OVERLAP_MIN = 0.6
 
 
+class _cached:
+    """``functools.cached_property`` without the lock that Python 3.11's
+    takes on every first access: the value is computed once per instance
+    and stored in its ``__dict__``, which later lookups read first."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class SpinOperators:
     """Cartesian angular momentum matrices for one spin, basis m = s..-s."""
@@ -73,7 +91,12 @@ class HyperfineTensor:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError("non-finite tensor component %s" % name)
 
-    @functools.cached_property
+    @_cached
+    def _components(self):
+        """(a_xx, a_yy, a_zz, a) as a float array, once per tensor."""
+        return np.array((self.a_xx, self.a_yy, self.a_zz, self.a), dtype=float)
+
+    @_cached
     def _alpha_minus(self):
         """(alpha_minus, LAMBDA_REASONS axis code), once per tensor."""
         try:
@@ -140,17 +163,17 @@ class Eigensystem:
         """The labels as MANIFOLD_LABELS names."""
         return tuple(MANIFOLD_LABELS[j] for j in self.labels)
 
-    @functools.cached_property
+    @_cached
     def _order(self):
         """``label_order`` of the labels, once per eigensystem."""
         return label_order(self.labels)
 
-    @functools.cached_property
-    def _main_drives(self):
-        """<hi|DRIVE_SX|lo> of the four main lines, the (lo, hi) positions of
-        ``_MAIN_LINES`` in ``_order``, once per eigensystem."""
-        lo, hi = self._order[_MAIN_LINES]
-        return line_drives(self.vectors[None], lo[None], hi[None])[0]
+    @_cached
+    def _main_legs(self):
+        """|<hi|DRIVE_SX|lo>| of the four main lines, the (lo, hi) positions
+        of ``_MAIN_LINES`` in ``_order``, once per eigensystem."""
+        lo, hi = self._order[_MAIN_LINES[:, None]]
+        return np.abs(line_drives(self.vectors[None], lo, hi)[0])
 
 
 @dataclass(frozen=True)
@@ -252,8 +275,8 @@ def hamiltonians(params: SystemParams, bvec, tensor=None) -> np.ndarray:
     (..., 4), broadcast against bvec's leading axes; by default every row
     takes ``params.tensor``. ``build_hamiltonian`` is the batch of one.
     """
-    bvec, t = np.asarray(bvec, dtype=float), params.tensor
-    tensor = np.asarray((t.a_xx, t.a_yy, t.a_zz, t.a) if tensor is None else tensor, dtype=float)
+    bvec = np.asarray(bvec, dtype=float)
+    tensor = params.tensor._components if tensor is None else np.asarray(tensor, dtype=float)
     # the formula's products (b_c F) gamma and a_k O_k, summed per float from +0 in
     # its order; its sums start at +0 or d, so the zeros skipped here change no bit
     src = np.zeros(np.broadcast(bvec[..., 0], tensor[..., 0]).shape + (9,))
@@ -273,6 +296,15 @@ def _gamma_column(gamma_e, gamma_n):
     return np.array([gamma_e, gamma_n, 1.0])[_H_GAM, None]
 
 
+@functools.lru_cache(maxsize=8)
+def _arange(n: int) -> np.ndarray:
+    """np.arange(n), built once per n and read-only: the row and column
+    indices of the gathers over stacks."""
+    index = np.arange(n)
+    index.flags.writeable = False
+    return index
+
+
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude component of each column real positive.
 
@@ -280,11 +312,11 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """
     stack = vectors.reshape((-1,) + vectors.shape[-2:])
     idx = np.abs(stack).argmax(axis=1)
-    piv = stack[np.arange(len(stack))[:, None], idx, np.arange(idx.shape[1])]
+    piv = stack[_arange(len(stack))[:, None], idx, _arange(idx.shape[1])]
     mag = np.abs(piv)
     factor = np.conj(piv)  # an empty column (mag 0) stays empty
     np.divide(factor, mag, out=factor, where=mag > 0)
-    return vectors * factor.reshape(vectors.shape[:-2] + (1, -1))
+    return (stack * factor[:, None]).reshape(vectors.shape)
 
 
 def manifold_overlaps(vectors: np.ndarray) -> np.ndarray:
@@ -297,16 +329,13 @@ def manifold_overlaps(vectors: np.ndarray) -> np.ndarray:
     return (pops[..., 0::2, :] + pops[..., 1::2, :]).swapaxes(-1, -2)
 
 
-_triangle = functools.lru_cache(maxsize=4)(np.triu_indices)
-
-
 def _hermitian(h: np.ndarray) -> np.ndarray:
     """Per matrix of a stack (n, k, k): finite, Hermitian to 1e-9 of its
     largest entry. |h_ij - conj(h_ji)| is the same float from either side,
-    so one triangle gives the skew; nan or inf fails (inf - inf warns)."""
-    i, j = _triangle(h.shape[-1])
+    so the whole matrix gives the skew of one triangle; nan or inf fails
+    (inf - inf warns)."""
     scale = np.maximum.reduce(np.abs(h), axis=(1, 2), initial=1.0)
-    skew = np.maximum.reduce(np.abs(h[:, i, j] - h[:, j, i].conj()), axis=1)
+    skew = np.maximum.reduce(np.abs(h - h.mT.conj()), axis=(1, 2))
     return skew - 1e-9 * scale <= 0.0  # not skew <= tol: inf <= inf would pass
 
 
@@ -370,7 +399,7 @@ def label_manifolds(over: np.ndarray):
     o_zero, side = over[..., 1], (over[..., 0] >= over[..., 2]).view(np.int8)
     low, high = o_zero <= 1.0 - _MANIFOLD_OVERLAP_MIN, o_zero >= _MANIFOLD_OVERLAP_MIN
     kinds = _KINDS[side, low.view(np.int8), high.view(np.int8)]  # bools as indices
-    key = kinds @ _KIND_WEIGHTS
+    key = kinds.dot(_KIND_WEIGHTS)
     return _WALK_LABELS[key], _WALK_REASON[key]
 
 
@@ -424,9 +453,8 @@ def line_drives(vectors: np.ndarray, lo, hi) -> np.ndarray:
     Each element is one gemv and one dot, as ``np.vdot(v_hi, DRIVE_SX @
     v_lo)`` computes it, so it keeps its bits in any stack.
     """
-    rows = np.arange(len(vectors))[:, None]
-    drive = (DRIVE_SX @ vectors[rows, :, lo][..., None])[..., 0]
-    return _vdot(vectors[rows, :, hi], drive)
+    states, rows = vectors.mT, _arange(len(vectors))[:, None]
+    return np.vecdot(states[rows, hi], (DRIVE_SX @ states[rows, lo][..., None])[..., 0])
 
 
 def drive_amplitudes(vectors: np.ndarray, lo, hi) -> np.ndarray:
@@ -455,7 +483,7 @@ def single_quantum_transitions(eig: Eigensystem) -> list[TransitionLine]:
 def main_four_lines(eig: Eigensystem) -> list[TransitionLine]:
     """The four ms0 <-> ms_minus lines of ``single_quantum_transitions``."""
     lo, hi = eig._order[_MAIN_LINES]
-    return _sorted_lines(eig, lo, hi, np.abs(eig._main_drives) ** 2)
+    return _sorted_lines(eig, lo, hi, eig._main_legs ** 2)
 
 
 def _sorted_lines(eig: Eigensystem, lo, hi, amp) -> list:
@@ -468,7 +496,7 @@ def _sorted_lines(eig: Eigensystem, lo, hi, amp) -> list:
 
 def zero_quantum_splitting_exact(eig: Eigensystem) -> float:
     """Energy gap of the ms0 doublet, MHz."""
-    w = eig.values[eig.labels == 1]
+    w = eig.values[eig._order[2:4]]
     return float(abs(w[1] - w[0]))
 
 
@@ -498,7 +526,7 @@ def zeeman_states(theta, phi):
     half = np.radians(theta) / 2
     e = np.exp(1j * np.radians(phi))
     c, s = np.cos(half), np.sin(half)
-    beta = np.empty(np.shape(e) + (2, 2), dtype=complex)
+    beta = np.empty(e.shape + (2, 2), dtype=complex)
     beta[..., 0, 0], beta[..., 0, 1] = c, e * s  # a real c or s takes +0j
     beta[..., 1, 0], beta[..., 1, 1] = s, -e * c
     return beta[..., 0, :], beta[..., 1, :]
@@ -516,11 +544,6 @@ def ground_zeeman_states(field: FieldOrientation):
     return zeeman_states(field.theta, field.phi)
 
 
-def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.vdot over the last axis of broadcast stacks of vectors."""
-    return (np.conj(a)[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _nuclear_overlaps(sub: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """|<ref|nuclear part>|^2 for blocks sub (n, m, 2); result (n, m).
 
@@ -528,12 +551,12 @@ def _nuclear_overlaps(sub: np.ndarray, ref: np.ndarray) -> np.ndarray:
     part is that block normalised, nan for a block without weight. ref
     broadcasts against sub.
     """
-    parts = np.array([sub.real, sub.imag])  # real: _vdot without its conj
-    sq = (parts[..., None, :] @ parts[..., :, None])[..., 0, 0]
-    nrm = np.sqrt(sq[0] + sq[1])
+    # BLAS dots, one per state (an elementwise sum of squares rounds otherwise);
+    # the real part of <sub|sub> sums the real and imaginary parts' dots
+    nrm = np.sqrt(np.vecdot(sub, sub).real)
     nrm[nrm == 0] = np.nan  # x / nan is a quiet nan, 0 / 0 is not
     nuc = sub / nrm[..., None]
-    return np.abs(_vdot(ref, nuc)) ** 2
+    return np.abs(np.vecdot(ref, nuc)) ** 2
 
 
 def label_order(labels: np.ndarray) -> np.ndarray:
@@ -572,7 +595,7 @@ def lambda_overlaps(vectors: np.ndarray, order: np.ndarray, beta_plus, alpha_min
     weight. ``lambda_rule`` decides each row.
     """
     n = len(order)
-    block = vectors[np.arange(n)[:, None, None], _PAIR_ROWS, order[:, 2:, None]]
+    block = vectors[_arange(n)[:, None, None], _PAIR_ROWS, order[:, 2:, None]]
     ref = np.empty((n, 4, 2), dtype=complex)
     ref[:, :2], ref[:, 2:] = beta_plus[:, None], alpha_minus
     pops = np.abs(block[:, 2:]) ** 2
@@ -646,11 +669,10 @@ def lambda_system(eig: Eigensystem, tensor: HyperfineTensor, field: FieldOrienta
     excited, g_plus = _lambda_row(eig, tensor, zeeman_states(field.theta, field.phi)[0])
     if field.b <= 0:
         raise ValueError("Zeeman axis undefined (b = 0)")
+    legs, order = eig._main_legs.tolist(), eig._order.tolist()
     # _MAIN_LINES holds the line of ms0 position g and ms_minus position e at 2 g + e
-    op, om = np.abs(eig._main_drives[[2 * g_plus + excited, 2 - 2 * g_plus + excited]])
-    order = eig._order
-    return (float(op), float(om), int(order[4 + excited]), int(order[2 + g_plus]),
-            int(order[3 - g_plus]))
+    return (legs[2 * g_plus + excited], legs[2 - 2 * g_plus + excited], order[4 + excited],
+            order[2 + g_plus], order[3 - g_plus])
 
 
 def lambda_transition_amplitudes(

@@ -1,11 +1,13 @@
 """Hamiltonian construction, labeling, and transition bookkeeping."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from nvbeat.estimation import _lambda_amplitudes
+from nvbeat import spin_core
+from nvbeat.estimation import _lambda_amplitudes, model_values
 from nvbeat.spin_core import (
     DRIVE_SX,
     EIGEN_REASONS,
@@ -32,6 +34,7 @@ from nvbeat.spin_core import (
     lambda_transition_amplitudes,
     line_drives,
     main_four_lines,
+    manifold_overlaps,
     nuclear_eigenstates_excited,
     single_quantum_transitions,
     spin_matrices,
@@ -352,7 +355,7 @@ def _full_hermitian(h):
     return np.isfinite(h).all(axis=(1, 2)) & (skew <= 1e-9 * scale)
 
 
-def test_hermitian_check_reads_one_triangle():
+def test_hermitian_check_reads_the_whole_matrix():
     rng = np.random.default_rng(9)
     h = np.stack([build_hamiltonian(*random_system(rng)) for _ in range(300)])
     # skews around the 1e-9 bound on either side, one side of the diagonal
@@ -633,3 +636,72 @@ def _lambda_rows(cases, tensor):
             legs[k, 0].hex(), legs[k, 1].hex(), int(excited[k]), *ground[k].tolist()
         ])
     return systems, indices
+
+
+def test_batched_kernels_take_empty_stacks():
+    # n = 0 rows in, n = 0 rows out, with the dtypes of a full stack
+    none = np.array([])
+    bvec = unit_vectors(none, none)
+    beta_plus, beta_minus = zeeman_states(none, none)
+    h = hamiltonians(SYS, bvec)
+    values, vectors, labels, reason = eigensystems(h)
+    over = manifold_overlaps(vectors)
+    order = label_order(labels)
+    overlap, purity = lambda_overlaps(vectors, order, beta_plus, REF._alpha_minus[0])
+    drives = line_drives(vectors, order[:, [2, 3]], order[:, 4:5])
+    legs = _lambda_amplitudes(SYS, 40.3, none, none)
+    got = [bvec, beta_plus, beta_minus, h, hamiltonians(SYS, bvec, np.zeros((0, 4))), values,
+           vectors, labels, reason, over, *label_manifolds(over), order, overlap, purity,
+           drives, *legs, model_values(SYS, [])]
+    shapes = [(0, 3), (0, 2), (0, 2), (0, 6, 6), (0, 6, 6), (0, 6), (0, 6, 6), (0, 6), (0,),
+              (0, 6, 3), (0, 6), (0,), (0, 6), (0, 4), (0, 2), (0, 2), (0,), (0,), (0,), (0,)]
+    kinds = "fccccfciifiiiffcffbf"
+    assert [a.shape for a in got] == shapes
+    assert "".join(a.dtype.kind for a in got) == kinds
+
+
+def test_line_drives_match_vdot_bit_for_bit():
+    # one gemv and one dot per element, as np.vdot(v_hi, DRIVE_SX @ v_lo)
+    # computes it, whatever the stack: float.hex of every element on mixed
+    # stacks of 1, 7 and 460 rows (random systems, the pole, theta = 90)
+    rng = np.random.default_rng(26)
+    pole = [(SYS, FieldOrientation(40.3, 0.0, 0.0)), (SYS, FieldOrientation(0.0, 0.0, 0.0))]
+    side = [(SYS, FieldOrientation(40.3, 90.0, 0.0)), (SYS, FieldOrientation(40.3, 90.0, 45.0))]
+    for n in (1, 7, 460):
+        systems = [random_system(rng) for _ in range(n)]
+        systems[: min(n, 4)] = (pole + side)[: min(n, 4)]
+        vectors = np.stack([eigensystem(build_hamiltonian(p, f)).vectors for p, f in systems])
+        lo, hi = rng.integers(0, 6, (2, n, 5))
+        for hi_rows in (hi, hi[:, :1]):  # hi broadcast against lo, too
+            got = line_drives(vectors, lo, hi_rows)
+            for v, ls, hs, row in zip(vectors, lo, np.broadcast_to(hi_rows, lo.shape), got):
+                want = [np.vdot(v[:, h], DRIVE_SX @ v[:, l]) for l, h in zip(ls, hs)]
+                assert [(z.real.hex(), z.imag.hex()) for z in row.tolist()] == [
+                    (z.real.hex(), z.imag.hex()) for z in want
+                ]
+
+
+def test_scan_point_solves_once(monkeypatch):
+    # a design scan point (H, eigensystem, ZQ splitting, Lambda legs, main
+    # lines) on one Eigensystem: one assembly, one eigh, and its order and
+    # main-line drives computed once for the ZQ pair, the legs and the lines
+    calls = collections.Counter()
+
+    def counted(module, name):
+        kernel = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(np.linalg, "eigh")
+    for name in ("hamiltonians", "label_order", "line_drives"):
+        counted(spin_core, name)
+    f = FieldOrientation(31.77, 40.0, 30.0)
+    eig = eigensystem(build_hamiltonian(SYS, f))
+    zero_quantum_splitting_exact(eig)
+    lambda_transition_amplitudes(eig, REF, f)
+    main_four_lines(eig)
+    assert calls == {"eigh": 1, "hamiltonians": 1, "label_order": 1, "line_drives": 1}
