@@ -2,7 +2,7 @@
 
 The files under ``tests/golden/`` pin the program bit for bit: the output of
 every subcommand on the benchmark session config, two more ``fit`` runs,
-``float.hex`` records of five fits, and digests of the scalar ``spin_core``
+``float.hex`` records of eleven fits, and digests of the scalar ``spin_core``
 outputs on about forty (tensor, field) cases and over the 137 scan points of
 one benchmark design. A change that moves any printed digit or
 any bit of a fit result fails here. When a change of output is intended,
@@ -119,18 +119,35 @@ def _record(result):
         "n_iterations": result.n_iterations,
         "converged": bool(result.converged),
         "residuals": [float(x).hex() for x in result.residuals],
+        "stop_reason": result.stop_reason,
+        "n_rejected": result.n_rejected,
     }
 
 
 def fit_records():
-    """name -> ``_record`` of each pinned fit."""
+    """name -> ``_record`` of each pinned fit.
+
+    Besides the noisy fits from near the truth, one fit for each branch of
+    the iteration: the damping cap, the pass cap, the plain chart (a_zz and
+    a fixed), a start at r = 0 that enters the valley chart mid-fit, the
+    (r, psi) chart with a_xx fixed, and a walk that ends on the far (a,
+    phi_offset) branch and reports the principal one.
+    """
     theta, phi, _ = find_single_transition_axis(SYS, 40.3)
     sta_phi = [(theta, phi, "sq_frequency")]
     sta_phi += [(40.0, float(p), "zq_frequency") for p in np.linspace(-90.0, 90.0, 19)]
+    # acceptance 6's first start: the truth's tensor scaled by 1 +- 0.2
+    fac = 1.0 + 0.2 * np.random.default_rng(7).choice([-1.0, 1.0], size=4)
+    a6_start = FitParams(*(v * f for v, f in zip(TRUTH.as_vector()[:4], fac)), b=40.3)
     records = {}
     for seed in (100, 101):
         ds = synthesize_dataset(SYS, b=40.3, design=sta_phi, noise_sigma=NOISE, seed=seed)
         records["sta_phi_seed%d" % seed] = _record(fit_hyperfine(ds, TRUTH))
+        if seed == 100:
+            records["sta_phi_seed100_max5"] = _record(
+                fit_hyperfine(ds, a6_start, max_iterations=5))
+    ds = synthesize_dataset(SYS, b=40.3, design=sta_phi)
+    records["sta_phi_noiseless"] = _record(fit_hyperfine(ds, a6_start))
     ds = synthesize_dataset(SYS, b=40.3, design=TWO_THETA, noise_sigma=NOISE, seed=5)
     for name, fixed in (
         ("two_theta_b_free", ()),
@@ -138,6 +155,17 @@ def fit_records():
         ("two_theta_b_phi_fixed", ("b", "phi_offset")),
     ):
         records[name] = _record(fit_hyperfine(ds, TWO_THETA_START, fixed=frozenset(fixed)))
+    far = FitParams(170.2, 120.4, 91.8, -88.5, 40.3, 180.0)
+    records["two_theta_far_branch"] = _record(fit_hyperfine(ds, far))
+    ds = synthesize_dataset(SYS, b=40.3, design=TWO_THETA)
+    records["two_theta_noiseless_r0"] = _record(
+        fit_hyperfine(ds, FitParams(170.0, 120.0, 0.0, 0.0, 40.3), fixed={"b"}))
+    records["two_theta_noiseless_a_xx_fixed"] = _record(fit_hyperfine(
+        ds, FitParams(166.9, 122.9, 80.0, -80.0, 40.3), fixed={"a_xx"}))
+    sweep = [(40.0, float(p), "zq_frequency") for p in np.linspace(0.0, 345.0, 24)]
+    ds = synthesize_dataset(SYS, b=40.3, design=sweep, field_imperfection=(1.0, 120.0, 0.0))
+    records["phi_sweep_a_zz_a_fixed"] = _record(
+        fit_hyperfine(ds, TRUTH, fixed={"a_zz", "a", "b", "phi_offset"}))
     return records
 
 
