@@ -431,69 +431,217 @@ def _second_directional(data, keep, dx, ddx):
 
 # the largest change of psi, the angle of (a_zz, a), in one fit iteration
 _PSI_CAP = 0.3  # rad
-# the fit steps in (r, psi) from this r on, where r's cap 0.15 r leaves its
-# 2 MHz floor; nearer r = 0 psi is ill-defined and a step of the floor
-# turns it by more than 0.15 rad
+# the fit steps in (r, psi) from this r on, where r's cap 0.15 r leaves its 2 MHz
+# floor; nearer r = 0 psi is ill-defined, and a floor step turns it by > 0.15 rad
 _VALLEY_R = 2.0 / 0.15  # MHz
 # the q chart needs |a_xx| >= this share of q, capping d a_xx/dq = q/a_xx at 5
 _Q_SHARE = 0.2
+# PARAM_IDS columns by name; the charts keep r, psi and q in a_zz, a and a_xx
+_XX, _ZZ, _A, _PHI = map(PARAM_IDS.index, ("a_xx", "a_zz", "a", "phi_offset"))
+_R, _PSI = _ZZ, _A
 
 
-def _valley_axx(u):
-    """a_xx = sign(q) sqrt(q^2 - a^2) of q-chart coordinates u; raises where q^2 <= a^2."""
-    g = u[0] * u[0] - (u[2] * math.sin(u[3])) ** 2
-    if not g > 0.0:
-        raise ValueError("q^2 <= a^2: outside the valley chart")
-    return math.copysign(math.sqrt(g), u[0])
+class _Chart:
+    """The plain chart, u = vec. A chart maps vec to u (``to``), u back
+    (``back``; ValueError outside it) and a Jacobian to u (``jacobian``)."""
+
+    to = back = staticmethod(lambda x: x)
+    jacobian = staticmethod(lambda jac, u: jac)
 
 
-def _to_valley(vec, q=False):
-    """Valley coordinates (see fit_hyperfine) of a PARAM_IDS vector; ``q``: the q chart."""
-    u = np.array(vec, dtype=float)
-    u[2], u[3] = math.hypot(u[2], u[3]), math.atan2(u[3], u[2])
-    if q:
-        u[0] = math.copysign(math.hypot(vec[0], vec[3]), vec[0])
-    return u
+class _ValleyChart(_Chart):
+    """(a_zz, a) = r (cos psi, sin psi), the valley's own coordinates: d/dr =
+    cos(psi) d/da_zz + sin(psi) d/da, d/dpsi = r (cos(psi) d/da - sin(psi)
+    d/da_zz)."""
+
+    def to(self, vec):
+        u = np.array(vec, dtype=float)
+        u[_R], u[_PSI] = math.hypot(u[_ZZ], u[_A]), math.atan2(u[_A], u[_ZZ])
+        return u
+
+    def back(self, u):
+        vec = np.array(u, dtype=float)
+        vec[_ZZ], vec[_A] = u[_R] * math.cos(u[_PSI]), u[_R] * math.sin(u[_PSI])
+        return vec
+
+    def jacobian(self, jac, u):
+        c, s, r = math.cos(u[_PSI]), math.sin(u[_PSI]), u[_R]
+        out = jac.copy()
+        out[:, _R] = c * jac[:, _ZZ] + s * jac[:, _A]
+        out[:, _PSI] = r * (c * jac[:, _A] - s * jac[:, _ZZ])
+        return out
+
+    def curve(self, u, du):
+        """(dx, ddx) at t = 0 of the PARAM_IDS curve back(u + t du)."""
+        c, s, r = math.cos(u[_PSI]), math.sin(u[_PSI]), u[_R]
+        dr, dp, dx, ddx = du[_R], du[_PSI], du.copy(), np.zeros(len(du))
+        dx[_ZZ], dx[_A] = c * dr - r * s * dp, s * dr + r * c * dp
+        ddx[_ZZ] = -2.0 * s * dr * dp - r * c * dp * dp
+        ddx[_A] = 2.0 * c * dr * dp - r * s * dp * dp
+        return dx, ddx
 
 
-def _from_valley(u, q=False):
-    """The PARAM_IDS vector of valley coordinates u; ``q``: the q chart."""
-    vec = np.array(u, dtype=float)
-    vec[2], vec[3] = u[2] * math.cos(u[3]), u[2] * math.sin(u[3])
-    if q:
-        vec[0] = _valley_axx(u)
-    return vec
+class _QChart(_ValleyChart):
+    """q = sign(a_xx) hypot(a_xx, a) for a_xx: d/dq = (q / a_xx) d/da_xx, d/dr
+    and d/dpsi gain -a (sin(psi), r cos(psi)) / a_xx d/da_xx; a_xx' =
+    (q q' - a a') / a_xx, a_xx'' = (q'^2 - a'^2 - a a'' - a_xx'^2) / a_xx."""
+
+    def to(self, vec):
+        u = super().to(vec)
+        u[_XX] = math.copysign(math.hypot(vec[_XX], vec[_A]), vec[_XX])
+        return u
+
+    @staticmethod
+    def axx(u):
+        """a_xx = sign(q) sqrt(q^2 - a^2); raises where q^2 <= a^2."""
+        g = u[_XX] * u[_XX] - (u[_R] * math.sin(u[_PSI])) ** 2
+        if not g > 0.0:
+            raise ValueError("q^2 <= a^2: outside the valley chart")
+        return math.copysign(math.sqrt(g), u[_XX])
+
+    def back(self, u):
+        vec = super().back(u)
+        vec[_XX] = self.axx(u)
+        return vec
+
+    def jacobian(self, jac, u):
+        out = super().jacobian(jac, u)
+        c, s, r, x = math.cos(u[_PSI]), math.sin(u[_PSI]), u[_R], self.axx(u)
+        out[:, _XX] = (u[_XX] / x) * jac[:, _XX]
+        out[:, _R] -= (r * s * s / x) * jac[:, _XX]
+        out[:, _PSI] -= (r * r * s * c / x) * jac[:, _XX]
+        return out
+
+    def curve(self, u, du):
+        dx, ddx = super().curve(u, du)
+        x, a = self.axx(u), u[_R] * math.sin(u[_PSI])
+        dq, da, dda = du[_XX], dx[_A], ddx[_A]
+        dx[_XX] = dxx = (u[_XX] * dq - a * da) / x
+        ddx[_XX] = (dq * dq - da * da - a * dda - dxx * dxx) / x
+        return dx, ddx
 
 
-def _valley_jacobian(jac, u, q=False):
-    """A PARAM_IDS Jacobian (n, 6) by the chain rule in valley coordinates u:
-    d/dr = cos(psi) d/da_zz + sin(psi) d/da, d/dpsi = r (cos(psi) d/da -
-    sin(psi) d/da_zz); with ``q``, d/dq = (q / a_xx) d/da_xx and d/dr, d/dpsi
-    gain -a (sin(psi), r cos(psi)) / a_xx d/da_xx."""
-    c, s, r = math.cos(u[3]), math.sin(u[3]), u[2]
-    out = jac.copy()
-    out[:, 2], out[:, 3] = c * jac[:, 2] + s * jac[:, 3], r * (c * jac[:, 3] - s * jac[:, 2])
-    if q:
-        x = _valley_axx(u)
-        out[:, 0] = (u[0] / x) * jac[:, 0]
-        out[:, 2] -= (r * s * s / x) * jac[:, 0]
-        out[:, 3] -= (r * r * s * c / x) * jac[:, 0]
-    return out
+_PLAIN, _VALLEY, _Q = _Chart(), _ValleyChart(), _QChart()
 
 
-def _valley_curve(u, du, q=False):
-    """(dx, ddx) at t = 0 of the PARAM_IDS curve _from_valley(u + t du, q); in the
-    q chart a_xx' = (q q' - a a') / a_xx, a_xx'' = (q'^2 - a'^2 - a a'' - a_xx'^2) / a_xx."""
-    c, s, r = math.cos(u[3]), math.sin(u[3]), u[2]
-    dq, dy, dr, dp, db, dph = du.tolist()
-    dz, da = c * dr - r * s * dp, s * dr + r * c * dp
-    ddz, dda = -2.0 * s * dr * dp - r * c * dp * dp, 2.0 * c * dr * dp - r * s * dp * dp
-    dxx, ddxx = dq, 0.0
-    if q:
-        x, a = _valley_axx(u), r * s
-        dxx = (u[0] * dq - a * da) / x
-        ddxx = (dq * dq - da * da - a * dda - dxx * dxx) / x
-    return np.array([dxx, dy, dz, da, db, dph]), np.array([ddxx, 0.0, ddz, dda, 0.0, 0.0])
+class _FitState:
+    """A fit between passes: constants, the accepted ``vec`` with its weighted
+    ``resid``, ``chi2`` and solve ``keep``, damping, counters and the last
+    linearization: ``chart``, ``u`` and, in u's free columns ``cols``, ``jac``,
+    ``grad``, ``jtj``, ``descent``, ``damp``, ``cap``."""
+
+    def __init__(self, params, data, free, vec):
+        self.params, self.data, self.free, self.cols = params, data, free, np.array(free)
+        self.psi_col = free.index(_PSI) if _ZZ in free and _A in free else None
+        self.phi_col = free.index(_PHI) if _PHI in free else None
+        self.vec, self.keep = vec, {}
+        self.resid, self.chi2 = self.residuals(vec, self.keep)
+        self.mu, self.nu, self.need_jac, self.rel_change = 1e-3, 2.0, True, math.inf
+        self.converged, self.consecutive, self.n_iter, self.n_rejected = False, 0, 0, 0
+
+    def residuals(self, vec, keep):
+        """Weighted residuals at vec and their chi^2, summed exactly (noiseless
+        data weigh ~1e10, where plain sums hide real gains); inf on overflow."""
+        data = self.data
+        r = (_forward_model(self.params, vec, data, keep) - data.values) / data.sigmas
+        x = r.tolist()
+        try:
+            return r, math.fsum(map(operator.mul, x, x))
+        except OverflowError:
+            return r, math.inf
+
+
+def _pass(s):
+    """One pass at state s; returns a stop reason or None.
+
+    After a taken step it linearizes at vec, in the valley chart where a_zz and
+    a are free and r >= ``_VALLEY_R``, in the q chart there where a_xx is free
+    and |a_xx| >= ``_Q_SHARE`` q, else in the plain chart, and stops
+    "stationary" if the step changed chi^2 by < 1e-10 relative and the
+    Gauss-Newton decrement 1/4 g^T (J^T J)^-1 g is <= 1e-10 chi^2. Else one
+    model evaluation tries the Marquardt step v, capped at max(2, 0.15 |u|) MHz
+    and 5 deg in phi_offset (large steps jump between basins). A lower chi^2 is
+    taken and sets mu *= max(1/3, 1 - (2 rho - 1)^3), rho (<= 1) the drop over
+    the drop predicted for v; else mu *= nu, nu doubling per rejection in a row
+    (Nielsen, IMM-REP-1999-05). In a valley chart v turns psi by at most
+    ``_PSI_CAP`` and takes a/2, a = -(J^T J + mu D)^-1 J^T r''_v (Transtrum &
+    Sethna, arXiv:1201.5885), where r''_v is finite and v + a/2 keeps that cap.
+    Stops "chi2_stalled" after 3 taken steps in a row with relative chi^2
+    change < 1e-10 or gradient norm < 1e-8, "grad_small" if the last met only
+    the latter, "damping_cap" on a rejection at mu = 1e8 (converged if finite).
+    """
+    if s.need_jac:
+        jac = _jacobian(s.params, s.vec, s.data, s.keep) / s.data.sigmas[:, None]
+        if s.n_iter == 0:
+            _check_rank(jac[:, s.free], s.free)
+        s.chart, v = _PLAIN, s.vec
+        if s.psi_col is not None and math.hypot(v[_ZZ], v[_A]) >= _VALLEY_R:
+            q = _XX in s.free and abs(v[_XX]) >= _Q_SHARE * math.hypot(v[_XX], v[_A]) > 0
+            s.chart = _Q if q else _VALLEY
+        s.u = s.chart.to(v)
+        # a Fortran-ordered copy; the products below read that layout
+        s.jac = jac = s.chart.jacobian(jac, s.u)[:, s.free]
+        s.grad = grad = 2.0 * jac.T @ s.resid
+        s.jtj, s.descent = jac.T @ jac, -0.5 * grad
+        if s.rel_change < 1e-10:
+            with contextlib.suppress(np.linalg.LinAlgError):  # singular J^T J: no stop
+                if 0.25 * grad @ np.linalg.solve(s.jtj, grad) <= 1e-10 * s.chi2:
+                    s.converged = True
+                    return "stationary"
+        s.damp = np.maximum(s.jtj.diagonal(), 1e-300)
+        s.cap = np.maximum(2.0, 0.15 * np.abs(s.u[s.cols]))
+        if s.phi_col is not None:
+            s.cap[s.phi_col] = 5.0
+    s.n_iter += 1
+    lhs = s.jtj.copy()
+    lhs.ravel()[:: len(s.free) + 1] += s.mu * s.damp
+    inv = np.linalg.inv(lhs)
+    step = vel = inv @ s.descent
+    if s.chart is not _PLAIN:
+        # psi's damping alone grows x4 until the step fits (a whole-step scale lets psi
+        # run into a second minimum): t there divides vel[psi] by 1 + t col[psi]
+        psi = s.psi_col
+        col, add, extra = inv[:, psi], 0.0, s.mu * s.damp[psi]
+        while abs(vel[psi]) > _PSI_CAP * (1.0 + add * col[psi]):
+            add += 3.0 * extra
+            extra *= 4.0
+        if add:
+            inv = inv - np.outer(col, col) * (add / (1.0 + add * col[psi]))
+            step = vel = inv @ s.descent
+        du = np.zeros(len(s.u))  # geodesic acceleration, r'' from _second_directional
+        du[s.cols] = vel
+        curv = _second_directional(s.data, s.keep, *s.chart.curve(s.u, du)) / s.data.sigmas
+        if np.isfinite(curv).all():
+            accelerated = vel - 0.5 * (inv @ (s.jac.T @ curv))
+            if abs(accelerated[psi]) <= _PSI_CAP:
+                step = accelerated
+    over = (np.abs(step) / s.cap).max()
+    scale = 1.0 if over <= 1.0 else 1.0 / over
+    trial, trial_keep = s.u.copy(), {}
+    trial[s.cols] += scale * step
+    try:
+        trial = s.chart.back(trial)
+        trial_resid, trial_chi2 = s.residuals(trial, trial_keep)
+    except ValueError:  # outside the labelable regime or the chart
+        trial_chi2 = math.inf
+    if not trial_chi2 < s.chi2:
+        s.n_rejected += 1
+        if s.mu >= 1e8:
+            s.converged = math.isfinite(trial_chi2)
+            return "damping_cap"
+        s.mu, s.nu, s.need_jac = min(s.mu * s.nu, 1e8), 2.0 * s.nu, False
+        return None
+    pred = -(scale * s.grad @ vel + scale * scale * vel @ s.jtj @ vel)
+    # every rho >= 1 gives 1/3, and a pred at its floor cannot overflow
+    rho = min((s.chi2 - trial_chi2) / max(pred, 1e-300), 1.0)
+    s.mu = max(s.mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-12)
+    s.nu, s.need_jac, s.rel_change = 2.0, True, (s.chi2 - trial_chi2) / max(s.chi2, 1e-300)
+    s.vec, s.resid, s.chi2, s.keep = trial, trial_resid, trial_chi2, trial_keep
+    stalled = s.rel_change < 1e-10
+    s.consecutive = s.consecutive + 1 if stalled or math.sqrt(s.grad @ s.grad) < 1e-8 else 0
+    if s.consecutive >= 3:
+        s.converged = True
+        return "chi2_stalled" if stalled else "grad_small"
 
 
 def fit_hyperfine(
@@ -505,59 +653,20 @@ def fit_hyperfine(
 ) -> FitResult:
     """Weighted least-squares fit of the hyperfine tensor to a scan dataset.
 
-    Free parameters default to all of PARAM_IDS; names in ``fixed`` are
-    held at their initial values. With b free a single global field
-    strength is fitted and the per-point b column is ignored; with b fixed
-    the column is used. An SQ point with a ``transition_index`` is fitted
-    to that line, in ascending frequency; one without is fitted to the
-    nearest line. The Jacobian, in the iterations and in the final
-    covariance, is exact: Hellmann-Feynman derivatives from one eigensolve
-    at the accepted vector (``_jacobian``).
+    Free parameters default to all of PARAM_IDS; names in ``fixed`` are held
+    at their initial values. With b free a single global field strength is
+    fitted and the per-point b column is ignored; with b fixed the column is
+    used. An SQ point with a ``transition_index`` is fitted to that line, in
+    ascending frequency, one without to the nearest line. The Jacobian is
+    exact, from the accepted vector's solve (``_jacobian``).
 
-    Marquardt-damped Gauss-Newton, one model evaluation and one inverse of
-    the damped normal matrix per pass: a step that lowers chi^2 is taken
-    and sets mu *= max(1/3, 1 - (2 rho - 1)^3), rho (at most 1) the ratio
-    of the actual drop to the drop the linear model predicts for the
-    velocity v, the damped Gauss-Newton step (under the same trust cap)
-    without the acceleration below, a drop that is always positive; else
-    the Jacobian stays and mu *= nu, nu doubling per rejection in a row
-    (Nielsen, IMM-REP-1999-05). ``n_iterations`` counts passes that
-    evaluate the model, rejected ones too, and ``n_rejected`` the passes
-    whose trial was not taken. ``stop_reason``: "stationary" (converged)
-    when a step changed chi^2 by < 1e-10 relative and, at its vector, the
-    Gauss-Newton decrement 1/4 g^T (J^T J)^-1 g (a full undamped step's
-    drop) is <= 1e-10 chi^2; "chi2_stalled" (converged) after 3 taken steps
-    in a row with relative chi^2 change < 1e-10 or gradient norm < 1e-8,
-    "grad_small" if the last met only the latter; "damping_cap" on a step
-    rejected at mu = 1e8, the rounding floor (converged if its chi^2 was
-    finite); "max_iterations".
+    It runs ``_pass`` on one ``_FitState`` until a pass stops it or for
+    ``max_iterations`` passes ("max_iterations", not converged). ``n_iterations``
+    counts passes that evaluate the model, ``n_rejected`` those not taken.
 
-    With a_zz and a both free and r = hypot(a_zz, a) at least 40/3 MHz
-    (where r's cap below leaves its floor), the iteration steps in valley
-    coordinates, (a_zz, a) = r (cos psi, sin psi), which straighten the
-    curved valley of data that pin r but barely psi; with a_xx free and
-    |a_xx| >= 0.2 q (``_Q_SHARE``), also in q = sign(a_xx) hypot(a_xx, a)
-    for a_xx, which a ZQ phi sweep pins (the q chart; a trial with q^2 <=
-    a^2 is a rejected pass). Nearer r = 0, where psi is ill-defined, and
-    with a_zz or a fixed it takes PARAM_IDS steps. Each pass caps r and q,
-    like every tensor component, at max(2, 0.15 |x|) MHz and psi at 0.3 rad,
-    psi by raising its damping alone (x4 until the step fits, each a
-    rank-one update of the inverse), which keeps the step downhill. A valley
-    step v then becomes v + a/2 (geodesic acceleration, Transtrum & Sethna,
-    arXiv:1201.5885), a = -(J^T J + mu D)^-1 J^T r''_v with the same capped
-    matrix, D the damping diagonal, and r''_v the residuals' exact second
-    derivative along v (``_second_directional``), wherever r''_v is finite;
-    where v + a/2 would turn psi by more than 0.3 rad (``_PSI_CAP``) the
-    step stays v. Valley Jacobians are exact by the chain rule; the
-    rank check, the trial vectors, the covariance, the sigmas and the (a,
-    phi_offset) branch choice stay in PARAM_IDS coordinates.
-
-    Raises ValueError("degenerate parameter direction: ...") when the
-    Jacobian loses rank, naming the unconstrained combination. That check
-    (``_check_rank``) runs on two Jacobians only: the first, before any
-    step, and the final one, which gives the covariance; a loss of rank in
-    mid-fit does not stop the iteration. Raises when chi^2 or the
-    covariance is not finite.
+    Raises ValueError("degenerate parameter direction: ...") when the first
+    Jacobian or the covariance's loses rank (``_check_rank``; not in mid-fit),
+    and when chi^2 or the covariance is not finite.
     """
     fixed = frozenset(fixed)
     for name in fixed:
@@ -567,153 +676,44 @@ def fit_hyperfine(
     if not free:
         raise ValueError("no free parameters")
     data = _FitData(dataset, "b" in fixed)
-    values, sigmas = data.values, data.sigmas
     if len(dataset) < len(free):
-        raise ValueError(
-            "%d points cannot constrain %d free parameters" % (len(dataset), len(free))
-        )
-    if params is None:
-        params = SystemParams()
+        raise ValueError("%d points cannot constrain %d free parameters"
+                         % (len(dataset), len(free)))
+    params = params or SystemParams()
     vec = initial.as_vector()
     if not np.all(np.isfinite(vec)):
         raise ValueError("initial guess must be finite")
-
-    def model(v, keep=None):
-        return _forward_model(params, v, data, keep)
-
-    def jacobian(v, keep=None):
-        return _jacobian(params, v, data, keep) / sigmas[:, None]
-
-    def chi2_of(r):
-        # exact summation: noiseless datasets weight chi^2 to ~1e10 where
-        # plain accumulation hides real sub-unit improvements; an overflow
-        # gives inf (Python floats square silently), which the caller rejects
-        try:
-            r = r.tolist()
-            return math.fsum(map(operator.mul, r, r))
-        except OverflowError:
-            return math.inf
-
-    keep = {}
-    resid = (model(vec, keep) - values) / sigmas
-    chi2 = chi2_of(resid)
-    if not math.isfinite(chi2):
+    s = _FitState(params, data, free, vec)
+    if not math.isfinite(s.chi2):
         raise ValueError("chi^2 not finite at the initial guess; check the data values")
-    converged, stop_reason = False, "max_iterations"
-    consecutive, n_iter, mu, nu, need_jac, rel_change = 0, 0, 1e-3, 2.0, True, math.inf
-    n_rejected = 0
-    both = 2 in free and 3 in free  # (r, psi) steps possible, see the docstring
-    psi = free.index(3) if both else None
-    phi_col = free.index(5) if 5 in free else None
-    # all six free (the usual case): plain slices, which copy nothing
-    cols = slice(None) if len(free) == 6 else np.array(free)
-    for n_iter in range(1, max_iterations + 1):
-        if need_jac:
-            jac = jacobian(vec, keep)
-            if n_iter == 1:
-                _check_rank(jac[:, free], free)
-            valley = both and math.hypot(vec[2], vec[3]) >= _VALLEY_R
-            q = valley and 0 in free and abs(vec[0]) >= _Q_SHARE * math.hypot(vec[0], vec[3]) > 0
-            u = _to_valley(vec, q) if valley else vec
-            if valley:
-                jac = _valley_jacobian(jac, u, q)
-            jac = jac[:, free]  # a Fortran-ordered copy; the products below read that layout
-            grad = 2.0 * jac.T @ resid
-            jtj, descent = jac.T @ jac, -0.5 * grad
-            if rel_change < 1e-10:  # a stationary point? See the docstring
-                with contextlib.suppress(np.linalg.LinAlgError):  # singular J^T J: no stop
-                    if 0.25 * grad @ np.linalg.solve(jtj, grad) <= 1e-10 * chi2:
-                        converged, stop_reason, n_iter = True, "stationary", n_iter - 1
-                        break
-            damp = np.maximum(jtj.diagonal(), 1e-300)
-            # per-pass trust cap: large raw steps jump between basins (an x/y-swapped
-            # tensor with phi_offset near +-90 is a sticky false minimum)
-            cap = np.maximum(2.0, 0.15 * np.abs(u[cols]))
-            if phi_col is not None:
-                cap[phi_col] = 5.0  # degrees per iteration
-        lhs = jtj.copy()
-        lhs.ravel()[:: len(free) + 1] += mu * damp
-        inv = np.linalg.inv(lhs)
-        step = vel = inv @ descent
-        if valley:
-            # psi moves at most _PSI_CAP: its damping alone grows x4 until
-            # the step fits, which keeps the step downhill (scaling the
-            # whole step lets psi run first, into a second minimum). Adding
-            # t there divides vel[psi] by 1 + t col[psi] (Sherman-Morrison)
-            col, add, extra = inv[:, psi], 0.0, mu * damp[psi]
-            while abs(vel[psi]) > _PSI_CAP * (1.0 + add * col[psi]):
-                add += 3.0 * extra
-                extra *= 4.0
-            if add:
-                inv = inv - np.outer(col, col) * (add / (1.0 + add * col[psi]))
-                step = vel = inv @ descent
-            du = np.zeros(6)  # geodesic acceleration, see the docstring
-            du[cols] = vel
-            curv = _second_directional(data, keep, *_valley_curve(u, du, q)) / sigmas
-            if np.isfinite(curv).all():
-                accelerated = vel - 0.5 * (inv @ (jac.T @ curv))
-                if abs(accelerated[psi]) <= _PSI_CAP:
-                    step = accelerated
-        over = (np.abs(step) / cap).max()
-        scale = 1.0 if over <= 1.0 else 1.0 / over
-        trial = u.copy()
-        trial[cols] += scale * step
-        trial_keep = {}
-        try:
-            trial = _from_valley(trial, q) if valley else trial
-            trial_resid = (model(trial, trial_keep) - values) / sigmas
-        except ValueError:
-            trial_resid = None  # outside the labelable regime or the q chart
-        trial_chi2 = math.inf if trial_resid is None else chi2_of(trial_resid)
-        if not trial_chi2 < chi2:
-            n_rejected += 1
-            if mu >= 1e8:
-                converged, stop_reason = math.isfinite(trial_chi2), "damping_cap"
-                break
-            mu, nu, need_jac = min(mu * nu, 1e8), 2.0 * nu, False
-            continue
-        pred = -(scale * grad @ vel + scale * scale * vel @ jtj @ vel)
-        # every rho >= 1 gives 1/3, and a pred at its floor cannot overflow
-        rho = min((chi2 - trial_chi2) / max(pred, 1e-300), 1.0)
-        mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-12)
-        nu, need_jac = 2.0, True
-        rel_change = (chi2 - trial_chi2) / max(chi2, 1e-300)
-        vec, resid, chi2, keep = trial, trial_resid, trial_chi2, trial_keep
-        if rel_change < 1e-10 or math.sqrt(grad @ grad) < 1e-8:
-            consecutive += 1
-        else:
-            consecutive = 0
-        if consecutive >= 3:
-            converged = True
-            stop_reason = "chi2_stalled" if rel_change < 1e-10 else "grad_small"
-            break
-
-    if 3 in free and 5 in free and not -90.0 < vec[5] <= 90.0:
-        # (a, phi_offset) -> (-a, phi_offset +- 180) is an exact symmetry of
-        # the Hamiltonian (a z-rotation by pi); report the principal branch,
-        # whose Jacobian needs a solve of its own
-        while vec[5] > 90.0:
-            vec[5] -= 180.0
-            vec[3] = -vec[3]
-        while vec[5] <= -90.0:
-            vec[5] += 180.0
-            vec[3] = -vec[3]
-        keep = None
-    jac = jacobian(vec, keep)[:, free]
+    stop_reason = None
+    while stop_reason is None and s.n_iter < max_iterations:
+        stop_reason = _pass(s)
+    vec = s.vec
+    if _A in free and _PHI in free and not -90.0 < vec[_PHI] <= 90.0:
+        # (a, phi_offset) -> (-a, phi_offset +- 180), a z-rotation by pi, is exact;
+        # report the principal branch, whose Jacobian needs a solve of its own
+        while vec[_PHI] > 90.0:
+            vec[_PHI] -= 180.0
+            vec[_A] = -vec[_A]
+        while vec[_PHI] <= -90.0:
+            vec[_PHI] += 180.0
+            vec[_A] = -vec[_A]
+        s.keep = None
+    jac = (_jacobian(params, vec, data, s.keep) / data.sigmas[:, None])[:, free]
     _check_rank(jac, free)
     cov = np.linalg.inv(jac.T @ jac)
     if not np.all(np.isfinite(cov)):
         raise ValueError("fit covariance not finite; check the data sigmas")
     dof = len(dataset) - len(free)
-    chi2_red = chi2 / dof if dof > 0 else 1.0
+    chi2_red = s.chi2 / dof if dof > 0 else 1.0
     if chi2_red > 1.0:
         cov = cov * chi2_red
     sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     sigmas_out = dict.fromkeys(PARAM_IDS, 0.0)
     sigmas_out.update((PARAM_IDS[pi], float(sig[col])) for col, pi in enumerate(free))
-    return FitResult(params=FitParams.from_vector(vec), sigmas=sigmas_out, chi2=chi2,
-                     n_iterations=n_iter, converged=converged,
-                     residuals=-resid * sigmas, stop_reason=stop_reason, n_rejected=n_rejected)
+    return FitResult(FitParams.from_vector(vec), sigmas_out, s.chi2, s.n_iter, s.converged,
+                     -s.resid * data.sigmas, stop_reason or "max_iterations", s.n_rejected)
 
 
 def _check_rank(jac: np.ndarray, free):
@@ -813,40 +813,6 @@ def synthesize_dataset(
     return ScanDataset(
         dataclasses.replace(p, b=b, value=float(v)) for p, v in zip(points, values)
     )
-
-
-def find_axis_minimum(dataset: ScanDataset):
-    """Locate the minimum of a single-angle scan by an even-model fit.
-
-    The dataset must sweep exactly one of theta/phi; the other angle and
-    b must be constant. Fits value(x) = v0 + k (x - x0)^2 by weighted
-    least squares and returns (x0_deg, sigma_deg).
-    """
-    if len(dataset) < 5:
-        raise ValueError("need at least 5 points, got %d" % len(dataset))
-    thetas = np.array([p.theta for p in dataset.points])
-    phis = np.array([p.phi for p in dataset.points])
-    theta_sweeps = len(np.unique(thetas)) > 1
-    phi_sweeps = len(np.unique(phis)) > 1
-    if theta_sweeps == phi_sweeps:
-        raise ValueError("exactly one of theta/phi must vary across the scan")
-    x = thetas if theta_sweeps else phis
-    v = np.array([p.value for p in dataset.points])
-    s = np.array([p.sigma for p in dataset.points])
-    w = 1.0 / s**2
-    design = np.vander(x, 3, increasing=True)  # columns 1, x, x^2
-    wsq = np.sqrt(w)
-    coef, *_ = np.linalg.lstsq(design * wsq[:, None], v * wsq, rcond=None)
-    _, c1, c2 = coef
-    if c2 <= 0:
-        raise ValueError("extremum not bracketed")
-    x0 = -c1 / (2 * c2)
-    if not (x.min() < x0 < x.max()):
-        raise ValueError("extremum not bracketed")
-    cov = np.linalg.inv((design * w[:, None]).T @ design)
-    grad = np.array([0.0, -1.0 / (2 * c2), c1 / (2 * c2**2)])
-    var = float(grad @ cov @ grad)
-    return float(x0), float(np.sqrt(max(var, 0.0)))
 
 
 def sensitivity_c(

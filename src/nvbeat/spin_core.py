@@ -526,8 +526,9 @@ def zeeman_states(theta, phi):
     half = np.radians(theta) / 2
     e = np.exp(1j * np.radians(phi))
     c, s = np.cos(half), np.sin(half)
-    beta = np.empty(e.shape + (2, 2), dtype=complex)
-    beta[..., 0, 0], beta[..., 0, 1] = c, e * s  # a real c or s takes +0j
+    es = e * s  # its shape is theta's and phi's broadcast
+    beta = np.empty(es.shape + (2, 2), dtype=complex)
+    beta[..., 0, 0], beta[..., 0, 1] = c, es  # a real c or s takes +0j
     beta[..., 1, 0], beta[..., 1, 1] = s, -e * c
     return beta[..., 0, :], beta[..., 1, :]
 

@@ -24,14 +24,12 @@ from nvbeat.estimation import (
     _amplitude_ratios,
     _FitData,
     _forward_model,
+    _PLAIN,
+    _Q,
+    _VALLEY,
     _VALLEY_R,
-    _from_valley,
     _jacobian,
     _second_directional,
-    _to_valley,
-    _valley_curve,
-    _valley_jacobian,
-    find_axis_minimum,
     find_single_transition_axis,
     fit_hyperfine,
     precision_propagation,
@@ -302,28 +300,28 @@ JACOBIAN_CASES = {
 def test_jacobian_matches_central_differences(case, b_fixed):
     # the Hellmann-Feynman derivatives against central differences of the
     # model with step 1e-5, whose rounding error is ~1e-7 MHz per unit; and
-    # the same in the fit's valley coordinates, r = hypot(a_zz, a) and
-    # psi = atan2(a, a_zz), and in its q chart, which also trades a_xx for
-    # q = sign(a_xx) hypot(a_xx, a); their columns follow by the chain rule
+    # the same in each of the fit's charts: the plain one, the valley
+    # coordinates r = hypot(a_zz, a) and psi = atan2(a, a_zz), and the q
+    # chart, which also trades a_xx for q = sign(a_xx) hypot(a_xx, a); their
+    # columns follow by the chain rule
     design, b = JACOBIAN_CASES[case]
     # b_fixed: the per-point b column, and the b slot goes unread
     data = _FitData(synthesize_dataset(SYS, b=b, design=design, noise_sigma=NOISE, seed=3),
                     b_fixed)
     vec = TRUTH.as_vector() + np.array([3.0, -2.0, 5.0, 4.0, 0.0, 2.0])
     vec[4] = b + 0.5
-    u, uq = _to_valley(vec), _to_valley(vec, q=True)
-    assert np.allclose(_from_valley(u), vec, rtol=1e-15, atol=0.0)
+    assert np.allclose(_VALLEY.back(_VALLEY.to(vec)), vec, rtol=1e-15, atol=0.0)
     jac = _jacobian(SYS, vec, data)
     h = 1e-5
-    for x, to_vec, j in ((vec, np.asarray, jac), (u, _from_valley, _valley_jacobian(jac, u)),
-                         (uq, functools.partial(_from_valley, q=True),
-                          _valley_jacobian(jac, uq, q=True))):
+    for chart in (_PLAIN, _VALLEY, _Q):
+        x = chart.to(vec)
+        j = chart.jacobian(jac, x)
         for col in [0, 1, 2, 3, 5] if b_fixed else range(6):
             up, down = x.copy(), x.copy()
             up[col] += h
             down[col] -= h
-            fd = (_forward_model(SYS, to_vec(up), data)
-                  - _forward_model(SYS, to_vec(down), data)) / (2 * h)
+            fd = (_forward_model(SYS, chart.back(up), data)
+                  - _forward_model(SYS, chart.back(down), data)) / (2 * h)
             scale = np.abs(j[:, col]).max()
             assert scale > 0
             assert np.abs(fd - j[:, col]).max() <= 1e-5 * scale, col
@@ -348,7 +346,7 @@ def test_second_directional_matches_central_differences(case, b_fixed):
     keep = {}
     _forward_model(SYS, vec, data, keep)
     _jacobian(SYS, vec, data, keep)
-    u, uq = _to_valley(vec), _to_valley(vec, q=True)
+    u, uq = _VALLEY.to(vec), _Q.to(vec)
     rng = np.random.default_rng(5)
     h = 1e-3
     for _ in range(4):
@@ -357,8 +355,8 @@ def test_second_directional_matches_central_differences(case, b_fixed):
             dx[4] = ddx[4] = du[4] = 0.0
         for curve, (d1, d2) in (
             (lambda t: vec + t * dx + 0.5 * t * t * ddx, (dx, ddx)),
-            (lambda t: _from_valley(u + t * du), _valley_curve(u, du)),
-            (lambda t: _from_valley(uq + t * du, q=True), _valley_curve(uq, du, q=True)),
+            (lambda t: _VALLEY.back(u + t * du), _VALLEY.curve(u, du)),
+            (lambda t: _Q.back(uq + t * du), _Q.curve(uq, du)),
         ):
             exact = _second_directional(data, keep, d1, d2)
             model = [_forward_model(SYS, curve(t), data) for t in (-h, 0.0, h)]
@@ -546,16 +544,18 @@ def test_q_chart_round_trip_and_fallback(monkeypatch):
     # returns every vector with a_xx != 0
     for sx, sa in itertools.product((1.0, -1.0), repeat=2):
         vec = np.array([sx * 166.9, 122.9, -90.0, sa * 90.3, 40.3, 1.5])
-        assert np.abs(_from_valley(_to_valley(vec, q=True), q=True) - vec).max() <= 1e-12
+        assert np.abs(_Q.back(_Q.to(vec)) - vec).max() <= 1e-12
     # the fit steps in the q chart only where a_xx, a_zz and a are free,
-    # r >= _VALLEY_R and |a_xx| >= _Q_SHARE q; elsewhere in (r, psi)
-    charts, to_valley = [], estimation._to_valley
+    # r >= _VALLEY_R and |a_xx| >= _Q_SHARE q; elsewhere in (r, psi). Both
+    # charts reach the valley chart's ``to`` once per linearization
+    charts, to_valley = [], estimation._ValleyChart.to
 
-    def recording(vec, q=False):
-        charts.append((abs(vec[0]) >= estimation._Q_SHARE * math.hypot(vec[0], vec[3]), q))
-        return to_valley(vec, q)
+    def recording(chart, vec):
+        charts.append((abs(vec[0]) >= estimation._Q_SHARE * math.hypot(vec[0], vec[3]),
+                       chart is _Q))
+        return to_valley(chart, vec)
 
-    monkeypatch.setattr(estimation, "_to_valley", recording)
+    monkeypatch.setattr(estimation._ValleyChart, "to", recording)
     ds = synthesize_dataset(SYS, b=40.3, design=DESIGN2)
     r = fit_hyperfine(ds, FitParams(15.0, 120.0, 90.0, -90.3, 40.3))
     err = np.abs(r.params.as_vector() - TRUTH.as_vector()).max()
@@ -568,30 +568,30 @@ def test_q_chart_round_trip_and_fallback(monkeypatch):
 
 
 def test_trial_outside_the_q_chart_is_a_rejected_pass(monkeypatch):
-    # no a_xx has q^2 <= a^2: _from_valley raises ValueError, by math and
-    # without a RuntimeWarning
-    u = _to_valley(TRUTH.as_vector(), q=True)
+    # no a_xx has q^2 <= a^2: the q chart's back raises ValueError, by
+    # math and without a RuntimeWarning
+    u = _Q.to(TRUTH.as_vector())
     for q in (0.0, u[2] * math.sin(u[3]), -0.5 * u[2] * math.sin(u[3])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="outside the valley chart"):
-                _from_valley(np.r_[q, u[1:]], q=True)
+                _Q.back(np.r_[q, u[1:]])
     # in a fit, the first q-chart trial moved to q = a / 2: that pass is
     # rejected with no model call, and the fit goes on
     ds = synthesize_dataset(SYS, b=40.3, design=A6_DESIGN, noise_sigma=NOISE, seed=101)
-    from_valley, forced, calls = estimation._from_valley, [], []
+    back, forced, calls = estimation._QChart.back, [], []
 
-    def forcing(u, q=False):
-        if q and not forced:
+    def forcing(chart, u):
+        if not forced:
             forced.append(u[0])
             u = np.r_[0.5 * u[2] * math.sin(u[3]), u[1:]]
-        return from_valley(u, q)
+        return back(chart, u)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return _forward_model(*args, **kwargs)
 
-    monkeypatch.setattr(estimation, "_from_valley", forcing)
+    monkeypatch.setattr(estimation._QChart, "back", forcing)
     monkeypatch.setattr(estimation, "_forward_model", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -939,56 +939,21 @@ def test_mirror_plane_from_zq_scan():
             )
         )
 
-    x0, _ = find_axis_minimum(negated(None, 0))
+    def vertex(ds):
+        # weighted least squares of value = c2 x^2 + c1 x + c0 over phi: the
+        # vertex -c1 / (2 c2) and its first-order sigma
+        x = np.array([p.phi for p in ds.points])
+        (c2, c1, _), cov = np.polyfit(x, [p.value for p in ds.points], 2,
+                                      w=[1.0 / p.sigma for p in ds.points], cov="unscaled")
+        grad = np.array([c1 / (2.0 * c2 * c2), -1.0 / (2.0 * c2), 0.0])
+        return -c1 / (2.0 * c2), math.sqrt(grad @ cov @ grad)
+
+    x0, _ = vertex(negated(None, 0))
     assert abs(x0 - ph_a) < 1e-9
 
-    xn, sn = find_axis_minimum(negated({"zq_frequency": 0.2}, 11))
+    xn, sn = vertex(negated({"zq_frequency": 0.2}, 11))
     assert sn < 1.5
     assert abs(xn - ph_a) < 3.0 * sn
-
-
-def test_find_axis_minimum_near_sta():
-    scan = synthesize_dataset(
-        SYS,
-        b=40.3,
-        design=[(float(t), 0.0, "zq_amplitude") for t in np.linspace(4.2, 5.8, 13)],
-        noise_sigma=None,
-        seed=0,
-    )
-    x0, s0 = find_axis_minimum(scan)
-    print("amplitude minimum: quad %.4f +- %.4f" % (x0, s0))
-    assert abs(x0 - 5.0886) < 2e-3
-    assert s0 < 1e-3
-    # the estimate lands near the true minimum; residual bias is the
-    # asymmetry of the amplitude curve over the window
-    assert abs(x0 - STA_THETA) < 0.1
-
-
-def test_find_axis_minimum_exact_parabola():
-    pts = tuple(
-        ScanPoint(30.0, float(x), 40.3, "zq_frequency", 5.0 + 0.3 * (x - 12.3) ** 2, 0.01)
-        for x in np.linspace(5, 20, 9)
-    )
-    x0, _ = find_axis_minimum(ScanDataset(pts))
-    assert abs(x0 - 12.3) < 1e-8
-
-
-def test_find_axis_minimum_errors():
-    mono = tuple(
-        ScanPoint(30.0, float(x), 40.3, "zq_frequency", 5.0 + 0.3 * x, 0.01)
-        for x in np.linspace(5, 20, 9)
-    )
-    with pytest.raises(ValueError, match="extremum not bracketed"):
-        find_axis_minimum(ScanDataset(mono))
-    few = mono[:4]
-    with pytest.raises(ValueError, match="at least 5 points"):
-        find_axis_minimum(ScanDataset(few))
-    both = tuple(
-        ScanPoint(float(x), float(x), 40.3, "zq_frequency", 5.0 + (x - 12.0) ** 2, 0.01)
-        for x in np.linspace(5, 20, 9)
-    )
-    with pytest.raises(ValueError, match="exactly one of theta/phi"):
-        find_axis_minimum(ScanDataset(both))
 
 
 def test_sensitivity_at_sta():

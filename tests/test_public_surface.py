@@ -19,7 +19,6 @@ ALLOWED = {
     "(ROADMAP item 6) is to be built on it",
     "effective_couplings": "the couplings a fit that explains itself reports (ROADMAP item 4)",
     "principal_sigmas": "the fit's principal-frame sigmas (ROADMAP item 5)",
-    "find_axis_minimum": "the documented tool for measured 1-D scans (README)",
 }
 
 

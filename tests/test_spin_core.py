@@ -197,6 +197,16 @@ def test_ground_zeeman_states():
     with pytest.raises(ValueError):
         ground_zeeman_states(FieldOrientation(0.0, 10.0, 0.0))
 
+    # theta and phi broadcast: a row of thetas at one phi, or a column of
+    # thetas against a row of phis, holds the per-element calls bit for bit
+    for theta, phi in ((np.array([10.0, 20.0]), 0.0), (np.array([[10.0], [20.0]]), [0.0, 30.0])):
+        got = zeeman_states(theta, phi)
+        grid = np.broadcast_arrays(theta, phi)
+        assert got[0].shape == got[1].shape == grid[0].shape + (2,)
+        for idx in np.ndindex(grid[0].shape):
+            want = zeeman_states(float(grid[0][idx]), float(grid[1][idx]))
+            assert [g[idx].tobytes() for g in got] == [w.tobytes() for w in want]
+
 
 def test_lambda_amplitudes():
     # a=0 and field along z conserve the nuclear state, so one branch closes
