@@ -10,32 +10,9 @@ Submodules:
     config           run-configuration files
     cli              command-line entry point
 
-Submodules load on first attribute access so the CLI can configure the
-numeric runtime (thread caps) before anything imports numpy.
+Importing the package loads no submodule and not numpy, so the CLI can cap
+the numeric runtime's thread pools before numpy loads. Import a submodule
+by name: ``from nvbeat import estimation``.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "spin_core",
-    "analytic",
-    "dynamics",
-    "estimation",
-    "tensor_geometry",
-    "config",
-    "cli",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        module = importlib.import_module("." + name, __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

@@ -21,25 +21,14 @@ def _build_parser():
     # global flags live on a parent so they are accepted before or after the
     # subcommand; SUPPRESS keeps the subparser from clobbering a value given
     # up front
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config", metavar="PATH", default=argparse.SUPPRESS, help="configuration file"
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        metavar="N",
-        default=argparse.SUPPRESS,
-        help="override the config seed",
-    )
-    common.add_argument(
-        "--out", metavar="PATH", default=argparse.SUPPRESS, help="output file (default stdout)"
-    )
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", metavar="PATH", help="configuration file")
+    common.add_argument("--seed", type=int, metavar="N", help="override the config seed")
+    common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     common.add_argument(
         "--threads",
         type=int,
         metavar="N",
-        default=argparse.SUPPRESS,
         help="cap BLAS/OpenMP thread pools (set before numpy loads)",
     )
     at_sta = argparse.ArgumentParser(add_help=False)
@@ -55,18 +44,23 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("spectrum", parents=[common, at_sta], help="single-quantum transition lines")
+    def add(name, handler, parents=(), **kw):
+        p = sub.add_parser(name, parents=[common, *parents], **kw)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("zq-scan", parents=[common], help="zero-quantum splitting vs field angle")
+    add("spectrum", cmd_spectrum, [at_sta], help="single-quantum transition lines")
+
+    p = add("zq-scan", cmd_zq_scan, help="zero-quantum splitting vs field angle")
     p.add_argument("--sweep", choices=("theta", "phi"), required=True)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
 
-    sub.add_parser("rabi", parents=[common, at_sta], help="driven ms0 population trace")
-    sub.add_parser("ramsey", parents=[common, at_sta], help="zero-quantum Ramsey trace")
+    add("rabi", cmd_rabi, [at_sta], help="driven ms0 population trace")
+    add("ramsey", cmd_ramsey, [at_sta], help="zero-quantum Ramsey trace")
 
-    p = sub.add_parser("fit", parents=[common], help="fit the hyperfine tensor to a scan CSV")
+    p = add("fit", cmd_fit, help="fit the hyperfine tensor to a scan CSV")
     p.add_argument("dataset", help="scan CSV path")
     p.add_argument(
         "--fix",
@@ -83,13 +77,11 @@ def _build_parser():
         help="parametric bootstrap refits for empirical uncertainties",
     )
 
-    sub.add_parser(
-        "sensitivity", parents=[common, at_sta], help="exact line-shift slopes per tensor component"
-    )
+    add("sensitivity", cmd_sensitivity, [at_sta],
+        help="exact line-shift slopes per tensor component")
+    add("principal", cmd_principal, help="principal values and theta_P")
 
-    sub.add_parser("principal", parents=[common], help="principal values and theta_P")
-
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic scan dataset")
+    p = add("synth", cmd_synth, help="generate a synthetic scan dataset")
     p.add_argument(
         "--design",
         choices=("sta-phi", "two-theta"),
@@ -129,18 +121,8 @@ def _run(args) -> int:
     seed = getattr(args, "seed", None)
     if seed is not None:
         cfg = RunConfig({**cfg.values, "seed": seed})
-    handler = {
-        "spectrum": cmd_spectrum,
-        "zq-scan": cmd_zq_scan,
-        "rabi": cmd_rabi,
-        "ramsey": cmd_ramsey,
-        "fit": cmd_fit,
-        "sensitivity": cmd_sensitivity,
-        "principal": cmd_principal,
-        "synth": cmd_synth,
-    }[args.command]
     rows = ["# nvbeat %s config=%s" % (__version__, cfg.digest())]
-    rows += handler(cfg, args)
+    rows += args.handler(cfg, cfg.system(), args)
     text = "\n".join(rows) + "\n"
     out = getattr(args, "out", None)
     if out is None:
@@ -151,13 +133,13 @@ def _run(args) -> int:
     return 0
 
 
-def _resolved_field(cfg, at_sta: bool):
+def _resolved_field(cfg, params, at_sta: bool):
     if not at_sta:
         return cfg.field_nv()
     from .estimation import find_single_transition_axis
     from .spin_core import FieldOrientation
 
-    theta, phi, _ = find_single_transition_axis(cfg.system(), cfg["field.b"])
+    theta, phi, _ = find_single_transition_axis(params, cfg["field.b"])
     return FieldOrientation(b=cfg["field.b"], theta=theta, phi=phi)
 
 
@@ -165,12 +147,11 @@ def _resolved_field(cfg, at_sta: bool):
 # subcommands
 
 
-def cmd_spectrum(cfg, args) -> list:
+def cmd_spectrum(cfg, params, args) -> list:
     from .config import csv_row
     from .spin_core import build_hamiltonian, eigensystem, single_quantum_transitions
 
-    params = cfg.system()
-    field = _resolved_field(cfg, args.at_sta)
+    field = _resolved_field(cfg, params, args.at_sta)
     eig = eigensystem(build_hamiltonian(params, field))
     lines = single_quantum_transitions(eig)
     # merge degenerate lines within a branch (a zero tensor collapses each
@@ -192,7 +173,7 @@ def cmd_spectrum(cfg, args) -> list:
     return rows
 
 
-def cmd_zq_scan(cfg, args) -> list:
+def cmd_zq_scan(cfg, params, args) -> list:
     import numpy as np
 
     from .analytic import delta_perturbative
@@ -210,7 +191,6 @@ def cmd_zq_scan(cfg, args) -> list:
     # theta is a polar angle; phi wraps, so any azimuth is fine
     if args.sweep == "theta" and (angles.min() < 0.0 or angles.max() > 180.0):
         raise ValueError("theta sweep outside [0, 180]")
-    params = cfg.system()
     base = cfg.field_nv()
     theta, phi = (angles, base.phi) if args.sweep == "theta" else (base.theta, angles)
     fields = [FieldOrientation(base.b, float(t), float(p)) for t, p in np.broadcast(theta, phi)]
@@ -241,13 +221,12 @@ def _trace_rows(trace, peaks) -> list:
     return rows
 
 
-def cmd_rabi(cfg, args) -> list:
+def cmd_rabi(cfg, params, args) -> list:
     import numpy as np
 
     from .dynamics import PulseParams, simulate_rabi, spectrum_peaks
 
-    params = cfg.system()
-    field = _resolved_field(cfg, args.at_sta)
+    field = _resolved_field(cfg, params, args.at_sta)
     amp = cfg["sequence.rabi_amplitude"]
     if amp <= 0:
         raise ValueError("sequence.rabi_amplitude must be positive")
@@ -274,13 +253,12 @@ def _pi_duration(cfg, params, field) -> float:
     return pi_pulse_from_rabi(trace)
 
 
-def cmd_ramsey(cfg, args) -> list:
+def cmd_ramsey(cfg, params, args) -> list:
     import numpy as np
 
     from .dynamics import apply_dephasing, simulate_zq_ramsey, spectrum_peaks
 
-    params = cfg.system()
-    field = _resolved_field(cfg, args.at_sta)
+    field = _resolved_field(cfg, params, args.at_sta)
     pi_dur = _pi_duration(cfg, params, field)
     tau_grid = np.linspace(0.0, cfg["sequence.tau_max"], cfg["sequence.n_points"])
     trace = simulate_zq_ramsey(
@@ -296,7 +274,7 @@ def cmd_ramsey(cfg, args) -> list:
     return _trace_rows(trace, spectrum_peaks(trace))
 
 
-def cmd_fit(cfg, args) -> list:
+def cmd_fit(cfg, params, args) -> list:
     from dataclasses import astuple
 
     from .config import csv_row
@@ -304,8 +282,8 @@ def cmd_fit(cfg, args) -> list:
 
     dataset = read_dataset(args.dataset)
     fixed = frozenset(args.fix)
-    initial = FitParams(*astuple(cfg.system().tensor), b=cfg["field.b"])
-    result = fit_hyperfine(dataset, initial, fixed=fixed)
+    initial = FitParams(*astuple(params.tensor), b=cfg["field.b"])
+    result = fit_hyperfine(dataset, initial, fixed=fixed, params=params)
     rows = []
     for name in PARAM_IDS:
         value = getattr(result.params, name)
@@ -320,7 +298,7 @@ def cmd_fit(cfg, args) -> list:
     rows.append("converged = %s" % ("yes" if result.converged else "no"))
     rows.append("stop_reason = %s" % result.stop_reason)
     if args.bootstrap > 0:
-        sig = _bootstrap_sigmas(dataset, result, fixed, args.bootstrap, cfg["seed"])
+        sig = _bootstrap_sigmas(dataset, result, fixed, args.bootstrap, cfg["seed"], params)
         for name in PARAM_IDS:
             if name not in fixed:
                 rows.append("bootstrap_sigma.%s = %.4g" % (name, sig[name]))
@@ -331,7 +309,7 @@ def cmd_fit(cfg, args) -> list:
     return rows
 
 
-def _bootstrap_sigmas(dataset, result, fixed, n_draws, seed) -> dict:
+def _bootstrap_sigmas(dataset, result, fixed, n_draws, seed, params) -> dict:
     import dataclasses as _dc
 
     import numpy as np
@@ -351,7 +329,7 @@ def _bootstrap_sigmas(dataset, result, fixed, n_draws, seed) -> dict:
             for p, v in zip(dataset.points, values)
         )
         try:
-            r = fit_hyperfine(ScanDataset(points), result.params, fixed=fixed)
+            r = fit_hyperfine(ScanDataset(points), result.params, fixed=fixed, params=params)
         except ValueError:
             continue
         if r.converged:  # a refit stopped at max_iterations is no draw
@@ -364,11 +342,10 @@ def _bootstrap_sigmas(dataset, result, fixed, n_draws, seed) -> dict:
     return {name: float(spread[k]) for k, name in enumerate(PARAM_IDS)}
 
 
-def cmd_sensitivity(cfg, args) -> list:
+def cmd_sensitivity(cfg, params, args) -> list:
     from .estimation import sensitivity_c
 
-    params = cfg.system()
-    field = _resolved_field(cfg, args.at_sta)
+    field = _resolved_field(cfg, params, args.at_sta)
     rows = [
         "# field: b=%.6g G theta=%.6g phi=%.6g (NV frame)"
         % (field.b, field.theta, field.phi),
@@ -383,10 +360,10 @@ def cmd_sensitivity(cfg, args) -> list:
     return rows
 
 
-def cmd_principal(cfg, args) -> list:
+def cmd_principal(cfg, params, args) -> list:
     from .tensor_geometry import magnitude_sorted, principal_axes
 
-    axes = principal_axes(cfg.system().tensor)
+    axes = principal_axes(params.tensor)
     small, y_val, big = axes.values
     rows = [
         "principal_small = %.10g" % small,
@@ -400,13 +377,13 @@ def cmd_principal(cfg, args) -> list:
     return rows
 
 
-def _synth_design(cfg, which: str):
+def _synth_design(cfg, params, which: str):
     import numpy as np
 
     from .estimation import find_single_transition_axis
 
     if which == "sta-phi":
-        theta, phi, _ = find_single_transition_axis(cfg.system(), cfg["field.b"])
+        theta, phi, _ = find_single_transition_axis(params, cfg["field.b"])
         design = [(theta, phi, "sq_frequency")]
         for p in np.linspace(-90.0, 90.0, 19):
             design.append((40.0, float(p), "zq_frequency"))
@@ -424,16 +401,16 @@ def _synth_design(cfg, which: str):
     return design
 
 
-def cmd_synth(cfg, args) -> list:
+def cmd_synth(cfg, params, args) -> list:
     from dataclasses import astuple
 
     from .config import csv_row
     from .estimation import CSV_HEADER, synthesize_dataset
 
     dataset = synthesize_dataset(
-        cfg.system(),
+        params,
         b=cfg["field.b"],
-        design=_synth_design(cfg, args.design),
+        design=_synth_design(cfg, params, args.design),
         noise_sigma=cfg.noise_sigma(),
         field_imperfection=cfg.imperfection(),
         seed=cfg["seed"],

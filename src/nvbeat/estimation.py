@@ -31,7 +31,6 @@ from .spin_core import (
     _OP_TENSOR,
     _OP_ZEEMAN,
     FieldOrientation,
-    HyperfineTensor,
     SystemParams,
     drive_amplitudes,
     eigensystems,
@@ -118,9 +117,6 @@ class FitParams:
     a: float
     b: float
     phi_offset: float = 0.0  # deg added to dataset phi to reach the NV frame
-
-    def tensor(self) -> HyperfineTensor:
-        return HyperfineTensor(self.a_xx, self.a_yy, self.a_zz, self.a)
 
     def as_vector(self) -> np.ndarray:
         return np.array(
@@ -301,16 +297,16 @@ def _forward_model(params, vec, data, keep=None):
     this vector: the eigenvalues ("w") and eigenvectors ("vecs"), every
     point's lower and upper state ("states", (2n,), point k at 2k and
     2k + 1) and their energies ("e"), its signed gap ("gap"), and per
-    distinct point b in G ("b", a scalar unless ``data.per_point_b``) and
-    the azimuth's (cos, sin, 1) ("trig").
+    distinct point b in G ("b", ``data.b_dist`` with ``data.per_point_b``,
+    else vec's b at every point) and the azimuth's (cos, sin, 1) ("trig").
     """
     vec = np.asarray(vec, dtype=float)
-    b = data.b_dist if data.per_point_b else vec[4]
+    b = data.b_dist if data.per_point_b else np.full(len(data.b_dist), vec[4])
     ph = np.radians(data.phi_dist + vec[5])
     trig = np.ones((len(ph), 3))  # cos(phi), sin(phi), 1
     np.cos(ph, out=trig[:, 0])
     np.sin(ph, out=trig[:, 1])
-    bvec = (b[:, None] * data.axes if data.per_point_b else b * data.axes) * trig
+    bvec = b[:, None] * data.axes * trig
     w, vecs = np.linalg.eigh(hamiltonians(params, bvec, vec[:4]))
     labels, reason = label_manifolds(manifold_overlaps(vecs))
     if reason.any():  # every distinct point belongs to a data point
@@ -372,9 +368,7 @@ def _jacobian(params, vec, data, keep=None):
     # per data point, the change of each expectation value along its gap
     sg = np.sign(keep["gap"])
     de = sg[:, None] * (e[1::2] - e[0::2])
-    b, trig = keep["b"], keep["trig"][data.dist]
-    if data.per_point_b:
-        b = b[data.dist]
+    b, trig = keep["b"][data.dist], keep["trig"][data.dist]
     cph, sph = trig[:, 0], trig[:, 1]
     sin_t, cos_t = data.axes_at[:, 0], data.axes_at[:, 2]
     gx, gy, gz = de[:, 4], de[:, 5], de[:, 6]
@@ -411,7 +405,7 @@ def _second_directional(data, keep, dx, ddx):
         x = x.view(float).reshape(n, 2, 7, 12)
         # the field's dB/db, dB/dphi, d^2B/db dphi and d^2B/dphi^2 (n, 3, 4)
         b, trig = keep["at"]
-        b = b[:, None] if data.per_point_b else b
+        b = b[:, None]
         k, dirs = math.pi / 180.0, np.zeros((n, 3, 4))
         np.multiply(data.axes_at, trig, out=dirs[:, :, 0])
         np.multiply(dirs[:, 1::-1, 0], [-k, k], out=dirs[:, :2, 2])

@@ -144,6 +144,13 @@ def test_noise_and_imperfection_accessors():
 # CLI, run in process
 
 
+def fresh_python(*args):
+    """``python -c *args`` in a new interpreter that imports nvbeat from src."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return subprocess.run([sys.executable, "-c", *args], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -309,6 +316,30 @@ def test_fit_fixed_parameters(tmp_path, capsys):
     assert "phi_offset = 0 (fixed)" in out
 
 
+def test_fit_holds_the_config_constants(tmp_path, monkeypatch, capsys):
+    # a config's D is the fit's D: its own noiseless synth output fits back
+    # to the tensor, and every bootstrap refit gets the same constants
+    cfgp = write_cfg(tmp_path, TABLE_CFG + "constants.d = 2870.5\n")
+    ds_path = str(tmp_path / "scan.csv")
+    assert main(["--config", cfgp, "--out", ds_path, "synth", "--design", "two-theta"]) == 0
+    assert main(["--config", cfgp, "fit", ds_path]) == 0
+    got = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()
+               if " = " in line)
+    assert got["converged"] == "yes"
+    for name, want in (("a_xx", 166.9), ("a_yy", 122.9), ("a_zz", 90.0), ("a", -90.3)):
+        assert abs(float(got[name].split()[0]) - want) < 1e-3, name
+    fit, seen = estimation.fit_hyperfine, []
+
+    def record(*args, **kwargs):
+        seen.append(kwargs.get("params"))
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "fit_hyperfine", record)
+    assert main(["--config", cfgp, "fit", ds_path, "--bootstrap", "2"]) == 0
+    assert len(seen) == 3
+    assert all(isinstance(p, SystemParams) and p.d == 2870.5 for p in seen)
+
+
 @pytest.mark.parametrize("unconverged", [1, 2])
 def test_bootstrap_drops_unconverged_refits(tmp_path, monkeypatch, capsys, unconverged):
     # a refit that stops at max_iterations is unusable, like one that raises:
@@ -392,15 +423,8 @@ def test_fit_overflow_prints_only_the_error(tmp_path, rows, value, sigma):
         lines[-k] = ",".join(row)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from nvbeat.cli import main; sys.exit(main())",
-         "--config", cfgp, "fit", str(bad)],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = fresh_python("import sys; from nvbeat.cli import main; sys.exit(main())",
+                        "--config", cfgp, "fit", str(bad))
     assert proc.returncode == 1
     assert proc.stderr == (
         "error: chi^2 not finite at the initial guess; check the data values\n"
@@ -432,14 +456,7 @@ def test_default_commands_do_not_import_scipy(tmp_path):
         "    assert not loaded, (args, loaded[:5])\n"
         % (commands, cfgp, str(tmp_path / "out.txt"))
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = fresh_python(script)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -454,14 +471,22 @@ def test_table_commands_do_not_import_the_fit_module(tmp_path):
         "    assert 'nvbeat.estimation' not in sys.modules, args\n"
         % (cfgp, str(tmp_path / "out.txt"))
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=120,
+    proc = fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_package_loads_no_submodule():
+    # --threads must act before numpy loads, so `import nvbeat` loads nothing
+    script = (
+        "import sys\n"
+        "import nvbeat\n"
+        "loaded = [m for m in sys.modules\n"
+        "          if m.startswith('nvbeat.') or m.split('.')[0] == 'numpy']\n"
+        "assert not loaded, loaded\n"
+        "from nvbeat import estimation\n"
+        "assert estimation.fit_hyperfine\n"
     )
+    proc = fresh_python(script)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -834,7 +834,7 @@ def test_round_trip_many_records():
             b=float(rng.uniform(20, 60)),
             phi_offset=float(rng.uniform(-5, 5)),
         )
-        sysk = SystemParams(tensor=tr.tensor())
+        sysk = SystemParams(tensor=HyperfineTensor(tr.a_xx, tr.a_yy, tr.a_zz, tr.a))
         dsk = synthesize_dataset(
             sysk,
             b=tr.b,
