@@ -228,8 +228,6 @@ def cmd_rabi(cfg, params, args) -> list:
 
     field = _resolved_field(cfg, params, args.at_sta)
     amp = cfg["sequence.rabi_amplitude"]
-    if amp <= 0:
-        raise ValueError("sequence.rabi_amplitude must be positive")
     # four nominal Rabi periods; tau_max is the free-evolution scale, not this
     t_grid = np.linspace(0.0, 4.0 / amp, cfg["sequence.n_points"])
     pulse = PulseParams(rabi_amplitude=amp, carrier_detuning=cfg["sequence.detuning"])
@@ -246,8 +244,6 @@ def _pi_duration(cfg, params, field) -> float:
     if setting != "auto":
         return float(setting)
     amp = cfg["sequence.rabi_amplitude"]
-    if amp <= 0:
-        raise ValueError("sequence.rabi_amplitude must be positive")
     t_grid = np.linspace(0.0, 2.0 / amp, 801)
     trace = simulate_rabi(params, field, PulseParams(rabi_amplitude=amp), t_grid)
     return pi_pulse_from_rabi(trace)
@@ -292,6 +288,9 @@ def cmd_fit(cfg, params, args) -> list:
         else:
             rows.append("%s = %.10g +- %.4g" % (name, value, result.sigmas[name]))
     dof = len(dataset) - (6 - len(fixed))
+    if dof > 0 and result.chi2 > dof + 10.0 * (2.0 * dof) ** 0.5:
+        print("warning: chi2 = %.4g on %d dof: the model does not explain the data"
+              % (result.chi2, dof), file=sys.stderr)
     rows.append("chi2 = %.10g" % result.chi2)
     rows.append("dof = %d" % dof)
     rows.append("iterations = %d" % result.n_iterations)

@@ -212,8 +212,9 @@ def _validate(values, name):
     for key in ("field.theta", "nv_axis.theta"):
         if not (0.0 <= values[key] <= 180.0):
             bad("%s out of range [0, 180]" % key)
-    if values["sequence.tau_max"] <= 0:
-        bad("sequence.tau_max must be positive")
+    for key in ("sequence.tau_max", "sequence.rabi_amplitude"):
+        if values[key] <= 0:
+            bad("%s must be positive" % key)
     if not 2 <= values["sequence.n_points"] <= 2**20:
         bad("sequence.n_points must be in [2, 2**20]")
     if values["sequence.t2_star"] < 0:

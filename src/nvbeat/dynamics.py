@@ -52,11 +52,10 @@ class PulseParams:
 
 @dataclass(frozen=True)
 class RamseyTrace:
-    """Sampled population trace; envelope records any applied dephasing."""
+    """Sampled population trace."""
 
     tau: np.ndarray
     signal: np.ndarray
-    envelope: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -147,48 +146,50 @@ def simulate_rabi(
     field: FieldOrientation,
     pulse: PulseParams,
     t_grid: np.ndarray,
-    lab_frame: bool = False,
 ) -> RamseyTrace:
     """Driven ms0 population for drive durations t_grid (us).
 
     Starts from an equal classical mixture of the two ms0 eigenstates.
-    ``lab_frame=True`` propagates the explicitly time-dependent Hamiltonian
-    (no rotating wave approximation) on a 100x finer time mesh, for
-    validating the default rotating-frame path.
+    ``_rabi_lab_frame`` is the same trace without the rotating wave
+    approximation, the reference this path is checked against.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if not ((t_grid >= 0) & (t_grid < np.inf)).all():  # nan fails too
         raise ValueError("t_grid must hold finite times >= 0")
-    h0 = build_hamiltonian(params, field)
-    eig = eigensystem(h0)
+    eig = eigensystem(build_hamiltonian(params, field))
     exc = lambda_excited_index(eig, params.tensor)
-    omega_c, w_rot, x = _rotating_frame(eig, exc, pulse.carrier_detuning)
-    if lab_frame:
-        inits = [eig.vectors[:, i] for i in np.flatnonzero(eig.labels == 1)]
-        sig = _rabi_lab_frame(h0, omega_c, pulse.rabi_amplitude, inits, t_grid)
-        return RamseyTrace(tau=t_grid, signal=sig)
+    _, w_rot, x = _rotating_frame(eig, exc, pulse.carrier_detuning)
     w, v = np.linalg.eigh(np.diag(w_rot) + 0.5 * pulse.rabi_amplitude * x)
     return _ms0_mixture_trace(eig, t_grid, w, v.conj().T, v)
 
 
-def _rabi_lab_frame(h0, omega_c, amplitude, inits, t_grid):
-    """Piecewise-constant integration of H(t) = H0 + amp cos(2 pi w t) sqrt2 Sx."""
+def _rabi_lab_frame(params, field, pulse, t_grid) -> RamseyTrace:
+    """``simulate_rabi`` in the lab frame: piecewise-constant integration of
+    the explicitly time-dependent H(t) = H0 + amp cos(2 pi omega_c t) sqrt2 Sx,
+    100 steps per carrier period, with no rotating wave approximation.
+    t_grid must be non-decreasing."""
+    t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be non-decreasing")
+    h0 = build_hamiltonian(params, field)
+    eig = eigensystem(h0)
+    exc = lambda_excited_index(eig, params.tensor)
+    omega_c = _rotating_frame(eig, exc, pulse.carrier_detuning)[0]
     dt = 1.0 / (100.0 * omega_c)  # 100 steps per carrier period
+    inits = [eig.vectors[:, i] for i in np.flatnonzero(eig.labels == 1)]
     sig = np.zeros_like(t_grid)
-    for k, psi0 in enumerate(inits):
+    for psi0 in inits:
         psi = psi0.astype(complex)
         t_now = 0.0
         for n, t_target in enumerate(t_grid):
             while t_now < t_target - 1e-15:
                 step = min(dt, t_target - t_now)
                 t_mid = t_now + 0.5 * step
-                h = h0 + amplitude * np.cos(2 * np.pi * omega_c * t_mid) * _DRIVE_NORM
+                h = h0 + pulse.rabi_amplitude * np.cos(2 * np.pi * omega_c * t_mid) * _DRIVE_NORM
                 psi = _unitary(h, step) @ psi
                 t_now += step
             sig[n] += _p_ms0(psi[np.newaxis, :])[0]
-    return sig / len(inits)
+    return RamseyTrace(tau=t_grid, signal=sig / len(inits))
 
 
 def pi_pulse_from_rabi(trace: RamseyTrace) -> float:
@@ -201,15 +202,17 @@ def pi_pulse_from_rabi(trace: RamseyTrace) -> float:
     t = np.asarray(trace.tau, dtype=float)
     if len(s) < 3:
         raise ValueError("no Rabi minimum found (trace too short)")
-    for k in range(1, len(s) - 1):
-        if s[k] <= s[k - 1] and s[k] <= s[k + 1] and (s[k] < s[k - 1] or s[k] < s[k + 1]):
-            denom = s[k - 1] - 2 * s[k] + s[k + 1]
-            if denom <= 0:
-                return float(t[k])
-            shift = 0.5 * (s[k - 1] - s[k + 1]) / denom
-            shift = np.clip(shift, -1.0, 1.0)
-            return float(t[k] + shift * (t[min(k + 1, len(t) - 1)] - t[k]))
-    raise ValueError("no Rabi minimum found")
+    left, mid, right = s[:-2], s[1:-1], s[2:]
+    found = (mid <= left) & (mid <= right) & ((mid < left) | (mid < right))
+    if not found.any():
+        raise ValueError("no Rabi minimum found")
+    k = int(found.argmax()) + 1
+    denom = s[k - 1] - 2 * s[k] + s[k + 1]
+    if denom <= 0:
+        return float(t[k])
+    shift = 0.5 * (s[k - 1] - s[k + 1]) / denom
+    shift = np.clip(shift, -1.0, 1.0)
+    return float(t[k] + shift * (t[min(k + 1, len(t) - 1)] - t[k]))
 
 
 def _ideal_pi_unitary(op, om, exc, gp, gm) -> np.ndarray:
@@ -282,18 +285,15 @@ def spectrum_peaks(trace: RamseyTrace, n_peaks: int = 4) -> SpectrumPeaks:
     mag = np.abs(np.fft.rfft(x))
     freqs = np.fft.rfftfreq(len(s), step)
     floor = 1e-12 * max(np.max(mag), 1e-300)
-    pk_f, pk_m = [], []
-    for i in range(1, len(mag) - 1):
-        if mag[i] > mag[i - 1] and mag[i] >= mag[i + 1] and mag[i] > floor:
-            denom = mag[i - 1] - 2 * mag[i] + mag[i + 1]
-            shift = 0.0 if denom >= 0 else 0.5 * (mag[i - 1] - mag[i + 1]) / denom
-            pk_f.append((i + shift) * freqs[1])
-            pk_m.append(mag[i] - 0.25 * (mag[i - 1] - mag[i + 1]) * shift)
+    left, mid, right = mag[:-2], mag[1:-1], mag[2:]
+    i = np.flatnonzero((mid > left) & (mid >= right) & (mid > floor))
+    left, mid, right = left[i], mid[i], right[i]
+    denom = left - 2 * mid + right
+    shift = np.divide(0.5 * (left - right), denom, out=np.zeros_like(denom), where=~(denom >= 0))
+    pk_f = (i + 1 + shift) * freqs[1]
+    pk_m = mid - 0.25 * (left - right) * shift
     order = np.argsort(pk_m)[::-1][:n_peaks]
-    return SpectrumPeaks(
-        frequency=np.array([pk_f[i] for i in order]),
-        magnitude=np.array([pk_m[i] for i in order]),
-    )
+    return SpectrumPeaks(frequency=pk_f[order], magnitude=pk_m[order])
 
 
 def apply_dephasing(
@@ -313,8 +313,4 @@ def apply_dephasing(
     else:
         raise ValueError("unknown envelope shape %r" % (shape,))
     mean = trace.signal.mean()
-    return RamseyTrace(
-        tau=tau,
-        signal=mean + (trace.signal - mean) * env,
-        envelope={"t2_star": float(t2_star), "shape": shape},
-    )
+    return RamseyTrace(tau=tau, signal=mean + (trace.signal - mean) * env)

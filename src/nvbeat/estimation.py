@@ -32,6 +32,7 @@ from .spin_core import (
     _OP_ZEEMAN,
     FieldOrientation,
     SystemParams,
+    _arange,
     drive_amplitudes,
     eigensystems,
     hamiltonians,
@@ -865,8 +866,8 @@ def _lambda_amplitudes(params: SystemParams, b, theta, phi):
     rule = map(lambda_rule, overlap.tolist(), purity.tolist(), itertools.repeat(axis_code))
     flat = np.fromiter(itertools.chain.from_iterable(rule), int, 3 * len(order))
     reason, excited, g_plus = flat.reshape(-1, 3).T
-    rows = np.arange(len(order))[:, None]
-    ground = order[rows, np.stack([2 + g_plus, 3 - g_plus], axis=1)]  # g_plus, g_minus
+    rows = _arange(len(order), 2)
+    ground = order[rows, np.where(g_plus[:, None], (3, 2), (2, 3))]  # g_plus, g_minus
     legs = np.abs(line_drives(vectors, ground, order[rows, 4 + excited[:, None]]))
     return legs[:, 0], legs[:, 1], ok & (eig_reason == 0) & (reason == 0)
 
@@ -876,11 +877,12 @@ def _amplitude_ratios(params: SystemParams, b: float, theta, phi) -> np.ndarray:
 
     inf where ``_lambda_amplitudes`` finds no Lambda system.
     """
-    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
-    op, om, ok = _lambda_amplitudes(params, b, theta.ravel(), phi.ravel())
+    grid = np.empty((2,) + np.broadcast(theta, phi).shape)
+    grid[0], grid[1] = theta, phi
+    op, om, ok = _lambda_amplitudes(params, b, *grid.reshape(2, -1))
     hi = np.maximum(op, om)
     ratio = np.divide(np.minimum(op, om), hi, out=np.ones_like(hi), where=hi != 0)
-    return np.where(ok, ratio, np.inf).reshape(theta.shape)
+    return np.where(ok, ratio, np.inf).reshape(grid.shape[1:])
 
 
 def find_single_transition_axis(params: SystemParams, b: float):
@@ -929,7 +931,7 @@ def _sta_zoom(params: SystemParams, b: float, phis: np.ndarray):
             thetas = np.clip(th + offsets, 0.0, 90.0)
             if len(phis) > 1:
                 phis = np.clip(ph + np.r_[-offsets[:10:-1], offsets[10:]], -90.0, 90.0)
-        mirror = np.array_equal(phis, -phis[::-1])
+        mirror = bool((phis == -phis[::-1]).all())
         solve = phis[len(phis) // 2 :] if mirror else phis
         # a few hundred points per stacked eigensolve: the whole 46 x 91
         # coarse grid at once raises peak memory ~10 %, and even 10 rows of
@@ -941,6 +943,6 @@ def _sta_zoom(params: SystemParams, b: float, phis: np.ndarray):
         ])
         if mirror:
             grid = np.concatenate([grid[:, :0:-1], grid], axis=1)
-        i, j = np.unravel_index(np.argmin(grid), grid.shape)
+        i, j = divmod(int(grid.argmin()), grid.shape[1])
         th, ph, r = float(thetas[i]), float(phis[j]), float(grid[i, j])
     return th, ph, r

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,11 +297,11 @@ def _gamma_column(gamma_e, gamma_n):
     return np.array([gamma_e, gamma_n, 1.0])[_H_GAM, None]
 
 
-@functools.lru_cache(maxsize=8)
-def _arange(n: int) -> np.ndarray:
-    """np.arange(n), built once per n and read-only: the row and column
-    indices of the gathers over stacks."""
-    index = np.arange(n)
+@functools.lru_cache(maxsize=16)
+def _arange(n: int, ndim: int = 1) -> np.ndarray:
+    """np.arange(n) along the first of ndim axes, built once per (n, ndim)
+    and read-only: the row and column indices of the gathers over stacks."""
+    index = np.arange(n).reshape((n,) + (1,) * (ndim - 1))
     index.flags.writeable = False
     return index
 
@@ -312,7 +313,7 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """
     stack = vectors.reshape((-1,) + vectors.shape[-2:])
     idx = np.abs(stack).argmax(axis=1)
-    piv = stack[_arange(len(stack))[:, None], idx, _arange(idx.shape[1])]
+    piv = stack[_arange(len(stack), 2), idx, _arange(idx.shape[1])]
     mag = np.abs(piv)
     factor = np.conj(piv)  # an empty column (mag 0) stays empty
     np.divide(factor, mag, out=factor, where=mag > 0)
@@ -412,7 +413,7 @@ def eigensystems(h: np.ndarray):
     """
     h = np.asarray(h, dtype=complex)
     hermitian = _hermitian(h)
-    every = hermitian.all()
+    every = all(hermitian.tolist())
     if not every:  # nan or inf would stop LAPACK
         h = np.where(np.isfinite(h), h, 0.0)
     values, vectors = np.linalg.eigh(h)
@@ -443,7 +444,7 @@ def eigensystem(h: np.ndarray) -> Eigensystem:
         over = manifold_overlaps(vectors[0])[k]
         names = [MANIFOLD_LABELS[j] for j in labels[0, :k]]
         raise ValueError(EIGEN_REASONS[reason[0] - 1].format(k=k, over=over, labels=names))
-    return Eigensystem(values=values[0], vectors=vectors[0], labels=labels[0])
+    return Eigensystem(values[0], vectors[0], labels[0])
 
 
 def line_drives(vectors: np.ndarray, lo, hi) -> np.ndarray:
@@ -453,7 +454,7 @@ def line_drives(vectors: np.ndarray, lo, hi) -> np.ndarray:
     Each element is one gemv and one dot, as ``np.vdot(v_hi, DRIVE_SX @
     v_lo)`` computes it, so it keeps its bits in any stack.
     """
-    states, rows = vectors.mT, _arange(len(vectors))[:, None]
+    states, rows = vectors.mT, _arange(len(vectors), 2)
     return np.vecdot(states[rows, hi], (DRIVE_SX @ states[rows, lo][..., None])[..., 0])
 
 
@@ -488,16 +489,16 @@ def main_four_lines(eig: Eigensystem) -> list[TransitionLine]:
 
 def _sorted_lines(eig: Eigensystem, lo, hi, amp) -> list:
     """TransitionLines from states lo to states hi with drive amplitudes amp,
-    stably sorted by frequency."""
-    freq = np.abs(eig.values[hi] - eig.values[lo])
-    rows = list(zip(freq.tolist(), amp.tolist(), lo.tolist(), hi.tolist()))
-    return [TransitionLine(*rows[k]) for k in freq.argsort(kind="stable").tolist()]
+    stably sorted by frequency (``sorted`` is stable)."""
+    w = eig.values.tolist()
+    rows = [(abs(w[j] - w[i]), a, i, j) for i, j, a in zip(lo.tolist(), hi.tolist(), amp.tolist())]
+    return [TransitionLine(*row) for row in sorted(rows, key=operator.itemgetter(0))]
 
 
 def zero_quantum_splitting_exact(eig: Eigensystem) -> float:
     """Energy gap of the ms0 doublet, MHz."""
-    w = eig.values[eig._order[2:4]]
-    return float(abs(w[1] - w[0]))
+    w, order = eig.values, eig._order
+    return float(abs(w[order[3]] - w[order[2]]))
 
 
 def nuclear_eigenstates_excited(tensor: HyperfineTensor):
@@ -596,7 +597,7 @@ def lambda_overlaps(vectors: np.ndarray, order: np.ndarray, beta_plus, alpha_min
     weight. ``lambda_rule`` decides each row.
     """
     n = len(order)
-    block = vectors[_arange(n)[:, None, None], _PAIR_ROWS, order[:, 2:, None]]
+    block = vectors[_arange(n, 3), _PAIR_ROWS, order[:, 2:, None]]
     ref = np.empty((n, 4, 2), dtype=complex)
     ref[:, :2], ref[:, 2:] = beta_plus[:, None], alpha_minus
     pops = np.abs(block[:, 2:]) ** 2

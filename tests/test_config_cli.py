@@ -81,6 +81,10 @@ def test_parse_rejects_out_of_range_values():
         parse("seed = 1.5\n", name="t.cfg")
     with pytest.raises(ConfigError, match=re.escape("t.cfg:2: empty value for 'field.b'")):
         parse("seed = 1\nfield.b =   # nothing\n", name="t.cfg")
+    for text in ("0", "-14.3"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "t.cfg: sequence.rabi_amplitude must be positive")):
+            parse("sequence.rabi_amplitude = %s\n" % text, name="t.cfg")
     with pytest.raises(ConfigError, match=re.escape(
             "t.cfg: sequence.t2_star must be >= 0 (0 disables dephasing)")):
         parse("sequence.t2_star = -1\n", name="t.cfg")
@@ -338,6 +342,25 @@ def test_fit_holds_the_config_constants(tmp_path, monkeypatch, capsys):
     assert main(["--config", cfgp, "fit", ds_path, "--bootstrap", "2"]) == 0
     assert len(seen) == 3
     assert all(isinstance(p, SystemParams) and p.d == 2870.5 for p in seen)
+
+
+def test_fit_warns_when_chi2_is_far_above_its_dof(tmp_path, capsys):
+    # data made at D = 2870.5 MHz and fitted at the default 2870.0 stop at a
+    # stationary point whose chi2 the model cannot explain: one stderr line
+    # says so, stdout and the exit code are those of any fit
+    made = write_cfg(tmp_path, TABLE_CFG + "constants.d = 2870.5\n", "made.cfg")
+    fitted = write_cfg(tmp_path, TABLE_CFG, "fitted.cfg")
+    ds_path = str(tmp_path / "scan.csv")
+    assert main(["--config", made, "--out", ds_path, "synth", "--design", "two-theta"]) == 0
+    assert main(["--config", fitted, "fit", ds_path]) == 0
+    out, err = capsys.readouterr()
+    got = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+    assert got["converged"] == "yes" and got["dof"] == "32"
+    assert err == ("warning: chi2 = %.4g on 32 dof: the model does not explain the data\n"
+                   % float(got["chi2"]))
+    assert float(got["chi2"]) > 1e11
+    assert main(["--config", made, "fit", ds_path]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("unconverged", [1, 2])

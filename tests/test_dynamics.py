@@ -11,6 +11,7 @@ from nvbeat.analytic import RamseyModelParams, bright_dark, zq_ramsey_lambda, zq
 from nvbeat.dynamics import (
     PulseParams,
     RamseyTrace,
+    _rabi_lab_frame,
     apply_dephasing,
     pi_pulse_from_rabi,
     propagate,
@@ -110,7 +111,7 @@ def test_rabi_first_minimum_agreement():
 def test_rabi_lab_frame_cross_check():
     t = np.linspace(0, 0.12, 240)
     rot = simulate_rabi(SYS, F40, PulseParams(14.3), t)
-    lab = simulate_rabi(SYS, F40, PulseParams(14.3), t, lab_frame=True)
+    lab = _rabi_lab_frame(SYS, F40, PulseParams(14.3), t)
     dev = np.max(np.abs(rot.signal - lab.signal))
     print("lab frame deviation: %.4f" % dev)
     assert dev < 0.05
@@ -224,6 +225,55 @@ def test_spectrum_peaks_tone():
 
     flat = RamseyTrace(tau=t, signal=np.full_like(t, 0.75))
     assert len(spectrum_peaks(flat).frequency) == 0
+
+
+@pytest.mark.parametrize("signal, want", [
+    ([1.0, 0.5, 0.2, 0.2, 0.2, 0.6, 1.0], "0x1.0000000000001p-2"),  # flat bottom
+    ([0.5, 0.5, 0.5, 0.2, 0.9, 0.1], "0x1.1eb851eb851ecp-2"),  # equal neighbours
+    ([1.0, 0.4, 0.1, 0.4, 1.0], "0x1.999999999999ap-3"),  # symmetric minimum
+    ([1.0, 0.2, 0.7], "0x1.c8dc8dc8dc8ddp-4"),  # three samples
+])
+def test_pi_pulse_edge_traces(signal, want):
+    # the first sample no higher than both neighbours and lower than one,
+    # refined by the parabola, as the sample-by-sample walk found it
+    t = np.linspace(0.0, 0.1 * (len(signal) - 1), len(signal))
+    assert pi_pulse_from_rabi(RamseyTrace(tau=t, signal=np.array(signal))).hex() == want
+    for bad, msg in (([1.0, 0.8, 0.6, 0.4], "no Rabi minimum found$"),
+                     ([0.2, 0.2, 0.2, 0.2], "no Rabi minimum found$"),
+                     ([1.0, 0.2], r"trace too short")):
+        with pytest.raises(ValueError, match=msg):
+            pi_pulse_from_rabi(RamseyTrace(tau=np.arange(len(bad)) * 0.1, signal=np.array(bad)))
+
+
+@pytest.mark.parametrize("mag, freqs, mags", [
+    # a plateau counts once, at its first bin
+    ([0.0, 1.0, 3.0, 3.0, 1.0, 0.5, 2.0, 5.0, 2.0, 0.0],
+     ["0x1.f1c71c71c71c8p+2", "0x1.638e38e38e38ep+1"],
+     ["0x1.4000000000000p+2", "0x1.a000000000000p+1"]),
+    # local maxima at or below 1e-12 of the largest are no peaks
+    ([0.0, 2e-12, 1e-12, 3.0, 1.0, 4e-12, 0.0, 1e-13, 0.0, 0.0],
+     ["0x1.b8e38e38e381cp+1"], ["0x1.83333333332cep+1"]),
+])
+def test_spectrum_peaks_edge_spectra(monkeypatch, mag, freqs, mags):
+    n = 2 * len(mag) - 2
+    monkeypatch.setattr(np.fft, "rfft", lambda x: np.asarray(mag, dtype=complex))
+    peaks = spectrum_peaks(RamseyTrace(tau=np.arange(n) * 0.05, signal=np.arange(n) % 3.0), 8)
+    assert [f.hex() for f in peaks.frequency] == freqs
+    assert [m.hex() for m in peaks.magnitude] == mags
+
+
+def test_spectrum_peaks_truncates_and_keeps_empty_arrays():
+    t = np.arange(64) * 0.25
+    tones = sum(a * np.cos(2 * np.pi * f * t) for a, f in ((0.3, 0.5), (0.2, 1.25), (0.1, 1.7)))
+    freqs = ["0x1.ffffeb6218ec7p-2", "0x1.40006bca716dap+0", "0x1.b2848ca5c8f53p+0"]
+    mags = ["0x1.2e6e53197d348p+2", "0x1.93360a64bbb20p+1", "0x1.8e21f5ae3d678p+0"]
+    for n in (2, 3, 50):
+        peaks = spectrum_peaks(RamseyTrace(tau=t, signal=tones), n_peaks=n)
+        assert [f.hex() for f in peaks.frequency] == freqs[:n]
+        assert [m.hex() for m in peaks.magnitude] == mags[:n]
+    flat = spectrum_peaks(RamseyTrace(tau=t, signal=np.full(64, 0.75)))
+    for values in (flat.frequency, flat.magnitude):
+        assert values.dtype == np.float64 and values.shape == (0,)
 
 
 def test_spectrum_peaks_input_checks():

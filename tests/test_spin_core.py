@@ -259,6 +259,28 @@ def test_sq_lines_match_the_state_loop():
         )
 
 
+def test_zero_tensor_degenerate_lines_keep_their_order():
+    # equal frequencies keep the order of ms0 state, then upper state: every
+    # line at zero field, and the bright pairs at an axial field
+    d, half = "0x1.66c0000000000p+11", "0x1.0000000000001p-1"
+    lo, lo_pair, hi = "0x1.58a083f6b4fd9p+11", "0x1.58a1e56041893p+11", "0x1.58a346c9ce14dp+11"
+    axial_main = [(lo, "0x0.0p+0", 1, 2), (lo_pair, half, 0, 2), (lo_pair, half, 1, 3),
+                  (hi, "0x0.0p+0", 0, 3)]
+    cases = {
+        0.0: ([(d, half if i == j % 2 else "0x0.0p+0", i, j) for i in (0, 1) for j in (2, 3, 4, 5)],
+              [(d, half, 0, 4), (d, "0x0.0p+0", 0, 5), (d, "0x0.0p+0", 1, 4), (d, half, 1, 5)]),
+        40.3: (axial_main + [
+            ("0x1.74dcb93631eb3p+11", "0x0.0p+0", 1, 4), ("0x1.74de1a9fbe76dp+11", half, 0, 4),
+            ("0x1.74de1a9fbe76dp+11", half, 1, 5), ("0x1.74df7c094b027p+11", "0x0.0p+0", 0, 5),
+        ], axial_main),
+    }
+    for b, (sq, main) in cases.items():
+        eig = eigensystem(build_hamiltonian(SystemParams(), FieldOrientation(b, 0.0, 90.0)))
+        for lines, want in ((single_quantum_transitions(eig), sq), (main_four_lines(eig), main)):
+            assert [(ln.frequency.hex(), ln.amplitude.hex(), ln.from_state, ln.to_state)
+                    for ln in lines] == want
+
+
 def test_labeling_at_theta90():
     # linear Zeeman vanishes between ms_plus and ms_minus at theta=90;
     # labeling must still resolve the ms0 doublet without raising
