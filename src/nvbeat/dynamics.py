@@ -289,6 +289,7 @@ def spectrum_peaks(trace: RamseyTrace, n_peaks: int = 4) -> SpectrumPeaks:
     i = np.flatnonzero((mid > left) & (mid >= right) & (mid > floor))
     left, mid, right = left[i], mid[i], right[i]
     denom = left - 2 * mid + right
+    # no shift where denom >= 0; a nan denom (from inf magnitudes) divides to nan
     shift = np.divide(0.5 * (left - right), denom, out=np.zeros_like(denom), where=~(denom >= 0))
     pk_f = (i + 1 + shift) * freqs[1]
     pk_m = mid - 0.25 * (left - right) * shift
