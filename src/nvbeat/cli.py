@@ -111,7 +111,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     from . import __version__
-    from .config import RunConfig, parse, parse_file
+    from .config import RunConfig, _validate, parse, parse_file
 
     config_path = getattr(args, "config", None)
     if config_path:
@@ -120,7 +120,9 @@ def _run(args) -> int:
         cfg = parse("")
     seed = getattr(args, "seed", None)
     if seed is not None:
-        cfg = RunConfig({**cfg.values, "seed": seed})
+        values = {**cfg.values, "seed": seed}
+        _validate(values, "--seed")
+        cfg = RunConfig(values)
     rows = ["# nvbeat %s config=%s" % (__version__, cfg.digest())]
     rows += args.handler(cfg, cfg.system(), args)
     text = "\n".join(rows) + "\n"
@@ -276,6 +278,8 @@ def cmd_fit(cfg, params, args) -> list:
     from .config import csv_row
     from .estimation import CSV_HEADER, PARAM_IDS, FitParams, fit_hyperfine, read_dataset
 
+    if args.bootstrap < 0:
+        raise ValueError("--bootstrap must be >= 0")
     dataset = read_dataset(args.dataset)
     fixed = frozenset(args.fix)
     initial = FitParams(*astuple(params.tensor), b=cfg["field.b"])

@@ -226,6 +226,8 @@ def _validate(values, name):
     if values["noise.imperfection.amplitude"] != 0.0:
         if values["noise.imperfection.period"] == 0.0:
             bad("noise.imperfection.period must be nonzero")
+    if values["seed"] < 0:
+        bad("seed must be >= 0")
 
 
 def parse_file(path: str) -> RunConfig:

@@ -249,6 +249,8 @@ def simulate_zq_ramsey(
         raise ValueError("tau_grid must hold finite times >= 0")
     if not np.isfinite(detuning):
         raise ValueError("detuning must be finite")
+    if rabi_amplitude is not None:
+        PulseParams(rabi_amplitude)  # finite and >= 0, or raises
     eig = eigensystem(build_hamiltonian(params, field))
     if ideal_pulses:
         lam = lambda_system(eig, params.tensor, field)
@@ -273,6 +275,8 @@ def spectrum_peaks(trace: RamseyTrace, n_peaks: int = 4) -> SpectrumPeaks:
     three-point parabolic interpolation and returned sorted by descending
     magnitude. A constant trace yields no peaks.
     """
+    if not (isinstance(n_peaks, (int, np.integer)) and n_peaks >= 1):
+        raise ValueError("n_peaks must be an integer >= 1, got %r" % (n_peaks,))
     t = np.asarray(trace.tau, dtype=float)
     s = np.asarray(trace.signal, dtype=float)
     if len(t) < 16:

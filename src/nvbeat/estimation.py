@@ -260,7 +260,7 @@ def _sq_lines(w, vecs, order, data):
     state, stacked (2, nsq).
     """
     at, rows = data.sq_at[:, None], data.sq_rows
-    pairs = order[at, _MAIN_LINES[:, None]]  # (2, nsq, 4): ms0, ms_minus states
+    pairs = order[:, 2:][at, _MAIN_LINES[:, None]]  # (2, nsq, 4): ms0, ms_minus states
     e = w[at, pairs]
     freqs = np.abs(e[1] - e[0])
     # the line of each indexed point; unindexed points are set below
@@ -860,15 +860,15 @@ def _lambda_amplitudes(params: SystemParams, b, theta, phi):
     ok = np.isfinite(b) & (b > 0) & (theta >= 0.0) & (theta <= 180.0)
     h = hamiltonians(params, np.where(ok, b, 0.0)[:, None] * unit_vectors(theta, phi))
     _, vectors, labels, eig_reason = eigensystems(h)
-    order = label_order(labels)
+    rows = _arange(len(labels), 2)
+    states = vectors.mT[rows, label_order(labels)[:, 2:]]  # ms0 pair, ms_minus pair
     alpha_minus, axis_code = params.tensor._alpha_minus
-    overlap, purity = lambda_overlaps(vectors, order, zeeman_states(theta, phi)[0], alpha_minus)
+    overlap, purity = lambda_overlaps(states, zeeman_states(theta, phi)[0], alpha_minus)
     rule = map(lambda_rule, overlap.tolist(), purity.tolist(), itertools.repeat(axis_code))
-    flat = np.fromiter(itertools.chain.from_iterable(rule), int, 3 * len(order))
+    flat = np.fromiter(itertools.chain.from_iterable(rule), int, 3 * len(labels))
     reason, excited, g_plus = flat.reshape(-1, 3).T
-    rows = _arange(len(order), 2)
-    ground = order[rows, np.where(g_plus[:, None], (3, 2), (2, 3))]  # g_plus, g_minus
-    legs = np.abs(line_drives(vectors, ground, order[rows, 4 + excited[:, None]]))
+    ground = states[rows, g_plus[:, None] ^ _arange(2)]  # g_plus, g_minus
+    legs = np.abs(line_drives(ground, states[rows, 2 + excited[:, None]]))
     return legs[:, 0], legs[:, 1], ok & (eig_reason == 0) & (reason == 0)
 
 

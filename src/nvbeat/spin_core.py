@@ -12,6 +12,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,15 +171,18 @@ class Eigensystem:
         return label_order(self.labels)
 
     @_cached
+    def _states(self):
+        """The ms0 pair's, then the ms_minus pair's vectors as rows (4, 6)."""
+        return self.vectors.T[self._order[2:]]
+
+    @_cached
     def _main_legs(self):
-        """|<hi|DRIVE_SX|lo>| of the four main lines, the (lo, hi) positions
-        of ``_MAIN_LINES`` in ``_order``, once per eigensystem."""
-        lo, hi = self._order[_MAIN_LINES[:, None]]
-        return np.abs(line_drives(self.vectors[None], lo, hi)[0])
+        """|<hi|DRIVE_SX|lo>| of the four main lines, each ms0 row of
+        ``_states`` against each ms_minus row: the order of ``_MAIN_LINES``."""
+        return np.abs(line_drives(self._states[:2, None], self._states[2:])).ravel()
 
 
-@dataclass(frozen=True)
-class TransitionLine:
+class TransitionLine(NamedTuple):
     """One allowed line: frequency (MHz), drive amplitude |<f|V|i>|^2, state indices."""
 
     frequency: float
@@ -447,24 +451,23 @@ def eigensystem(h: np.ndarray) -> Eigensystem:
     return Eigensystem(values[0], vectors[0], labels[0])
 
 
-def line_drives(vectors: np.ndarray, lo, hi) -> np.ndarray:
-    """<hi|DRIVE_SX|lo> over a stack of eigenvector matrices vectors (n, 6, 6)
-    for state indices lo (n, m) and hi, broadcast against lo; result (n, m).
+def line_drives(lo_states: np.ndarray, hi_states: np.ndarray) -> np.ndarray:
+    """<hi|DRIVE_SX|lo> for state rows lo_states (..., 6) and hi_states,
+    broadcast against them; result (...).
 
     Each element is one gemv and one dot, as ``np.vdot(v_hi, DRIVE_SX @
     v_lo)`` computes it, so it keeps its bits in any stack.
     """
-    states, rows = vectors.mT, _arange(len(vectors), 2)
-    return np.vecdot(states[rows, hi], (DRIVE_SX @ states[rows, lo][..., None])[..., 0])
+    return np.vecdot(hi_states, (DRIVE_SX @ lo_states[..., None])[..., 0])
 
 
 def drive_amplitudes(vectors: np.ndarray, lo, hi) -> np.ndarray:
     """|<hi|DRIVE_SX|lo>|^2 for state index arrays lo and hi of vectors (6, 6)."""
-    return np.abs(line_drives(vectors[None], lo[None], hi[None])[0]) ** 2
+    return np.abs(line_drives(vectors.T[lo], vectors.T[hi])) ** 2
 
 
-# the four main lines: (from, to) positions in a ``label_order``, ms0 to ms_minus
-_MAIN_LINES = np.array([[2, 2, 3, 3], [4, 5, 4, 5]])
+# the four main lines: (from, to) rows of an ``Eigensystem._states``, ms0 to ms_minus
+_MAIN_LINES = np.array([[0, 0, 1, 1], [2, 3, 2, 3]])
 
 
 def single_quantum_transitions(eig: Eigensystem) -> list[TransitionLine]:
@@ -483,7 +486,7 @@ def single_quantum_transitions(eig: Eigensystem) -> list[TransitionLine]:
 
 def main_four_lines(eig: Eigensystem) -> list[TransitionLine]:
     """The four ms0 <-> ms_minus lines of ``single_quantum_transitions``."""
-    lo, hi = eig._order[_MAIN_LINES]
+    lo, hi = eig._order[2:][_MAIN_LINES]
     return _sorted_lines(eig, lo, hi, eig._main_legs ** 2)
 
 
@@ -577,28 +580,27 @@ LAMBDA_REASONS = (
 )
 
 
-# per state of a ``lambda_overlaps`` row (the ms0 pair, then the ms_minus
-# pair): its components in its own manifold
+# per state row of a ``lambda_overlaps`` stack: its components in its own manifold
 _PAIR_ROWS = np.array([[2, 3], [2, 3], [4, 5], [4, 5]])
 # beta_plus where only the excited level is asked for, which it does not decide
 _NO_ZEEMAN_STATE = np.full(2, np.nan)
 
 
-def lambda_overlaps(vectors: np.ndarray, order: np.ndarray, beta_plus, alpha_minus):
+def lambda_overlaps(states: np.ndarray, beta_plus, alpha_minus):
     """The overlaps the Lambda systems of labelled eigensystems are read from.
 
-    vectors (n, 6, 6) as from ``eigensystems``, where that marks them ok,
-    order (n, 6) the ``label_order`` of their labels, beta_plus (n, 2) from
-    ``zeeman_states`` and alpha_minus (2,) from ``nuclear_eigenstates_excited``.
-    Returns (overlap, purity): overlap (n, 4) holds the two ms0 states'
-    overlaps with beta_plus, then the two ms_minus states' overlaps with
-    alpha_minus, by ``_nuclear_overlaps`` (nan where a state has no weight
-    in its manifold); purity (n, 2) holds the ms_minus states' ms_minus
-    weight. ``lambda_rule`` decides each row.
+    states (n, 4, 6) holds rows of eigenvectors from ``eigensystems``, where
+    it marks them ok: positions 2-5 of their ``label_order``, the ms0 pair
+    and the ms_minus pair; beta_plus (n, 2) is from ``zeeman_states`` and
+    alpha_minus (2,) from ``nuclear_eigenstates_excited``. Returns (overlap,
+    purity): overlap (n, 4) holds the two ms0 states' overlaps with
+    beta_plus, then the two ms_minus states' overlaps with alpha_minus, by
+    ``_nuclear_overlaps`` (nan where a state has no weight in its manifold);
+    purity (n, 2) holds the ms_minus states' ms_minus weight.
+    ``lambda_rule`` decides each row.
     """
-    n = len(order)
-    block = vectors[_arange(n, 3), _PAIR_ROWS, order[:, 2:, None]]
-    ref = np.empty((n, 4, 2), dtype=complex)
+    block = states[:, _arange(4, 2), _PAIR_ROWS]
+    ref = np.empty((len(states), 4, 2), dtype=complex)
     ref[:, :2], ref[:, 2:] = beta_plus[:, None], alpha_minus
     pops = np.abs(block[:, 2:]) ** 2
     return _nuclear_overlaps(block, ref), pops[..., 0] + pops[..., 1]
@@ -636,9 +638,7 @@ def _lambda_row(eig: Eigensystem, tensor: HyperfineTensor, beta_plus):
     one of ``lambda_overlaps``. Raises the LAMBDA_REASONS message of its
     reason code."""
     alpha_minus, axis_code = tensor._alpha_minus
-    overlap, purity = lambda_overlaps(
-        eig.vectors[None], eig._order[None], beta_plus[None], alpha_minus
-    )
+    overlap, purity = lambda_overlaps(eig._states[None], beta_plus[None], alpha_minus)
     overlap, purity = overlap[0].tolist(), purity[0].tolist()
     reason, excited, g_plus = lambda_rule(overlap, purity, axis_code)
     if reason:

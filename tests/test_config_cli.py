@@ -79,6 +79,8 @@ def test_parse_rejects_out_of_range_values():
     with pytest.raises(ConfigError, match=re.escape(
             "t.cfg:1: seed: expected an integer, got '1.5'")):
         parse("seed = 1.5\n", name="t.cfg")
+    with pytest.raises(ConfigError, match=re.escape("t.cfg: seed must be >= 0")):
+        parse("seed = -5\n", name="t.cfg")
     with pytest.raises(ConfigError, match=re.escape("t.cfg:2: empty value for 'field.b'")):
         parse("seed = 1\nfield.b =   # nothing\n", name="t.cfg")
     for text in ("0", "-14.3"):
@@ -163,9 +165,20 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 def test_seed_flag_sets_the_config_seed(tmp_path, capsys):
     cfgp = write_cfg(tmp_path, TABLE_CFG)
-    assert main(["--config", cfgp, "--seed", "-3", "principal"]) == 0
+    assert main(["--config", cfgp, "--seed", "3", "principal"]) == 0
     header = capsys.readouterr().out.splitlines()[0]
-    assert header.endswith("config=%s" % parse(TABLE_CFG + "seed = -3\n").digest())
+    assert header.endswith("config=%s" % parse(TABLE_CFG + "seed = 3\n").digest())
+
+
+def test_negative_seed_is_an_error_on_both_routes(tmp_path, capsys):
+    # numpy's generator takes no negative seed: synth failed with its bare
+    # message, and a command that draws nothing printed the bad config's digest
+    bad = write_cfg(tmp_path, TABLE_CFG + "seed = -5\n", "bad.cfg")
+    cfgp = write_cfg(tmp_path, TABLE_CFG)
+    for argv, where in (([bad], bad), ([cfgp, "--seed", "-1"], "--seed")):
+        for command in (["principal"], ["synth", "--design", "two-theta"]):
+            assert main(["--config", *argv, *command]) == 1
+            assert capsys.readouterr() == ("", "error: %s: seed must be >= 0\n" % where)
 
 
 def test_synth_byte_identical_and_flag_positions(tmp_path):
@@ -392,6 +405,15 @@ def test_bootstrap_drops_unconverged_refits(tmp_path, monkeypatch, capsys, uncon
     spread = np.std([r.params.as_vector() for r in refits[2:]], axis=0, ddof=1)
     for k, name in enumerate(("a_xx", "a_yy", "a_zz", "a", "b", "phi_offset")):
         assert "bootstrap_sigma.%s = %.4g\n" % (name, spread[k]) in out
+
+
+def test_fit_rejects_a_negative_bootstrap(tmp_path, capsys):
+    # --bootstrap -3 printed the fit with no bootstrap rows and exited 0
+    cfgp = write_cfg(tmp_path, TABLE_CFG)
+    ds_path = str(tmp_path / "scan.csv")
+    assert main(["--config", cfgp, "--out", ds_path, "synth", "--design", "two-theta"]) == 0
+    assert main(["--config", cfgp, "fit", ds_path, "--bootstrap", "-3"]) == 1
+    assert capsys.readouterr() == ("", "error: --bootstrap must be >= 0\n")
 
 
 def test_fit_rejects_unknown_fixed_parameter(tmp_path, capsys):

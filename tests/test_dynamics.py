@@ -267,10 +267,14 @@ def test_spectrum_peaks_truncates_and_keeps_empty_arrays():
     tones = sum(a * np.cos(2 * np.pi * f * t) for a, f in ((0.3, 0.5), (0.2, 1.25), (0.1, 1.7)))
     freqs = ["0x1.ffffeb6218ec7p-2", "0x1.40006bca716dap+0", "0x1.b2848ca5c8f53p+0"]
     mags = ["0x1.2e6e53197d348p+2", "0x1.93360a64bbb20p+1", "0x1.8e21f5ae3d678p+0"]
-    for n in (2, 3, 50):
+    for n in (2, 3, 50, np.int64(2)):
         peaks = spectrum_peaks(RamseyTrace(tau=t, signal=tones), n_peaks=n)
         assert [f.hex() for f in peaks.frequency] == freqs[:n]
         assert [m.hex() for m in peaks.magnitude] == mags[:n]
+    # -1 dropped the weakest peak and 0.5 failed in the slice
+    for n in (-1, 0, 0.5, 2.0, None):
+        with pytest.raises(ValueError, match="n_peaks must be an integer >= 1"):
+            spectrum_peaks(RamseyTrace(tau=t, signal=tones), n_peaks=n)
     flat = spectrum_peaks(RamseyTrace(tau=t, signal=np.full(64, 0.75)))
     for values in (flat.frequency, flat.magnitude):
         assert values.dtype == np.float64 and values.shape == (0,)
@@ -300,6 +304,12 @@ def test_pulse_and_ramsey_input_checks():
     for bad in (math.inf, math.nan, 0.0, -0.035):
         with pytest.raises(ValueError, match="pi_duration must be finite and positive"):
             simulate_zq_ramsey(SYS, F40, bad, 0.0, tau, rabi_amplitude=14.3)
+    # a nan or inf drive ended in eigh's "Eigenvalues did not converge"
+    for bad in (math.nan, math.inf, -14.3):
+        for ideal in (False, True):
+            with pytest.raises(ValueError, match="rabi_amplitude must be finite and >= 0"):
+                simulate_zq_ramsey(SYS, F40, 0.035, 0.0, tau, rabi_amplitude=bad,
+                                   ideal_pulses=ideal)
     # a nan time gave a nan signal and a nan detuning numpy's LinAlgError
     pulse = PulseParams(14.3)
     for grid in ([0.0, math.nan], [0.0, math.inf], [-0.01, 0.0]):

@@ -15,6 +15,7 @@ from nvbeat.spin_core import (
     FieldOrientation,
     HyperfineTensor,
     SystemParams,
+    TransitionLine,
     _OP_SZ2,
     _OP_TENSOR,
     _OP_ZEEMAN,
@@ -274,11 +275,15 @@ def test_zero_tensor_degenerate_lines_keep_their_order():
             ("0x1.74de1a9fbe76dp+11", half, 1, 5), ("0x1.74df7c094b027p+11", "0x0.0p+0", 0, 5),
         ], axial_main),
     }
+    assert TransitionLine._fields == ("frequency", "amplitude", "from_state", "to_state")
     for b, (sq, main) in cases.items():
         eig = eigensystem(build_hamiltonian(SystemParams(), FieldOrientation(b, 0.0, 90.0)))
         for lines, want in ((single_quantum_transitions(eig), sq), (main_four_lines(eig), main)):
             assert [(ln.frequency.hex(), ln.amplitude.hex(), ln.from_state, ln.to_state)
                     for ln in lines] == want
+            # TransitionLine tuples: the named fields are the items
+            assert all(type(ln) is TransitionLine for ln in lines)
+            assert [(f.hex(), a.hex(), i, j) for f, a, i, j in lines] == want
 
 
 def test_labeling_at_theta90():
@@ -647,14 +652,15 @@ def _lambda_rows(cases, tensor):
     ``line_drives`` call."""
     vectors = np.stack([eig.vectors for eig, _ in cases])
     order = label_order(np.stack([eig.labels for eig, _ in cases]))
+    n = np.arange(len(cases))
+    states = vectors.mT[n[:, None], order[:, 2:]]
     theta, phi = np.array([(f.theta, f.phi) for _, f in cases]).T
     alpha_minus, axis_code = tensor._alpha_minus
-    overlap, purity = lambda_overlaps(vectors, order, zeeman_states(theta, phi)[0], alpha_minus)
+    overlap, purity = lambda_overlaps(states, zeeman_states(theta, phi)[0], alpha_minus)
     rows = [lambda_rule(o, p, axis_code) for o, p in zip(overlap.tolist(), purity.tolist())]
     reason, e, g = np.array(rows, dtype=int).T
-    n = np.arange(len(cases))
     excited, ground = order[n, 4 + e], order[n[:, None], np.stack([2 + g, 3 - g], 1)]
-    legs = np.abs(line_drives(vectors, ground, excited[:, None]))
+    legs = np.abs(line_drives(vectors.mT[n[:, None], ground], vectors.mT[n, excited][:, None]))
     systems, indices = [], []
     for k, (_, f) in enumerate(cases):
         if reason[k]:
@@ -679,15 +685,17 @@ def test_batched_kernels_take_empty_stacks():
     values, vectors, labels, reason = eigensystems(h)
     over = manifold_overlaps(vectors)
     order = label_order(labels)
-    overlap, purity = lambda_overlaps(vectors, order, beta_plus, REF._alpha_minus[0])
-    drives = line_drives(vectors, order[:, [2, 3]], order[:, 4:5])
+    states = vectors.mT[np.arange(0)[:, None], order[:, 2:]]
+    overlap, purity = lambda_overlaps(states, beta_plus, REF._alpha_minus[0])
+    drives = line_drives(states[:, :2], states[:, 2:3])
     legs = _lambda_amplitudes(SYS, 40.3, none, none)
     got = [bvec, beta_plus, beta_minus, h, hamiltonians(SYS, bvec, np.zeros((0, 4))), values,
-           vectors, labels, reason, over, *label_manifolds(over), order, overlap, purity,
-           drives, *legs, model_values(SYS, [])]
+           vectors, labels, reason, over, *label_manifolds(over), order, states, overlap,
+           purity, drives, *legs, model_values(SYS, [])]
     shapes = [(0, 3), (0, 2), (0, 2), (0, 6, 6), (0, 6, 6), (0, 6), (0, 6, 6), (0, 6), (0,),
-              (0, 6, 3), (0, 6), (0,), (0, 6), (0, 4), (0, 2), (0, 2), (0,), (0,), (0,), (0,)]
-    kinds = "fccccfciifiiiffcffbf"
+              (0, 6, 3), (0, 6), (0,), (0, 6), (0, 4, 6), (0, 4), (0, 2), (0, 2), (0,), (0,),
+              (0,), (0,)]
+    kinds = "fccccfciifiiicffcffbf"
     assert [a.shape for a in got] == shapes
     assert "".join(a.dtype.kind for a in got) == kinds
 
@@ -704,13 +712,27 @@ def test_line_drives_match_vdot_bit_for_bit():
         systems[: min(n, 4)] = (pole + side)[: min(n, 4)]
         vectors = np.stack([eigensystem(build_hamiltonian(p, f)).vectors for p, f in systems])
         lo, hi = rng.integers(0, 6, (2, n, 5))
+        rows = np.arange(n)[:, None]
         for hi_rows in (hi, hi[:, :1]):  # hi broadcast against lo, too
-            got = line_drives(vectors, lo, hi_rows)
+            got = line_drives(vectors.mT[rows, lo], vectors.mT[rows, hi_rows])
             for v, ls, hs, row in zip(vectors, lo, np.broadcast_to(hi_rows, lo.shape), got):
                 want = [np.vdot(v[:, h], DRIVE_SX @ v[:, l]) for l, h in zip(ls, hs)]
-                assert [(z.real.hex(), z.imag.hex()) for z in row.tolist()] == [
-                    (z.real.hex(), z.imag.hex()) for z in want
-                ]
+                assert _hex(row) == _hex(want)
+
+    # an Eigensystem's main-line drives, from its gathered ms0 and ms_minus
+    # states, on the zero tensor (degenerate pairs) at the pole and at 90
+    zero = SystemParams()
+    for p, f in [(zero, FieldOrientation(40.3, 0.0, 0.0)), (zero, FieldOrientation(40.3, 90.0, 0.0))]:
+        eig = eigensystem(build_hamiltonian(p, f))
+        v, order = eig.vectors, label_order(eig.labels)
+        want = [abs(np.vdot(v[:, order[h]], DRIVE_SX @ v[:, order[l]]))
+                for l, h in ((2, 4), (2, 5), (3, 4), (3, 5))]
+        assert [x.hex() for x in eig._main_legs.tolist()] == [x.hex() for x in want]
+
+
+def _hex(row):
+    """float.hex of the real and imaginary parts of each complex in row."""
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in row]
 
 
 def test_scan_point_solves_once(monkeypatch):
