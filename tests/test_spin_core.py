@@ -721,9 +721,8 @@ def test_line_drives_match_vdot_bit_for_bit():
 
     # an Eigensystem's main-line drives, from its gathered ms0 and ms_minus
     # states, on the zero tensor (degenerate pairs) at the pole and at 90
-    zero = SystemParams()
-    for p, f in [(zero, FieldOrientation(40.3, 0.0, 0.0)), (zero, FieldOrientation(40.3, 90.0, 0.0))]:
-        eig = eigensystem(build_hamiltonian(p, f))
+    for theta in (0.0, 90.0):
+        eig = eigensystem(build_hamiltonian(SystemParams(), FieldOrientation(40.3, theta, 0.0)))
         v, order = eig.vectors, label_order(eig.labels)
         want = [abs(np.vdot(v[:, order[h]], DRIVE_SX @ v[:, order[l]]))
                 for l, h in ((2, 4), (2, 5), (3, 4), (3, 5))]
