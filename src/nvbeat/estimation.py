@@ -37,7 +37,6 @@ from .spin_core import (
     eigensystems,
     hamiltonians,
     label_manifolds,
-    label_order,
     lambda_overlaps,
     lambda_rule,
     line_drives,
@@ -309,14 +308,13 @@ def _forward_model(params, vec, data, keep=None):
     np.sin(ph, out=trig[:, 1])
     bvec = b[:, None] * data.axes * trig
     w, vecs = np.linalg.eigh(hamiltonians(params, bvec, vec[:4]))
-    labels, reason = label_manifolds(manifold_overlaps(vecs))
+    _, reason, order = label_manifolds(manifold_overlaps(vecs))
     if reason.any():  # every distinct point belongs to a data point
         k = int(np.argmax(reason[data.dist] > 0))
         raise ValueError(
             "manifold assignment ambiguous in forward model at point %d "
             "(theta=%.3f phi=%.3f)" % (k, data.theta[k], data.phi[k])
         )
-    order = label_order(labels)
     states = order[data.dist2, data.ms0_pair]  # the ms0 pair, for ZQ points
     if len(data.sq):
         lo, hi = states[0::2], states[1::2]
@@ -859,13 +857,14 @@ def _lambda_amplitudes(params: SystemParams, b, theta, phi):
     phi = wrap_azimuth(phi)  # as FieldOrientation
     ok = np.isfinite(b) & (b > 0) & (theta >= 0.0) & (theta <= 180.0)
     h = hamiltonians(params, np.where(ok, b, 0.0)[:, None] * unit_vectors(theta, phi))
-    _, vectors, labels, eig_reason = eigensystems(h)
-    rows = _arange(len(labels), 2)
-    states = vectors.mT[rows, label_order(labels)[:, 2:]]  # ms0 pair, ms_minus pair
+    _, vectors, _, eig_reason, order, weight = eigensystems(h)
+    rows = _arange(len(order), 2)
+    states = vectors.mT[rows, order[:, 2:]]  # ms0 pair, ms_minus pair
+    purity = weight[rows, order[:, 4:]]
     alpha_minus, axis_code = params.tensor._alpha_minus
-    overlap, purity = lambda_overlaps(states, zeeman_states(theta, phi)[0], alpha_minus)
+    overlap = lambda_overlaps(states, zeeman_states(theta, phi, False), alpha_minus)
     rule = map(lambda_rule, overlap.tolist(), purity.tolist(), itertools.repeat(axis_code))
-    flat = np.fromiter(itertools.chain.from_iterable(rule), int, 3 * len(labels))
+    flat = np.fromiter(itertools.chain.from_iterable(rule), int, 3 * len(order))
     reason, excited, g_plus = flat.reshape(-1, 3).T
     ground = states[rows, g_plus[:, None] ^ _arange(2)]  # g_plus, g_minus
     legs = np.abs(line_drives(ground, states[rows, 2 + excited[:, None]]))

@@ -167,8 +167,13 @@ class Eigensystem:
 
     @_cached
     def _order(self):
-        """``label_order`` of the labels, once per eigensystem."""
+        """``label_order`` of the labels; ``eigensystem`` sets it, and ``_purity``."""
         return label_order(self.labels)
+
+    @_cached
+    def _purity(self):
+        """The ms_minus pair's ms_minus weight (Python floats)."""
+        return manifold_overlaps(self.vectors)[self._order[4:], 2].tolist()
 
     @_cached
     def _states(self):
@@ -177,9 +182,9 @@ class Eigensystem:
 
     @_cached
     def _main_legs(self):
-        """|<hi|DRIVE_SX|lo>| of the four main lines, each ms0 row of
-        ``_states`` against each ms_minus row: the order of ``_MAIN_LINES``."""
-        return np.abs(line_drives(self._states[:2, None], self._states[2:])).ravel()
+        """|<hi|DRIVE_SX|lo>| of the four main lines as Python floats, each ms0
+        row of ``_states`` against each ms_minus row: the order of ``_MAIN_LINES``."""
+        return np.abs(line_drives(self._states[:2, None], self._states[2:])).ravel().tolist()
 
 
 class TransitionLine(NamedTuple):
@@ -284,7 +289,8 @@ def hamiltonians(params: SystemParams, bvec, tensor=None) -> np.ndarray:
     tensor = params.tensor._components if tensor is None else np.asarray(tensor, dtype=float)
     # the formula's products (b_c F) gamma and a_k O_k, summed per float from +0 in
     # its order; its sums start at +0 or d, so the zeros skipped here change no bit
-    src = np.zeros(np.broadcast(bvec[..., 0], tensor[..., 0]).shape + (9,))
+    src = np.zeros((bvec.shape[:-1] if tensor.ndim == 1  # one row: no np.broadcast
+                    else np.broadcast(bvec[..., 0], tensor[..., 0]).shape) + (9,))
     src[..., :3] = bvec
     src[..., 3:7] = tensor
     src[..., 7] = params.d
@@ -366,54 +372,64 @@ def _labelling_walk(kinds: np.ndarray):
     (labels, reason) as ``label_manifolds`` does.
     """
     m = len(kinds)
-    rows = np.arange(m)
+    row = np.arange(0, 3 * m, 3)  # a row's first count
     labels = np.full((m, 6), -1)
-    counts = np.zeros((m, 3), dtype=int)
+    counts = np.zeros(3 * m, dtype=int)  # per row: ms_plus, ms0, ms_minus states
     reason = np.zeros(m, dtype=int)
     for k in range(6):
         want = kinds[:, k]
         ambiguous = want == 3
         want = np.where(ambiguous, 1, want)
-        full = counts[rows, want] >= 2
+        full = counts[row + want] >= 2
         choice = np.where(full & (want != 1), 2 - want, want)
-        stop = np.where(ambiguous, 2, np.where(counts[rows, choice] >= 2, 3, 0))
+        slot = row + choice
+        stop = np.where(ambiguous, 2, np.where(counts[slot] >= 2, 3, 0))
         reason = np.where(reason == 0, stop, reason)
         labels[reason == 0, k] = choice[reason == 0]
-        counts[rows, choice] += 1
+        counts[slot] += 1
     return labels, reason
+
+
+def label_order(labels: np.ndarray) -> np.ndarray:
+    """Stable argsort of labels (..., 6): ms_plus, ms0, ms_minus states."""
+    return labels.argsort(axis=-1, kind="stable")
 
 
 # the walk tabulated once for all 4**6 kind sequences; base-4 digits
 _KIND_WEIGHTS = 4 ** np.arange(6)
 # a state's kind by [ms_plus >= ms_minus overlap, ms0 <= 0.4, ms0 >= 0.6]
 _KINDS = np.array([[[3, 1], [2, 2]], [[3, 1], [0, 0]]])
-_WALK_LABELS, _WALK_REASON = _labelling_walk(
-    (np.arange(4**6)[:, None] // _KIND_WEIGHTS) % 4
-)
+_WALK = np.empty((4**6, 13), dtype=int)  # per key: labels, their label_order, reason
+_WALK[:, :6], _WALK[:, 12] = _labelling_walk(np.arange(4**6)[:, None] >> 2 * np.arange(6) & 3)
+_WALK[:, 6:12] = label_order(_WALK[:, :6])
+_WALK_LABELS, _WALK_ORDER, _WALK_REASON = _WALK[:, :6], _WALK[:, 6:12], _WALK[:, 12]
 
 
 def label_manifolds(over: np.ndarray):
     """Manifold labels for a stack of eigensystems, policy of ``eigensystem``.
 
     over has shape (n, 6, 3), as from ``manifold_overlaps``. Returns
-    (labels, reason): labels (n, 6) index MANIFOLD_LABELS and read -1 from
-    the first state that cannot be labelled; reason (n,) is the
+    (labels, reason, order): labels (n, 6) index MANIFOLD_LABELS and read
+    -1 from the first state that cannot be labelled; reason (n,) is the
     EIGEN_REASONS code, 0 for complete labellings, which hold each manifold
-    exactly twice.
+    exactly twice; order (n, 6) is the labels' ``label_order``, read from
+    the same table row.
     """
     o_zero, side = over[..., 1], (over[..., 0] >= over[..., 2]).view(np.int8)
     low, high = o_zero <= 1.0 - _MANIFOLD_OVERLAP_MIN, o_zero >= _MANIFOLD_OVERLAP_MIN
     kinds = _KINDS[side, low.view(np.int8), high.view(np.int8)]  # bools as indices
-    key = kinds.dot(_KIND_WEIGHTS)
-    return _WALK_LABELS[key], _WALK_REASON[key]
+    row = _WALK.take(kinds.dot(_KIND_WEIGHTS), axis=0)
+    return row[:, :6], row[:, 12], row[:, 6:12]
 
 
 def eigensystems(h: np.ndarray):
     """Batched ``eigensystem`` over a stack of 6x6 matrices (n, 6, 6).
 
-    Returns (values, vectors, labels, reason) with labels as from
-    ``label_manifolds``; reason (n,) is the EIGEN_REASONS code, 0 where
-    the matrix is Hermitian (nan and inf solved as 0) and its states labelled.
+    Returns (values, vectors, labels, reason, order, weight), the labels and
+    order from ``label_manifolds``; reason (n,) is the EIGEN_REASONS code, 0
+    where the matrix is Hermitian (nan and inf solved as 0) and its states
+    labelled. weight (n, 6) is each state's ms_minus overlap, the one the
+    labels are read from; at positions 4-5 of order, ``lambda_rule``'s purity.
     """
     h = np.asarray(h, dtype=complex)
     hermitian = _hermitian(h)
@@ -422,8 +438,10 @@ def eigensystems(h: np.ndarray):
         h = np.where(np.isfinite(h), h, 0.0)
     values, vectors = np.linalg.eigh(h)
     vectors = _fix_phases(vectors)
-    labels, reason = label_manifolds(manifold_overlaps(vectors))
-    return values, vectors, labels, reason if every else np.where(hermitian, reason, 1)
+    over = manifold_overlaps(vectors)
+    labels, reason, order = label_manifolds(over)
+    reason = reason if every else np.where(hermitian, reason, 1)
+    return values, vectors, labels, reason, order, over[..., 2]
 
 
 def eigensystem(h: np.ndarray) -> Eigensystem:
@@ -442,13 +460,15 @@ def eigensystem(h: np.ndarray) -> Eigensystem:
     h = np.asarray(h, dtype=complex)
     if h.shape != (6, 6):
         raise ValueError("expected a 6x6 matrix")
-    values, vectors, labels, reason = eigensystems(h[None])
+    values, vectors, labels, reason, order, weight = eigensystems(h[None])
     if reason[0]:
         k = int(np.argmax(labels[0] < 0))  # the first unlabelled state
         over = manifold_overlaps(vectors[0])[k]
         names = [MANIFOLD_LABELS[j] for j in labels[0, :k]]
         raise ValueError(EIGEN_REASONS[reason[0] - 1].format(k=k, over=over, labels=names))
-    return Eigensystem(values[0], vectors[0], labels[0])
+    eig, weight = Eigensystem(values[0], vectors[0], labels[0]), weight[0].tolist()
+    vars(eig).update(_order=order[0], _purity=[weight[k] for k in order[0, 4:].tolist()])
+    return eig
 
 
 def line_drives(lo_states: np.ndarray, hi_states: np.ndarray) -> np.ndarray:
@@ -480,21 +500,21 @@ def single_quantum_transitions(eig: Eigensystem) -> list[TransitionLine]:
     (see ``main_four_lines``).
     """
     ms0, upper = np.flatnonzero(eig.labels == 1), np.flatnonzero(eig.labels != 1)
-    lo, hi = np.repeat(ms0, 4), np.tile(upper, 2)
-    return _sorted_lines(eig, lo, hi, drive_amplitudes(eig.vectors, lo, hi))
+    lo, hi = np.repeat(ms0, 4).tolist(), np.tile(upper, 2).tolist()
+    return _sorted_lines(eig, lo, hi, drive_amplitudes(eig.vectors, lo, hi).tolist())
 
 
 def main_four_lines(eig: Eigensystem) -> list[TransitionLine]:
     """The four ms0 <-> ms_minus lines of ``single_quantum_transitions``."""
-    lo, hi = eig._order[2:][_MAIN_LINES]
-    return _sorted_lines(eig, lo, hi, eig._main_legs ** 2)
+    o = eig._order.tolist()  # the lines of _MAIN_LINES
+    return _sorted_lines(eig, [o[2], o[2], o[3], o[3]], o[4:] * 2, [a * a for a in eig._main_legs])
 
 
 def _sorted_lines(eig: Eigensystem, lo, hi, amp) -> list:
-    """TransitionLines from states lo to states hi with drive amplitudes amp,
-    stably sorted by frequency (``sorted`` is stable)."""
+    """TransitionLines from states lo to states hi with drive amplitudes
+    amp (lists), stably sorted by frequency (``sorted`` is stable)."""
     w = eig.values.tolist()
-    rows = [(abs(w[j] - w[i]), a, i, j) for i, j, a in zip(lo.tolist(), hi.tolist(), amp.tolist())]
+    rows = [(abs(w[j] - w[i]), a, i, j) for i, j, a in zip(lo, hi, amp)]
     return [TransitionLine(*row) for row in sorted(rows, key=operator.itemgetter(0))]
 
 
@@ -521,18 +541,20 @@ def nuclear_eigenstates_excited(tensor: HyperfineTensor):
     return float(np.degrees(tp)), alpha_plus, alpha_minus
 
 
-def zeeman_states(theta, phi):
+def zeeman_states(theta, phi, minus=True):
     """Nuclear Zeeman eigenstates along field directions (degrees).
 
-    Returns (beta_plus, beta_minus), each of shape (..., 2), as
-    ``ground_zeeman_states`` describes them.
+    Returns (beta_plus, beta_minus), each (..., 2), as ``ground_zeeman_states``
+    describes them; with minus False, beta_plus alone (all the Lambda kernels read).
     """
     half = np.radians(theta) / 2
     e = np.exp(1j * np.radians(phi))
     c, s = np.cos(half), np.sin(half)
     es = e * s  # its shape is theta's and phi's broadcast
-    beta = np.empty(es.shape + (2, 2), dtype=complex)
+    beta = np.empty(es.shape + (1 + minus, 2), dtype=complex)
     beta[..., 0, 0], beta[..., 0, 1] = c, es  # a real c or s takes +0j
+    if not minus:
+        return beta[..., 0, :]
     beta[..., 1, 0], beta[..., 1, 1] = s, -e * c
     return beta[..., 0, :], beta[..., 1, :]
 
@@ -564,11 +586,6 @@ def _nuclear_overlaps(sub: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.abs(np.vecdot(ref, nuc)) ** 2
 
 
-def label_order(labels: np.ndarray) -> np.ndarray:
-    """Stable argsort of labels (..., 6): ms_plus, ms0, ms_minus states."""
-    return labels.argsort(axis=-1, kind="stable")
-
-
 # Why one eigensystem has no Lambda system: the reason code of a row is 0
 # where the system is found, else 1 + the index of its message here. The
 # order is the ranking: a row takes the first reason that holds.
@@ -590,24 +607,22 @@ def lambda_overlaps(states: np.ndarray, beta_plus, alpha_minus):
     """The overlaps the Lambda systems of labelled eigensystems are read from.
 
     states (n, 4, 6) holds rows of eigenvectors from ``eigensystems``, where
-    it marks them ok: positions 2-5 of their ``label_order``, the ms0 pair
-    and the ms_minus pair; beta_plus (n, 2) is from ``zeeman_states`` and
-    alpha_minus (2,) from ``nuclear_eigenstates_excited``. Returns (overlap,
-    purity): overlap (n, 4) holds the two ms0 states' overlaps with
-    beta_plus, then the two ms_minus states' overlaps with alpha_minus, by
-    ``_nuclear_overlaps`` (nan where a state has no weight in its manifold);
-    purity (n, 2) holds the ms_minus states' ms_minus weight.
-    ``lambda_rule`` decides each row.
+    it marks them ok: positions 2-5 of their order, the ms0 pair and the
+    ms_minus pair; beta_plus (n, 2) is from ``zeeman_states`` and
+    alpha_minus (2,) from ``nuclear_eigenstates_excited``. Returns overlap
+    (n, 4): the two ms0 states' overlaps with beta_plus, then the two
+    ms_minus states' overlaps with alpha_minus, by ``_nuclear_overlaps``
+    (nan where a state has no weight in its manifold). ``lambda_rule``
+    decides each row from them and its purity from ``eigensystems``.
     """
     block = states[:, _arange(4, 2), _PAIR_ROWS]
     ref = np.empty((len(states), 4, 2), dtype=complex)
     ref[:, :2], ref[:, 2:] = beta_plus[:, None], alpha_minus
-    pops = np.abs(block[:, 2:]) ** 2
-    return _nuclear_overlaps(block, ref), pops[..., 0] + pops[..., 1]
+    return _nuclear_overlaps(block, ref)
 
 
 def lambda_rule(overlap, purity, axis_code):
-    """The Lambda system of one ``lambda_overlaps`` row, as Python floats.
+    """The Lambda system of one ``lambda_overlaps`` row and its purity, as Python floats.
 
     axis_code is the LAMBDA_REASONS code of the tensor's quantization axis
     (0, or 2 where it is undefined and alpha_minus is nan). Returns
@@ -638,8 +653,8 @@ def _lambda_row(eig: Eigensystem, tensor: HyperfineTensor, beta_plus):
     one of ``lambda_overlaps``. Raises the LAMBDA_REASONS message of its
     reason code."""
     alpha_minus, axis_code = tensor._alpha_minus
-    overlap, purity = lambda_overlaps(eig._states[None], beta_plus[None], alpha_minus)
-    overlap, purity = overlap[0].tolist(), purity[0].tolist()
+    overlap = lambda_overlaps(eig._states[None], beta_plus[None], alpha_minus)[0].tolist()
+    purity = eig._purity
     reason, excited, g_plus = lambda_rule(overlap, purity, axis_code)
     if reason:
         low = next((p for p in purity if p < _MANIFOLD_OVERLAP_MIN), purity[0])
@@ -668,10 +683,10 @@ def lambda_system(eig: Eigensystem, tensor: HyperfineTensor, field: FieldOrienta
     the legs are two of the eigensystem's main-line drives. Raises the
     LAMBDA_REASONS first, then at b = 0 as ``ground_zeeman_states`` does.
     """
-    excited, g_plus = _lambda_row(eig, tensor, zeeman_states(field.theta, field.phi)[0])
+    excited, g_plus = _lambda_row(eig, tensor, zeeman_states(field.theta, field.phi, False))
     if field.b <= 0:
         raise ValueError("Zeeman axis undefined (b = 0)")
-    legs, order = eig._main_legs.tolist(), eig._order.tolist()
+    legs, order = eig._main_legs, eig._order.tolist()
     # _MAIN_LINES holds the line of ms0 position g and ms_minus position e at 2 g + e
     return (legs[2 * g_plus + excited], legs[2 - 2 * g_plus + excited], order[4 + excited],
             order[2 + g_plus], order[3 - g_plus])

@@ -160,11 +160,13 @@ def test_eigensystem_reproducible():
 def test_batched_labels_match_scalar():
     rng = np.random.default_rng(28)
     h = np.stack([build_hamiltonian(*random_case(rng)) for _ in range(200)])
-    values, vectors, labels, reason = eigensystems(h)
+    values, vectors, labels, reason, order, weight = eigensystems(h)
     assert not reason.any()
     for k in range(len(h)):
         eig = eigensystem(h[k])
         assert np.array_equal(eig.labels, labels[k])
+        assert np.array_equal(eig._order, order[k])
+        assert eig._purity == weight[k, order[k, 4:]].tolist()
         assert eig.manifold == tuple(MANIFOLD_LABELS[j] for j in labels[k])
         assert np.allclose(eig.values, values[k], rtol=0, atol=1e-9)
         assert np.allclose(eig.vectors, vectors[k], rtol=0, atol=1e-12)

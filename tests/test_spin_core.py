@@ -19,6 +19,8 @@ from nvbeat.spin_core import (
     _OP_SZ2,
     _OP_TENSOR,
     _OP_ZEEMAN,
+    _WALK_LABELS,
+    _WALK_ORDER,
     _fix_phases,
     _hermitian,
     build_hamiltonian,
@@ -462,12 +464,68 @@ def test_label_manifolds_follows_the_walk():
                       p=[0.3, 0.2, 0.05, 0.05, 0.05, 0.25, 0.1])
     split = rng.choice([0.0, 0.3, 0.5, 0.7, 1.0], size=(20000, 6))
     over = np.stack([(1 - zero) * split, zero, (1 - zero) * (1 - split)], axis=-1)
-    labels, reason = label_manifolds(over)
+    labels, reason, order = label_manifolds(over)
     want = [_walk(o) for o in over]
     assert np.array_equal(labels, [w[0] for w in want])
     assert np.array_equal(reason, [w[1] for w in want])
+    assert np.array_equal(order, label_order(labels))
     assert 0.1 < (reason == 0).mean() < 0.9
     assert set(reason) == {0, 2, 3}
+
+
+def test_walk_order_is_the_label_order_of_every_key():
+    # the order eigensystems reads with the labels is their stable argsort,
+    # on all 4**6 keys of the walk table
+    assert _WALK_ORDER.shape == _WALK_LABELS.shape == (4**6, 6)
+    assert np.array_equal(_WALK_ORDER, label_order(_WALK_LABELS))
+
+
+def _labelling_sweep():
+    """A seeded sweep of Hamiltonians: four tensors (the reference, zero, a
+    flat one and a weak one) over theta 0..180 by 5, phi -90..90 by 15 and
+    four fields (5, 40.3, 500 and 1098 G, near the ms0/ms-1 crossing),
+    then 400 random systems."""
+    theta, phi = np.meshgrid(np.arange(0.0, 181.0, 5.0), np.arange(-90.0, 91.0, 15.0))
+    bvec = unit_vectors(theta.ravel(), wrap_azimuth(phi.ravel()))
+    tensors = [REF, HyperfineTensor(0.0, 0.0, 0.0, 0.0), HyperfineTensor(150.0, 120.0, 0.0, 0.0),
+               HyperfineTensor(13.0, 9.0, 2.0, -1.5)]
+    stack = [hamiltonians(SystemParams(tensor=t), b * bvec) for t in tensors
+             for b in (5.0, 40.3, 500.0, 1098.0)]
+    rng = np.random.default_rng(31)
+    stack.append([build_hamiltonian(*random_system(rng)) for _ in range(400)])
+    return np.concatenate(stack)
+
+
+def test_labelling_pass_keeps_labels_reasons_and_order():
+    # labels, reason codes and order of eigensystems, from the walk table,
+    # against the walk one state at a time over the phase-fixed vectors'
+    # overlaps and a stable argsort of the labels
+    h = _labelling_sweep()
+    values, vectors, labels, reason, order, weight = eigensystems(h)
+    want = [_walk(o) for o in manifold_overlaps(vectors).tolist()]
+    assert np.array_equal(labels, [w[0] for w in want])
+    assert np.array_equal(reason, [w[1] for w in want])
+    assert np.array_equal(order, np.argsort(labels, axis=1, kind="stable"))
+    assert set(reason) == {0, 2} and (reason == 0).mean() > 0.9
+
+
+def test_kept_weight_is_the_lambda_purity_bit_for_bit():
+    # the ms_minus weight the labelling pass keeps, at the ms_minus pair,
+    # is the purity computed from that pair's gathered state rows: on a
+    # seeded stack and on the turned diag(0..5) cases of the Lambda
+    # reasons (both ms_minus states half alpha_minus; 0.587 pure)
+    rng = np.random.default_rng(32)
+    stack = [build_hamiltonian(*random_system(rng)) for _ in range(300)]
+    for u in (turn(4, 5, 44.5), turn(4, 5, 44.5) @ turn(0, 4, 50.0) @ turn(1, 5, 50.0)):
+        stack.append(u @ np.diag(np.arange(6.0)) @ u.T)
+    values, vectors, labels, reason, order, weight = eigensystems(np.stack(stack))
+    n = np.arange(len(stack))[:, None]
+    pops = np.abs(vectors.mT[n, order[:, 4:], 4:]) ** 2  # the ms_minus pair's ms_minus rows
+    want = pops[..., 0] + pops[..., 1]
+    assert _bits(weight[n, order[:, 4:]]) == _bits(want)
+    assert not reason[-2:].any() and want[-1].max() < 0.6 <= want[-2].min()
+    for k in np.flatnonzero(reason == 0):
+        assert eigensystem(stack[k])._purity == want[k].tolist()
 
 
 def _eigen_failures():
@@ -577,15 +635,15 @@ def test_scalar_calls_are_rows_of_the_batched_kernels():
     )]
     stack = [build_hamiltonian(p, f) for p, f in systems]
     stack += [m for m, _ in _eigen_failures()]
-    values, vectors, labels, reason = eigensystems(np.stack(stack))
+    values, vectors, labels, reason, order, weight = eigensystems(np.stack(stack))
     assert set(reason) == {0, 1, 2, 3}
     for k, h in enumerate(stack):
         if reason[k]:
             _raises_reason(lambda: eigensystem(h), EIGEN_REASONS, reason[k])
             continue
         eig = eigensystem(h)
-        assert _bits(eig.values, eig.vectors, eig.labels) == _bits(
-            values[k], vectors[k], labels[k]
+        assert _bits(eig.values, eig.vectors, eig.labels, eig._order, eig._purity) == _bits(
+            values[k], vectors[k], labels[k], order[k], weight[k, order[k, 4:]]
         )
 
     # the Lambda legs: one tensor over a field grid, as the STA search runs
@@ -656,7 +714,8 @@ def _lambda_rows(cases, tensor):
     states = vectors.mT[n[:, None], order[:, 2:]]
     theta, phi = np.array([(f.theta, f.phi) for _, f in cases]).T
     alpha_minus, axis_code = tensor._alpha_minus
-    overlap, purity = lambda_overlaps(states, zeeman_states(theta, phi)[0], alpha_minus)
+    overlap = lambda_overlaps(states, zeeman_states(theta, phi)[0], alpha_minus)
+    purity = np.array([eig._purity for eig, _ in cases])  # from each labelling pass
     rows = [lambda_rule(o, p, axis_code) for o, p in zip(overlap.tolist(), purity.tolist())]
     reason, e, g = np.array(rows, dtype=int).T
     excited, ground = order[n, 4 + e], order[n[:, None], np.stack([2 + g, 3 - g], 1)]
@@ -682,20 +741,19 @@ def test_batched_kernels_take_empty_stacks():
     bvec = unit_vectors(none, none)
     beta_plus, beta_minus = zeeman_states(none, none)
     h = hamiltonians(SYS, bvec)
-    values, vectors, labels, reason = eigensystems(h)
+    values, vectors, labels, reason, order, weight = eigensystems(h)
     over = manifold_overlaps(vectors)
-    order = label_order(labels)
     states = vectors.mT[np.arange(0)[:, None], order[:, 2:]]
-    overlap, purity = lambda_overlaps(states, beta_plus, REF._alpha_minus[0])
+    overlap = lambda_overlaps(states, beta_plus, REF._alpha_minus[0])
     drives = line_drives(states[:, :2], states[:, 2:3])
     legs = _lambda_amplitudes(SYS, 40.3, none, none)
     got = [bvec, beta_plus, beta_minus, h, hamiltonians(SYS, bvec, np.zeros((0, 4))), values,
            vectors, labels, reason, over, *label_manifolds(over), order, states, overlap,
-           purity, drives, *legs, model_values(SYS, [])]
+           weight, drives, *legs, model_values(SYS, []), zeeman_states(none, none, False)]
     shapes = [(0, 3), (0, 2), (0, 2), (0, 6, 6), (0, 6, 6), (0, 6), (0, 6, 6), (0, 6), (0,),
-              (0, 6, 3), (0, 6), (0,), (0, 6), (0, 4, 6), (0, 4), (0, 2), (0, 2), (0,), (0,),
-              (0,), (0,)]
-    kinds = "fccccfciifiiicffcffbf"
+              (0, 6, 3), (0, 6), (0,), (0, 6), (0, 6), (0, 4, 6), (0, 4), (0, 6), (0, 2), (0,),
+              (0,), (0,), (0,), (0, 2)]
+    kinds = "fccccfciifiiiicffcffbfc"
     assert [a.shape for a in got] == shapes
     assert "".join(a.dtype.kind for a in got) == kinds
 
@@ -726,7 +784,7 @@ def test_line_drives_match_vdot_bit_for_bit():
         v, order = eig.vectors, label_order(eig.labels)
         want = [abs(np.vdot(v[:, order[h]], DRIVE_SX @ v[:, order[l]]))
                 for l, h in ((2, 4), (2, 5), (3, 4), (3, 5))]
-        assert [x.hex() for x in eig._main_legs.tolist()] == [x.hex() for x in want]
+        assert [x.hex() for x in eig._main_legs] == [x.hex() for x in want]
 
 
 def _hex(row):
@@ -737,7 +795,8 @@ def _hex(row):
 def test_scan_point_solves_once(monkeypatch):
     # a design scan point (H, eigensystem, ZQ splitting, Lambda legs, main
     # lines) on one Eigensystem: one assembly, one eigh, and its order and
-    # main-line drives computed once for the ZQ pair, the legs and the lines
+    # main-line drives computed once for the ZQ pair, the legs and the lines;
+    # the order is read with the labels from the walk table, no argsort
     calls = collections.Counter()
 
     def counted(module, name):
@@ -750,11 +809,11 @@ def test_scan_point_solves_once(monkeypatch):
         monkeypatch.setattr(module, name, call)
 
     counted(np.linalg, "eigh")
-    for name in ("hamiltonians", "label_order", "line_drives"):
+    for name in ("hamiltonians", "label_manifolds", "label_order", "line_drives"):
         counted(spin_core, name)
     f = FieldOrientation(31.77, 40.0, 30.0)
     eig = eigensystem(build_hamiltonian(SYS, f))
     zero_quantum_splitting_exact(eig)
     lambda_transition_amplitudes(eig, REF, f)
     main_four_lines(eig)
-    assert calls == {"eigh": 1, "hamiltonians": 1, "label_order": 1, "line_drives": 1}
+    assert calls == {"eigh": 1, "hamiltonians": 1, "label_manifolds": 1, "line_drives": 1}
