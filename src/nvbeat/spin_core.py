@@ -412,8 +412,7 @@ def label_manifolds(over: np.ndarray):
     (labels, reason, order): labels (n, 6) index MANIFOLD_LABELS and read
     -1 from the first state that cannot be labelled; reason (n,) is the
     EIGEN_REASONS code, 0 for complete labellings, which hold each manifold
-    exactly twice; order (n, 6) is the labels' ``label_order``, read from
-    the same table row.
+    exactly twice; order (n, 6) is their ``label_order``, from the same table row.
     """
     o_zero, side = over[..., 1], (over[..., 0] >= over[..., 2]).view(np.int8)
     low, high = o_zero <= 1.0 - _MANIFOLD_OVERLAP_MIN, o_zero >= _MANIFOLD_OVERLAP_MIN
@@ -432,8 +431,10 @@ def eigensystems(h: np.ndarray):
     labels are read from; at positions 4-5 of order, ``lambda_rule``'s purity.
     """
     h = np.asarray(h, dtype=complex)
-    hermitian = _hermitian(h)
-    every = all(hermitian.tolist())
+    # exactly Hermitian and finite, as from hamiltonians: no tolerance to weigh
+    exact = (h == h.mT.conj()).all() and np.isfinite(h).all()
+    hermitian = exact or _hermitian(h)
+    every = exact or all(hermitian.tolist())
     if not every:  # nan or inf would stop LAPACK
         h = np.where(np.isfinite(h), h, 0.0)
     values, vectors = np.linalg.eigh(h)
