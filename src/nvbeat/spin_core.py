@@ -373,9 +373,9 @@ def _labelling_walk(kinds: np.ndarray):
     """
     m = len(kinds)
     row = np.arange(0, 3 * m, 3)  # a row's first count
-    labels = np.full((m, 6), -1)
-    counts = np.zeros(3 * m, dtype=int)  # per row: ms_plus, ms0, ms_minus states
-    reason = np.zeros(m, dtype=int)
+    labels = np.full((m, 6), -1, dtype=np.int8)
+    counts = np.zeros(3 * m, dtype=np.int8)  # per row: ms_plus, ms0, ms_minus states
+    reason = np.zeros(m, dtype=np.int8)
     for k in range(6):
         want = kinds[:, k]
         ambiguous = want == 3
@@ -384,7 +384,7 @@ def _labelling_walk(kinds: np.ndarray):
         choice = np.where(full & (want != 1), 2 - want, want)
         slot = row + choice
         stop = np.where(ambiguous, 2, np.where(counts[slot] >= 2, 3, 0))
-        reason = np.where(reason == 0, stop, reason)
+        np.copyto(reason, stop, where=reason == 0)
         labels[reason == 0, k] = choice[reason == 0]
         counts[slot] += 1
     return labels, reason
@@ -399,10 +399,10 @@ def label_order(labels: np.ndarray) -> np.ndarray:
 _KIND_WEIGHTS = 4 ** np.arange(6)
 # a state's kind by [ms_plus >= ms_minus overlap, ms0 <= 0.4, ms0 >= 0.6]
 _KINDS = np.array([[[3, 1], [2, 2]], [[3, 1], [0, 0]]])
-_WALK = np.empty((4**6, 13), dtype=int)  # per key: labels, their label_order, reason
-_WALK[:, :6], _WALK[:, 12] = _labelling_walk(np.arange(4**6)[:, None] >> 2 * np.arange(6) & 3)
-_WALK[:, 6:12] = label_order(_WALK[:, :6])
-_WALK_LABELS, _WALK_ORDER, _WALK_REASON = _WALK[:, :6], _WALK[:, 6:12], _WALK[:, 12]
+_WALK = np.column_stack(_labelling_walk(np.arange(4**6)[:, None] >> 2 * np.arange(6) & 3))
+_WALK_LABELS, _WALK_REASON = _WALK[:, :6], _WALK[:, 6]  # int8, one row per key
+# the labels' order, as indices; an argsort of int8 rows is a slow radix sort
+_WALK_ORDER = label_order(_WALK_LABELS.astype(int))
 
 
 def label_manifolds(over: np.ndarray):
@@ -417,8 +417,8 @@ def label_manifolds(over: np.ndarray):
     o_zero, side = over[..., 1], (over[..., 0] >= over[..., 2]).view(np.int8)
     low, high = o_zero <= 1.0 - _MANIFOLD_OVERLAP_MIN, o_zero >= _MANIFOLD_OVERLAP_MIN
     kinds = _KINDS[side, low.view(np.int8), high.view(np.int8)]  # bools as indices
-    row = _WALK.take(kinds.dot(_KIND_WEIGHTS), axis=0)
-    return row[:, :6], row[:, 12], row[:, 6:12]
+    row = _WALK.take(key := kinds.dot(_KIND_WEIGHTS), axis=0)
+    return row[:, :6], row[:, 6], _WALK_ORDER.take(key, axis=0)
 
 
 def eigensystems(h: np.ndarray):

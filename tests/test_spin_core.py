@@ -526,6 +526,9 @@ def test_kept_weight_is_the_lambda_purity_bit_for_bit():
     assert not reason[-2:].any() and want[-1].max() < 0.6 <= want[-2].min()
     for k in np.flatnonzero(reason == 0):
         assert eigensystem(stack[k])._purity == want[k].tolist()
+        # an Eigensystem built from its fields reads the same weights itself
+        eig = spin_core.Eigensystem(values[k], vectors[k], labels[k])
+        assert eig._purity == want[k].tolist() and np.array_equal(eig._order, order[k])
 
 
 def _eigen_failures():
