@@ -110,16 +110,16 @@ def _p_ms0(psi_rows: np.ndarray) -> np.ndarray:
 
 
 def _ms0_mixture_trace(eig: Eigensystem, times, w, before, after) -> RamseyTrace:
-    """Bare ms0 population from an equal mixture of the two ms0 eigenstates.
+    """Bare ms0 population from the pumped state rho = Pi_ms0 / 2 (bare ms0 x I/2).
 
-    In the eigenbasis, each start state e_i is mapped by ``before``, evolves
-    for each of ``times`` (us) under the diagonal energies w (MHz), and is
-    mapped by ``after``; the population is read in the product basis.
+    In the eigenbasis, each of |0, +1/2> and |0, -1/2> is mapped by ``before``,
+    evolves for each of ``times`` (us) under the diagonal energies w (MHz), and
+    is mapped by ``after``; the readout is Pi_ms0 too, in the product basis.
     """
     phases = np.exp(-2j * np.pi * np.outer(times, w))
     sig = 0.0
-    for i in np.flatnonzero(eig.labels == 1):
-        psi = (phases * before[:, i]) @ after.T
+    for start in eig.vectors[2:4].conj():  # rows 2, 3: the bare ms0 states, eigenbasis
+        psi = (phases * (before @ start)) @ after.T
         sig = sig + _p_ms0(psi @ eig.vectors.T)
     return RamseyTrace(tau=times, signal=sig / 2)
 
@@ -149,7 +149,7 @@ def simulate_rabi(
 ) -> RamseyTrace:
     """Driven ms0 population for drive durations t_grid (us).
 
-    Starts from an equal classical mixture of the two ms0 eigenstates.
+    Starts from bare ms0 x I/2 and reads bare ms0 (``_ms0_mixture_trace``).
     ``_rabi_lab_frame`` is the same trace without the rotating wave
     approximation, the reference this path is checked against.
     """
@@ -176,7 +176,7 @@ def _rabi_lab_frame(params, field, pulse, t_grid) -> RamseyTrace:
     exc = lambda_excited_index(eig, params.tensor)
     omega_c = _rotating_frame(eig, exc, pulse.carrier_detuning)[0]
     dt = 1.0 / (100.0 * omega_c)  # 100 steps per carrier period
-    inits = [eig.vectors[:, i] for i in np.flatnonzero(eig.labels == 1)]
+    inits = np.eye(6)[2:4]  # bare |0, +1/2> and |0, -1/2>: bare ms0 x I/2
     sig = np.zeros_like(t_grid)
     for psi0 in inits:
         psi = psi0.astype(complex)
@@ -238,8 +238,8 @@ def simulate_zq_ramsey(
 ) -> RamseyTrace:
     """ms0 population after pulse - free evolution tau - pulse.
 
-    The initial state is an equal classical mixture of the two ms0
-    eigenstates (two propagations averaged). The drive amplitude defaults to
+    The initial state is bare ms0 x I/2 (the two bare ms0 states averaged),
+    the readout bare ms0 (``_ms0_mixture_trace``). The drive amplitude defaults to
     1/(2 pi_duration), i.e. the strength for which pi_duration is a resonant
     pi pulse. ``ideal_pulses=True`` replaces the physical pulses with the
     instantaneous excited/bright population swap (pi_duration ignored).

@@ -117,6 +117,27 @@ def test_rabi_lab_frame_cross_check():
     assert dev < 0.05
 
 
+def test_dynamics_keep_the_phi_mirror():
+    # H(-phi) = conj H(phi) and the drive is real, so a sequence started in
+    # bare ms0 x I/2 and read on bare ms0 gives the same trace at +-phi:
+    # Rabi, its pi pulse and ZQ Ramsey with ideal and finite pulses, on the
+    # reference tensor and two seeded ones (reference +-10 %)
+    rng = np.random.default_rng(131)
+    tensors = [REF] + [HyperfineTensor(*(r * f for r, f in zip(
+        (166.9, 122.9, 90.0, -90.3), rng.uniform(0.9, 1.1, 4)))) for _ in range(2)]
+    t, tau = np.linspace(0, 0.1, 201), np.linspace(0, 5.0, 256)
+    for params in (SystemParams(tensor=tensor) for tensor in tensors):
+        for phi in (30.0, 60.0):
+            fields = [FieldOrientation(40.3, 40.0, sign * phi) for sign in (1, -1)]
+            rabi = [simulate_rabi(params, f, PulseParams(14.3), t) for f in fields]
+            assert np.max(np.abs(rabi[0].signal - rabi[1].signal)) < 1e-10
+            assert abs(pi_pulse_from_rabi(rabi[0]) - pi_pulse_from_rabi(rabi[1])) < 1e-10
+            for ideal in (True, False):
+                a, b = (simulate_zq_ramsey(params, f, 0.035, 0.0, tau, rabi_amplitude=14.3,
+                                           ideal_pulses=ideal).signal for f in fields)
+                assert np.max(np.abs(a - b)) < 1e-10, (phi, ideal)
+
+
 def test_zq_ramsey_matches_lambda_model():
     tau = np.linspace(0, 5.0, 512)
     rng = np.random.default_rng(12)
