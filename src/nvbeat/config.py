@@ -217,6 +217,18 @@ def _validate(values, name):
             bad("%s must be positive" % key)
     if not 2 <= values["sequence.n_points"] <= 2**20:
         bad("sequence.n_points must be in [2, 2**20]")
+    if values["sequence.rabi_amplitude"] > values["constants.d"] / 100:
+        bad("sequence.rabi_amplitude must be at most constants.d / 100 = %.6g MHz: the "
+            "rotating-wave model drops the drive's part near 2 D" % (values["constants.d"] / 100))
+    # the ramsey free-evolution grid resolves beats below its Nyquist frequency
+    nyquist = (values["sequence.n_points"] - 1) / (2 * values["sequence.tau_max"])
+    larmor = abs(values["constants.gamma_n"]) * values["field.b"]
+    grid = "the free-evolution grid's Nyquist frequency (n_points - 1) / (2 tau_max) = %.6g MHz"
+    if not nyquist > larmor:
+        bad("sequence.tau_max must leave %s above the 13C Larmor frequency |gamma_n| b = "
+            "%.6g MHz" % (grid % nyquist, larmor))
+    if not abs(values["sequence.detuning"]) < nyquist:
+        bad("|sequence.detuning| must be below " + grid % nyquist)
     if values["sequence.t2_star"] < 0:
         bad("sequence.t2_star must be >= 0 (0 disables dephasing)")
     for key in ("noise.sigma.sq_frequency", "noise.sigma.zq_frequency",

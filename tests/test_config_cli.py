@@ -71,6 +71,34 @@ def test_parse_errors_carry_location():
                 parse("%s = %s\n" % (key, text), name="t.cfg")
 
 
+def test_parse_bounds_the_sequence_by_its_grids():
+    # the rotating-wave drive stays at most D / 100; the free-evolution grid,
+    # Nyquist (n_points - 1) / (2 tau_max), must resolve the 13C Larmor
+    # frequency and the detuned carrier; each error names the file and key
+    grid = "the free-evolution grid's Nyquist frequency (n_points - 1) / (2 tau_max) = "
+    for text, message in (
+        ("sequence.rabi_amplitude = 1e300", "sequence.rabi_amplitude must be at most "
+         "constants.d / 100 = 28.7 MHz"),
+        ("constants.d = 1000\nsequence.rabi_amplitude = 10.5", "sequence.rabi_amplitude "
+         "must be at most constants.d / 100 = 10 MHz"),
+        ("sequence.tau_max = 1e300", "sequence.tau_max must leave " + grid + "5.115e-298 MHz "
+         "above the 13C Larmor frequency |gamma_n| b = 0.0431411 MHz"),
+        ("sequence.n_points = 2\nsequence.tau_max = 12", "sequence.tau_max must leave "
+         + grid + "0.0416667 MHz above"),
+        ("sequence.detuning = 1e300", "|sequence.detuning| must be below " + grid + "25.575 MHz"),
+        ("sequence.detuning = -25.575", "|sequence.detuning| must be below"),
+        ("sequence.n_points = 256\nsequence.detuning = 7", "|sequence.detuning| must be "
+         "below " + grid + "6.375 MHz"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape("t.cfg: " + message)):
+            parse(text + "\n", name="t.cfg")
+    # the reference grid and the smoke test's coarser one pass, up to the bounds
+    for text in ("sequence.rabi_amplitude = 28.7\nsequence.detuning = -25.5",
+                 "sequence.n_points = 256\nsequence.detuning = 6.3",
+                 "sequence.n_points = 2\nsequence.tau_max = 11"):
+        parse(text + "\n", name="t.cfg")
+
+
 def test_parse_rejects_out_of_range_values():
     for text in ("0", "-2.5"):
         with pytest.raises(ConfigError, match=re.escape(
