@@ -167,7 +167,7 @@ class Eigensystem:
 
     @_cached
     def _order(self):
-        """``label_order`` of the labels; ``eigensystem`` sets it, and ``_purity``."""
+        """The labels' ``label_order``; ``eigensystem`` presets it and ``_purity``."""
         return label_order(self.labels)
 
     @_cached
@@ -400,7 +400,7 @@ _KIND_WEIGHTS = 4 ** np.arange(6)
 # a state's kind by [ms_plus >= ms_minus overlap, ms0 <= 0.4, ms0 >= 0.6]
 _KINDS = np.array([[[3, 1], [2, 2]], [[3, 1], [0, 0]]])
 _WALK = np.column_stack(_labelling_walk(np.arange(4**6)[:, None] >> 2 * np.arange(6) & 3))
-_WALK_LABELS, _WALK_REASON = _WALK[:, :6], _WALK[:, 6]  # int8, one row per key
+_WALK_LABELS = _WALK[:, :6]  # int8 labels, then the reason, one row per key
 # the labels' order, as indices; an argsort of int8 rows is a slow radix sort
 _WALK_ORDER = label_order(_WALK_LABELS.astype(int))
 
