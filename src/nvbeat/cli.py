@@ -255,8 +255,15 @@ def cmd_ramsey(cfg, params, args) -> list:
     import numpy as np
 
     from .dynamics import apply_dephasing, simulate_zq_ramsey, spectrum_peaks
+    from .spin_core import build_hamiltonian, eigensystem, zero_quantum_splitting_exact
 
     field = _resolved_field(cfg, params, args.at_sta)
+    nyquist = (cfg["sequence.n_points"] - 1) / (2 * cfg["sequence.tau_max"])
+    zq = zero_quantum_splitting_exact(eigensystem(build_hamiltonian(params, field)))
+    if not zq < nyquist:
+        raise ValueError("sequence.tau_max = %g and sequence.n_points = %d resolve up to %.6g "
+                         "MHz, not the ZQ splitting %.6g MHz: the beat would alias"
+                         % (cfg["sequence.tau_max"], cfg["sequence.n_points"], nyquist, zq))
     pi_dur = _pi_duration(cfg, params, field)
     tau_grid = np.linspace(0.0, cfg["sequence.tau_max"], cfg["sequence.n_points"])
     trace = simulate_zq_ramsey(
@@ -285,13 +292,10 @@ def cmd_fit(cfg, params, args) -> list:
     initial = FitParams(*astuple(params.tensor), b=cfg["field.b"])
     result = fit_hyperfine(dataset, initial, fixed=fixed, params=params)
     rows = []
-    for name in PARAM_IDS:
-        value = getattr(result.params, name)
-        if name in fixed:
-            rows.append("%s = %.10g (fixed)" % (name, value))
-        else:
-            rows.append("%s = %.10g +- %.4g" % (name, value, result.sigmas[name]))
-    dof = len(dataset) - (6 - len(fixed))
+    for name, value in zip(PARAM_IDS, astuple(result.params)):
+        spread = "(fixed)" if name in fixed else "+- %.4g" % result.sigmas[name]
+        rows.append("%s = %.10g %s" % (name, value, spread))
+    dof = result.dof
     if dof > 0 and result.chi2 > dof + 10.0 * (2.0 * dof) ** 0.5:
         print("warning: chi2 = %.4g on %d dof: the model does not explain the data"
               % (result.chi2, dof), file=sys.stderr)
@@ -327,12 +331,9 @@ def _bootstrap_sigmas(dataset, result, fixed, n_draws, seed, params) -> dict:
     draws = []
     for _ in range(n_draws):
         values = model_values + rng.normal(0.0, sigmas)
-        points = tuple(
-            _dc.replace(p, value=float(v))
-            for p, v in zip(dataset.points, values)
-        )
+        draw = ScanDataset(_dc.replace(p, value=float(v)) for p, v in zip(dataset.points, values))
         try:
-            r = fit_hyperfine(ScanDataset(points), result.params, fixed=fixed, params=params)
+            r = fit_hyperfine(draw, result.params, fixed=fixed, params=params)
         except ValueError:
             continue
         if r.converged:  # a refit stopped at max_iterations is no draw

@@ -47,7 +47,6 @@ from .spin_core import (
 )
 
 OBSERVABLE_KINDS = ("sq_frequency", "zq_frequency", "zq_amplitude")
-PARAM_IDS = ("a_xx", "a_yy", "a_zz", "a", "b", "phi_offset")
 
 CSV_HEADER = "theta_deg,phi_deg,b_gauss,kind,value,sigma,transition_index"
 
@@ -109,7 +108,7 @@ class ScanDataset:
 
 @dataclass(frozen=True)
 class FitParams:
-    """Free-parameter record of the hyperfine fit."""
+    """The fit's parameter table: its fields, in order, are PARAM_IDS and the vector's slots."""
 
     a_xx: float
     a_yy: float
@@ -119,13 +118,13 @@ class FitParams:
     phi_offset: float = 0.0  # deg added to dataset phi to reach the NV frame
 
     def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.a_xx, self.a_yy, self.a_zz, self.a, self.b, self.phi_offset]
-        )
+        return np.array(dataclasses.astuple(self))
 
-    @staticmethod
-    def from_vector(v) -> "FitParams":
-        return FitParams(*(float(x) for x in v))
+
+PARAM_IDS = tuple(f.name for f in dataclasses.fields(FitParams))
+# the slots by name; _TENSOR and _G also index the rows of _derivative_operators
+_XX, _YY, _ZZ, _A, _B, _PHI = range(len(PARAM_IDS))
+_TENSOR, _G = slice(len(_OP_TENSOR)), slice(len(_OP_TENSOR), None)
 
 
 @dataclass(frozen=True)
@@ -138,6 +137,7 @@ class FitResult:
     residuals: np.ndarray  # value - model, per point, point units
     stop_reason: str = "chi2_stalled"  # or stationary, grad_small, damping_cap, max_iterations
     n_rejected: int = 0  # passes whose trial was not taken
+    dof: int = 0  # points less free parameters; scales the covariance where > 0
 
 
 @dataclass(frozen=True)
@@ -301,13 +301,13 @@ def _forward_model(params, vec, data, keep=None):
     else vec's b at every point) and the azimuth's (cos, sin, 1) ("trig").
     """
     vec = np.asarray(vec, dtype=float)
-    b = data.b_dist if data.per_point_b else np.full(len(data.b_dist), vec[4])
-    ph = np.radians(data.phi_dist + vec[5])
+    b = data.b_dist if data.per_point_b else np.full(len(data.b_dist), vec[_B])
+    ph = np.radians(data.phi_dist + vec[_PHI])
     trig = np.ones((len(ph), 3))  # cos(phi), sin(phi), 1
     np.cos(ph, out=trig[:, 0])
     np.sin(ph, out=trig[:, 1])
     bvec = b[:, None] * data.axes * trig
-    w, vecs = np.linalg.eigh(hamiltonians(params, bvec, vec[:4]))
+    w, vecs = np.linalg.eigh(hamiltonians(params, bvec, vec[_TENSOR]))
     _, reason, order = label_manifolds(manifold_overlaps(vecs))
     if reason.any():  # every distinct point belongs to a data point
         k = int(np.argmax(reason[data.dist] > 0))
@@ -330,25 +330,27 @@ def _forward_model(params, vec, data, keep=None):
 def _derivative_operators(gamma_e, gamma_n):
     """The operators whose expectation values give every model derivative.
 
-    A (42, 6) stack of seven 6x6 blocks: dH/da_xx, dH/da_yy, dH/da_zz,
-    dH/da, then G_c = gamma_e S_c + gamma_n I_c for c = x, y, z, from which
-    the field derivatives follow.
+    A stack of 6x6 blocks: rows ``_TENSOR``, dH/dp of the tensor parameters,
+    then rows ``_G``, G_c = gamma_e S_c + gamma_n I_c (c = x, y, z). The
+    field parameters b and phi_offset (deg, added to phi) enter H as B . G,
+    B = b (sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)); with k =
+    pi/180, dH/db = sin(theta) (cos(phi) G_x + sin(phi) G_y) + cos(theta)
+    G_z, dH/dphi_offset = k b sin(theta) (cos(phi) G_y - sin(phi) G_x) and
+    d^2H/db dphi_offset is that over b, d^2H/dphi_offset^2 = -k^2 b
+    sin(theta) (cos(phi) G_x + sin(phi) G_y), d^2H/db^2 = 0.
     """
     g = [gamma_e * s + gamma_n * i for s, i in zip(*_OP_ZEEMAN)]
     return np.concatenate([*_OP_TENSOR, *g])
 
 
 def _jacobian(params, vec, data, keep=None):
-    """Exact derivatives (n, 6) of ``_forward_model`` at one vector (6,).
+    """Exact derivatives (n, len(PARAM_IDS)) of ``_forward_model`` at one vector.
 
-    Hellmann-Feynman: d lambda_k / dp = <v_k| dH/dp |v_k>. ``keep`` is what
-    ``_forward_model`` left at this vector (that call is made here when
-    it is None): its solve and the two states of every point, so model and
-    derivatives read the same states and no further eigensolve is needed.
-    dH/dp is the fixed tensor operator for a tensor component; with G_c as
-    in ``_derivative_operators``, dH/db = sin(theta) (cos(phi) G_x +
-    sin(phi) G_y) + cos(theta) G_z and dH/dphi_offset = (pi/180) b
-    sin(theta) (cos(phi) G_y - sin(phi) G_x). Columns follow PARAM_IDS;
+    Hellmann-Feynman: d lambda_k / dp = <v_k| dH/dp |v_k>, dH/dp as in
+    ``_derivative_operators``. ``keep`` is what ``_forward_model`` left at
+    this vector (that call is made here when it is None): its solve and the
+    two states of every point, so model and derivatives read the same
+    states and no further eigensolve is needed. Columns follow PARAM_IDS;
     with ``data.per_point_b`` the b column is meaningless. It adds to
     ``keep`` what ``_second_directional`` reads: O s per state and operator
     ("ops_s"), ``de``, the gap's sign ("sg"), each point's b and trig
@@ -359,10 +361,10 @@ def _jacobian(params, vec, data, keep=None):
         _forward_model(params, vec, data, keep)
     n = len(data.dist)
     s = keep["vecs"][data.dist2, :, keep["states"]]
-    # <s|O|s> of the seven operators, (2n, 7): one matmul, then
+    # <s|O|s> of every operator, (2n, operators): one matmul, then
     # Re(conj(s) O s) as one sum over interleaved real and imaginary parts
     ops = _derivative_operators(params.gamma_e, params.gamma_n)
-    ops_s = (s @ ops.T).reshape(2 * n, 7, 6)
+    ops_s = (s @ ops.T).reshape(2 * n, -1, 6)
     e = (ops_s.view(float) * s.view(float)[:, None]).sum(axis=-1)
     # per data point, the change of each expectation value along its gap
     sg = np.sign(keep["gap"])
@@ -370,10 +372,11 @@ def _jacobian(params, vec, data, keep=None):
     b, trig = keep["b"][data.dist], keep["trig"][data.dist]
     cph, sph = trig[:, 0], trig[:, 1]
     sin_t, cos_t = data.axes_at[:, 0], data.axes_at[:, 2]
-    gx, gy, gz = de[:, 4], de[:, 5], de[:, 6]
-    out = de[:, :6].copy()
-    out[:, 4] = sin_t * (cph * gx + sph * gy) + cos_t * gz
-    out[:, 5] = np.radians(b * sin_t * (cph * gy - sph * gx))
+    gx, gy, gz = de[:, _G].T
+    out = np.empty((n, len(PARAM_IDS)))  # C-ordered: _pass reads a Fortran copy
+    out[:, _TENSOR] = de[:, _TENSOR]
+    out[:, _B] = sin_t * (cph * gx + sph * gy) + cos_t * gz
+    out[:, _PHI] = np.radians(b * sin_t * (cph * gy - sph * gx))
     keep.update(ops_s=ops_s, de=de, sg=sg, jac=out, at=(b, trig))
     return out
 
@@ -384,12 +387,11 @@ def _second_directional(data, keep, dx, ddx):
     Second-order perturbation theory on the solve that ``_forward_model``
     and ``_jacobian`` left in ``keep`` at vec: lambda_k'' = <k|H''|k> +
     2 sum_{j != k} |<j|H'|k>|^2 / (lambda_k - lambda_j), H' = sum_p dx_p
-    dH/dp, H'' = sum_p ddx_p dH/dp + 2 dx_b dx_phi (pi/180) sin(theta)
-    (cos(phi) G_y - sin(phi) G_x) - dx_phi^2 (pi/180)^2 b sin(theta)
-    (cos(phi) G_x + sin(phi) G_y), G_c of ``_derivative_operators``. The
-    first call at a vector keeps its per-solve arrays there ("pt2"). With
-    ``data.per_point_b``, dx and ddx must be 0 in the b slot. nan where two
-    levels coincide.
+    dH/dp, H'' = sum_p ddx_p dH/dp + 2 dx_b dx_phi d^2H/db dphi_offset +
+    dx_phi^2 d^2H/dphi_offset^2, the derivatives of
+    ``_derivative_operators``. The first call at a vector keeps its
+    per-solve arrays there ("pt2"). With ``data.per_point_b``, dx and ddx
+    must be 0 in the b slot. nan where two levels coincide.
     """
     n = len(data.dist)
     if "pt2" not in keep:
@@ -399,9 +401,9 @@ def _second_directional(data, keep, dx, ddx):
         # twice the upper state's sum less the lower's, along the gap's sign
         sg = keep["sg"][:, None] * [-2.0, 2.0]
         inv_gap = (sg.reshape(2 * n, 1) / gaps).reshape(n, 2, 6, 1)
-        # <j|O_q|k> of the seven operators, (n, 2, 7, 12)
-        x = keep["ops_s"].reshape(n, 14, 6) @ keep["vecs"][data.dist].conj()
-        x = x.view(float).reshape(n, 2, 7, 12)
+        # <j|O|k> of every operator, (n, 2, operators, 12)
+        x = keep["ops_s"].reshape(n, -1, 6) @ keep["vecs"][data.dist].conj()
+        x = x.view(float).reshape(n, 2, -1, 12)
         # the field's dB/db, dB/dphi, d^2B/db dphi and d^2B/dphi^2 (n, 3, 4)
         b, trig = keep["at"]
         b = b[:, None]
@@ -411,15 +413,15 @@ def _second_directional(data, keep, dx, ddx):
         np.multiply(dirs[:, :2, 0], -k * k, out=dirs[:, :2, 3])
         np.multiply(dirs[:, :, 2], b, out=dirs[:, :, 1])
         dirs[:, :, 3] *= b
-        # <j|dH/dp|k> per parameter in rows 0-5 (b and phi_offset replace the
-        # G_x and G_y rows); the field curvatures along the gap
-        np.matmul(dirs[:, None, :, :2].transpose(0, 1, 3, 2), x[:, :, 4:], out=x[:, :, 4:6])
-        keep["pt2"] = x[:, :, :6], inv_gap, (keep["de"][:, None, 4:] @ dirs[:, :, 2:])[:, 0]
+        # <j|dH/dp|k> per parameter: the tensor rows, then b's and phi_offset's
+        # from the G_c rows; the field curvatures along the gap
+        x = np.concatenate([x[:, :, _TENSOR], dirs[:, None, :, :2].mT @ x[:, :, _G]], axis=2)
+        keep["pt2"] = x, inv_gap, (keep["de"][:, None, _G] @ dirs[:, :, 2:])[:, 0]
     x, inv_gap, curv = keep["pt2"]
     h = dx @ x  # <j|H'|k>
     hh = (h * h).reshape(n, 2, 6, 2) * inv_gap
-    return (keep["jac"] @ ddx + curv @ [2.0 * dx[4] * dx[5], dx[5] * dx[5]]
-            + hh.reshape(n, 24).sum(axis=1))
+    return (keep["jac"] @ ddx + curv @ [2.0 * dx[_B] * dx[_PHI], dx[_PHI] * dx[_PHI]]
+            + hh.reshape(n, -1).sum(axis=1))
 
 
 # the largest change of psi, the angle of (a_zz, a), in one fit iteration
@@ -429,8 +431,7 @@ _PSI_CAP = 0.3  # rad
 _VALLEY_R = 2.0 / 0.15  # MHz
 # the q chart needs |a_xx| >= this share of q, capping d a_xx/dq = q/a_xx at 5
 _Q_SHARE = 0.2
-# PARAM_IDS columns by name; the charts keep r, psi and q in a_zz, a and a_xx
-_XX, _ZZ, _A, _PHI = map(PARAM_IDS.index, ("a_xx", "a_zz", "a", "phi_offset"))
+# the charts keep r, psi and q in the a_zz, a and a_xx slots
 _R, _PSI = _ZZ, _A
 
 
@@ -686,11 +687,8 @@ def fit_hyperfine(
     if _A in free and _PHI in free and not -90.0 < vec[_PHI] <= 90.0:
         # (a, phi_offset) -> (-a, phi_offset +- 180), a z-rotation by pi, is exact;
         # report the principal branch, whose Jacobian needs a solve of its own
-        while vec[_PHI] > 90.0:
-            vec[_PHI] -= 180.0
-            vec[_A] = -vec[_A]
-        while vec[_PHI] <= -90.0:
-            vec[_PHI] += 180.0
+        while not -90.0 < vec[_PHI] <= 90.0:
+            vec[_PHI] -= math.copysign(180.0, vec[_PHI])
             vec[_A] = -vec[_A]
         s.keep = None
     jac = (_jacobian(params, vec, data, s.keep) / data.sigmas[:, None])[:, free]
@@ -705,8 +703,8 @@ def fit_hyperfine(
     sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     sigmas_out = dict.fromkeys(PARAM_IDS, 0.0)
     sigmas_out.update((PARAM_IDS[pi], float(sig[col])) for col, pi in enumerate(free))
-    return FitResult(FitParams.from_vector(vec), sigmas_out, s.chi2, s.n_iter, s.converged,
-                     -s.resid * data.sigmas, stop_reason or "max_iterations", s.n_rejected)
+    return FitResult(FitParams(*vec.tolist()), sigmas_out, s.chi2, s.n_iter, s.converged,
+                     -s.resid * data.sigmas, stop_reason or "max_iterations", s.n_rejected, dof)
 
 
 def _check_rank(jac: np.ndarray, free):
@@ -749,8 +747,8 @@ def model_values(params: SystemParams, points) -> np.ndarray:
     amp = np.array([p.kind == "zq_amplitude" for p in points], dtype=bool)
     if not amp.all():
         data = _FitData(ScanDataset(p for p, a in zip(points, amp) if not a), True)
-        truth = np.r_[dataclasses.astuple(params.tensor), 0.0, 0.0]
-        out[~amp] = _forward_model(params, truth, data)
+        truth = FitParams(*dataclasses.astuple(params.tensor), b=0.0)  # b unread
+        out[~amp] = _forward_model(params, truth.as_vector(), data)
     if amp.any():
         fields = np.array([(p.b, p.theta, p.phi) for p, a in zip(points, amp) if a])
         op, om, ok = _lambda_amplitudes(params, *fields.T)
@@ -816,7 +814,7 @@ def sensitivity_c(
     The exact slopes: the ``_jacobian`` column of ``which`` (Hellmann-Feynman
     derivatives) at the four lines, in ascending line frequency.
     """
-    if which not in PARAM_IDS[:4]:
+    if which not in PARAM_IDS[_TENSOR]:
         raise ValueError("unknown parameter id %r" % (which,))
     slopes = _tensor_slopes(params, field)[PARAM_IDS.index(which)]
     return SensitivityReport(which, float(np.mean(np.abs(slopes))), slopes)
@@ -831,9 +829,9 @@ def _tensor_slopes(params: SystemParams, field: FieldOrientation) -> tuple:
         ScanPoint(field.theta, field.phi, field.b, "sq_frequency", 0.0, MIN_SIGMA, k)
         for k in range(4)
     ))
-    truth = np.r_[dataclasses.astuple(params.tensor), field.b, 0.0]
+    truth = FitParams(*dataclasses.astuple(params.tensor), field.b).as_vector()
     jac = _jacobian(params, truth, data)
-    return tuple(tuple(float(x) for x in col) for col in jac[:, :4].T)
+    return tuple(tuple(float(x) for x in col) for col in jac[:, _TENSOR].T)
 
 
 def precision_propagation(delta_omega: float, c: float) -> float:

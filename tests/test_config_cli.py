@@ -324,6 +324,23 @@ def test_ramsey_smoke(tmp_path, capsys):
     assert abs(freq - 6.24) < 0.1
 
 
+@pytest.mark.parametrize("at_sta", [False, True])
+def test_ramsey_refuses_a_grid_that_aliases_the_beat(tmp_path, capsys, at_sta):
+    # 1023 samples over 200 us reach 2.5575 MHz, below the 6.2376 MHz ZQ
+    # splitting at the config field: the peak it printed (1.1229 MHz) was the
+    # beat folded. At the single-transition axis the splitting is below the
+    # Nyquist frequency, so the check reads the run's own field
+    cfgp = write_cfg(tmp_path, TABLE_CFG + "sequence.tau_max = 200\n")
+    code = main(["--config", cfgp, "ramsey"] + ["--at-sta"] * at_sta)
+    out, err = capsys.readouterr()
+    if at_sta:
+        assert code == 0 and "# peak 1:" in out
+        return
+    assert code == 1 and out == ""
+    assert err == ("error: sequence.tau_max = 200 and sequence.n_points = 1024 resolve up "
+                   "to 2.5575 MHz, not the ZQ splitting 6.23761 MHz: the beat would alias\n")
+
+
 def test_fit_command(tmp_path, capsys):
     truth_cfg = write_cfg(tmp_path, TABLE_CFG, "truth.cfg")
     ds_path = str(tmp_path / "scan.csv")
@@ -359,6 +376,13 @@ def test_fit_fixed_parameters(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "b = 40.3 (fixed)" in out
     assert "phi_offset = 0 (fixed)" in out
+    assert "\ndof = 34\n" in out  # 38 points, 4 free
+    # the fit owns its dof: points less free parameters
+    ds = estimation.read_dataset(ds_path)
+    start = estimation.FitParams(166.9, 122.9, 90.0, -90.3, 40.3)
+    for fixed in (frozenset(), frozenset({"b", "phi_offset"})):
+        free = [n for n in estimation.PARAM_IDS if n not in fixed]
+        assert estimation.fit_hyperfine(ds, start, fixed).dof == len(ds) - len(free)
 
 
 def test_fit_holds_the_config_constants(tmp_path, monkeypatch, capsys):
