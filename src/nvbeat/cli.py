@@ -175,6 +175,9 @@ def cmd_spectrum(cfg, params, args) -> list:
     return rows
 
 
+_MAX_SCAN_ANGLES = 65536  # the most angles one zq-scan solves: 0.003 deg steps over 180
+
+
 def cmd_zq_scan(cfg, params, args) -> list:
     import numpy as np
 
@@ -187,6 +190,9 @@ def cmd_zq_scan(cfg, params, args) -> list:
         raise ValueError("sweep start, stop and step must be finite")
     if args.step <= 0:
         raise ValueError("sweep step must be positive")
+    count = np.ceil((args.stop + 1e-9 * args.step - args.start) / args.step)  # arange's length
+    if count > _MAX_SCAN_ANGLES:
+        raise ValueError("a sweep of %.0f angles exceeds the cap of %d" % (count, _MAX_SCAN_ANGLES))
     angles = np.arange(args.start, args.stop + 1e-9 * args.step, args.step)
     if len(angles) == 0:
         raise ValueError("empty sweep range")

@@ -238,6 +238,9 @@ def _validate(values, name):
     if values["noise.imperfection.amplitude"] != 0.0:
         if values["noise.imperfection.period"] == 0.0:
             bad("noise.imperfection.period must be nonzero")
+        if not abs(values["noise.imperfection.amplitude"]) < values["field.b"]:
+            bad("|noise.imperfection.amplitude| must be below field.b = %.6g G: the "
+                "rippled field must stay positive" % values["field.b"])
     if values["seed"] < 0:
         bad("seed must be >= 0")
 

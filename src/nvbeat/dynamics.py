@@ -133,7 +133,7 @@ def _rotating_frame(eig: Eigensystem, exc: int, detuning: float):
     blocks of ``_DRIVE_NORM``, those connecting ms0 to the excited
     manifolds; H adds them at half amplitude. Returns (omega_c, w, x).
     """
-    g = np.flatnonzero(eig.labels == 1)  # the ms0 pair
+    g = eig._order[2:4]  # the ms0 pair
     omega_c = float(eig.values[exc] - 0.5 * (eig.values[g[0]] + eig.values[g[1]])) + detuning
     excited = eig.labels != 1
     x = eig.vectors.conj().T @ _DRIVE_NORM @ eig.vectors

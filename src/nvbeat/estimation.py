@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -32,18 +31,11 @@ from .spin_core import (
     _OP_ZEEMAN,
     FieldOrientation,
     SystemParams,
-    _arange,
     drive_amplitudes,
-    eigensystems,
     hamiltonians,
     label_manifolds,
-    lambda_overlaps,
-    lambda_rule,
-    line_drives,
+    lambda_legs,
     manifold_overlaps,
-    unit_vectors,
-    wrap_azimuth,
-    zeeman_states,
 )
 
 OBSERVABLE_KINDS = ("sq_frequency", "zq_frequency", "zq_amplitude")
@@ -739,7 +731,7 @@ def model_values(params: SystemParams, points) -> np.ndarray:
 
     Frequencies come from one ``_forward_model`` call over the per-point b
     column, so every point takes its own b; amplitudes
-    (``zq_beat_amplitude`` / 2) from one ``_lambda_amplitudes`` call, nan
+    (``zq_beat_amplitude`` / 2) from one ``lambda_legs`` call, nan
     where no Lambda system exists. An SQ point without a
     ``transition_index`` takes the line nearest its value, as in the fit.
     """
@@ -751,7 +743,7 @@ def model_values(params: SystemParams, points) -> np.ndarray:
         out[~amp] = _forward_model(params, truth.as_vector(), data)
     if amp.any():
         fields = np.array([(p.b, p.theta, p.phi) for p, a in zip(points, amp) if a])
-        op, om, ok = _lambda_amplitudes(params, *fields.T)
+        op, om, ok = lambda_legs(params, *fields.T)
         with np.errstate(divide="ignore", invalid="ignore"):
             out[amp] = np.where(ok, (op * om / (op * op + om * om)) ** 2, np.nan)
     return out
@@ -790,7 +782,7 @@ def synthesize_dataset(
         b_eff = b
         if field_imperfection is not None:
             amp, period, phase = field_imperfection
-            b_eff = b + amp * np.cos(2 * np.pi * phi / period + np.radians(phase))
+            b_eff = float(b + amp * np.cos(2 * np.pi * phi / period + np.radians(phase)))
         sigma = max(float(noise_sigma.get(kind, 0.0)), MIN_SIGMA)
         lines = range(4) if kind == "sq_frequency" else (None,)
         points += [ScanPoint(theta, phi, b_eff, kind, 0.0, sigma, k) for k in lines]
@@ -843,40 +835,14 @@ def precision_propagation(delta_omega: float, c: float) -> float:
     return delta_omega / c
 
 
-def _lambda_amplitudes(params: SystemParams, b, theta, phi):
-    """Lambda leg amplitudes at fields b (scalar or (n,)), theta, phi (n,).
-
-    The batched form of ``lambda_transition_amplitudes``: one stacked
-    ``eigensystems`` and ``lambda_overlaps``, ``lambda_rule`` on every row,
-    then ``line_drives`` for the two legs; a single point is the batch of
-    one. Returns (omega_plus, omega_minus, ok); ok is False where the
-    scalar form would raise.
-    """
-    phi = wrap_azimuth(phi)  # as FieldOrientation
-    ok = np.isfinite(b) & (b > 0) & (theta >= 0.0) & (theta <= 180.0)
-    h = hamiltonians(params, np.where(ok, b, 0.0)[:, None] * unit_vectors(theta, phi))
-    _, vectors, _, eig_reason, order, weight = eigensystems(h)
-    rows = _arange(len(order), 2)
-    states = vectors.mT[rows, order[:, 2:]]  # ms0 pair, ms_minus pair
-    purity = weight[rows, order[:, 4:]]
-    alpha_minus, axis_code = params.tensor._alpha_minus
-    overlap = lambda_overlaps(states, zeeman_states(theta, phi, False), alpha_minus)
-    rule = map(lambda_rule, overlap.tolist(), purity.tolist(), itertools.repeat(axis_code))
-    flat = np.fromiter(itertools.chain.from_iterable(rule), int, 3 * len(order))
-    reason, excited, g_plus = flat.reshape(-1, 3).T
-    ground = states[rows, g_plus[:, None] ^ _arange(2)]  # g_plus, g_minus
-    legs = np.abs(line_drives(ground, states[rows, 2 + excited[:, None]]))
-    return legs[:, 0], legs[:, 1], ok & (eig_reason == 0) & (reason == 0)
-
-
 def _amplitude_ratios(params: SystemParams, b: float, theta, phi) -> np.ndarray:
     """Lambda amplitude ratio min/max at every (theta, phi), broadcast.
 
-    inf where ``_lambda_amplitudes`` finds no Lambda system.
+    inf where ``lambda_legs`` finds no Lambda system.
     """
     grid = np.empty((2,) + np.broadcast(theta, phi).shape)
     grid[0], grid[1] = theta, phi
-    op, om, ok = _lambda_amplitudes(params, b, *grid.reshape(2, -1))
+    op, om, ok = lambda_legs(params, b, *grid.reshape(2, -1))
     hi = np.maximum(op, om)
     ratio = np.divide(np.minimum(op, om), hi, out=np.ones_like(hi), where=hi != 0)
     return np.where(ok, ratio, np.inf).reshape(grid.shape[1:])

@@ -9,6 +9,7 @@ electron x nucleus with m_S = +1, 0, -1 and m_I = +1/2, -1/2, i.e.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -25,24 +26,6 @@ MANIFOLD_LABELS = ("ms_plus", "ms0", "ms_minus")
 
 # Dominant-manifold assignment below this overlap is meaningless.
 _MANIFOLD_OVERLAP_MIN = 0.6
-
-
-class _cached:
-    """``functools.cached_property`` without the lock that Python 3.11's
-    takes on every first access: the value is computed once per instance
-    and stored in its ``__dict__``, which later lookups read first."""
-
-    def __init__(self, fn):
-        self.fn, self.__doc__ = fn, fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -93,12 +76,12 @@ class HyperfineTensor:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError("non-finite tensor component %s" % name)
 
-    @_cached
+    @functools.cached_property
     def _components(self):
         """(a_xx, a_yy, a_zz, a) as a float array, once per tensor."""
         return np.array((self.a_xx, self.a_yy, self.a_zz, self.a), dtype=float)
 
-    @_cached
+    @functools.cached_property
     def _alpha_minus(self):
         """(alpha_minus, LAMBDA_REASONS axis code), once per tensor."""
         try:
@@ -149,42 +132,27 @@ class FieldOrientation:
 
 @dataclass(frozen=True)
 class Eigensystem:
-    """Diagonalized 6-level system.
+    """Diagonalized 6-level system, one row of ``eigensystem``'s labelling pass.
 
     values are ascending (MHz); vectors[:, k] is the k-th eigenvector with the
     largest-magnitude component made real positive; labels[k] indexes
     MANIFOLD_LABELS by the dominant electron subspace (``label_manifolds``).
+    The rest is the labels' order and the row's ``_records``, as Python floats
+    where they are lists (the main-line drives in the order of ``_MAIN_LINES``).
     """
 
     values: np.ndarray
     vectors: np.ndarray
     labels: np.ndarray
+    _order: np.ndarray
+    _states: np.ndarray
+    _purity: list
+    _main_legs: list
 
     @property
     def manifold(self) -> tuple:
         """The labels as MANIFOLD_LABELS names."""
         return tuple(MANIFOLD_LABELS[j] for j in self.labels)
-
-    @_cached
-    def _order(self):
-        """The labels' ``label_order``; ``eigensystem`` presets it and ``_purity``."""
-        return label_order(self.labels)
-
-    @_cached
-    def _purity(self):
-        """The ms_minus pair's ms_minus weight (Python floats)."""
-        return manifold_overlaps(self.vectors)[self._order[4:], 2].tolist()
-
-    @_cached
-    def _states(self):
-        """The ms0 pair's, then the ms_minus pair's vectors as rows (4, 6)."""
-        return self.vectors.T[self._order[2:]]
-
-    @_cached
-    def _main_legs(self):
-        """|<hi|DRIVE_SX|lo>| of the four main lines as Python floats, each ms0
-        row of ``_states`` against each ms_minus row: the order of ``_MAIN_LINES``."""
-        return np.abs(line_drives(self._states[:2, None], self._states[2:])).ravel().tolist()
 
 
 class TransitionLine(NamedTuple):
@@ -424,11 +392,13 @@ def label_manifolds(over: np.ndarray):
 def eigensystems(h: np.ndarray):
     """Batched ``eigensystem`` over a stack of 6x6 matrices (n, 6, 6).
 
-    Returns (values, vectors, labels, reason, order, weight), the labels and
-    order from ``label_manifolds``; reason (n,) is the EIGEN_REASONS code, 0
-    where the matrix is Hermitian (nan and inf solved as 0) and its states
-    labelled. weight (n, 6) is each state's ms_minus overlap, the one the
-    labels are read from; at positions 4-5 of order, ``lambda_rule``'s purity.
+    The labelling pass: the states are labelled by ``label_manifolds`` from
+    the overlaps of eigh's own vectors, the floats the fit's forward model
+    labels from, and their phases fixed afterwards. Returns (values,
+    vectors, labels, reason, order, over): reason (n,) is the EIGEN_REASONS
+    code, 0 where the matrix is Hermitian (nan and inf solved as 0) and its
+    states labelled; over (n, 6, 3) holds the overlaps the labels are read
+    from (``manifold_overlaps``).
     """
     h = np.asarray(h, dtype=complex)
     # exactly Hermitian and finite, as from hamiltonians: no tolerance to weigh
@@ -438,11 +408,22 @@ def eigensystems(h: np.ndarray):
     if not every:  # nan or inf would stop LAPACK
         h = np.where(np.isfinite(h), h, 0.0)
     values, vectors = np.linalg.eigh(h)
-    vectors = _fix_phases(vectors)
     over = manifold_overlaps(vectors)
     labels, reason, order = label_manifolds(over)
     reason = reason if every else np.where(hermitian, reason, 1)
-    return values, vectors, labels, reason, order, over[..., 2]
+    return values, _fix_phases(vectors), labels, reason, order, over
+
+
+def _records(vectors, order, over):
+    """What a scan point reads off each row of an ``eigensystems`` pass:
+    (states, purity, drives), the Lambda state rows (n, 4, 6) at positions
+    2-5 of the order (the ms0 pair, then the ms_minus pair), the latter's
+    ms_minus overlaps (n, 2), ``lambda_rule``'s purity, and the moduli (n,
+    2, 2) of the four main-line drives, |<ms_minus e|DRIVE_SX|ms0 g>| at [g, e]."""
+    rows = _arange(len(order), 2)
+    states = vectors.mT[rows, order[:, 2:]]
+    drives = np.abs(line_drives(states[:, :2, None], states[:, None, 2:]))
+    return states, over[rows, order[:, 4:], 2], drives
 
 
 def eigensystem(h: np.ndarray) -> Eigensystem:
@@ -461,15 +442,14 @@ def eigensystem(h: np.ndarray) -> Eigensystem:
     h = np.asarray(h, dtype=complex)
     if h.shape != (6, 6):
         raise ValueError("expected a 6x6 matrix")
-    values, vectors, labels, reason, order, weight = eigensystems(h[None])
+    values, vectors, labels, reason, order, over = eigensystems(h[None])
     if reason[0]:
         k = int(np.argmax(labels[0] < 0))  # the first unlabelled state
-        over = manifold_overlaps(vectors[0])[k]
         names = [MANIFOLD_LABELS[j] for j in labels[0, :k]]
-        raise ValueError(EIGEN_REASONS[reason[0] - 1].format(k=k, over=over, labels=names))
-    eig, weight = Eigensystem(values[0], vectors[0], labels[0]), weight[0].tolist()
-    vars(eig).update(_order=order[0], _purity=[weight[k] for k in order[0, 4:].tolist()])
-    return eig
+        raise ValueError(EIGEN_REASONS[reason[0] - 1].format(k=k, over=over[0, k], labels=names))
+    states, purity, drives = _records(vectors, order, over)
+    return Eigensystem(values[0], vectors[0], labels[0], order[0], states[0], purity[0].tolist(),
+                       drives[0].ravel().tolist())
 
 
 def line_drives(lo_states: np.ndarray, hi_states: np.ndarray) -> np.ndarray:
@@ -500,7 +480,7 @@ def single_quantum_transitions(eig: Eigensystem) -> list[TransitionLine]:
     ms0 <-> ms_minus lines are the main lines of the low-frequency branch
     (see ``main_four_lines``).
     """
-    ms0, upper = np.flatnonzero(eig.labels == 1), np.flatnonzero(eig.labels != 1)
+    ms0, upper = eig._order[2:4], np.flatnonzero(eig.labels != 1)
     lo, hi = np.repeat(ms0, 4).tolist(), np.tile(upper, 2).tolist()
     return _sorted_lines(eig, lo, hi, drive_amplitudes(eig.vectors, lo, hi).tolist())
 
@@ -607,14 +587,14 @@ _NO_ZEEMAN_STATE = np.full(2, np.nan)
 def lambda_overlaps(states: np.ndarray, beta_plus, alpha_minus):
     """The overlaps the Lambda systems of labelled eigensystems are read from.
 
-    states (n, 4, 6) holds rows of eigenvectors from ``eigensystems``, where
-    it marks them ok: positions 2-5 of their order, the ms0 pair and the
-    ms_minus pair; beta_plus (n, 2) is from ``zeeman_states`` and
+    states (n, 4, 6) holds Lambda state rows from ``_records``, where
+    ``eigensystems`` marks them ok: positions 2-5 of their order, the ms0
+    pair and the ms_minus pair; beta_plus (n, 2) is from ``zeeman_states`` and
     alpha_minus (2,) from ``nuclear_eigenstates_excited``. Returns overlap
     (n, 4): the two ms0 states' overlaps with beta_plus, then the two
     ms_minus states' overlaps with alpha_minus, by ``_nuclear_overlaps``
     (nan where a state has no weight in its manifold). ``lambda_rule``
-    decides each row from them and its purity from ``eigensystems``.
+    decides each row from them and its purity from ``_records``.
     """
     block = states[:, _arange(4, 2), _PAIR_ROWS]
     ref = np.empty((len(states), 4, 2), dtype=complex)
@@ -705,3 +685,26 @@ def lambda_transition_amplitudes(
     squared.
     """
     return lambda_system(eig, tensor, field)[:2]
+
+
+def lambda_legs(params: SystemParams, b, theta, phi):
+    """Lambda leg amplitudes at fields b (scalar or (n,)), theta, phi (n,).
+
+    The batched form of ``lambda_transition_amplitudes``: one labelling pass
+    (``eigensystems``) and one ``lambda_overlaps`` call, ``lambda_rule`` on every
+    row, the legs read off each row's main-line drives. Returns (omega_plus,
+    omega_minus, ok); ok is False where the scalar form would raise.
+    """
+    phi = wrap_azimuth(phi)  # as FieldOrientation
+    ok = np.isfinite(b) & (b > 0) & (theta >= 0.0) & (theta <= 180.0)
+    h = hamiltonians(params, np.where(ok, b, 0.0)[:, None] * unit_vectors(theta, phi))
+    _, vectors, _, eig_reason, order, over = eigensystems(h)
+    states, purity, drives = _records(vectors, order, over)
+    alpha_minus, axis_code = params.tensor._alpha_minus
+    overlap = lambda_overlaps(states, zeeman_states(theta, phi, False), alpha_minus)
+    rule = map(lambda_rule, overlap.tolist(), purity.tolist(), itertools.repeat(axis_code))
+    flat = np.fromiter(itertools.chain.from_iterable(rule), int, 3 * len(states))
+    reason, excited, g_plus = flat.reshape(-1, 3).T
+    rows = _arange(len(states))
+    return (drives[rows, g_plus, excited], drives[rows, 1 - g_plus, excited],
+            ok & (eig_reason == 0) & (reason == 0))

@@ -623,6 +623,35 @@ def test_zq_scan_rejects_non_finite_bounds(tmp_path, capsys, start, stop, step):
     assert capsys.readouterr().err == "error: sweep start, stop and step must be finite\n"
 
 
+def test_zq_scan_refuses_a_sweep_it_cannot_hold(tmp_path, capsys):
+    # the angles are counted before np.arange allocates them: 3.6e12 angles
+    # would take 26.2 TiB, and one past the cap of 65 536 is refused too
+    cfgp = write_cfg(tmp_path, TABLE_CFG)
+    for stop, step, count in (("360", "1e-10", "3600000000000"), ("65536", "1", "65537")):
+        assert main(["--config", cfgp, "zq-scan", "--sweep", "phi", "--start", "0",
+                     "--stop", stop, "--step", step]) == 1
+        assert capsys.readouterr() == (
+            "", "error: a sweep of %s angles exceeds the cap of 65536\n" % count)
+
+
+def test_a_field_ripple_must_keep_the_field_positive(tmp_path, capsys):
+    # B(phi) = b + amplitude cos(...) reaches b - |amplitude|: zero at
+    # |amplitude| = b, negative beyond; the config refuses both by its key
+    for amplitude in ("50", "40.3", "-40.3"):
+        cfgp = write_cfg(tmp_path, TABLE_CFG + "noise.imperfection.amplitude = %s\n" % amplitude)
+        assert main(["--config", cfgp, "synth"]) == 1
+        assert capsys.readouterr() == ("", "error: %s: |noise.imperfection.amplitude| must be "
+                                       "below field.b = 40.3 G: the rippled field must stay "
+                                       "positive\n" % cfgp)
+    cfgp = write_cfg(tmp_path, TABLE_CFG + "noise.imperfection.amplitude = 40\n")
+    assert main(["--config", cfgp, "synth"]) == 0
+    # the library's own check names the point's field as a plain float
+    with pytest.raises(ValueError, match=r"^b must be >= 0, got -3\.001270189221941$"):
+        estimation.synthesize_dataset(parse(TABLE_CFG).system(), 40.3,
+                                      [(40.0, 50.0, "zq_frequency")],
+                                      field_imperfection=(50.0, 120.0, 0.0))
+
+
 def test_threads_flag_sets_env(tmp_path, capsys):
     cfgp = write_cfg(tmp_path, TABLE_CFG)
     old = os.environ.get("OMP_NUM_THREADS")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nvbeat import spin_core
-from nvbeat.estimation import _lambda_amplitudes, model_values
+from nvbeat.estimation import model_values
 from nvbeat.spin_core import (
     DRIVE_SX,
     EIGEN_REASONS,
@@ -31,6 +31,7 @@ from nvbeat.spin_core import (
     label_manifolds,
     label_order,
     lambda_excited_index,
+    lambda_legs,
     lambda_overlaps,
     lambda_rule,
     lambda_system,
@@ -498,11 +499,13 @@ def _labelling_sweep():
 
 def test_labelling_pass_keeps_labels_reasons_and_order():
     # labels, reason codes and order of eigensystems, from the walk table,
-    # against the walk one state at a time over the phase-fixed vectors'
-    # overlaps and a stable argsort of the labels
+    # against the walk one state at a time over the overlaps of eigh's own
+    # vectors, before their phases are fixed, and a stable argsort of the labels
     h = _labelling_sweep()
-    values, vectors, labels, reason, order, weight = eigensystems(h)
-    want = [_walk(o) for o in manifold_overlaps(vectors).tolist()]
+    values, vectors, labels, reason, order, over = eigensystems(h)
+    raw = manifold_overlaps(np.linalg.eigh(h)[1])
+    assert _bits(over) == _bits(raw)
+    want = [_walk(o) for o in raw.tolist()]
     assert np.array_equal(labels, [w[0] for w in want])
     assert np.array_equal(reason, [w[1] for w in want])
     assert np.array_equal(order, np.argsort(labels, axis=1, kind="stable"))
@@ -511,24 +514,35 @@ def test_labelling_pass_keeps_labels_reasons_and_order():
 
 def test_kept_weight_is_the_lambda_purity_bit_for_bit():
     # the ms_minus weight the labelling pass keeps, at the ms_minus pair,
-    # is the purity computed from that pair's gathered state rows: on a
-    # seeded stack and on the turned diag(0..5) cases of the Lambda
+    # is the purity computed from that pair's rows of eigh's own vectors:
+    # on a seeded stack and on the turned diag(0..5) cases of the Lambda
     # reasons (both ms_minus states half alpha_minus; 0.587 pure)
     rng = np.random.default_rng(32)
     stack = [build_hamiltonian(*random_system(rng)) for _ in range(300)]
     for u in (turn(4, 5, 44.5), turn(4, 5, 44.5) @ turn(0, 4, 50.0) @ turn(1, 5, 50.0)):
         stack.append(u @ np.diag(np.arange(6.0)) @ u.T)
-    values, vectors, labels, reason, order, weight = eigensystems(np.stack(stack))
+    values, vectors, labels, reason, order, over = eigensystems(np.stack(stack))
     n = np.arange(len(stack))[:, None]
-    pops = np.abs(vectors.mT[n, order[:, 4:], 4:]) ** 2  # the ms_minus pair's ms_minus rows
+    raw = np.linalg.eigh(np.stack(stack))[1]
+    pops = np.abs(raw.mT[n, order[:, 4:], 4:]) ** 2  # the ms_minus pair's ms_minus rows
     want = pops[..., 0] + pops[..., 1]
-    assert _bits(weight[n, order[:, 4:]]) == _bits(want)
+    assert _bits(over[n, order[:, 4:], 2]) == _bits(want)
     assert not reason[-2:].any() and want[-1].max() < 0.6 <= want[-2].min()
     for k in np.flatnonzero(reason == 0):
         assert eigensystem(stack[k])._purity == want[k].tolist()
-        # an Eigensystem built from its fields reads the same weights itself
-        eig = spin_core.Eigensystem(values[k], vectors[k], labels[k])
-        assert eig._purity == want[k].tolist() and np.array_equal(eig._order, order[k])
+
+
+def test_fit_and_scalar_layer_label_the_theta_90_ties_alike():
+    # the fit labels eigh's own vectors; so does the labelling pass, before it
+    # fixes their phases. Six measured ties at theta = 90 where labels read
+    # off the phase-fixed vectors differed from the fit's
+    zero, flat = HyperfineTensor(0.0, 0.0, 0.0, 0.0), HyperfineTensor(150.0, 120.0, 0.0, 0.0)
+    cases = [(zero, 500.0, 75.0), (zero, 1098.0, -35.0), (zero, 1098.0, -20.0),
+             (zero, 1098.0, 45.0), (flat, 1098.0, -55.0), (flat, 1098.0, 25.0)]
+    for tensor, b, phi in cases:
+        h = hamiltonians(SystemParams(tensor=tensor), b * unit_vectors(90.0, wrap_azimuth(phi)))
+        fit = label_manifolds(manifold_overlaps(np.linalg.eigh(h)[1])[None])
+        assert _bits(*fit) == _bits(*eigensystems(h[None])[2:5]), (tensor, b, phi)
 
 
 def _eigen_failures():
@@ -638,7 +652,7 @@ def test_scalar_calls_are_rows_of_the_batched_kernels():
     )]
     stack = [build_hamiltonian(p, f) for p, f in systems]
     stack += [m for m, _ in _eigen_failures()]
-    values, vectors, labels, reason, order, weight = eigensystems(np.stack(stack))
+    values, vectors, labels, reason, order, over = eigensystems(np.stack(stack))
     assert set(reason) == {0, 1, 2, 3}
     for k, h in enumerate(stack):
         if reason[k]:
@@ -646,7 +660,7 @@ def test_scalar_calls_are_rows_of_the_batched_kernels():
             continue
         eig = eigensystem(h)
         assert _bits(eig.values, eig.vectors, eig.labels, eig._order, eig._purity) == _bits(
-            values[k], vectors[k], labels[k], order[k], weight[k, order[k, 4:]]
+            values[k], vectors[k], labels[k], order[k], over[k, order[k, 4:], 2]
         )
 
     # the Lambda legs: one tensor over a field grid, as the STA search runs
@@ -654,7 +668,7 @@ def test_scalar_calls_are_rows_of_the_batched_kernels():
     phi = np.r_[rng.uniform(-360, 360, 60), 0.0, 90.0, -3.2751579226442118e-15, 45.0]
     b = 40.3
     for params in (SYS, SystemParams(tensor=HyperfineTensor(150.0, 120.0, 0.0, 0.0))):
-        op, om, ok = _lambda_amplitudes(params, b, theta, phi)
+        op, om, ok = lambda_legs(params, b, theta, phi)
         for k in range(len(theta)):
             f = FieldOrientation(b, float(theta[k]), float(phi[k]))
             eig = eigensystem(build_hamiltonian(params, f))
@@ -744,19 +758,18 @@ def test_batched_kernels_take_empty_stacks():
     bvec = unit_vectors(none, none)
     beta_plus, beta_minus = zeeman_states(none, none)
     h = hamiltonians(SYS, bvec)
-    values, vectors, labels, reason, order, weight = eigensystems(h)
-    over = manifold_overlaps(vectors)
-    states = vectors.mT[np.arange(0)[:, None], order[:, 2:]]
+    values, vectors, labels, reason, order, over = eigensystems(h)
+    states, purity, main = spin_core._records(vectors, order, over)
     overlap = lambda_overlaps(states, beta_plus, REF._alpha_minus[0])
     drives = line_drives(states[:, :2], states[:, 2:3])
-    legs = _lambda_amplitudes(SYS, 40.3, none, none)
+    legs = lambda_legs(SYS, 40.3, none, none)
     got = [bvec, beta_plus, beta_minus, h, hamiltonians(SYS, bvec, np.zeros((0, 4))), values,
            vectors, labels, reason, over, *label_manifolds(over), order, states, overlap,
-           weight, drives, *legs, model_values(SYS, []), zeeman_states(none, none, False)]
+           purity, main, drives, *legs, model_values(SYS, []), zeeman_states(none, none, False)]
     shapes = [(0, 3), (0, 2), (0, 2), (0, 6, 6), (0, 6, 6), (0, 6), (0, 6, 6), (0, 6), (0,),
-              (0, 6, 3), (0, 6), (0,), (0, 6), (0, 6), (0, 4, 6), (0, 4), (0, 6), (0, 2), (0,),
-              (0,), (0,), (0,), (0, 2)]
-    kinds = "fccccfciifiiiicffcffbfc"
+              (0, 6, 3), (0, 6), (0,), (0, 6), (0, 6), (0, 4, 6), (0, 4), (0, 2), (0, 2, 2),
+              (0, 2), (0,), (0,), (0,), (0,), (0, 2)]
+    kinds = "fccccfciifiiiicfffcffbfc"
     assert [a.shape for a in got] == shapes
     assert "".join(a.dtype.kind for a in got) == kinds
 
