@@ -215,8 +215,8 @@ def _validate(values, name):
     for key in ("sequence.tau_max", "sequence.rabi_amplitude"):
         if values[key] <= 0:
             bad("%s must be positive" % key)
-    if not 2 <= values["sequence.n_points"] <= 2**20:
-        bad("sequence.n_points must be in [2, 2**20]")
+    if not 16 <= values["sequence.n_points"] <= 2**20:
+        bad("sequence.n_points must be in [16, 2**20]: the peak finder needs 16 samples")
     if values["sequence.rabi_amplitude"] > values["constants.d"] / 100:
         bad("sequence.rabi_amplitude must be at most constants.d / 100 = %.6g MHz: the "
             "rotating-wave model drops the drive's part near 2 D" % (values["constants.d"] / 100))

@@ -29,36 +29,6 @@ _MANIFOLD_OVERLAP_MIN = 0.6
 
 
 @dataclass(frozen=True)
-class SpinOperators:
-    """Cartesian angular momentum matrices for one spin, basis m = s..-s."""
-
-    s: float
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-
-
-def spin_matrices(s: float) -> SpinOperators:
-    """Spin matrices for s = 1/2 or 1 from the ladder construction.
-
-    Returns matrices in units of hbar=1 with sz = diag(s, s-1, ..., -s).
-    """
-    if s not in (0.5, 1, 1.0):
-        raise ValueError("unsupported spin: %r (need 1/2 or 1)" % (s,))
-    dim = int(round(2 * s + 1))
-    m = s - np.arange(dim)
-    # <m+1| S+ |m> = sqrt(s(s+1) - m(m+1))
-    sp = np.zeros((dim, dim))
-    for k in range(1, dim):
-        mm = m[k]
-        sp[k - 1, k] = np.sqrt(s * (s + 1) - mm * (mm + 1))
-    sx = 0.5 * (sp + sp.T)
-    sy = -0.5j * (sp - sp.T)
-    sz = np.diag(m)
-    return SpinOperators(s=float(s), sx=sx, sy=sy.astype(complex), sz=sz)
-
-
-@dataclass(frozen=True)
 class HyperfineTensor:
     """Hyperfine coupling in the NV frame, MHz.
 
@@ -164,19 +134,23 @@ class TransitionLine(NamedTuple):
     to_state: int
 
 
+def _spin(sp, m):
+    """(Sx, Sy, Sz) of one spin from its raising operator sp, basis m = s..-s."""
+    return 0.5 * (sp + sp.T), -0.5j * (sp - sp.T), np.diag(m)
+
+
+# the electron's (S = 1) and the 13C's (I = 1/2) operators, hbar = 1
+_SX, _SY, _SZ = _spin(np.diag([math.sqrt(2)] * 2, 1), [1, 0, -1])
+_IX, _IY, _IZ = _spin(np.diag([1.0], 1), [0.5, -0.5])
 # Static operator cache: H is a fixed linear combination of these matrices.
-_E = spin_matrices(1)
-_N = spin_matrices(0.5)
-_ID2 = np.eye(2)
-_ID3 = np.eye(3)
-_OP_SZ2 = np.kron(_E.sz @ _E.sz, _ID2).astype(complex)
+_OP_SZ2 = np.kron(_SZ @ _SZ, np.eye(2)).astype(complex)
 # the field terms: Sx, Sy, Sz (electron row) and Ix, Iy, Iz (nuclear row)
-_OP_ZEEMAN = np.array([[np.kron(m, _ID2) for m in (_E.sx, _E.sy, _E.sz)],
-                       [np.kron(_ID3, m) for m in (_N.sx, _N.sy, _N.sz)]], dtype=complex)
+_OP_ZEEMAN = np.array([[np.kron(m, np.eye(2)) for m in (_SX, _SY, _SZ)],
+                       [np.kron(np.eye(3), m) for m in (_IX, _IY, _IZ)]], dtype=complex)
 # the tensor terms: Sx Ix, Sy Iy, Sz Iz and Sz Ix + Sx Iz
 _OP_TENSOR = np.array([
-    np.kron(_E.sx, _N.sx), np.kron(_E.sy, _N.sy), np.kron(_E.sz, _N.sz),
-    np.kron(_E.sz, _N.sx) + np.kron(_E.sx, _N.sz),
+    np.kron(_SX, _IX), np.kron(_SY, _IY), np.kron(_SZ, _IZ),
+    np.kron(_SZ, _IX) + np.kron(_SX, _IZ),
 ], dtype=complex)
 
 # Microwave drive operator: electron Sx in the NV frame.
@@ -358,11 +332,6 @@ def _labelling_walk(kinds: np.ndarray):
     return labels, reason
 
 
-def label_order(labels: np.ndarray) -> np.ndarray:
-    """Stable argsort of labels (..., 6): ms_plus, ms0, ms_minus states."""
-    return labels.argsort(axis=-1, kind="stable")
-
-
 # the walk tabulated once for all 4**6 kind sequences; base-4 digits
 _KIND_WEIGHTS = 4 ** np.arange(6)
 # a state's kind by [ms_plus >= ms_minus overlap, ms0 <= 0.4, ms0 >= 0.6]
@@ -370,7 +339,7 @@ _KINDS = np.array([[[3, 1], [2, 2]], [[3, 1], [0, 0]]])
 _WALK = np.column_stack(_labelling_walk(np.arange(4**6)[:, None] >> 2 * np.arange(6) & 3))
 _WALK_LABELS = _WALK[:, :6]  # int8 labels, then the reason, one row per key
 # the labels' order, as indices; an argsort of int8 rows is a slow radix sort
-_WALK_ORDER = label_order(_WALK_LABELS.astype(int))
+_WALK_ORDER = _WALK_LABELS.astype(int).argsort(axis=-1, kind="stable")
 
 
 def label_manifolds(over: np.ndarray):
@@ -380,7 +349,7 @@ def label_manifolds(over: np.ndarray):
     (labels, reason, order): labels (n, 6) index MANIFOLD_LABELS and read
     -1 from the first state that cannot be labelled; reason (n,) is the
     EIGEN_REASONS code, 0 for complete labellings, which hold each manifold
-    exactly twice; order (n, 6) is their ``label_order``, from the same table row.
+    exactly twice; order (n, 6) is their stable argsort, from the same table row.
     """
     o_zero, side = over[..., 1], (over[..., 0] >= over[..., 2]).view(np.int8)
     low, high = o_zero <= 1.0 - _MANIFOLD_OVERLAP_MIN, o_zero >= _MANIFOLD_OVERLAP_MIN

@@ -169,7 +169,7 @@ def test_bright_dark_structure():
         assert abs(d.bright[1]) < 1e-12 and abs(d.dark[1]) < 1e-12
         assert abs(d.coupling - np.hypot(op, om)) < 1e-12
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^at least one drive amplitude must be nonzero$"):
         bright_dark(0.0, 0.0)
 
 

@@ -57,11 +57,13 @@ def test_parse_errors_carry_location():
         parse("field.theta = 200\n")
     with pytest.raises(ConfigError, match="tau_max must be positive"):
         parse("sequence.tau_max = 0\n")
-    for n in (1, 2**20 + 1, 10**15):
+    for n in (1, 15, 2**20 + 1, 10**15):
         with pytest.raises(ConfigError, match=re.escape(
-                "t.cfg: sequence.n_points must be in [2, 2**20]")):
+                "t.cfg: sequence.n_points must be in [16, 2**20]: the peak finder needs 16 "
+                "samples")):
             parse("sequence.n_points = %d\n" % n, name="t.cfg")
-    assert parse("sequence.n_points = %d\n" % 2**20)["sequence.n_points"] == 2**20
+    for n in (16, 2**20):
+        assert parse("sequence.n_points = %d\n" % n)["sequence.n_points"] == n
     with pytest.raises(ConfigError, match=r"field\.b must be >= 0"):
         parse("field.b = -1\n")
     for key in ("field.b", "field.phi", "tensor.a", "sequence.tau_max"):
@@ -83,8 +85,8 @@ def test_parse_bounds_the_sequence_by_its_grids():
          "must be at most constants.d / 100 = 10 MHz"),
         ("sequence.tau_max = 1e300", "sequence.tau_max must leave " + grid + "5.115e-298 MHz "
          "above the 13C Larmor frequency |gamma_n| b = 0.0431411 MHz"),
-        ("sequence.n_points = 2\nsequence.tau_max = 12", "sequence.tau_max must leave "
-         + grid + "0.0416667 MHz above"),
+        ("sequence.n_points = 16\nsequence.tau_max = 174", "sequence.tau_max must leave "
+         + grid + "0.0431034 MHz above"),
         ("sequence.detuning = 1e300", "|sequence.detuning| must be below " + grid + "25.575 MHz"),
         ("sequence.detuning = -25.575", "|sequence.detuning| must be below"),
         ("sequence.n_points = 256\nsequence.detuning = 7", "|sequence.detuning| must be "
@@ -95,7 +97,7 @@ def test_parse_bounds_the_sequence_by_its_grids():
     # the reference grid and the smoke test's coarser one pass, up to the bounds
     for text in ("sequence.rabi_amplitude = 28.7\nsequence.detuning = -25.5",
                  "sequence.n_points = 256\nsequence.detuning = 6.3",
-                 "sequence.n_points = 2\nsequence.tau_max = 11"):
+                 "sequence.n_points = 16\nsequence.tau_max = 173"):
         parse(text + "\n", name="t.cfg")
 
 

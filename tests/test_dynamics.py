@@ -53,7 +53,7 @@ def test_propagate_unitary():
         assert np.max(np.abs(psi - want)) < 1e-10
     skew = np.zeros((6, 6), dtype=complex)
     skew[0, 1] = 1.0
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="^segment Hamiltonian is not Hermitian$"):
         propagate([(np.eye(6), 0.1), (skew, 0.1)], np.eye(6)[0])
 
 
@@ -302,10 +302,14 @@ def test_spectrum_peaks_truncates_and_keeps_empty_arrays():
 
 
 def test_spectrum_peaks_input_checks():
-    with pytest.raises(ValueError):
-        spectrum_peaks(RamseyTrace(tau=np.linspace(0, 1, 8), signal=np.zeros(8)))
+    # 16 samples, the floor of the config's sequence.n_points, is the least
+    # grid the peak finder takes; 15 is refused
+    tau = np.linspace(0, 1, 16)
+    spectrum_peaks(RamseyTrace(tau=tau, signal=np.cos(2 * np.pi * 4.0 * tau)))
+    with pytest.raises(ValueError, match="^need at least 16 samples$"):
+        spectrum_peaks(RamseyTrace(tau=tau[:15], signal=np.zeros(15)))
     bad = np.array([0.0, 0.1, 0.15, 0.4, 0.41, 0.6, 0.8, 1.0] * 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^non-uniform sample grid$"):
         spectrum_peaks(RamseyTrace(tau=bad, signal=np.zeros(len(bad))))
 
 

@@ -1,0 +1,72 @@
+"""Each entry check raises its own message.
+
+A bare ``pytest.raises(ValueError)`` passes on any ValueError, also one
+raised for another reason before the check it means to test; here each
+call is matched with the whole text of its message. The checks whose
+module tests already call them (``spectrum_peaks``, ``propagate``'s
+Hermiticity, the STA search at b = 0) are matched there.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from nvbeat.analytic import RamseyModelParams
+from nvbeat.dynamics import (
+    PulseParams,
+    RamseyTrace,
+    _ideal_pi_unitary,
+    _rabi_lab_frame,
+    apply_dephasing,
+    propagate,
+)
+from nvbeat.estimation import find_single_transition_axis
+from nvbeat.spin_core import FieldOrientation, HyperfineTensor, SystemParams
+from nvbeat.tensor_geometry import principal_sigmas
+
+REF = HyperfineTensor(166.9, 122.9, 90.0, -90.3)
+SYS = SystemParams(tensor=REF)
+F40 = FieldOrientation(40.3, 40.0, 90.0)
+TAU = np.linspace(0.0, 1.0, 32)
+TRACE = RamseyTrace(tau=TAU, signal=np.cos(2 * np.pi * 3.0 * TAU))
+
+CHECKS = {
+    "propagate_negative_duration": (
+        lambda: propagate([(np.eye(6), -0.1)], np.eye(6)[0]),
+        "segment duration must be >= 0"),
+    "dephasing_shape": (
+        lambda: apply_dephasing(TRACE, 1.0, "lorentzian"),
+        "unknown envelope shape 'lorentzian'"),
+    "dephasing_t2_star": (
+        lambda: apply_dephasing(TRACE, 0.0),
+        "t2_star must be positive"),
+    "rabi_lab_frame_grid": (
+        lambda: _rabi_lab_frame(SYS, F40, PulseParams(14.3), [0.0, 0.2, 0.1]),
+        "t_grid must be non-decreasing"),
+    "ramsey_model_n_spins": (
+        lambda: RamseyModelParams(1.0, 1.0, 0.5, n_spins=0),
+        "n_spins must be >= 1"),
+    "ramsey_model_amplitudes": (
+        lambda: RamseyModelParams(-1.0, 1.0, 0.5),
+        "drive amplitudes must be >= 0"),
+    "principal_sigmas_shape": (
+        lambda: principal_sigmas(REF, np.eye(3)),
+        "covariance must be 4x4 over (a_xx, a_yy, a_zz, a)"),
+    "principal_sigmas_frame": (
+        lambda: principal_sigmas(HyperfineTensor(100.0, 50.0, 100.0, 0.0), np.eye(4)),
+        "principal frame undefined: a_xx == a_zz and a == 0"),
+    "sta_search_nan_field": (
+        lambda: find_single_transition_axis(SYS, float("nan")),
+        "b must be finite and > 0"),
+    "ideal_pi_no_legs": (
+        lambda: _ideal_pi_unitary(0.0, 0.0, 4, 2, 3),
+        "both Lambda amplitudes vanish; no pulse defined"),
+}
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_entry_check_raises_its_message(name):
+    call, message = CHECKS[name]
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()

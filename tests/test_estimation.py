@@ -63,11 +63,11 @@ DESIGN2 += [(65.0, float(p), "zq_frequency") for p in np.linspace(-80, 80, 9)]
 
 
 def test_scan_point_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("unknown observable kind 'nope'")):
         ScanPoint(10.0, 0.0, 40.0, "nope", 1.0, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("sigma must be >= 1e-06, got 0.0")):
         ScanPoint(10.0, 0.0, 40.0, "zq_frequency", 1.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("transition_index must be 0..3, got 7")):
         ScanPoint(10.0, 0.0, 40.0, "sq_frequency", 1.0, 0.1, transition_index=7)
     good = dict(theta=10.0, phi=0.0, b=40.0, kind="zq_frequency", value=1.0, sigma=0.1)
     for name, bad in (
@@ -1114,7 +1114,7 @@ def test_find_single_transition_axis_no_off_diagonal():
     th, ph, ratio = find_single_transition_axis(sys0, 40.3)
     assert th < 0.1
     assert ratio < 1e-3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("b must be finite and > 0")):
         find_single_transition_axis(sys0, 0.0)
 
 

@@ -1,9 +1,12 @@
 """Every public function and class of the package has a user.
 
-A user is package code, the benchmark's workloads and tracer, or the
-acceptance tests. Unit tests do not count: a name only they call is code
-nothing needs. A mention inside the definition of a name that has no user
-does not count either, so a chain of unused helpers fails as a whole.
+A user is package code in a function, a class or the ``if __name__ ==
+"__main__"`` guard, the benchmark's workloads and tracer, or the acceptance
+tests. Unit tests do not count: a name only they call is code nothing
+needs. Other module-level code does not count: a public name that only
+builds a module constant can be built in place. A mention inside the
+definition of a name that has no user does not count either, so a chain of
+unused helpers fails as a whole.
 Comments and docstrings are not mentions; the benchmark's tracer names its
 targets in strings, so in the user files a string that is exactly a name is.
 """
@@ -13,6 +16,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 USERS = ("bench/workloads.py", "bench/spans.py", "tests/test_acceptance.py")
+MAIN_GUARD = "__name__ == '__main__'"  # as ast.unparse writes it
 # public names kept without a user, each for a stated reason
 ALLOWED = {
     "delta_second_order_sum": "keeps gamma_n B; the weak-coupling closed form "
@@ -42,13 +46,15 @@ def _unused_public_names():
     defined, uses, reached = {}, {}, set()
     for path in sorted((ROOT / "src" / "nvbeat").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            public = isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            public = public and not node.name.startswith("_")
-            if public:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                # of module-level code, only the main guard runs a call
+                if isinstance(node, ast.If) and ast.unparse(node.test) == MAIN_GUARD:
+                    reached |= _mentions(node)
+            elif node.name.startswith("_"):  # private helpers use what they name
+                reached |= _mentions(node)
+            else:
                 defined[node.name] = path.stem
                 uses[node.name] = _mentions(node) - {node.name}
-            else:  # module-level code and private helpers use what they name
-                reached |= _mentions(node)
     for rel in USERS:
         reached |= _mentions(ast.parse((ROOT / rel).read_text()), strings=True)
     live, todo = set(), reached & set(defined)

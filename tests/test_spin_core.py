@@ -29,7 +29,6 @@ from nvbeat.spin_core import (
     ground_zeeman_states,
     hamiltonians,
     label_manifolds,
-    label_order,
     lambda_excited_index,
     lambda_legs,
     lambda_overlaps,
@@ -41,7 +40,6 @@ from nvbeat.spin_core import (
     manifold_overlaps,
     nuclear_eigenstates_excited,
     single_quantum_transitions,
-    spin_matrices,
     unit_vectors,
     wrap_azimuth,
     zeeman_states,
@@ -69,11 +67,11 @@ def random_system(rng):
 
 
 def test_spin_matrices_algebra():
-    ops = spin_matrices(1.0)
-    comm = ops.sx @ ops.sy - ops.sy @ ops.sx
-    assert np.allclose(comm, 1j * ops.sz, atol=1e-12)
-    ops2 = spin_matrices(0.5)
-    assert np.allclose(ops2.sx @ ops2.sx, 0.25 * np.eye(2), atol=1e-12)
+    # the operators the Hamiltonian is built from: [Sx, Sy] = i Sz for S = 1,
+    # Ix^2 = 1/4 for I = 1/2
+    sx, sy, sz = spin_core._SX, spin_core._SY, spin_core._SZ
+    assert np.allclose(sx @ sy - sy @ sx, 1j * sz, atol=1e-12)
+    assert np.allclose(spin_core._IX @ spin_core._IX, 0.25 * np.eye(2), atol=1e-12)
 
 
 def test_hermiticity_random():
@@ -469,16 +467,19 @@ def test_label_manifolds_follows_the_walk():
     want = [_walk(o) for o in over]
     assert np.array_equal(labels, [w[0] for w in want])
     assert np.array_equal(reason, [w[1] for w in want])
-    assert np.array_equal(order, label_order(labels))
+    assert np.array_equal(order, labels.argsort(axis=-1, kind="stable"))
     assert 0.1 < (reason == 0).mean() < 0.9
     assert set(reason) == {0, 2, 3}
 
 
 def test_walk_order_is_the_label_order_of_every_key():
-    # the order eigensystems reads with the labels is their stable argsort,
-    # on all 4**6 keys of the walk table
+    # on all 4**6 keys of the walk table, the order eigensystems reads with the
+    # labels lists every state once: the unlabelled (-1) ones, then the
+    # ms_plus, ms0 and ms_minus states, each group by ascending index
     assert _WALK_ORDER.shape == _WALK_LABELS.shape == (4**6, 6)
-    assert np.array_equal(_WALK_ORDER, label_order(_WALK_LABELS))
+    assert (np.sort(_WALK_ORDER, axis=1) == np.arange(6)).all()
+    labels = np.take_along_axis(_WALK_LABELS.astype(int), _WALK_ORDER, axis=1)
+    assert (np.diff(6 * labels + _WALK_ORDER, axis=1) > 0).all()  # (label, index) ascending
 
 
 def _labelling_sweep():
@@ -726,7 +727,7 @@ def _lambda_rows(cases, tensor):
     ``lambda_overlaps`` call, ``lambda_rule`` per row and one
     ``line_drives`` call."""
     vectors = np.stack([eig.vectors for eig, _ in cases])
-    order = label_order(np.stack([eig.labels for eig, _ in cases]))
+    order = np.stack([eig.labels for eig, _ in cases]).argsort(axis=-1, kind="stable")
     n = np.arange(len(cases))
     states = vectors.mT[n[:, None], order[:, 2:]]
     theta, phi = np.array([(f.theta, f.phi) for _, f in cases]).T
@@ -797,7 +798,7 @@ def test_line_drives_match_vdot_bit_for_bit():
     # states, on the zero tensor (degenerate pairs) at the pole and at 90
     for theta in (0.0, 90.0):
         eig = eigensystem(build_hamiltonian(SystemParams(), FieldOrientation(40.3, theta, 0.0)))
-        v, order = eig.vectors, label_order(eig.labels)
+        v, order = eig.vectors, eig.labels.argsort(kind="stable")
         want = [abs(np.vdot(v[:, order[h]], DRIVE_SX @ v[:, order[l]]))
                 for l, h in ((2, 4), (2, 5), (3, 4), (3, 5))]
         assert [x.hex() for x in eig._main_legs] == [x.hex() for x in want]
@@ -825,7 +826,7 @@ def test_scan_point_solves_once(monkeypatch):
         monkeypatch.setattr(module, name, call)
 
     counted(np.linalg, "eigh")
-    for name in ("hamiltonians", "label_manifolds", "label_order", "line_drives"):
+    for name in ("hamiltonians", "label_manifolds", "line_drives"):
         counted(spin_core, name)
     f = FieldOrientation(31.77, 40.0, 30.0)
     eig = eigensystem(build_hamiltonian(SYS, f))
