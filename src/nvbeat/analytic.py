@@ -17,7 +17,7 @@ from .spin_core import (
     HyperfineTensor,
     SystemParams,
     build_hamiltonian,
-    ground_zeeman_states,
+    zeeman_states,
 )
 
 
@@ -82,8 +82,10 @@ def _adapted_basis_hamiltonian(params: SystemParams, field: FieldOrientation):
     eigenstates, which is what makes the perturbation denominators meaningful
     when the xz cross coupling is large.
     """
+    if field.b <= 0:
+        raise ValueError("Zeeman axis undefined (b = 0)")
     h = build_hamiltonian(params, field)
-    beta_plus, beta_minus = ground_zeeman_states(field)
+    beta_plus, beta_minus = zeeman_states(field.theta, field.phi)
     u = np.zeros((6, 6), dtype=complex)
     u[2:4, 2] = beta_plus
     u[2:4, 3] = beta_minus

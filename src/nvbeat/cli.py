@@ -135,9 +135,18 @@ def _run(args) -> int:
     return 0
 
 
+def _lambda_inputs(cfg, params, at_sta: bool):
+    """Refuse by its config keys a run whose Lambda system is undefined."""
+    if params.tensor.a_zz == 0.0 and params.tensor.a == 0.0:
+        raise ValueError("tensor.a_zz = tensor.a = 0: the excited level has no quantization axis")
+    if at_sta and cfg["field.b"] == 0.0:
+        raise ValueError("field.b = 0: the single-transition axis needs a field")
+
+
 def _resolved_field(cfg, params, at_sta: bool):
     if not at_sta:
         return cfg.field_nv()
+    _lambda_inputs(cfg, params, True)
     from .estimation import find_single_transition_axis
     from .spin_core import FieldOrientation
 
@@ -151,7 +160,8 @@ def _resolved_field(cfg, params, at_sta: bool):
 
 def cmd_spectrum(cfg, params, args) -> list:
     from .config import csv_row
-    from .spin_core import build_hamiltonian, eigensystem, single_quantum_transitions
+    from .spin_core import (MANIFOLD_LABELS, build_hamiltonian, eigensystem,
+                            single_quantum_transitions)
 
     field = _resolved_field(cfg, params, args.at_sta)
     eig = eigensystem(build_hamiltonian(params, field))
@@ -160,7 +170,7 @@ def cmd_spectrum(cfg, params, args) -> list:
     # branch to one line)
     merged = []
     for ln in lines:
-        branch = eig.manifold[ln.to_state]
+        branch = MANIFOLD_LABELS[eig.labels[ln.to_state]]
         same = [m for m in merged if m[2] == branch and abs(ln.frequency - m[0]) < 1e-9]
         if same:
             same[-1][1] += ln.amplitude
@@ -234,6 +244,7 @@ def cmd_rabi(cfg, params, args) -> list:
 
     from .dynamics import PulseParams, simulate_rabi, spectrum_peaks
 
+    _lambda_inputs(cfg, params, False)
     field = _resolved_field(cfg, params, args.at_sta)
     amp = cfg["sequence.rabi_amplitude"]
     # four nominal Rabi periods; tau_max is the free-evolution scale, not this
@@ -263,6 +274,7 @@ def cmd_ramsey(cfg, params, args) -> list:
     from .dynamics import apply_dephasing, simulate_zq_ramsey, spectrum_peaks
     from .spin_core import build_hamiltonian, eigensystem, zero_quantum_splitting_exact
 
+    _lambda_inputs(cfg, params, False)
     field = _resolved_field(cfg, params, args.at_sta)
     nyquist = (cfg["sequence.n_points"] - 1) / (2 * cfg["sequence.tau_max"])
     zq = zero_quantum_splitting_exact(eigensystem(build_hamiltonian(params, field)))
@@ -371,7 +383,7 @@ def cmd_sensitivity(cfg, params, args) -> list:
 
 
 def cmd_principal(cfg, params, args) -> list:
-    from .tensor_geometry import magnitude_sorted, principal_axes
+    from .tensor_geometry import principal_axes
 
     axes = principal_axes(params.tensor)
     small, y_val, big = axes.values
@@ -380,7 +392,7 @@ def cmd_principal(cfg, params, args) -> list:
         "principal_y = %.10g" % y_val,
         "principal_big = %.10g" % big,
         "magnitude_sorted = %s"
-        % " ".join("%.10g" % v for v in magnitude_sorted(axes)),
+        % " ".join("%.10g" % v for v in sorted(axes.values, key=abs, reverse=True)),
         "theta_p = %.10g" % axes.theta_p,
         "theta_p_alt = %.10g" % axes.theta_p_alt,
     ]
@@ -393,6 +405,7 @@ def _synth_design(cfg, params, which: str):
     from .estimation import find_single_transition_axis
 
     if which == "sta-phi":
+        _lambda_inputs(cfg, params, True)
         theta, phi, _ = find_single_transition_axis(params, cfg["field.b"])
         design = [(theta, phi, "sq_frequency")]
         for p in np.linspace(-90.0, 90.0, 19):

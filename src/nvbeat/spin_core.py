@@ -53,11 +53,13 @@ class HyperfineTensor:
 
     @functools.cached_property
     def _alpha_minus(self):
-        """(alpha_minus, LAMBDA_REASONS axis code), once per tensor."""
-        try:
-            return nuclear_eigenstates_excited(self)[2], 0
-        except ValueError:  # a_zz = a = 0: no quantization axis
+        """(alpha_minus, LAMBDA_REASONS axis code), once per tensor: in m_S = -1
+        the nucleus sees a_zz Iz + a Ix, mixing angle theta' = atan2(a, a_zz);
+        alpha_minus is on (|+1/2>, |-1/2>), nan (code 2) where a_zz = a = 0."""
+        if self.a_zz == 0.0 and self.a == 0.0:
             return np.full(2, np.nan), 2
+        tp = np.arctan2(self.a, self.a_zz)
+        return np.array([np.sin(tp / 2), -np.cos(tp / 2)], dtype=complex), 0
 
 
 @dataclass(frozen=True)
@@ -118,11 +120,6 @@ class Eigensystem:
     _states: np.ndarray
     _purity: list
     _main_legs: list
-
-    @property
-    def manifold(self) -> tuple:
-        """The labels as MANIFOLD_LABELS names."""
-        return tuple(MANIFOLD_LABELS[j] for j in self.labels)
 
 
 class TransitionLine(NamedTuple):
@@ -474,28 +471,13 @@ def zero_quantum_splitting_exact(eig: Eigensystem) -> float:
     return float(abs(w[order[3]] - w[order[2]]))
 
 
-def nuclear_eigenstates_excited(tensor: HyperfineTensor):
-    """Nuclear quantization in the m_S = -1 manifold.
-
-    The nuclear spin there sees the effective operator a_zz Iz + a Ix (up to
-    the electron sign), with mixing angle theta' = atan2(a, a_zz). Returns
-    (theta_prime_deg, alpha_plus, alpha_minus) where the vectors are
-    components on (|+1/2>, |-1/2>).
-    """
-    if tensor.a_zz == 0.0 and tensor.a == 0.0:
-        raise ValueError("quantization axis undefined (a_zz = a = 0)")
-    tp = np.arctan2(tensor.a, tensor.a_zz)
-    c, s = np.cos(tp / 2), np.sin(tp / 2)
-    alpha_plus = np.array([c, s], dtype=complex)
-    alpha_minus = np.array([s, -c], dtype=complex)
-    return float(np.degrees(tp)), alpha_plus, alpha_minus
-
-
 def zeeman_states(theta, phi, minus=True):
     """Nuclear Zeeman eigenstates along field directions (degrees).
 
-    Returns (beta_plus, beta_minus), each (..., 2), as ``ground_zeeman_states``
-    describes them; with minus False, beta_plus alone (all the Lambda kernels read).
+    Returns (beta_plus, beta_minus), each (..., 2), on (|+1/2>, |-1/2>):
+    beta_plus = cos(theta/2)|+1/2> + e^{i phi} sin(theta/2)|-1/2>,
+    beta_minus = sin(theta/2)|+1/2> - e^{i phi} cos(theta/2)|-1/2>; with
+    minus False, beta_plus alone (all the Lambda kernels read).
     """
     half = np.radians(theta) / 2
     e = np.exp(1j * np.radians(phi))
@@ -507,18 +489,6 @@ def zeeman_states(theta, phi, minus=True):
         return beta[..., 0, :]
     beta[..., 1, 0], beta[..., 1, 1] = s, -e * c
     return beta[..., 0, :], beta[..., 1, :]
-
-
-def ground_zeeman_states(field: FieldOrientation):
-    """Nuclear Zeeman eigenstates along the field direction.
-
-    Returns (beta_plus, beta_minus) as components on (|+1/2>, |-1/2>):
-    beta_plus = cos(theta/2)|+1/2> + e^{i phi} sin(theta/2)|-1/2>,
-    beta_minus = sin(theta/2)|+1/2> - e^{i phi} cos(theta/2)|-1/2>.
-    """
-    if field.b <= 0:
-        raise ValueError("Zeeman axis undefined (b = 0)")
-    return zeeman_states(field.theta, field.phi)
 
 
 def _nuclear_overlaps(sub: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -559,7 +529,7 @@ def lambda_overlaps(states: np.ndarray, beta_plus, alpha_minus):
     states (n, 4, 6) holds Lambda state rows from ``_records``, where
     ``eigensystems`` marks them ok: positions 2-5 of their order, the ms0
     pair and the ms_minus pair; beta_plus (n, 2) is from ``zeeman_states`` and
-    alpha_minus (2,) from ``nuclear_eigenstates_excited``. Returns overlap
+    alpha_minus (2,) from ``HyperfineTensor._alpha_minus``. Returns overlap
     (n, 4): the two ms0 states' overlaps with beta_plus, then the two
     ms_minus states' overlaps with alpha_minus, by ``_nuclear_overlaps``
     (nan where a state has no weight in its manifold). ``lambda_rule``
@@ -631,7 +601,7 @@ def lambda_system(eig: Eigensystem, tensor: HyperfineTensor, field: FieldOrienta
     of the excited level and of the ground states matching beta_plus and
     beta_minus. The batch of one of ``lambda_overlaps`` and ``lambda_rule``;
     the legs are two of the eigensystem's main-line drives. Raises the
-    LAMBDA_REASONS first, then at b = 0 as ``ground_zeeman_states`` does.
+    LAMBDA_REASONS first, then at b = 0, where the Zeeman axis is undefined.
     """
     excited, g_plus = _lambda_row(eig, tensor, zeeman_states(field.theta, field.phi, False))
     if field.b <= 0:
@@ -648,7 +618,7 @@ def lambda_transition_amplitudes(
     """Drive amplitudes of the two legs of the zero-quantum Lambda system.
 
     The excited level is the ms_minus eigenstate whose nuclear part matches
-    alpha_minus of ``nuclear_eigenstates_excited``; the two ms0 states are
+    alpha_minus of ``HyperfineTensor._alpha_minus``; the two ms0 states are
     labeled by their overlap with the beta_plus/beta_minus Zeeman states.
     Returns (omega_plus, omega_minus) = |<excited|DRIVE_SX|ground_pm>|, not
     squared.

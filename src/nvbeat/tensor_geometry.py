@@ -58,15 +58,6 @@ def principal_axes(tensor: HyperfineTensor) -> PrincipalAxes:
     )
 
 
-def magnitude_sorted(axes: PrincipalAxes) -> tuple:
-    """Principal values sorted by descending |value|, for display only.
-
-    The structural (small, y, big) labeling of PrincipalAxes.values is what
-    keeps theta_p well defined; this view loses that association.
-    """
-    return tuple(sorted(axes.values, key=abs, reverse=True))
-
-
 def principal_sigmas(tensor: HyperfineTensor, covariance: np.ndarray) -> dict:
     """First-order propagation of tensor uncertainties to the principal frame.
 

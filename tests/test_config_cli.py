@@ -11,7 +11,8 @@ import pytest
 
 from nvbeat import estimation
 from nvbeat.cli import main
-from nvbeat.config import ConfigError, lab_to_nv, parse
+from nvbeat.config import ConfigError, csv_row, lab_to_nv, parse
+from nvbeat.dynamics import apply_dephasing, simulate_zq_ramsey, spectrum_peaks
 from nvbeat.spin_core import SystemParams
 
 TABLE_CFG = """\
@@ -341,6 +342,59 @@ def test_ramsey_refuses_a_grid_that_aliases_the_beat(tmp_path, capsys, at_sta):
     assert code == 1 and out == ""
     assert err == ("error: sequence.tau_max = 200 and sequence.n_points = 1024 resolve up "
                    "to 2.5575 MHz, not the ZQ splitting 6.23761 MHz: the beat would alias\n")
+
+
+@pytest.mark.parametrize("setting, envelope", [
+    ("sequence.pi_duration = 0.035\n", None),
+    ("sequence.pi_duration = 0.035\nsequence.t2_star = 3\n", "exponential"),
+    ("sequence.pi_duration = 0.035\nsequence.t2_star = 3\nsequence.envelope = gaussian\n",
+     "gaussian"),
+])
+def test_ramsey_takes_a_set_pi_duration_and_dephasing(tmp_path, capsys, setting, envelope):
+    # a numeric pi_duration skips the Rabi calibration; t2_star > 0 damps
+    # the trace with the envelope the config names
+    text = TABLE_CFG + "sequence.n_points = 256\n" + setting
+    assert main(["--config", write_cfg(tmp_path, text), "ramsey"]) == 0
+    cfg = parse(text)
+    tau = np.linspace(0.0, cfg["sequence.tau_max"], cfg["sequence.n_points"])
+    bare = simulate_zq_ramsey(cfg.system(), cfg.field_nv(), 0.035, cfg["sequence.detuning"], tau,
+                              rabi_amplitude=cfg["sequence.rabi_amplitude"])
+    trace = bare if envelope is None else apply_dephasing(bare, 3.0, envelope)
+    peaks = spectrum_peaks(trace)
+    want = ["tau_us,signal"] + [csv_row(t, x) for t, x in zip(trace.tau, trace.signal)]
+    want += ["# peak %d: %.4f MHz (magnitude %.6g)" % (k + 1, f, m)
+             for k, (f, m) in enumerate(zip(peaks.frequency, peaks.magnitude))]
+    assert capsys.readouterr().out.splitlines()[1:] == want
+    assert (envelope is None) == np.array_equal(trace.signal, bare.signal)
+
+
+ZERO_TENSOR_CFG = "tensor.a_xx = 166.9\ntensor.a_yy = 122.9\n"  # a_zz = a = 0
+NO_AXIS = "error: tensor.a_zz = tensor.a = 0: the excited level has no quantization axis\n"
+NO_FIELD = "error: field.b = 0: the single-transition axis needs a field\n"
+
+
+@pytest.mark.parametrize("text, command, err", [
+    (ZERO_TENSOR_CFG, ["rabi"], NO_AXIS),
+    (ZERO_TENSOR_CFG, ["ramsey"], NO_AXIS),
+    (ZERO_TENSOR_CFG, ["spectrum", "--at-sta"], NO_AXIS),
+    (ZERO_TENSOR_CFG, ["sensitivity", "--at-sta"], NO_AXIS),
+    (ZERO_TENSOR_CFG, ["synth"], NO_AXIS),
+    (TABLE_CFG + "field.b = 0\n", ["rabi", "--at-sta"], NO_FIELD),
+    (TABLE_CFG + "field.b = 0\n", ["spectrum", "--at-sta"], NO_FIELD),
+    (TABLE_CFG + "field.b = 0\n", ["sensitivity", "--at-sta"], NO_FIELD),
+    (TABLE_CFG + "field.b = 0\n", ["synth"], NO_FIELD),
+])
+def test_commands_that_need_the_lambda_system_name_its_config_keys(tmp_path, capsys, text,
+                                                                   command, err):
+    # rabi and ramsey read the excited level, and the single-transition axis
+    # search both Lambda legs; the config itself must keep such a run, since
+    # the commands that need no Lambda system run on it
+    cfgp = write_cfg(tmp_path, text)
+    assert main(["--config", cfgp, *command]) == 1
+    assert capsys.readouterr() == ("", err)
+    for other in (["spectrum"], ["sensitivity"], ["principal"], ["synth", "--design", "two-theta"]):
+        assert main(["--config", cfgp, *other]) == 0
+    capsys.readouterr()
 
 
 def test_fit_command(tmp_path, capsys):

@@ -4,15 +4,19 @@ A bare ``pytest.raises(ValueError)`` passes on any ValueError, also one
 raised for another reason before the check it means to test; here each
 call is matched with the whole text of its message. The checks whose
 module tests already call them (``spectrum_peaks``, ``propagate``'s
-Hermiticity, the STA search at b = 0) are matched there.
+Hermiticity, the STA search at b = 0) are matched there. A CLI check is
+matched by the error line it prints.
 """
 
+import contextlib
+import io
 import re
 
 import numpy as np
 import pytest
 
-from nvbeat.analytic import RamseyModelParams
+from nvbeat.analytic import RamseyModelParams, zq_beat_amplitude
+from nvbeat.cli import main
 from nvbeat.dynamics import (
     PulseParams,
     RamseyTrace,
@@ -21,8 +25,9 @@ from nvbeat.dynamics import (
     apply_dephasing,
     propagate,
 )
-from nvbeat.estimation import find_single_transition_axis
-from nvbeat.spin_core import FieldOrientation, HyperfineTensor, SystemParams
+from nvbeat.estimation import (FitParams, ScanDataset, ScanPoint, find_single_transition_axis,
+                               fit_hyperfine)
+from nvbeat.spin_core import FieldOrientation, HyperfineTensor, SystemParams, eigensystem
 from nvbeat.tensor_geometry import principal_sigmas
 
 REF = HyperfineTensor(166.9, 122.9, 90.0, -90.3)
@@ -30,6 +35,17 @@ SYS = SystemParams(tensor=REF)
 F40 = FieldOrientation(40.3, 40.0, 90.0)
 TAU = np.linspace(0.0, 1.0, 32)
 TRACE = RamseyTrace(tau=TAU, signal=np.cos(2 * np.pi * 3.0 * TAU))
+# three ZQ values whose squared residuals are finite and sum past float64
+HUGE = ScanDataset(ScanPoint(40.0, p, 40.3, "zq_frequency", 1e148, 1e-6) for p in (0.0, 30.0, 60.0))
+
+
+def cli(*argv):
+    """Run the CLI in process; raise its printed error as a ValueError."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    if code:
+        raise ValueError(err.getvalue().rstrip("\n"))
 
 CHECKS = {
     "propagate_negative_duration": (
@@ -62,6 +78,25 @@ CHECKS = {
     "ideal_pi_no_legs": (
         lambda: _ideal_pi_unitary(0.0, 0.0, 4, 2, 3),
         "both Lambda amplitudes vanish; no pulse defined"),
+    "tensor_non_finite": (
+        lambda: HyperfineTensor(float("nan"), 0.0, 0.0, 0.0),
+        "non-finite tensor component a_xx"),
+    "eigensystem_shape": (
+        lambda: eigensystem(np.eye(5)),
+        "expected a 6x6 matrix"),
+    "ramsey_model_no_drive": (
+        lambda: RamseyModelParams(0.0, 0.0, 1.0),
+        "at least one drive amplitude must be nonzero"),
+    "zq_beat_no_drive": (
+        lambda: zq_beat_amplitude(0.0, 0.0),
+        "at least one drive amplitude must be nonzero"),
+    "zq_scan_empty_range": (
+        lambda: cli("zq-scan", "--sweep", "theta", "--start", "10", "--stop", "0", "--step", "1"),
+        "error: empty sweep range"),
+    "fit_chi2_overflow": (
+        lambda: fit_hyperfine(HUGE, FitParams(166.9, 122.9, 90.0, -90.3, 40.3),
+                              fixed={"a_xx", "a_yy", "b"}),
+        "chi^2 not finite at the initial guess; check the data values"),
 }
 
 

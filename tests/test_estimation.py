@@ -32,6 +32,7 @@ from nvbeat.estimation import (
     _second_directional,
     find_single_transition_axis,
     fit_hyperfine,
+    model_values,
     precision_propagation,
     read_dataset,
     sensitivity_c,
@@ -44,6 +45,7 @@ from nvbeat.spin_core import (
     build_hamiltonian,
     eigensystem,
     lambda_transition_amplitudes,
+    main_four_lines,
     zero_quantum_splitting_exact,
 )
 
@@ -248,6 +250,19 @@ def test_forward_model_points_are_independent():
         assert np.abs(model[:9] - f).max() < 1e-9
         assert model[11] == model[5] and model[12] == model[8]
     assert model[13] != model[4]
+
+
+def test_sq_tie_goes_to_the_stronger_line():
+    # an unindexed value halfway between two main lines ties them, and the
+    # model takes the stronger line: halfway between lines 2 and 3 (ascending)
+    # the nearer by argsort is the weak line 2 and the amplitudes move the
+    # point to line 3; halfway between lines 0 and 1 the nearer is the strong 0
+    lines = main_four_lines(eigensystem(build_hamiltonian(SYS, FieldOrientation(40.3, 40.0, 0.0))))
+    assert ["%.4f" % ln.amplitude for ln in lines] == ["0.4960", "0.0050", "0.0050", "0.4019"]
+    for pair, want in (((2, 3), "2862.894237"), ((0, 1), "2722.645024")):
+        half = 0.5 * sum(lines[k].frequency for k in pair)
+        model = model_values(SYS, [ScanPoint(40.0, 0.0, 40.3, "sq_frequency", half, 0.2)])
+        assert "%.6f" % model[0] == want
 
 
 @pytest.mark.parametrize("first, later, message", [

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from nvbeat import spin_core
+from nvbeat.analytic import delta_second_order_sum
 from nvbeat.estimation import model_values
 from nvbeat.spin_core import (
     DRIVE_SX,
     EIGEN_REASONS,
     LAMBDA_REASONS,
+    MANIFOLD_LABELS,
     FieldOrientation,
     HyperfineTensor,
     SystemParams,
@@ -26,7 +28,6 @@ from nvbeat.spin_core import (
     build_hamiltonian,
     eigensystem,
     eigensystems,
-    ground_zeeman_states,
     hamiltonians,
     label_manifolds,
     lambda_excited_index,
@@ -38,7 +39,6 @@ from nvbeat.spin_core import (
     line_drives,
     main_four_lines,
     manifold_overlaps,
-    nuclear_eigenstates_excited,
     single_quantum_transitions,
     unit_vectors,
     wrap_azimuth,
@@ -176,28 +176,30 @@ def test_four_lines_pair_splitting():
 
 
 def test_nuclear_excited_states():
-    theta_p, ap, am = nuclear_eigenstates_excited(HyperfineTensor(1, 1, 5, 0))
-    assert abs(theta_p) < 1e-12
-    assert abs(abs(ap[0]) - 1.0) < 1e-12
-
-    theta_r, ap, am = nuclear_eigenstates_excited(REF)
-    assert abs(theta_r - math.degrees(math.atan2(-90.3, 90.0))) < 1e-9
-    assert abs(np.vdot(ap, am)) < 1e-12
-
-    with pytest.raises(ValueError):
-        nuclear_eigenstates_excited(HyperfineTensor(1, 1, 0, 0))
+    # alpha_minus is the unit -r/2 eigenvector of a_zz Iz + a Ix, r = hypot(a_zz, a)
+    for a_zz, a in ((5.0, 0.0), (-5.0, 0.0), (0.0, 3.0), (0.0, -3.0), (REF.a_zz, REF.a)):
+        am, code = HyperfineTensor(1.0, 1.0, a_zz, a)._alpha_minus
+        r = math.hypot(a_zz, a)
+        op = 0.5 * np.array([[a_zz, a], [a, -a_zz]])
+        assert code == 0 and am.dtype == complex
+        np.testing.assert_allclose(op @ am, -0.5 * r * am, rtol=0, atol=1e-12 * r)
+        assert abs(np.vdot(am, am) - 1.0) < 1e-12
+    # a_zz = a = 0: no quantization axis, the LAMBDA_REASONS code 2
+    am, code = HyperfineTensor(1, 1, 0, 0)._alpha_minus
+    assert code == 2 and np.isnan(am).all()
 
 
 def test_ground_zeeman_states():
-    bp, bm = ground_zeeman_states(FieldOrientation(10.0, 0.0, 0.0))
+    bp, bm = zeeman_states(0.0, 0.0)
     assert abs(abs(bp[0]) - 1.0) < 1e-12 and abs(abs(bm[1]) - 1.0) < 1e-12
 
-    bp, bm = ground_zeeman_states(FieldOrientation(10.0, 90.0, 0.0))
+    bp, bm = zeeman_states(90.0, 0.0)
     assert np.allclose(np.abs(bp), [1 / math.sqrt(2)] * 2, atol=1e-12)
     assert abs(np.vdot(bp, bm)) < 1e-12
 
-    with pytest.raises(ValueError):
-        ground_zeeman_states(FieldOrientation(0.0, 10.0, 0.0))
+    # at b = 0 the field gives no Zeeman axis for the adapted basis to read
+    with pytest.raises(ValueError, match=r"^Zeeman axis undefined \(b = 0\)$"):
+        delta_second_order_sum(SYS, FieldOrientation(0.0, 10.0, 0.0))
 
     # theta and phi broadcast: a row of thetas at one phi, or a column of
     # thetas against a row of phis, holds the per-element calls bit for bit
@@ -248,7 +250,7 @@ def test_sq_lines_match_the_state_loop():
         want = []
         for i in range(6):
             for j in range(6):
-                if eig.manifold[i] == "ms0" and eig.manifold[j] != "ms0":
+                if MANIFOLD_LABELS[eig.labels[i]] == "ms0" != MANIFOLD_LABELS[eig.labels[j]]:
                     amp = np.abs(np.vdot(eig.vectors[:, j], DRIVE_SX @ eig.vectors[:, i])) ** 2
                     want.append((abs(float(eig.values[j] - eig.values[i])), amp, i, j))
         want.sort(key=lambda ln: ln[0])
@@ -292,7 +294,7 @@ def test_labeling_at_theta90():
     # labeling must still resolve the ms0 doublet without raising
     f = FieldOrientation(40.3, 90.0, 0.0)
     eig = eigensystem(build_hamiltonian(SYS, f))
-    assert eig.manifold.count("ms0") == 2
+    assert [MANIFOLD_LABELS[j] for j in eig.labels].count("ms0") == 2
     assert zero_quantum_splitting_exact(eig) > 0
 
 
@@ -301,7 +303,7 @@ def test_eigensystem_reproducible():
     e1 = eigensystem(build_hamiltonian(SYS, f))
     e2 = eigensystem(build_hamiltonian(SYS, f))
     assert np.array_equal(e1.vectors, e2.vectors)
-    assert e1.manifold == e2.manifold
+    assert [MANIFOLD_LABELS[j] for j in e1.labels] == [MANIFOLD_LABELS[j] for j in e2.labels]
 
 
 def test_field_orientation_rejects_non_finite():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from nvbeat.spin_core import HyperfineTensor
-from nvbeat.tensor_geometry import magnitude_sorted, principal_axes, principal_sigmas
+from nvbeat.cli import main
+from nvbeat.tensor_geometry import principal_axes, principal_sigmas
 
 REF = HyperfineTensor(166.9, 122.9, 90.0, -90.3)
 
@@ -64,11 +65,16 @@ def test_pure_off_diagonal():
     assert abs(ax.values[2] - 5.0) < 1e-12
 
 
-def test_magnitude_sorted():
+def test_principal_prints_the_values_by_magnitude(tmp_path, capsys):
+    # the display order loses the (small, y, big) labels: |values| descending
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("tensor.a_xx = 10\ntensor.a_yy = 122.9\ntensor.a_zz = -200\ntensor.a = 3\n")
+    assert main(["--config", str(cfg), "principal"]) == 0
+    rows = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()[1:])
     ax = principal_axes(HyperfineTensor(10.0, 122.9, -200.0, 3.0))
-    m = magnitude_sorted(ax)
-    assert list(np.abs(m)) == sorted(np.abs(m), reverse=True)
-    assert set(m) == set(ax.values)
+    assert [rows[k] for k in ("principal_small", "principal_y", "principal_big")] == [
+        "%.10g" % v for v in ax.values]
+    assert rows["magnitude_sorted"] == "-200.0428484 122.9 10.0428484"
 
 
 def test_principal_sigmas_monte_carlo():
