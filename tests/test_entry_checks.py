@@ -47,6 +47,7 @@ def cli(*argv):
     if code:
         raise ValueError(err.getvalue().rstrip("\n"))
 
+
 CHECKS = {
     "propagate_negative_duration": (
         lambda: propagate([(np.eye(6), -0.1)], np.eye(6)[0]),
