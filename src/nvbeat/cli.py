@@ -275,6 +275,8 @@ def cmd_ramsey(cfg, params, args) -> list:
     from .spin_core import build_hamiltonian, eigensystem, zero_quantum_splitting_exact
 
     _lambda_inputs(cfg, params, False)
+    if cfg["field.b"] == 0.0:
+        raise ValueError("field.b = 0: the ms0 pair is degenerate, so there is no ZQ beat")
     field = _resolved_field(cfg, params, args.at_sta)
     nyquist = (cfg["sequence.n_points"] - 1) / (2 * cfg["sequence.tau_max"])
     zq = zero_quantum_splitting_exact(eigensystem(build_hamiltonian(params, field)))

@@ -8,8 +8,9 @@ intra-manifold elements oscillate at the carrier frequency and average
 out). The carrier sits at the mean of the two ms0 -> (ms_minus,
 alpha_minus) transition frequencies plus an optional detuning, so the
 detuning parameter measures symmetric offset from the Lambda doublet.
-Propagation applies exp(-i 2 pi H t), H in MHz and t in us, through the
-eigendecomposition of the Hermitian H.
+Propagation applies exp(-i 2 pi H t), H in MHz and t in us. Every trace is a
+unitary, diagonal free evolution and a unitary: its coefficient matrix C is
+computed once per point, then one matmul and one row dot give the trace on the grid.
 """
 
 from __future__ import annotations
@@ -105,23 +106,22 @@ def _unitary(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-2j * np.pi * w * t)) @ v.conj().T
 
 
-def _p_ms0(psi_rows: np.ndarray) -> np.ndarray:
-    return np.abs(psi_rows[..., 2]) ** 2 + np.abs(psi_rows[..., 3]) ** 2
+def _sequence_coefficients(vectors, before, after) -> np.ndarray:
+    """The Hermitian 6x6 C for which the bare ms0 population from bare ms0 x I/2,
+    after ``before``, free evolution tau under eigenbasis energies w and ``after``,
+    is sum_jk C_jk exp(-2 pi i (w_j - w_k) tau). C_jk = 1/2 sum_ms A_mj b_js
+    conj(A_mk b_ks) factors into the Gram matrices of A and b."""
+    a = vectors[2:4] @ after  # rows 2, 3: the bare ms0 states
+    b = before @ vectors[2:4].conj().T  # columns: the two bare ms0 starts, eigenbasis
+    return 0.5 * (a.T @ a.conj()) * (b @ b.conj().T)
 
 
 def _ms0_mixture_trace(eig: Eigensystem, times, w, before, after) -> RamseyTrace:
-    """Bare ms0 population from the pumped state rho = Pi_ms0 / 2 (bare ms0 x I/2).
-
-    In the eigenbasis, each of |0, +1/2> and |0, -1/2> is mapped by ``before``,
-    evolves for each of ``times`` (us) under the diagonal energies w (MHz), and
-    is mapped by ``after``; the readout is Pi_ms0 too, in the product basis.
-    """
+    """Bare ms0 population from the pumped state rho = Pi_ms0 / 2 (bare ms0 x I/2):
+    ``_sequence_coefficients``, then one matmul and one row dot over ``times`` (us)."""
     phases = np.exp(-2j * np.pi * np.outer(times, w))
-    sig = 0.0
-    for start in eig.vectors[2:4].conj():  # rows 2, 3: the bare ms0 states, eigenbasis
-        psi = (phases * (before @ start)) @ after.T
-        sig = sig + _p_ms0(psi @ eig.vectors.T)
-    return RamseyTrace(tau=times, signal=sig / 2)
+    c = _sequence_coefficients(eig.vectors, before, after)
+    return RamseyTrace(tau=times, signal=np.vecdot(phases, phases @ c).real)
 
 
 def _rotating_frame(eig: Eigensystem, exc: int, detuning: float):
@@ -188,7 +188,7 @@ def _rabi_lab_frame(params, field, pulse, t_grid) -> RamseyTrace:
                 h = h0 + pulse.rabi_amplitude * np.cos(2 * np.pi * omega_c * t_mid) * _DRIVE_NORM
                 psi = _unitary(h, step) @ psi
                 t_now += step
-            sig[n] += _p_ms0(psi[np.newaxis, :])[0]
+            sig[n] += np.abs(psi[2]) ** 2 + np.abs(psi[3]) ** 2
     return RamseyTrace(tau=t_grid, signal=sig / len(inits))
 
 

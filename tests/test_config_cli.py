@@ -397,6 +397,18 @@ def test_commands_that_need_the_lambda_system_name_its_config_keys(tmp_path, cap
     capsys.readouterr()
 
 
+def test_zq_scan_prints_nan_where_no_lambda_system_exists(tmp_path, capsys):
+    # a_zz = a = 0: the ZQ splitting is defined, the beat amplitude is not
+    cfgp = write_cfg(tmp_path, ZERO_TENSOR_CFG)
+    assert main(["--config", cfgp, "zq-scan", "--sweep", "phi",
+                 "--start", "0", "--stop", "10", "--step", "5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "angle_deg,delta_exact_mhz,delta_perturbative_mhz,beat_amplitude"
+    cells = np.array([row.split(",") for row in out[2:]], dtype=float)
+    assert cells.shape == (3, 4)
+    assert np.isnan(cells[:, 3]).all() and np.isfinite(cells[:, 1]).all()
+
+
 def test_fit_command(tmp_path, capsys):
     truth_cfg = write_cfg(tmp_path, TABLE_CFG, "truth.cfg")
     ds_path = str(tmp_path / "scan.csv")

@@ -11,7 +11,11 @@ from nvbeat.analytic import RamseyModelParams, bright_dark, zq_ramsey_lambda, zq
 from nvbeat.dynamics import (
     PulseParams,
     RamseyTrace,
+    _ideal_pi_unitary,
     _rabi_lab_frame,
+    _rotating_frame,
+    _sequence_coefficients,
+    _unitary,
     apply_dephasing,
     pi_pulse_from_rabi,
     propagate,
@@ -26,6 +30,8 @@ from nvbeat.spin_core import (
     SystemParams,
     build_hamiltonian,
     eigensystem,
+    lambda_excited_index,
+    lambda_system,
     lambda_transition_amplitudes,
     zero_quantum_splitting_exact,
 )
@@ -201,6 +207,58 @@ def test_pulses_at_zero_field_need_only_the_excited_level():
     assert rabi.signal[0] > 0.99 and rabi.signal.min() < 0.1  # the drive empties ms0
     with pytest.raises(ValueError, match=r"^Zeeman axis undefined \(b = 0\)$"):
         simulate_zq_ramsey(SYS, f0, 0.035, 0.0, t, ideal_pulses=True)
+
+
+def _sequence_cases(phi):
+    """(name, simulated trace, unitary(t) in the eigenbasis, C or None) at theta 40, phi:
+    a 14.3 MHz Rabi trace, and ZQ Ramsey with finite and with ideal pulses."""
+    field = FieldOrientation(40.3, 40.0, phi)
+    eig = eigensystem(build_hamiltonian(SYS, field))
+    _, w, x = _rotating_frame(eig, lambda_excited_index(eig, REF), 0.0)
+    rabi_h = np.diag(w) + 0.5 * 14.3 * x
+    rabi = simulate_rabi(SYS, field, PulseParams(14.3), np.linspace(0.0, 2.0 / 14.3, 801))
+    t_pi = pi_pulse_from_rabi(rabi)
+    tau = np.linspace(0.0, 2.0, 64)
+    finite = _unitary(rabi_h, t_pi)
+    ideal = _ideal_pi_unitary(*lambda_system(eig, REF, field))
+    return eig, [
+        ("rabi", rabi, lambda t: _unitary(rabi_h, t), None),
+        ("finite", simulate_zq_ramsey(SYS, field, t_pi, 0.0, tau, rabi_amplitude=14.3),
+         lambda t: finite @ _unitary(np.diag(w), t) @ finite,
+         _sequence_coefficients(eig.vectors, finite, finite)),
+        ("ideal", simulate_zq_ramsey(SYS, field, 0.0, 0.0, tau, ideal_pulses=True),
+         lambda t: ideal @ _unitary(np.diag(w), t) @ ideal,
+         _sequence_coefficients(eig.vectors, ideal, ideal)),
+    ]
+
+
+@pytest.mark.parametrize("phi", [-60.0, 0.0, 30.0, 60.0, 90.0])
+def test_sequence_kernel_matches_explicit_propagation(phi):
+    # each bare ms0 start propagated one tau at a time, read in bare ms0 and
+    # averaged over the two starts: the state-by-state sum C stands for
+    eig, cases = _sequence_cases(phi)
+    starts = eig.vectors[2:4].conj().T  # eigenbasis columns: bare |0, +1/2>, |0, -1/2>
+    for name, trace, sequence, c in cases:
+        want = [np.sum(np.abs((eig.vectors @ sequence(t) @ starts)[2:4]) ** 2) / 2
+                for t in trace.tau]
+        assert np.max(np.abs(trace.signal - want)) < 1e-12, name
+        if c is not None:
+            assert np.max(np.abs(c - c.conj().T)) < 1e-15, name
+
+
+@pytest.mark.parametrize("phi, ideal, finite", [
+    (0.0, 0.0165, 0.0073), (30.0, 0.0452, 0.0260), (60.0, 0.1429, 0.1105), (90.0, 0.2485, 0.2285),
+])
+def test_zq_amplitude_is_the_ms0_pair_coefficient(phi, ideal, finite):
+    # 2 |C[g0, g1]| is the beat amplitude with no time grid; at phi 60 the
+    # finite pulses leave 8 frequency pairs above 1e-3, the ideal swap 2
+    eig, cases = _sequence_cases(phi)
+    g0, g1 = eig._order[2:4]
+    pairs = np.triu_indices(6, 1)
+    for (name, _, _, c), amplitude, n_pairs in zip(cases[1:], (finite, ideal), (8, 2)):
+        assert abs(2 * abs(c[g0, g1]) - amplitude) < 5e-5, name
+        if phi == 60.0:
+            assert np.count_nonzero(2 * np.abs(c[pairs]) > 1e-3) == n_pairs, name
 
 
 def test_zq_ramsey_dominant_peak():

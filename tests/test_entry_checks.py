@@ -106,3 +106,16 @@ def test_entry_check_raises_its_message(name):
     call, message = CHECKS[name]
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("at_sta", [[], ["--at-sta"]])
+def test_ramsey_refuses_zero_field_by_its_key(tmp_path, at_sta):
+    # the ms0 pair is degenerate at b = 0, so a ramsey trace would show no
+    # beat; rabi reads the excited level alone and runs there
+    cfgp = tmp_path / "b0.cfg"
+    cfgp.write_text("tensor.a_xx = 166.9\ntensor.a_yy = 122.9\ntensor.a_zz = 90\n"
+                    "tensor.a = -90.3\nfield.b = 0\n")
+    message = "error: field.b = 0: the ms0 pair is degenerate, so there is no ZQ beat"
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        cli("--config", str(cfgp), "ramsey", *at_sta)
+    cli("--config", str(cfgp), "rabi")
