@@ -210,8 +210,9 @@ def test_pulses_at_zero_field_need_only_the_excited_level():
 
 
 def _sequence_cases(phi):
-    """(name, simulated trace, unitary(t) in the eigenbasis, C or None) at theta 40, phi:
-    a 14.3 MHz Rabi trace, and ZQ Ramsey with finite and with ideal pulses."""
+    """The eigensystem at theta 40, phi, and one (name, simulated trace, unitary(t) in
+    the eigenbasis, C or None) per case: a 14.3 MHz Rabi trace, and ZQ Ramsey with
+    finite and with ideal pulses."""
     field = FieldOrientation(40.3, 40.0, phi)
     eig = eigensystem(build_hamiltonian(SYS, field))
     _, w, x = _rotating_frame(eig, lambda_excited_index(eig, REF), 0.0)
