@@ -110,16 +110,6 @@ _REGISTRY = {
 }
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        raise TypeError("no boolean config values")
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed configuration; ``values`` holds every key."""
@@ -172,9 +162,7 @@ class RunConfig:
 
     def digest(self) -> str:
         """Short hash of the effective configuration (defaults included)."""
-        text = "\n".join(
-            "%s = %s" % (k, _format_value(self.values[k])) for k in _REGISTRY
-        )
+        text = "\n".join("%s = %s" % (k, self.values[k]) for k in _REGISTRY)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 

@@ -31,10 +31,10 @@ from .spin_core import (
     _OP_ZEEMAN,
     FieldOrientation,
     SystemParams,
-    drive_amplitudes,
     hamiltonians,
     label_manifolds,
     lambda_legs,
+    line_drives,
     manifold_overlaps,
 )
 
@@ -264,7 +264,8 @@ def _sq_lines(w, vecs, order, data):
         if not (dist[second] - dist[best] < _MATCH_TIE
                 and abs(freqs[r, second] - freqs[r, best]) > 1e-9):
             continue
-        amp = drive_amplitudes(vecs[at[r, 0]], *pairs[:, r])
+        states = vecs[at[r, 0]].T
+        amp = np.abs(line_drives(states[pairs[0, r]], states[pairs[1, r]])) ** 2
         if abs(amp[best] - amp[second]) <= 0.1 * max(amp[best], amp[second]):
             raise ValueError(
                 "ambiguous transition matching at point %d: two lines "

@@ -428,11 +428,6 @@ def line_drives(lo_states: np.ndarray, hi_states: np.ndarray) -> np.ndarray:
     return np.vecdot(hi_states, (DRIVE_SX @ lo_states[..., None])[..., 0])
 
 
-def drive_amplitudes(vectors: np.ndarray, lo, hi) -> np.ndarray:
-    """|<hi|DRIVE_SX|lo>|^2 for state index arrays lo and hi of vectors (6, 6)."""
-    return np.abs(line_drives(vectors.T[lo], vectors.T[hi])) ** 2
-
-
 # the four main lines: (from, to) rows of an ``Eigensystem._states``, ms0 to ms_minus
 _MAIN_LINES = np.array([[0, 0, 1, 1], [2, 3, 2, 3]])
 
@@ -448,7 +443,8 @@ def single_quantum_transitions(eig: Eigensystem) -> list[TransitionLine]:
     """
     ms0, upper = eig._order[2:4], np.flatnonzero(eig.labels != 1)
     lo, hi = np.repeat(ms0, 4).tolist(), np.tile(upper, 2).tolist()
-    return _sorted_lines(eig, lo, hi, drive_amplitudes(eig.vectors, lo, hi).tolist())
+    amp = np.abs(line_drives(eig.vectors.T[lo], eig.vectors.T[hi])) ** 2
+    return _sorted_lines(eig, lo, hi, amp.tolist())
 
 
 def main_four_lines(eig: Eigensystem) -> list[TransitionLine]:

@@ -1,5 +1,8 @@
 """Closed-form observables against the exact 6x6 oracle."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +119,17 @@ def test_second_order_sum_zero_tensor():
     p = SystemParams(tensor=HyperfineTensor(0, 0, 0, 0))
     got = delta_second_order_sum(p, FieldOrientation(40.0, 60.0, 30.0))
     assert abs(got - p.gamma_n * 40.0) < 1e-9
+
+
+def test_second_order_sum_warns_above_its_regime():
+    # gamma_e B = 308.3 MHz at 110 G passes D/10 = 287 MHz; 280.3 MHz at 100 G does not
+    with pytest.warns(UserWarning, match=re.escape(
+            "gamma_e*B exceeds D/10; second-order treatment is unreliable")):
+        got = delta_second_order_sum(SYS, FieldOrientation(110.0, 40.0, 90.0))
+    assert abs(got - 17.2042) < 5e-5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delta_second_order_sum(SYS, FieldOrientation(100.0, 40.0, 90.0))
 
 
 def test_second_order_sum_vs_closed_form():

@@ -127,6 +127,14 @@ def test_parse_rejects_out_of_range_values():
               name="t.cfg")
     # a zero period is harmless while the imperfection is off
     assert parse("noise.imperfection.period = 0\n").imperfection() is None
+    for kind in ("sq_frequency", "zq_frequency", "zq_amplitude"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "t.cfg: noise.sigma.%s must be >= 0" % kind)):
+            parse("noise.sigma.%s = -0.1\n" % kind, name="t.cfg")
+    # 'auto' written out is the default, not a number
+    cfg = parse("sequence.pi_duration = auto\n")
+    assert cfg["sequence.pi_duration"] == "auto"
+    assert cfg.digest() == parse("").digest()
 
 
 def test_lab_to_nv_along_axis():
