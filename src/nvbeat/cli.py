@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: spectrum | zq-scan | rabi | ramsey | fit | sensitivity |
-principal | synth. Global flags: --config PATH, --seed N, --out PATH,
---threads N. Every CSV output starts with a comment line carrying the
-toolkit version and the digest of the effective configuration; reruns with
-the same configuration and seed are byte-identical.
+principal | synth. Global flags: --config PATH, --seed N, --out PATH.
+Every CSV output starts with a comment line carrying the toolkit version and
+the digest of the effective configuration; reruns with the same
+configuration and seed are byte-identical.
 
-Heavy modules are imported inside main() so --threads can cap the BLAS
-thread pools before numpy initializes them.
+Heavy modules are imported inside main() so it can cap the BLAS thread pools
+at one thread before numpy starts them: every solve here is a batch of 6x6
+matrices, too small for a second thread. A pool size set in the
+environment wins.
 """
 
 from __future__ import annotations
@@ -25,12 +27,6 @@ def _build_parser():
     common.add_argument("--config", metavar="PATH", help="configuration file")
     common.add_argument("--seed", type=int, metavar="N", help="override the config seed")
     common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    common.add_argument(
-        "--threads",
-        type=int,
-        metavar="N",
-        help="cap BLAS/OpenMP thread pools (set before numpy loads)",
-    )
     at_sta = argparse.ArgumentParser(add_help=False)
     at_sta.add_argument(
         "--at-sta",
@@ -95,13 +91,8 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = getattr(args, "threads", None)
-    if threads is not None:
-        if threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 1
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     try:
         return _run(args)
     except (ValueError, OSError) as exc:

@@ -189,10 +189,11 @@ def test_noise_and_imperfection_accessors():
 # CLI, run in process
 
 
-def fresh_python(*args):
-    """``python -c *args`` in a new interpreter that imports nvbeat from src."""
+def fresh_python(*args, env=None):
+    """``python *args`` in a new interpreter that imports nvbeat from src,
+    with *env* (default: this process's environment)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    return subprocess.run([sys.executable, "-c", *args], env=dict(os.environ, PYTHONPATH=src),
+    return subprocess.run([sys.executable, *args], env=dict(os.environ if env is None else env, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -352,26 +353,34 @@ def test_ramsey_refuses_a_grid_that_aliases_the_beat(tmp_path, capsys, at_sta):
                    "to 2.5575 MHz, not the ZQ splitting 6.23761 MHz: the beat would alias\n")
 
 
-@pytest.mark.parametrize("setting, envelope", [
-    ("sequence.pi_duration = 0.035\n", None),
-    ("sequence.pi_duration = 0.035\nsequence.t2_star = 3\n", "exponential"),
-    ("sequence.pi_duration = 0.035\nsequence.t2_star = 3\nsequence.envelope = gaussian\n",
-     "gaussian"),
+@pytest.mark.parametrize("t2_star, envelope", [
+    (None, None),
+    (3.0, "exponential"),
+    (3.0, "gaussian"),
+    # damped to its mean after the first sample: the spectrum has no peak
+    (1e-9, "exponential"),
+    (1e-9, "gaussian"),
 ])
-def test_ramsey_takes_a_set_pi_duration_and_dephasing(tmp_path, capsys, setting, envelope):
+def test_ramsey_takes_a_set_pi_duration_and_dephasing(tmp_path, capsys, t2_star, envelope):
     # a numeric pi_duration skips the Rabi calibration; t2_star > 0 damps
     # the trace with the envelope the config names
-    text = TABLE_CFG + "sequence.n_points = 256\n" + setting
+    text = TABLE_CFG + "sequence.n_points = 256\nsequence.pi_duration = 0.035\n"
+    if t2_star is not None:
+        text += "sequence.t2_star = %r\n" % t2_star
+    if envelope == "gaussian":  # exponential is the default
+        text += "sequence.envelope = gaussian\n"
     assert main(["--config", write_cfg(tmp_path, text), "ramsey"]) == 0
     cfg = parse(text)
     tau = np.linspace(0.0, cfg["sequence.tau_max"], cfg["sequence.n_points"])
     bare = simulate_zq_ramsey(cfg.system(), cfg.field_nv(), 0.035, cfg["sequence.detuning"], tau,
                               rabi_amplitude=cfg["sequence.rabi_amplitude"])
-    trace = bare if envelope is None else apply_dephasing(bare, 3.0, envelope)
+    trace = bare if envelope is None else apply_dephasing(bare, t2_star, envelope)
     peaks = spectrum_peaks(trace)
     want = ["tau_us,signal"] + [csv_row(t, x) for t, x in zip(trace.tau, trace.signal)]
     want += ["# peak %d: %.4f MHz (magnitude %.6g)" % (k + 1, f, m)
              for k, (f, m) in enumerate(zip(peaks.frequency, peaks.magnitude))]
+    want += ["# no peaks"] * (len(peaks.frequency) == 0)
+    assert (t2_star == 1e-9) == (want[-1] == "# no peaks")
     assert capsys.readouterr().out.splitlines()[1:] == want
     assert (envelope is None) == np.array_equal(trace.signal, bare.signal)
 
@@ -596,7 +605,7 @@ def test_fit_overflow_prints_only_the_error(tmp_path, rows, value, sigma):
         lines[-k] = ",".join(row)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
-    proc = fresh_python("import sys; from nvbeat.cli import main; sys.exit(main())",
+    proc = fresh_python("-c", "import sys; from nvbeat.cli import main; sys.exit(main())",
                         "--config", cfgp, "fit", str(bad))
     assert proc.returncode == 1
     assert proc.stderr == (
@@ -629,7 +638,7 @@ def test_default_commands_do_not_import_scipy(tmp_path):
         "    assert not loaded, (args, loaded[:5])\n"
         % (commands, cfgp, str(tmp_path / "out.txt"))
     )
-    proc = fresh_python(script)
+    proc = fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -644,23 +653,59 @@ def test_table_commands_do_not_import_the_fit_module(tmp_path):
         "    assert 'nvbeat.estimation' not in sys.modules, args\n"
         % (cfgp, str(tmp_path / "out.txt"))
     )
-    proc = fresh_python(script)
+    proc = fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_importing_the_package_loads_no_submodule():
-    # --threads must act before numpy loads, so `import nvbeat` loads nothing
+    # main() caps the BLAS thread pools before numpy loads, so neither
+    # `import nvbeat` nor `import nvbeat.cli` may load numpy
     script = (
         "import sys\n"
         "import nvbeat\n"
         "loaded = [m for m in sys.modules\n"
         "          if m.startswith('nvbeat.') or m.split('.')[0] == 'numpy']\n"
         "assert not loaded, loaded\n"
+        "import nvbeat.cli\n"
+        "assert 'numpy' not in sys.modules\n"
         "from nvbeat import estimation\n"
         "assert estimation.fit_hyperfine\n"
     )
-    proc = fresh_python(script)
+    proc = fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_cli_runs_as_a_module(tmp_path):
+    cfgp = write_cfg(tmp_path, TABLE_CFG)
+    proc = fresh_python("-m", "nvbeat.cli", "--config", cfgp, "principal")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("# nvbeat 0.1.0 config=%s\n" % parse(TABLE_CFG).digest())
+
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_the_cli_runs_blas_on_one_thread_unless_the_environment_says(tmp_path, preset):
+    # OpenBLAS starts a thread per CPU when numpy loads; main() sets each
+    # pool size the environment leaves unset to 1 before that
+    cfgp = write_cfg(tmp_path, TABLE_CFG)
+    script = (
+        "import os, sys\n"
+        "from nvbeat.cli import main\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert main(['--config', %r, '--out', %r, 'principal']) == 0\n"
+        "print(len(os.listdir('/proc/self/task')), *(os.environ.get(v) for v in %r))\n"
+        % (cfgp, str(tmp_path / "out.txt"), BLAS_VARS)
+    )
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    proc = fresh_python("-c", script, env={**env, **preset})
+    assert proc.returncode == 0, proc.stderr
+    tasks, *values = proc.stdout.split()
+    assert values == [preset.get(v, "1") for v in BLAS_VARS]
+    if not preset:
+        assert tasks == "1"
 
 
 def test_cli_error_exits(tmp_path, capsys):
@@ -682,9 +727,6 @@ def test_cli_error_exits(tmp_path, capsys):
 
     assert main(["--config", cfgp, "fit", str(tmp_path / "no_scan.csv")]) == 1
     capsys.readouterr()
-
-    assert main(["--threads", "0", "principal"]) == 1
-    assert "--threads must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("start, stop, step", [
@@ -726,17 +768,3 @@ def test_a_field_ripple_must_keep_the_field_positive(tmp_path, capsys):
         estimation.synthesize_dataset(parse(TABLE_CFG).system(), 40.3,
                                       [(40.0, 50.0, "zq_frequency")],
                                       field_imperfection=(50.0, 120.0, 0.0))
-
-
-def test_threads_flag_sets_env(tmp_path, capsys):
-    cfgp = write_cfg(tmp_path, TABLE_CFG)
-    old = os.environ.get("OMP_NUM_THREADS")
-    try:
-        assert main(["--threads", "1", "--config", cfgp, "principal"]) == 0
-        assert os.environ["OMP_NUM_THREADS"] == "1"
-    finally:
-        if old is None:
-            os.environ.pop("OMP_NUM_THREADS", None)
-        else:
-            os.environ["OMP_NUM_THREADS"] = old
-    capsys.readouterr()

@@ -312,6 +312,8 @@ def test_spectrum_peaks_tone():
     ([0.5, 0.5, 0.5, 0.2, 0.9, 0.1], "0x1.1eb851eb851ecp-2"),  # equal neighbours
     ([1.0, 0.4, 0.1, 0.4, 1.0], "0x1.999999999999ap-3"),  # symmetric minimum
     ([1.0, 0.2, 0.7], "0x1.c8dc8dc8dc8ddp-4"),  # three samples
+    # s[0] - 2 s[1] + s[2] rounds to 0: no parabola, the grid minimum itself
+    ([-1 + 2**-53, -1.0, -1.0, 0.0], "0x1.999999999999bp-4"),
 ])
 def test_pi_pulse_edge_traces(signal, want):
     # the first sample no higher than both neighbours and lower than one,
