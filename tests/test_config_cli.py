@@ -193,8 +193,9 @@ def fresh_python(*args, env=None):
     """``python *args`` in a new interpreter that imports nvbeat from src,
     with *env* (default: this process's environment)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    return subprocess.run([sys.executable, *args], env=dict(os.environ if env is None else env, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
+    env = dict(os.environ if env is None else env, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -686,7 +687,7 @@ BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
-@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=("unset", "preset"))
 def test_the_cli_runs_blas_on_one_thread_unless_the_environment_says(tmp_path, preset):
     # OpenBLAS starts a thread per CPU when numpy loads; main() sets each
     # pool size the environment leaves unset to 1 before that
