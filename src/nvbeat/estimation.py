@@ -36,6 +36,8 @@ from .spin_core import (
     lambda_legs,
     line_drives,
     manifold_overlaps,
+    unit_vectors,
+    wrap_azimuth,
 )
 
 OBSERVABLE_KINDS = ("sq_frequency", "zq_frequency", "zq_amplitude")
@@ -199,7 +201,8 @@ class _FitData:
     none; ``sq_free`` lists those SQ rows. With ``per_point_b`` every
     point takes the b of its own row, else every vector's b slot. The rest
     are per-fit constants of ``_forward_model``, ``_jacobian`` and
-    ``_second_directional``.
+    ``_second_directional``, which pass the per-vector field ("u", "dirs",
+    "curv") in ``keep``.
     """
 
     def __init__(self, dataset: ScanDataset, per_point_b=False):
@@ -219,10 +222,7 @@ class _FitData:
         bits = [tuple(k) for k in keys.view(np.int64).tolist()]
         where = {k: i for i, k in enumerate(sorted(set(bits)))}
         self.dist = np.array([where[k] for k in bits], dtype=np.intp)
-        th, self.phi_dist, self.b_dist = np.reshape(list(where), (-1, 3)).view(float).T
-        sin_t, cos_t = np.sin(np.radians(th)), np.cos(np.radians(th))
-        # the field direction is this times (cos(phi), sin(phi), 1)
-        self.axes = np.stack([sin_t, sin_t, cos_t], axis=1)
+        self.theta_dist, self.phi_dist, self.b_dist = np.reshape(list(where), (-1, 3)).view(float).T
         self.sq = np.flatnonzero([p.kind == "sq_frequency" for p in pts])
         self.sq_index = np.array(
             [-1 if pts[k].transition_index is None else pts[k].transition_index
@@ -234,7 +234,6 @@ class _FitData:
         # every point's lower then upper state: rows 2k, 2k + 1 of a (2n,) gather
         self.dist2, self.ms0_pair = np.repeat(self.dist, 2), np.tile([2, 3], len(pts))
         self.rows2 = np.arange(2 * len(pts))
-        self.axes_at = self.axes[self.dist]
 
 
 def _sq_lines(w, vecs, order, data):
@@ -291,16 +290,13 @@ def _forward_model(params, vec, data, keep=None):
     point's lower and upper state ("states", (2n,), point k at 2k and
     2k + 1) and their energies ("e"), its signed gap ("gap"), and per
     distinct point b in G ("b", ``data.b_dist`` with ``data.per_point_b``,
-    else vec's b at every point) and the azimuth's (cos, sin, 1) ("trig").
+    else vec's b at every point) and the field's unit vector ("u", at phi +
+    phi_offset wrapped), so B = b u has ``build_hamiltonian``'s bits.
     """
     vec = np.asarray(vec, dtype=float)
     b = data.b_dist if data.per_point_b else np.full(len(data.b_dist), vec[_B])
-    ph = np.radians(data.phi_dist + vec[_PHI])
-    trig = np.ones((len(ph), 3))  # cos(phi), sin(phi), 1
-    np.cos(ph, out=trig[:, 0])
-    np.sin(ph, out=trig[:, 1])
-    bvec = b[:, None] * data.axes * trig
-    w, vecs = np.linalg.eigh(hamiltonians(params, bvec, vec[_TENSOR]))
+    u = unit_vectors(data.theta_dist, wrap_azimuth(data.phi_dist + vec[_PHI]))
+    w, vecs = np.linalg.eigh(hamiltonians(params, b[:, None] * u, vec[_TENSOR]))
     _, reason, order = label_manifolds(manifold_overlaps(vecs))
     if reason.any():  # every distinct point belongs to a data point
         k = int(np.argmax(reason[data.dist] > 0))
@@ -315,7 +311,7 @@ def _forward_model(params, vec, data, keep=None):
     e = w[data.dist2, states]
     gap = e[1::2] - e[0::2]
     if keep is not None:
-        keep.update(w=w, vecs=vecs, states=states, e=e, gap=gap, b=b, trig=trig)
+        keep.update(w=w, vecs=vecs, states=states, e=e, gap=gap, b=b, u=u)
     return np.abs(gap)
 
 
@@ -326,11 +322,9 @@ def _derivative_operators(gamma_e, gamma_n):
     A stack of 6x6 blocks: rows ``_TENSOR``, dH/dp of the tensor parameters,
     then rows ``_G``, G_c = gamma_e S_c + gamma_n I_c (c = x, y, z). The
     field parameters b and phi_offset (deg, added to phi) enter H as B . G,
-    B = b (sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)); with k =
-    pi/180, dH/db = sin(theta) (cos(phi) G_x + sin(phi) G_y) + cos(theta)
-    G_z, dH/dphi_offset = k b sin(theta) (cos(phi) G_y - sin(phi) G_x) and
-    d^2H/db dphi_offset is that over b, d^2H/dphi_offset^2 = -k^2 b
-    sin(theta) (cos(phi) G_x + sin(phi) G_y), d^2H/db^2 = 0.
+    B = b u, u = ``unit_vectors(theta, phi)``; with k = pi/180, dH/db = u . G,
+    dH/dphi_offset = k b (u_x G_y - u_y G_x) and d^2H/db dphi_offset is that
+    over b, d^2H/dphi_offset^2 = -k^2 b (u_x G_x + u_y G_y), d^2H/db^2 = 0.
     """
     g = [gamma_e * s + gamma_n * i for s, i in zip(*_OP_ZEEMAN)]
     return np.concatenate([*_OP_TENSOR, *g])
@@ -346,8 +340,9 @@ def _jacobian(params, vec, data, keep=None):
     states and no further eigensolve is needed. Columns follow PARAM_IDS;
     with ``data.per_point_b`` the b column is meaningless. It adds to
     ``keep`` what ``_second_directional`` reads: O s per state and operator
-    ("ops_s"), ``de``, the gap's sign ("sg"), each point's b and trig
-    ("at") and the result ("jac").
+    ("ops_s"), the gap's sign ("sg"), each point's dB/db, dB/dphi_offset,
+    d^2B/db dphi_offset and d^2B/dphi_offset^2 ("dirs", (n, 3, 4), built
+    here only), the last two along its gap ("curv") and the result ("jac").
     """
     if keep is None:
         keep = {}
@@ -362,15 +357,16 @@ def _jacobian(params, vec, data, keep=None):
     # per data point, the change of each expectation value along its gap
     sg = np.sign(keep["gap"])
     de = sg[:, None] * (e[1::2] - e[0::2])
-    b, trig = keep["b"][data.dist], keep["trig"][data.dist]
-    cph, sph = trig[:, 0], trig[:, 1]
-    sin_t, cos_t = data.axes_at[:, 0], data.axes_at[:, 2]
-    gx, gy, gz = de[:, _G].T
+    # B's four derivative directions from its unit vector u (k = pi/180): one
+    # product gives b's and phi_offset's columns and both field curvatures
+    u, b, k = keep["u"][data.dist], keep["b"][data.dist, None], math.pi / 180.0
+    du = np.stack([-k * u[:, 1], k * u[:, 0], np.zeros(n)], axis=1)  # per unit b
+    dirs = np.stack([u, du * b, du, u * [-k * k, -k * k, 0.0] * b], axis=2)
+    field = (de[:, None, _G] @ dirs)[:, 0]
     out = np.empty((n, len(PARAM_IDS)))  # C-ordered: _pass reads a Fortran copy
     out[:, _TENSOR] = de[:, _TENSOR]
-    out[:, _B] = sin_t * (cph * gx + sph * gy) + cos_t * gz
-    out[:, _PHI] = np.radians(b * sin_t * (cph * gy - sph * gx))
-    keep.update(ops_s=ops_s, de=de, sg=sg, jac=out, at=(b, trig))
+    out[:, [_B, _PHI]] = field[:, :2]
+    keep.update(ops_s=ops_s, sg=sg, jac=out, dirs=dirs, curv=field[:, 2:])
     return out
 
 
@@ -382,9 +378,10 @@ def _second_directional(data, keep, dx, ddx):
     2 sum_{j != k} |<j|H'|k>|^2 / (lambda_k - lambda_j), H' = sum_p dx_p
     dH/dp, H'' = sum_p ddx_p dH/dp + 2 dx_b dx_phi d^2H/db dphi_offset +
     dx_phi^2 d^2H/dphi_offset^2, the derivatives of
-    ``_derivative_operators``. The first call at a vector keeps its
-    per-solve arrays there ("pt2"). With ``data.per_point_b``, dx and ddx
-    must be 0 in the b slot. nan where two levels coincide.
+    ``_derivative_operators`` along ``_jacobian``'s "dirs" and "curv". The
+    first call at a vector keeps its per-solve arrays there ("pt2"). With
+    ``data.per_point_b``, dx and ddx must be 0 in the b slot. nan where two
+    levels coincide.
     """
     n = len(data.dist)
     if "pt2" not in keep:
@@ -397,23 +394,14 @@ def _second_directional(data, keep, dx, ddx):
         # <j|O|k> of every operator, (n, 2, operators, 12)
         x = keep["ops_s"].reshape(n, -1, 6) @ keep["vecs"][data.dist].conj()
         x = x.view(float).reshape(n, 2, -1, 12)
-        # the field's dB/db, dB/dphi, d^2B/db dphi and d^2B/dphi^2 (n, 3, 4)
-        b, trig = keep["at"]
-        b = b[:, None]
-        k, dirs = math.pi / 180.0, np.zeros((n, 3, 4))
-        np.multiply(data.axes_at, trig, out=dirs[:, :, 0])
-        np.multiply(dirs[:, 1::-1, 0], [-k, k], out=dirs[:, :2, 2])
-        np.multiply(dirs[:, :2, 0], -k * k, out=dirs[:, :2, 3])
-        np.multiply(dirs[:, :, 2], b, out=dirs[:, :, 1])
-        dirs[:, :, 3] *= b
         # <j|dH/dp|k> per parameter: the tensor rows, then b's and phi_offset's
-        # from the G_c rows; the field curvatures along the gap
-        x = np.concatenate([x[:, :, _TENSOR], dirs[:, None, :, :2].mT @ x[:, :, _G]], axis=2)
-        keep["pt2"] = x, inv_gap, (keep["de"][:, None, _G] @ dirs[:, :, 2:])[:, 0]
-    x, inv_gap, curv = keep["pt2"]
+        # from the G_c rows along the Jacobian's field directions
+        dirs = keep["dirs"][:, None, :, :2].mT
+        keep["pt2"] = np.concatenate([x[:, :, _TENSOR], dirs @ x[:, :, _G]], axis=2), inv_gap
+    x, inv_gap = keep["pt2"]
     h = dx @ x  # <j|H'|k>
     hh = (h * h).reshape(n, 2, 6, 2) * inv_gap
-    return (keep["jac"] @ ddx + curv @ [2.0 * dx[_B] * dx[_PHI], dx[_PHI] * dx[_PHI]]
+    return (keep["jac"] @ ddx + keep["curv"] @ [2.0 * dx[_B] * dx[_PHI], dx[_PHI] * dx[_PHI]]
             + hh.reshape(n, -1).sum(axis=1))
 
 

@@ -515,9 +515,10 @@ def test_fit_warns_when_chi2_is_far_above_its_dof(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("unconverged", [1, 2])
-def test_bootstrap_drops_unconverged_refits(tmp_path, monkeypatch, capsys, unconverged):
+@pytest.mark.parametrize("how", ["max_iterations", "raises"])
+def test_bootstrap_drops_unconverged_refits(tmp_path, monkeypatch, capsys, unconverged, how):
     # a refit that stops at max_iterations is unusable, like one that raises:
-    # with one of three unconverged the spread is the other two's, with two
+    # with one of three unusable the spread is the other two's, with two
     # too few refits are left
     cfgp = write_cfg(tmp_path, TABLE_CFG + "noise.sigma.sq_frequency = 0.2\n"
                      "noise.sigma.zq_frequency = 0.2\nseed = 3\n")
@@ -529,6 +530,8 @@ def test_bootstrap_drops_unconverged_refits(tmp_path, monkeypatch, capsys, uncon
         r = fit(*args, **kwargs)
         refits.append(r)
         if 2 <= len(refits) <= 1 + unconverged:  # the first call is the fit itself
+            if how == "raises":
+                raise ValueError("degenerate parameter direction: a_zz")
             r = dataclasses.replace(r, converged=False, stop_reason="max_iterations")
         return r
 

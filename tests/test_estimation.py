@@ -402,6 +402,28 @@ def test_synthesize_is_the_fit_model(design, imperfection):
     assert np.array_equal(_forward_model(SYS, truth, _FitData(ds, True)), values)
 
 
+def test_model_values_are_the_scalar_layer_bit_for_bit():
+    # the fit builds B = b unit_vectors(theta, wrap_azimuth(phi)) as
+    # FieldOrientation and build_hamiltonian do, so at any phi, wrapped or
+    # not, a model value is the scalar layer's line or ZQ splitting exactly
+    rng = np.random.default_rng(39)
+    compared = 0
+    for _ in range(300):
+        tensor = HyperfineTensor(*(float(x) for x in rng.uniform(-200, 200, size=4)))
+        b, theta, phi = (float(rng.uniform(*r)) for r in ((1, 60), (0, 180), (-360, 720)))
+        params = SystemParams(tensor=tensor)
+        try:
+            eig = eigensystem(build_hamiltonian(params, FieldOrientation(b, theta, phi)))
+        except ValueError:  # the scalar layer cannot label this field
+            continue
+        pts = [ScanPoint(theta, phi, b, "sq_frequency", 0.0, 1.0, k) for k in range(4)]
+        pts.append(ScanPoint(theta, phi, b, "zq_frequency", 0.0, 1.0))
+        want = [line.frequency for line in main_four_lines(eig)]
+        assert model_values(params, pts).tolist() == want + [zero_quantum_splitting_exact(eig)]
+        compared += 1
+    assert compared >= 270
+
+
 def test_fit_recovers_truth_from_far_starts():
     # acceptance 6's noiseless design from all 16 +-20 % corner starts;
     # letting psi run ahead of the other parameters once took two of them,
@@ -447,7 +469,7 @@ A6_START = FitParams(
 @pytest.mark.parametrize("seed, max_iterations, reason", [
     (None, 500, "damping_cap"),  # noiseless: rejected at the rounding floor
     (101, 500, "stationary"),
-    (100, 500, "chi2_stalled"),
+    (104, 500, "chi2_stalled"),
     (100, 5, "max_iterations"),
 ])
 def test_fit_stop_reason_and_model_calls(monkeypatch, seed, max_iterations, reason):
@@ -517,11 +539,11 @@ def test_pass_budget():
 
 def test_rejected_pass_count():
     # n_rejected counts the passes whose trial was not taken; each fit takes
-    # at least one step. These ten fits reject 107 of their 352 passes
+    # at least one step. These ten fits reject 92 of their 336 passes
     for _, _, r in a6_fits():
         assert 0 <= r.n_rejected < r.n_iterations
     total = sum(r.n_rejected for _, _, r in a6_fits())
-    assert abs(total - 107) <= 0.05 * 107, total
+    assert abs(total - 92) <= 0.05 * 92, total
     # a trailing field with a default: FitResult's older constructors still work
     r = a6_fits()[0][2]
     assert estimation.FitResult(r.params, r.sigmas, r.chi2, r.n_iterations, r.converged,
