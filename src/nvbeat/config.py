@@ -29,6 +29,7 @@ from .spin_core import (
     HyperfineTensor,
     SystemParams,
     unit_vectors,
+    wrap_azimuth,
 )
 
 
@@ -243,7 +244,7 @@ def lab_to_nv(theta_lab, phi_lab, axis_theta, axis_phi):
 
     The NV z axis points along (axis_theta, axis_phi) in the lab; NV x is the
     lab e_theta direction at that orientation (the radial direction at
-    axis_theta + 90), NV y the e_phi direction.
+    axis_theta + 90), NV y the e_phi direction. phi comes back in [0, 360).
     """
     v = unit_vectors(theta_lab, phi_lab)
     ez = unit_vectors(axis_theta, axis_phi)
@@ -251,5 +252,4 @@ def lab_to_nv(theta_lab, phi_lab, axis_theta, axis_phi):
     ey = np.cross(ez, ex)
     x, y, z = float(ex @ v), float(ey @ v), float(ez @ v)
     theta = np.degrees(np.arccos(np.clip(z, -1.0, 1.0)))
-    phi = np.degrees(np.arctan2(y, x)) % 360.0
-    return float(theta), float(phi)
+    return float(theta), float(wrap_azimuth(np.degrees(np.arctan2(y, x))))

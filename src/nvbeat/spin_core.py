@@ -153,26 +153,18 @@ _OP_TENSOR = np.array([
 # Microwave drive operator: electron Sx in the NV frame.
 DRIVE_SX = _OP_ZEEMAN[0, 0]
 
-
-def _assembly_table():
-    """Products and gather of ``hamiltonians``: product k is (src[SRC[k]] *
-    VAL[k]) * (gamma_e, gamma_n, 1)[GAM[k]] over src = (b_x, b_y, b_z, a_xx,
-    a_yy, a_zz, a, d, 0); GATHER (4, 72) lists, per float of a flat H, its
-    structurally nonzero products in the formula's order, padded with
-    product 0 (+0)."""
-    ops = [(_OP_SZ2, 7, 2)] + [(_OP_ZEEMAN[s, c], c, s) for s in (0, 1) for c in range(3)]
-    ops += [(m, 3 + k, 2) for k, m in enumerate(_OP_TENSOR)]
-    terms, rounds = [(8, 0.0, 2)], np.zeros((4, 72), dtype=int)
-    flat = np.stack([m for m, _, _ in ops]).view(float).reshape(len(ops), 72)
-    for slot, f in enumerate(flat.T):
-        for r, t in enumerate((src, v, g) for (_, src, g), v in zip(ops, f) if v != 0):
-            terms += [t] * (t not in terms)
-            rounds[r, slot] = terms.index(t)
-    src, val, gam = (np.array(x) for x in zip(*terms))
-    return src, val[:, None], gam, rounds
-
-
-_H_SRC, _H_VAL, _H_GAM, _H_GATHER = _assembly_table()
+# H = c @ _H_OPS: one row of 72 floats (a flat complex 6x6) per operator, in the
+# formula's order D Sz^2; Sx, Sy, Sz; Ix, Iy, Iz; Sx Ix, Sy Iy, Sz Iz and the a
+# term's disjoint parts Sz Ix, Sx Iz. The coefficients (src[_H_SRC] * _H_SCALE)
+# * (1, gamma_e, gamma_n)[_H_GAM], src = (b_x, b_y, b_z, a_xx, a_yy, a_zz, a, d),
+# carry Sx's and Sy's sqrt(2): every entry is 0 or a power of two, each product
+# exact, and H keeps the formula's bits as long as BLAS sums the rows in order.
+_R2 = math.sqrt(2)
+_H_SRC = np.array([7, 0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 6])
+_H_SCALE = np.array([1.0, _R2, _R2, 1.0, 1.0, 1.0, 1.0, _R2, _R2, 1.0, 1.0, _R2])
+_H_GAM = np.array([0, 1, 1, 1, 2, 2, 2, 0, 0, 0, 0, 0])
+_H_OPS = np.stack([_OP_SZ2, *_OP_ZEEMAN.reshape(6, 6, 6), *_OP_TENSOR[:3], np.kron(_SZ, _IX),
+                   np.kron(_SX, _IZ)]).view(float).reshape(12, 72) / _H_SCALE[:, None]
 
 
 def build_hamiltonian(params: SystemParams, field: FieldOrientation) -> np.ndarray:
@@ -223,27 +215,18 @@ def hamiltonians(params: SystemParams, bvec, tensor=None) -> np.ndarray:
     ``tensor`` holds per-row components (a_xx, a_yy, a_zz, a) with shape
     (..., 4), broadcast against bvec's leading axes; by default every row
     takes ``params.tensor``. ``build_hamiltonian`` is the batch of one.
+
+    One product of coefficient rows with the power-of-two table ``_H_OPS``, in
+    the formula's order if BLAS keeps it; a non-finite field row is all nan.
     """
     bvec = np.asarray(bvec, dtype=float)
     tensor = params.tensor._components if tensor is None else np.asarray(tensor, dtype=float)
-    # the formula's products (b_c F) gamma and a_k O_k, summed per float from +0 in
-    # its order; its sums start at +0 or d, so the zeros skipped here change no bit
-    src = np.zeros((bvec.shape[:-1] if tensor.ndim == 1  # one row: no np.broadcast
-                    else np.broadcast(bvec[..., 0], tensor[..., 0]).shape) + (9,))
-    src[..., :3] = bvec
-    src[..., 3:7] = tensor
-    src[..., 7] = params.d
-    p = src.reshape(-1, 9).T[_H_SRC]  # products by rows: the gather copies rows
-    p *= _H_VAL
-    p *= _gamma_column(params.gamma_e, params.gamma_n)
-    h = np.add.reduce(p[_H_GATHER], axis=0, initial=0.0)  # (72, rows)
-    return np.ascontiguousarray(h.T).view(complex).reshape(src.shape[:-1] + (6, 6))
-
-
-@functools.lru_cache(maxsize=8)
-def _gamma_column(gamma_e, gamma_n):
-    """Each product's factor (gamma_e, gamma_n, 1)[_H_GAM] of ``hamiltonians``."""
-    return np.array([gamma_e, gamma_n, 1.0])[_H_GAM, None]
+    src = np.empty((bvec.shape[:-1] if tensor.ndim == 1  # one row: no np.broadcast
+                    else np.broadcast(bvec[..., 0], tensor[..., 0]).shape) + (8,))
+    src[..., :3], src[..., 3:7], src[..., 7] = bvec, tensor, params.d
+    c = src.reshape(-1, 8)[:, _H_SRC] * _H_SCALE
+    c *= np.array((1.0, params.gamma_e, params.gamma_n))[_H_GAM]
+    return (c @ _H_OPS).view(complex).reshape(src.shape[:-1] + (6, 6))
 
 
 @functools.lru_cache(maxsize=16)

@@ -149,6 +149,8 @@ def test_lab_to_nv_perpendicular_axis():
     theta, phi = lab_to_nv(0.0, 0.0, 90.0, 0.0)
     assert abs(theta - 90.0) < 1e-9
     assert abs(phi - 180.0) < 1e-9
+    # a tiny negative azimuth wraps to 0, never to 360
+    assert lab_to_nv(90.0, -1e-14, 0.0, 0.0) == (90.0, 0.0)
 
 
 def test_lab_to_nv_preserves_angles():

@@ -362,10 +362,14 @@ def _formula(params, bvec, tensor):
     return h
 
 
-@pytest.mark.parametrize("n", [1, 20, 500])
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 129, 455, 500])
 def test_hamiltonians_equal_the_formula_bit_for_bit(n):
     # signed zeros included: field components of +-0, zero tensor entries,
-    # per-row tensors, non-default d and gammas
+    # per-row tensors, non-default d and gammas; odd sizes reach the BLAS
+    # edge kernels, and 455 is the STA coarse grid's stack. The products are
+    # exact only while every table entry is 0 or a power of two
+    ops = spin_core._H_OPS[spin_core._H_OPS != 0]
+    assert (np.frexp(np.abs(ops))[0] == 0.5).all()
     rng = np.random.default_rng(2000 + n)
     for _ in range(20):
         bvec = rng.normal(0.0, 60.0, (n, 3))
