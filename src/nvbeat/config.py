@@ -196,6 +196,10 @@ def _validate(values, name):
     def bad(msg):
         raise ConfigError("%s: %s" % (name, msg))
 
+    try:  # SystemParams owns the constants' rule
+        SystemParams(*(values["constants." + k] for k in ("d", "gamma_e", "gamma_n")))
+    except ValueError as exc:
+        bad("constants.%s" % exc)
     if values["field.b"] < 0:
         bad("field.b must be >= 0")
     for key in ("field.theta", "nv_axis.theta"):

@@ -192,16 +192,27 @@ def _rabi_lab_frame(params, field, pulse, t_grid) -> RamseyTrace:
     return RamseyTrace(tau=t_grid, signal=sig / len(inits))
 
 
+def _trace_arrays(trace: RamseyTrace):
+    """(tau, signal) of a trace as float arrays; raises unless tau is 1-D,
+    finite and >= 0 and the signal finite and of tau's length."""
+    t, s = np.asarray(trace.tau, dtype=float), np.asarray(trace.signal, dtype=float)
+    if not (t.ndim == 1 and s.shape == t.shape and ((t >= 0) & (t < np.inf)).all()
+            and np.isfinite(s).all()):
+        raise ValueError("a trace needs a 1-D finite tau >= 0 and a finite signal of its length")
+    return t, s
+
+
 def pi_pulse_from_rabi(trace: RamseyTrace) -> float:
     """Pulse duration at the first local minimum of a Rabi trace (us).
 
     Refines the grid minimum with a three-point parabola. A trace with no
-    interior local minimum raises.
+    interior local minimum raises, as do times that do not increase.
     """
-    s = np.asarray(trace.signal, dtype=float)
-    t = np.asarray(trace.tau, dtype=float)
+    t, s = _trace_arrays(trace)
     if len(s) < 3:
         raise ValueError("no Rabi minimum found (trace too short)")
+    if not (np.diff(t) > 0).all():
+        raise ValueError("sample times must increase")
     left, mid, right = s[:-2], s[1:-1], s[2:]
     found = (mid <= left) & (mid <= right) & ((mid < left) | (mid < right))
     if not found.any():
@@ -277,14 +288,15 @@ def spectrum_peaks(trace: RamseyTrace, n_peaks: int = 4) -> SpectrumPeaks:
     """
     if not (isinstance(n_peaks, (int, np.integer)) and n_peaks >= 1):
         raise ValueError("n_peaks must be an integer >= 1, got %r" % (n_peaks,))
-    t = np.asarray(trace.tau, dtype=float)
-    s = np.asarray(trace.signal, dtype=float)
+    t, s = _trace_arrays(trace)
     if len(t) < 16:
         raise ValueError("need at least 16 samples")
     dt = np.diff(t)
     if np.max(np.abs(dt - dt.mean())) > 1e-9 * max(dt.mean(), 1e-30):
         raise ValueError("non-uniform sample grid")
     step = dt.mean()
+    if not step > 0:
+        raise ValueError("sample times must increase")
     x = (s - s.mean()) * np.hanning(len(s))
     mag = np.abs(np.fft.rfft(x))
     freqs = np.fft.rfftfreq(len(s), step)
@@ -310,12 +322,12 @@ def apply_dephasing(
     """
     if not (t2_star > 0):
         raise ValueError("t2_star must be positive")
-    tau = np.asarray(trace.tau, dtype=float)
+    tau, signal = _trace_arrays(trace)
     if shape == "exponential":
         env = np.exp(-tau / t2_star)
     elif shape == "gaussian":
         env = np.exp(-((tau / t2_star) ** 2))
     else:
         raise ValueError("unknown envelope shape %r" % (shape,))
-    mean = trace.signal.mean()
-    return RamseyTrace(tau=tau, signal=mean + (trace.signal - mean) * env)
+    mean = signal.mean()
+    return RamseyTrace(tau=tau, signal=mean + (signal - mean) * env)

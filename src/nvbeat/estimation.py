@@ -27,10 +27,9 @@ import numpy as np
 
 from .spin_core import (
     _MAIN_LINES,
-    _OP_TENSOR,
-    _OP_ZEEMAN,
     FieldOrientation,
     SystemParams,
+    _derivative_operators,
     hamiltonians,
     label_manifolds,
     lambda_legs,
@@ -118,7 +117,7 @@ class FitParams:
 PARAM_IDS = tuple(f.name for f in dataclasses.fields(FitParams))
 # the slots by name; _TENSOR and _G also index the rows of _derivative_operators
 _XX, _YY, _ZZ, _A, _B, _PHI = range(len(PARAM_IDS))
-_TENSOR, _G = slice(len(_OP_TENSOR)), slice(len(_OP_TENSOR), None)
+_TENSOR, _G = slice(_B), slice(_B, None)
 
 
 @dataclass(frozen=True)
@@ -213,13 +212,11 @@ class _FitData:
                 "drop them or fit frequencies only"
             )
         self.per_point_b = per_point_b
-        self.values = np.array([p.value for p in pts])
-        self.sigmas = np.array([p.sigma for p in pts])
-        self.theta = np.array([p.theta for p in pts])
-        self.phi = np.array([p.phi for p in pts])
-        keys = np.stack([self.theta, self.phi, [p.b for p in pts]], axis=1)
-        # keyed on the bits, so 0.0 and -0.0 stay apart as in the Hamiltonian
-        bits = [tuple(k) for k in keys.view(np.int64).tolist()]
+        # floats even of int fields; keyed on the bits, so 0.0 and -0.0 stay apart as in H
+        rows = np.array([(p.theta, p.phi, p.b, p.value, p.sigma) for p in pts], float)
+        cols = rows.reshape(-1, 5).T  # (5, 0) for no points
+        self.theta, self.phi, _, self.values, self.sigmas = cols
+        bits = [tuple(k) for k in cols[:3].T.view(np.int64).tolist()]
         where = {k: i for i, k in enumerate(sorted(set(bits)))}
         self.dist = np.array([where[k] for k in bits], dtype=np.intp)
         self.theta_dist, self.phi_dist, self.b_dist = np.reshape(list(where), (-1, 3)).view(float).T
@@ -315,28 +312,17 @@ def _forward_model(params, vec, data, keep=None):
     return np.abs(gap)
 
 
-@functools.lru_cache(maxsize=8)
-def _derivative_operators(gamma_e, gamma_n):
-    """The operators whose expectation values give every model derivative.
-
-    A stack of 6x6 blocks: rows ``_TENSOR``, dH/dp of the tensor parameters,
-    then rows ``_G``, G_c = gamma_e S_c + gamma_n I_c (c = x, y, z). The
-    field parameters b and phi_offset (deg, added to phi) enter H as B . G,
-    B = b u, u = ``unit_vectors(theta, phi)``; with k = pi/180, dH/db = u . G,
-    dH/dphi_offset = k b (u_x G_y - u_y G_x) and d^2H/db dphi_offset is that
-    over b, d^2H/dphi_offset^2 = -k^2 b (u_x G_x + u_y G_y), d^2H/db^2 = 0.
-    """
-    g = [gamma_e * s + gamma_n * i for s, i in zip(*_OP_ZEEMAN)]
-    return np.concatenate([*_OP_TENSOR, *g])
-
-
 def _jacobian(params, vec, data, keep=None):
     """Exact derivatives (n, len(PARAM_IDS)) of ``_forward_model`` at one vector.
 
-    Hellmann-Feynman: d lambda_k / dp = <v_k| dH/dp |v_k>, dH/dp as in
-    ``_derivative_operators``. ``keep`` is what ``_forward_model`` left at
-    this vector (that call is made here when it is None): its solve and the
-    two states of every point, so model and derivatives read the same
+    Hellmann-Feynman: d lambda_k / dp = <v_k| dH/dp |v_k>, the tensor's dH/dp
+    the rows ``_TENSOR`` of ``_derivative_operators``. b and phi_offset (deg,
+    added to phi) enter H as B . G, B = b u, u = ``unit_vectors(theta, phi)``,
+    G_c its rows ``_G``; with k = pi/180, dH/db = u . G, dH/dphi_offset = k b
+    (u_x G_y - u_y G_x), d^2H/db dphi_offset is that over b, d^2H/dphi_offset^2
+    = -k^2 b (u_x G_x + u_y G_y) and d^2H/db^2 = 0. ``keep`` is what
+    ``_forward_model`` left at this vector (made here when None): its solve
+    and the two states of every point, so model and derivatives read the same
     states and no further eigensolve is needed. Columns follow PARAM_IDS;
     with ``data.per_point_b`` the b column is meaningless. It adds to
     ``keep`` what ``_second_directional`` reads: O s per state and operator

@@ -139,32 +139,27 @@ def _spin(sp, m):
 # the electron's (S = 1) and the 13C's (I = 1/2) operators, hbar = 1
 _SX, _SY, _SZ = _spin(np.diag([math.sqrt(2)] * 2, 1), [1, 0, -1])
 _IX, _IY, _IZ = _spin(np.diag([1.0], 1), [0.5, -0.5])
-# Static operator cache: H is a fixed linear combination of these matrices.
-_OP_SZ2 = np.kron(_SZ @ _SZ, np.eye(2)).astype(complex)
-# the field terms: Sx, Sy, Sz (electron row) and Ix, Iy, Iz (nuclear row)
-_OP_ZEEMAN = np.array([[np.kron(m, np.eye(2)) for m in (_SX, _SY, _SZ)],
-                       [np.kron(np.eye(3), m) for m in (_IX, _IY, _IZ)]], dtype=complex)
-# the tensor terms: Sx Ix, Sy Iy, Sz Iz and Sz Ix + Sx Iz
-_OP_TENSOR = np.array([
-    np.kron(_SX, _IX), np.kron(_SY, _IY), np.kron(_SZ, _IZ),
-    np.kron(_SZ, _IX) + np.kron(_SX, _IZ),
-], dtype=complex)
+# H's operators in the formula's order: D Sz^2; Sx, Sy, Sz; Ix, Iy, Iz; Sx Ix,
+# Sy Iy, Sz Iz and the a term's disjoint parts Sz Ix, Sx Iz
+_E2, _E3 = np.eye(2), np.eye(3)
+_OPS = np.array([np.kron(s, i) for s, i in (
+    (_SZ @ _SZ, _E2), (_SX, _E2), (_SY, _E2), (_SZ, _E2), (_E3, _IX), (_E3, _IY), (_E3, _IZ),
+    (_SX, _IX), (_SY, _IY), (_SZ, _IZ), (_SZ, _IX), (_SX, _IZ))], dtype=complex)
 
 # Microwave drive operator: electron Sx in the NV frame.
-DRIVE_SX = _OP_ZEEMAN[0, 0]
+DRIVE_SX = _OPS[1]
 
-# H = c @ _H_OPS: one row of 72 floats (a flat complex 6x6) per operator, in the
-# formula's order D Sz^2; Sx, Sy, Sz; Ix, Iy, Iz; Sx Ix, Sy Iy, Sz Iz and the a
-# term's disjoint parts Sz Ix, Sx Iz. The coefficients (src[_H_SRC] * _H_SCALE)
-# * (1, gamma_e, gamma_n)[_H_GAM], src = (b_x, b_y, b_z, a_xx, a_yy, a_zz, a, d),
-# carry Sx's and Sy's sqrt(2): every entry is 0 or a power of two, each product
-# exact, and H keeps the formula's bits as long as BLAS sums the rows in order.
+# H = c @ _H_OPS: one row of 72 floats (a flat complex 6x6) per operator of
+# _OPS. The coefficients (src[_H_SRC] * _H_SCALE) * (1, gamma_e, gamma_n)[_H_GAM],
+# src = (b_x, b_y, b_z, a_xx, a_yy, a_zz, a, d), carry Sx's and Sy's sqrt(2):
+# every entry is 0 or a power of two, each product exact, and H keeps the
+# formula's bits as long as BLAS sums the rows in order.
 _R2 = math.sqrt(2)
 _H_SRC = np.array([7, 0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 6])
 _H_SCALE = np.array([1.0, _R2, _R2, 1.0, 1.0, 1.0, 1.0, _R2, _R2, 1.0, 1.0, _R2])
 _H_GAM = np.array([0, 1, 1, 1, 2, 2, 2, 0, 0, 0, 0, 0])
-_H_OPS = np.stack([_OP_SZ2, *_OP_ZEEMAN.reshape(6, 6, 6), *_OP_TENSOR[:3], np.kron(_SZ, _IX),
-                   np.kron(_SX, _IZ)]).view(float).reshape(12, 72) / _H_SCALE[:, None]
+_H_OPS = _OPS.view(float).reshape(12, 72) / _H_SCALE[:, None]
+_DH_SRC = np.array([3, 4, 5, 6, 0, 1, 2])  # a_xx, a_yy, a_zz, a; b_x, b_y, b_z
 
 
 def build_hamiltonian(params: SystemParams, field: FieldOrientation) -> np.ndarray:
@@ -227,6 +222,15 @@ def hamiltonians(params: SystemParams, bvec, tensor=None) -> np.ndarray:
     c = src.reshape(-1, 8)[:, _H_SRC] * _H_SCALE
     c *= np.array((1.0, params.gamma_e, params.gamma_n))[_H_GAM]
     return (c @ _H_OPS).view(complex).reshape(src.shape[:-1] + (6, 6))
+
+
+@functools.lru_cache(maxsize=8)
+def _derivative_operators(gamma_e, gamma_n):
+    """dH/dp of ``hamiltonians`` by each source of ``_DH_SRC``, 6x6 blocks
+    stacked (42, 6): the coefficient rows that read the source, at source 1.
+    H is linear in every source, so each block is exact."""
+    gam = np.array((1.0, gamma_e, gamma_n))[_H_GAM] * _H_SCALE
+    return (((_H_SRC == _DH_SRC[:, None]) * gam) @ _H_OPS).view(complex).reshape(-1, 6)
 
 
 @functools.lru_cache(maxsize=16)

@@ -758,6 +758,22 @@ def test_zq_scan_refuses_a_sweep_it_cannot_hold(tmp_path, capsys):
             "", "error: a sweep of %s angles exceeds the cap of 65536\n" % count)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("constants.d = -5", "constants.d must be finite and positive"),
+    ("constants.d = 0", "constants.d must be finite and positive"),
+    ("constants.gamma_e = -2.8", "constants.gamma_e must be finite and positive"),
+    ("constants.gamma_n = 0.5", "constants.gamma_n out of range (|gamma_n| must be << gamma_e)"),
+    ("constants.gamma_n = 1.0", "constants.gamma_n out of range (|gamma_n| must be << gamma_e)"),
+])
+def test_constants_errors_name_their_key(tmp_path, capsys, text, message):
+    # SystemParams' own rule, checked before any bound that reads a constant:
+    # d <= 0 once blamed sequence.rabi_amplitude, gamma_n = 1 sequence.tau_max,
+    # and the gamma errors named neither the file nor the key
+    cfgp = write_cfg(tmp_path, TABLE_CFG + text + "\n")
+    assert main(["--config", cfgp, "principal"]) == 1
+    assert capsys.readouterr() == ("", "error: %s: %s\n" % (cfgp, message))
+
+
 def test_a_field_ripple_must_keep_the_field_positive(tmp_path, capsys):
     # B(phi) = b + amplitude cos(...) reaches b - |amplitude|: zero at
     # |amplitude| = b, negative beyond; the config refuses both by its key

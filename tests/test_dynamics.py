@@ -1,6 +1,7 @@
 """Pulse simulations: Rabi traces, ZQ Ramsey, spectra, dephasing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -372,6 +373,44 @@ def test_spectrum_peaks_input_checks():
     bad = np.array([0.0, 0.1, 0.15, 0.4, 0.41, 0.6, 0.8, 1.0] * 3)
     with pytest.raises(ValueError, match="^non-uniform sample grid$"):
         spectrum_peaks(RamseyTrace(tau=bad, signal=np.zeros(len(bad))))
+
+
+T32 = np.linspace(0.0, 1.0, 32)
+TONE = np.cos(2 * np.pi * 3.0 * T32)
+UNREADABLE = "a trace needs a 1-D finite tau >= 0 and a finite signal of its length"
+NOT_INCREASING = "sample times must increase"
+# each trace a reader once read: a repeated time gave an inf frequency, a
+# decreasing grid -3 MHz for a 3 MHz tone and a wrong pi time, a nan a nan
+# answer or "no peaks", negative times a dephased signal growing to 4.16
+BAD_TRACES = {
+    "repeated_time": (np.full(32, 0.5), TONE, NOT_INCREASING),
+    "decreasing_time": (np.arange(32.0)[::-1] / 32.0, TONE, NOT_INCREASING),  # uniform
+    "nan_time": (np.where(T32 == T32[7], np.nan, T32), TONE, UNREADABLE),
+    "inf_time": (np.where(T32 == T32[7], np.inf, T32), TONE, UNREADABLE),
+    "negative_time": (T32 - 1.0, TONE, UNREADABLE),
+    "two_dim_time": (T32.reshape(2, 16), TONE.reshape(2, 16), UNREADABLE),
+    "nan_signal": (T32, np.where(T32 == T32[7], np.nan, TONE), UNREADABLE),
+    "inf_signal": (T32, np.where(T32 == T32[7], np.inf, TONE), UNREADABLE),
+    "short_signal": (T32, TONE[:-1], UNREADABLE),
+}
+TRACE_READERS = {
+    "spectrum_peaks": spectrum_peaks,
+    "pi_pulse_from_rabi": pi_pulse_from_rabi,
+    "apply_dephasing": lambda trace: apply_dephasing(trace, 1.0),
+}
+
+
+@pytest.mark.parametrize("reader", TRACE_READERS)
+@pytest.mark.parametrize("bad", BAD_TRACES)
+def test_trace_readers_refuse_traces_they_cannot_read(reader, bad):
+    tau, signal, message = BAD_TRACES[bad]
+    trace = RamseyTrace(tau=tau, signal=signal)
+    if reader == "apply_dephasing" and message == NOT_INCREASING:
+        # an envelope per sample needs no order of the samples
+        assert np.array_equal(TRACE_READERS[reader](trace).tau, tau)
+        return
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        TRACE_READERS[reader](trace)
 
 
 def test_pulse_and_ramsey_input_checks():

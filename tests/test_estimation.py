@@ -424,6 +424,31 @@ def test_model_values_are_the_scalar_layer_bit_for_bit():
     assert compared >= 270
 
 
+def test_integer_fields_give_the_float_fields_bits():
+    # the fit's table once kept a dataset whose theta, phi and b were all
+    # Python ints as int64 and read the ints' bits as floats: a ZQ value of
+    # 0, SQ lines of another field, and eigh failing on a negative angle
+    design = [(t, p, "sq_frequency") for t, p in ((10, 0), (40, 50), (70, 20), (85, -35))]
+    design += [(40, p, "zq_frequency") for p in range(-90, 91, 15)]
+    noise = {"sq_frequency": 0.2, "zq_frequency": 0.2}
+    ints = synthesize_dataset(SYS, 40, design, noise, seed=3)
+    floats = synthesize_dataset(SYS, 40.0, [(float(t), float(p), k) for t, p, k in design], noise,
+                                seed=3)
+    assert [p.value.hex() for p in ints.points] == [p.value.hex() for p in floats.points]
+    pts = [ScanPoint(40, 30, 40, "zq_frequency", 0, 1),
+           ScanPoint(70, -20, 40, "sq_frequency", 0, 1)]
+    want = model_values(SYS, [dataclasses.replace(p, theta=float(p.theta), phi=float(p.phi),
+                                                  b=float(p.b)) for p in pts])
+    assert model_values(SYS, pts).tolist() == want.tolist()
+    assert abs(want[0] - 8.80895871) < 1e-8
+    start = FitParams(170.0, 120.0, 95.0, -88.0, 40.3)
+    for fixed in (frozenset(), {"b"}):
+        got, ref = fit_hyperfine(ints, start, fixed), fit_hyperfine(floats, start, fixed)
+        assert got.params == ref.params and got.sigmas == ref.sigmas
+        assert (got.chi2, got.n_iterations, got.stop_reason) == (ref.chi2, ref.n_iterations,
+                                                                  ref.stop_reason)
+
+
 def test_fit_recovers_truth_from_far_starts():
     # acceptance 6's noiseless design from all 16 +-20 % corner starts;
     # letting psi run ahead of the other parameters once took two of them,

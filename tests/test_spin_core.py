@@ -18,11 +18,10 @@ from nvbeat.spin_core import (
     HyperfineTensor,
     SystemParams,
     TransitionLine,
-    _OP_SZ2,
-    _OP_TENSOR,
-    _OP_ZEEMAN,
+    _OPS,
     _WALK_LABELS,
     _WALK_ORDER,
+    _derivative_operators,
     _fix_phases,
     _hermitian,
     build_hamiltonian,
@@ -351,12 +350,12 @@ def _formula(params, bvec, tensor):
     nuclear field terms (b_c F_c summed over c, then times gamma), then the
     tensor terms a_k O_k for k = 0 to 3."""
     b = bvec[..., None, None, None]
-    zeeman = b[..., 0, :, :, :] * _OP_ZEEMAN[:, 0]
-    zeeman += b[..., 1, :, :, :] * _OP_ZEEMAN[:, 1]
-    zeeman += b[..., 2, :, :, :] * _OP_ZEEMAN[:, 2]
+    zeeman = b[..., 0, :, :, :] * _OPS[[1, 4]]
+    zeeman += b[..., 1, :, :, :] * _OPS[[2, 5]]
+    zeeman += b[..., 2, :, :, :] * _OPS[[3, 6]]
     zeeman *= np.array([params.gamma_e, params.gamma_n])[:, None, None]
-    terms = tensor[..., :, None, None] * _OP_TENSOR
-    h = params.d * _OP_SZ2 + zeeman[..., 0, :, :] + zeeman[..., 1, :, :]
+    terms = tensor[..., :, None, None] * [*_OPS[7:10], _OPS[10] + _OPS[11]]
+    h = params.d * _OPS[0] + zeeman[..., 0, :, :] + zeeman[..., 1, :, :]
     for k in range(4):
         h = h + terms[..., k, :, :]
     return h
@@ -389,6 +388,23 @@ def test_hamiltonians_equal_the_formula_bit_for_bit(n):
             assert got.shape == want.shape
             assert _bits(got) == _bits(want)
         assert _bits(hamiltonians(params, bvec)) == _bits(hamiltonians(params, bvec, tensor[0]))
+
+
+def test_derivative_operators_are_the_formulas_operators():
+    # dH/dp read off the builder's coefficient rows: the tensor terms, then
+    # G_c = gamma_e S_c + gamma_n I_c; equal in value, a zero's sign aside
+    sc = spin_core
+    tensor = [np.kron(sc._SX, sc._IX), np.kron(sc._SY, sc._IY), np.kron(sc._SZ, sc._IZ),
+              np.kron(sc._SZ, sc._IX) + np.kron(sc._SX, sc._IZ)]
+    s = [np.kron(m, np.eye(2)) for m in (sc._SX, sc._SY, sc._SZ)]
+    i = [np.kron(np.eye(3), m) for m in (sc._IX, sc._IY, sc._IZ)]
+    rng = np.random.default_rng(42)
+    gammas = [(SystemParams().gamma_e, SystemParams().gamma_n)]
+    gammas += [(float(rng.uniform(0.5, 4.0)), float(rng.uniform(-0.005, 0.005))) for _ in range(50)]
+    for gamma_e, gamma_n in gammas:
+        want = np.concatenate([*tensor, *(gamma_e * e + gamma_n * n for e, n in zip(s, i))])
+        got = _derivative_operators(gamma_e, gamma_n)
+        assert got.shape == (42, 6) and np.array_equal(got, want)
 
 
 def _full_hermitian(h):
