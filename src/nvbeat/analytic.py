@@ -1,24 +1,17 @@
 """Closed-form models for the zero-quantum splitting and Ramsey signals.
 
 The ms0 nuclear doublet splitting Delta is dominated by second-order
-hyperfine mixing through the ms_plus/ms_minus manifolds; the closed form and
-the explicit perturbation sum below both live in that regime (gamma_e B << D).
+hyperfine mixing through the ms_plus/ms_minus manifolds; the closed form
+below lives in that regime (gamma_e B << D).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import (
-    FieldOrientation,
-    HyperfineTensor,
-    SystemParams,
-    build_hamiltonian,
-    zeeman_states,
-)
+from .spin_core import FieldOrientation, SystemParams
 
 
 @dataclass(frozen=True)
@@ -72,83 +65,6 @@ def delta_perturbative(params: SystemParams, field: FieldOrientation) -> float:
     return float(
         pref * np.hypot(np.hypot(t.a_xx, t.a) * np.cos(ph), t.a_yy * np.sin(ph))
     )
-
-
-def _adapted_basis_hamiltonian(params: SystemParams, field: FieldOrientation):
-    """Hamiltonian with each electron manifold's nuclear block diagonalized.
-
-    The ms0 columns become exactly |0, beta_pm> (the diagonal ms0 block is the
-    bare nuclear Zeeman term); the ms_pm blocks rotate to their alpha-like
-    eigenstates, which is what makes the perturbation denominators meaningful
-    when the xz cross coupling is large.
-    """
-    if field.b <= 0:
-        raise ValueError("Zeeman axis undefined (b = 0)")
-    h = build_hamiltonian(params, field)
-    beta_plus, beta_minus = zeeman_states(field.theta, field.phi)
-    u = np.zeros((6, 6), dtype=complex)
-    u[2:4, 2] = beta_plus
-    u[2:4, 3] = beta_minus
-    for rows, cols in (((0, 1), (0, 1)), ((4, 5), (4, 5))):
-        block = h[np.ix_(rows, rows)]
-        _, vecs = np.linalg.eigh(block)
-        u[np.ix_(rows, cols)] = vecs
-    return u.conj().T @ h @ u
-
-
-def delta_second_order_sum(params: SystemParams, field: FieldOrientation) -> float:
-    """Second-order perturbative ms0 doublet splitting, MHz.
-
-    Builds the effective 2x2 Hamiltonian of the |0, beta_pm> pair at second
-    order in the couplings to the four ms_plus/ms_minus states and returns
-    its eigenvalue difference. The diagonal difference of that 2x2 is the
-    textbook sum of |<i|H|g+>|^2 - |<i|H|g->|^2 over the perturbation
-    denominators; the off-diagonal term matters because the bare beta_pm
-    spacing (the nuclear Zeeman energy) is far smaller than the second-order
-    couplings, so the pair must be treated as quasi-degenerate. Warns when
-    gamma_e B > D/10 (outside the perturbative regime).
-    """
-    if params.gamma_e * field.b > params.d / 10.0:
-        warnings.warn(
-            "gamma_e*B exceeds D/10; second-order treatment is unreliable",
-            stacklevel=2,
-        )
-    hr = _adapted_basis_hamiltonian(params, field)
-    ground = (2, 3)
-    far = (0, 1, 4, 5)
-    h_eff = np.array(
-        [[hr[2, 2], hr[2, 3]], [hr[3, 2], hr[3, 3]]], dtype=complex
-    )
-    scale = max(1.0, float(np.max(np.abs(hr))))
-    for ia, a in enumerate(ground):
-        for ib, b in enumerate(ground):
-            acc = 0.0 + 0.0j
-            for i in far:
-                da = (hr[a, a] - hr[i, i]).real
-                db = (hr[b, b] - hr[i, i]).real
-                if min(abs(da), abs(db)) < 1e-12 * scale:
-                    raise ValueError("degenerate denominator at basis state %d" % i)
-                acc += hr[a, i] * hr[i, b] * 0.5 * (1.0 / da + 1.0 / db)
-            h_eff[ia, ib] += acc
-    w = np.linalg.eigvalsh(h_eff)
-    return float(abs(w[1] - w[0]))
-
-
-def effective_couplings(tensor: HyperfineTensor):
-    """Effective coupling magnitudes and mixing angles induced by the xz cross term.
-
-    Returns dict with a_zz_eff = sqrt(a_zz^2 + a^2), a_xx_eff =
-    sqrt(a_xx^2 + a^2), theta_prime = atan2(a, a_zz) and theta_double_prime
-    defined by tan(theta''/2) = -a / a_xx (degrees).
-    """
-    return {
-        "a_zz_eff": float(np.hypot(tensor.a_zz, tensor.a)),
-        "a_xx_eff": float(np.hypot(tensor.a_xx, tensor.a)),
-        "theta_prime_deg": float(np.degrees(np.arctan2(tensor.a, tensor.a_zz))),
-        "theta_double_prime_deg": float(
-            np.degrees(2.0 * np.arctan2(-tensor.a, tensor.a_xx))
-        ),
-    }
 
 
 def bright_dark(omega_plus: float, omega_minus: float) -> BrightDarkDecomposition:

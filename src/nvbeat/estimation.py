@@ -738,10 +738,11 @@ def synthesize_dataset(
     design point expands to the four main lines (transition_index 0..3,
     ascending frequency). noise_sigma: dict kind -> Gaussian sigma
     (default 0). field_imperfection: (amplitude_gauss, period_deg,
-    phase_deg) applied as B(phi) = b + amp*cos(2 pi phi/period + phase).
-    Values are ``model_values`` at that field (the points store b), so a
-    noiseless one equals ``_forward_model`` there. Raises where an amplitude
-    point has no Lambda system. Deterministic for a fixed seed.
+    phase_deg), all finite and the period nonzero, applied as
+    B(phi) = b + amp*cos(2 pi phi/period + phase). Values are
+    ``model_values`` at that field (the points store b), so a noiseless one
+    equals ``_forward_model`` there. Raises where an amplitude point has no
+    Lambda system. Deterministic for a fixed seed.
     """
     design = list(design)
     if not design:
@@ -752,11 +753,15 @@ def synthesize_dataset(
             raise ValueError("unknown observable kind %r" % (kind,))
         if not (math.isfinite(sigma) and sigma >= 0):
             raise ValueError("noise_sigma[%r] must be finite and >= 0, got %r" % (kind, sigma))
+    if field_imperfection is not None:
+        amp, period, phase = field_imperfection
+        if not (math.isfinite(amp) and math.isfinite(phase) and math.isfinite(period) and period):
+            raise ValueError("field_imperfection (amplitude, period, phase) must be finite with "
+                             "a nonzero period, got (%r, %r, %r)" % (amp, period, phase))
     points = []
     for theta, phi, kind in design:
         b_eff = b
         if field_imperfection is not None:
-            amp, period, phase = field_imperfection
             b_eff = float(b + amp * np.cos(2 * np.pi * phi / period + np.radians(phase)))
         sigma = max(float(noise_sigma.get(kind, 0.0)), MIN_SIGMA)
         lines = range(4) if kind == "sq_frequency" else (None,)

@@ -454,24 +454,18 @@ def zero_quantum_splitting_exact(eig: Eigensystem) -> float:
     return float(abs(w[order[3]] - w[order[2]]))
 
 
-def zeeman_states(theta, phi, minus=True):
-    """Nuclear Zeeman eigenstates along field directions (degrees).
+def zeeman_states(theta, phi):
+    """Nuclear Zeeman eigenstate beta_plus along field directions (degrees).
 
-    Returns (beta_plus, beta_minus), each (..., 2), on (|+1/2>, |-1/2>):
-    beta_plus = cos(theta/2)|+1/2> + e^{i phi} sin(theta/2)|-1/2>,
-    beta_minus = sin(theta/2)|+1/2> - e^{i phi} cos(theta/2)|-1/2>; with
-    minus False, beta_plus alone (all the Lambda kernels read).
+    Returns one (..., 2) array on (|+1/2>, |-1/2>):
+    beta_plus = cos(theta/2)|+1/2> + e^{i phi} sin(theta/2)|-1/2>.
     """
     half = np.radians(theta) / 2
     e = np.exp(1j * np.radians(phi))
-    c, s = np.cos(half), np.sin(half)
-    es = e * s  # its shape is theta's and phi's broadcast
-    beta = np.empty(es.shape + (1 + minus, 2), dtype=complex)
-    beta[..., 0, 0], beta[..., 0, 1] = c, es  # a real c or s takes +0j
-    if not minus:
-        return beta[..., 0, :]
-    beta[..., 1, 0], beta[..., 1, 1] = s, -e * c
-    return beta[..., 0, :], beta[..., 1, :]
+    es = e * np.sin(half)  # its shape is theta's and phi's broadcast
+    beta = np.empty(es.shape + (2,), dtype=complex)
+    beta[..., 0], beta[..., 1] = np.cos(half), es  # a real cosine takes +0j
+    return beta
 
 
 def _nuclear_overlaps(sub: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -586,7 +580,7 @@ def lambda_system(eig: Eigensystem, tensor: HyperfineTensor, field: FieldOrienta
     the legs are two of the eigensystem's main-line drives. Raises the
     LAMBDA_REASONS first, then at b = 0, where the Zeeman axis is undefined.
     """
-    excited, g_plus = _lambda_row(eig, tensor, zeeman_states(field.theta, field.phi, False))
+    excited, g_plus = _lambda_row(eig, tensor, zeeman_states(field.theta, field.phi))
     if field.b <= 0:
         raise ValueError("Zeeman axis undefined (b = 0)")
     legs, order = eig._main_legs, eig._order.tolist()
@@ -623,7 +617,7 @@ def lambda_legs(params: SystemParams, b, theta, phi):
     _, vectors, _, eig_reason, order, over = eigensystems(h)
     states, purity, drives = _records(vectors, order, over)
     alpha_minus, axis_code = params.tensor._alpha_minus
-    overlap = lambda_overlaps(states, zeeman_states(theta, phi, False), alpha_minus)
+    overlap = lambda_overlaps(states, zeeman_states(theta, phi), alpha_minus)
     rule = map(lambda_rule, overlap.tolist(), purity.tolist(), itertools.repeat(axis_code))
     flat = np.fromiter(itertools.chain.from_iterable(rule), int, 3 * len(states))
     reason, excited, g_plus = flat.reshape(-1, 3).T

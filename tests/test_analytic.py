@@ -1,8 +1,5 @@
 """Closed-form observables against the exact 6x6 oracle."""
 
-import re
-import warnings
-
 import numpy as np
 import pytest
 
@@ -10,8 +7,6 @@ from nvbeat.analytic import (
     RamseyModelParams,
     bright_dark,
     delta_perturbative,
-    delta_second_order_sum,
-    effective_couplings,
     zq_beat_amplitude,
     zq_ramsey_lambda,
     zq_ramsey_v,
@@ -112,58 +107,6 @@ def test_closed_form_error_envelope():
     # relative accuracy is a few percent for typical draws; near-degenerate
     # geometries where the exact splitting collapses dominate the tail
     assert median_full < 0.04
-
-
-def test_second_order_sum_zero_tensor():
-    # graded sum keeps the bare nuclear Zeeman term the closed form drops
-    p = SystemParams(tensor=HyperfineTensor(0, 0, 0, 0))
-    got = delta_second_order_sum(p, FieldOrientation(40.0, 60.0, 30.0))
-    assert abs(got - p.gamma_n * 40.0) < 1e-9
-
-
-def test_second_order_sum_warns_above_its_regime():
-    # gamma_e B = 308.3 MHz at 110 G passes D/10 = 287 MHz; 280.3 MHz at 100 G does not
-    with pytest.warns(UserWarning, match=re.escape(
-            "gamma_e*B exceeds D/10; second-order treatment is unreliable")):
-        got = delta_second_order_sum(SYS, FieldOrientation(110.0, 40.0, 90.0))
-    assert abs(got - 17.2042) < 5e-5
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        delta_second_order_sum(SYS, FieldOrientation(100.0, 40.0, 90.0))
-
-
-def test_second_order_sum_vs_closed_form():
-    # wide-tensor sweep, theta=90 phi=0 channel
-    worst = {0.0: 0.0, 50.0: 0.0, 100.0: 0.0}
-    for a in worst:
-        t = HyperfineTensor(200.0, 120.0, 130.0, a)
-        p = SystemParams(tensor=t)
-        for b in np.arange(5.0, 51.0, 5.0):
-            f = FieldOrientation(float(b), 90.0, 0.0)
-            s = delta_second_order_sum(p, f)
-            c = delta_perturbative(p, f)
-            worst[a] = max(worst[a], abs(s - c) / c)
-    print("sum vs closed form worst: %s" % worst)
-    assert worst[0.0] < 0.015
-    assert worst[50.0] < 0.02 and worst[100.0] < 0.02
-
-
-def test_effective_couplings():
-    c = effective_couplings(HyperfineTensor(7.0, 1.0, 3.0, 4.0))
-    assert abs(c["a_zz_eff"] - 5.0) < 1e-12
-    assert abs(c["a_xx_eff"] - np.hypot(7.0, 4.0)) < 1e-12
-    assert abs(c["theta_prime_deg"] - np.degrees(np.arctan2(4.0, 3.0))) < 1e-12
-    assert abs(c["theta_double_prime_deg"] - 2 * np.degrees(np.arctan2(-4.0, 7.0))) < 1e-12
-
-    c = effective_couplings(HyperfineTensor(5.0, 2.0, 3.0, 0.0))
-    assert c["a_zz_eff"] == 3.0 and c["a_xx_eff"] == 5.0
-    assert c["theta_prime_deg"] == 0.0 and c["theta_double_prime_deg"] == 0.0
-
-    c = effective_couplings(REF)
-    assert abs(c["a_zz_eff"] - 127.4915) < 0.01
-    assert abs(c["a_xx_eff"] - 189.7622) < 0.01
-    assert abs(c["theta_prime_deg"] + 45.0953) < 0.01
-    assert abs(c["theta_double_prime_deg"] - 56.8305) < 0.01
 
 
 def test_bright_dark_structure():

@@ -26,7 +26,7 @@ from nvbeat.dynamics import (
     propagate,
 )
 from nvbeat.estimation import (FitParams, ScanDataset, ScanPoint, find_single_transition_axis,
-                               fit_hyperfine)
+                               fit_hyperfine, synthesize_dataset)
 from nvbeat.spin_core import FieldOrientation, HyperfineTensor, SystemParams, eigensystem
 from nvbeat.tensor_geometry import principal_sigmas
 
@@ -106,6 +106,18 @@ def test_entry_check_raises_its_message(name):
     call, message = CHECKS[name]
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("ripple", [(0.1, 0.0, 0.0), (float("nan"), 120.0, 0.0),
+                                    (0.1, float("nan"), 0.0), (0.1, 120.0, float("inf")),
+                                    (0.1, float("inf"), 0.0)])
+def test_synthesis_refuses_a_ripple_it_cannot_apply(ripple):
+    # a zero period divides by zero, a nan blames b, an inf period gives a
+    # constant offset: the ripple is refused by its own name first
+    message = ("field_imperfection (amplitude, period, phase) must be finite with a nonzero "
+               "period, got (%r, %r, %r)" % ripple)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        synthesize_dataset(SYS, 40.3, [(40.0, 30.0, "zq_frequency")], field_imperfection=ripple)
 
 
 @pytest.mark.parametrize("at_sta", [[], ["--at-sta"]])

@@ -554,12 +554,13 @@ def test_stationary_stop_is_certified():
 
 def test_pass_budget():
     # a guard on the fit's pass count: these ten fits took 533 passes before
-    # the q chart and the stationary stop, 429 with them, and 352 with the
-    # gain ratio of the velocity alone and acceleration on every valley step;
+    # the q chart and the stationary stop, 429 with them, 352 with the
+    # gain ratio of the velocity alone and acceleration on every valley step,
+    # and 336 since the fit's one field rule moved their last bits;
     # a change that gives up that gain fails here, not only in the benchmark.
     # A change that cuts passes further records its own count
     total = sum(r.n_iterations for _, _, r in a6_fits())
-    assert abs(total - 352) <= 0.05 * 352, total
+    assert abs(total - 336) <= 0.05 * 336, total
 
 
 def test_rejected_pass_count():

@@ -19,9 +19,6 @@ USERS = ("bench/workloads.py", "bench/spans.py", "tests/test_acceptance.py")
 MAIN_GUARD = "__name__ == '__main__'"  # as ast.unparse writes it
 # public names kept without a user, each for a stated reason
 ALLOWED = {
-    "delta_second_order_sum": "keeps gamma_n B; the weak-coupling closed form "
-    "(ROADMAP item 6) is to be built on it",
-    "effective_couplings": "the couplings a fit that explains itself reports (ROADMAP item 4)",
     "principal_sigmas": "the fit's principal-frame sigmas (ROADMAP item 5)",
 }
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from nvbeat import spin_core
-from nvbeat.analytic import delta_second_order_sum
 from nvbeat.estimation import model_values
 from nvbeat.spin_core import (
     DRIVE_SX,
@@ -189,26 +188,21 @@ def test_nuclear_excited_states():
 
 
 def test_ground_zeeman_states():
-    bp, bm = zeeman_states(0.0, 0.0)
-    assert abs(abs(bp[0]) - 1.0) < 1e-12 and abs(abs(bm[1]) - 1.0) < 1e-12
+    bp = zeeman_states(0.0, 0.0)
+    assert abs(abs(bp[0]) - 1.0) < 1e-12 and abs(bp[1]) < 1e-12
 
-    bp, bm = zeeman_states(90.0, 0.0)
+    bp = zeeman_states(90.0, 0.0)
     assert np.allclose(np.abs(bp), [1 / math.sqrt(2)] * 2, atol=1e-12)
-    assert abs(np.vdot(bp, bm)) < 1e-12
-
-    # at b = 0 the field gives no Zeeman axis for the adapted basis to read
-    with pytest.raises(ValueError, match=r"^Zeeman axis undefined \(b = 0\)$"):
-        delta_second_order_sum(SYS, FieldOrientation(0.0, 10.0, 0.0))
 
     # theta and phi broadcast: a row of thetas at one phi, or a column of
     # thetas against a row of phis, holds the per-element calls bit for bit
     for theta, phi in ((np.array([10.0, 20.0]), 0.0), (np.array([[10.0], [20.0]]), [0.0, 30.0])):
         got = zeeman_states(theta, phi)
         grid = np.broadcast_arrays(theta, phi)
-        assert got[0].shape == got[1].shape == grid[0].shape + (2,)
+        assert got.shape == grid[0].shape + (2,)
         for idx in np.ndindex(grid[0].shape):
             want = zeeman_states(float(grid[0][idx]), float(grid[1][idx]))
-            assert [g[idx].tobytes() for g in got] == [w.tobytes() for w in want]
+            assert got[idx].tobytes() == want.tobytes()
 
 
 def test_lambda_amplitudes():
@@ -754,7 +748,7 @@ def _lambda_rows(cases, tensor):
     states = vectors.mT[n[:, None], order[:, 2:]]
     theta, phi = np.array([(f.theta, f.phi) for _, f in cases]).T
     alpha_minus, axis_code = tensor._alpha_minus
-    overlap = lambda_overlaps(states, zeeman_states(theta, phi)[0], alpha_minus)
+    overlap = lambda_overlaps(states, zeeman_states(theta, phi), alpha_minus)
     purity = np.array([eig._purity for eig, _ in cases])  # from each labelling pass
     rows = [lambda_rule(o, p, axis_code) for o, p in zip(overlap.tolist(), purity.tolist())]
     reason, e, g = np.array(rows, dtype=int).T
@@ -779,20 +773,20 @@ def test_batched_kernels_take_empty_stacks():
     # n = 0 rows in, n = 0 rows out, with the dtypes of a full stack
     none = np.array([])
     bvec = unit_vectors(none, none)
-    beta_plus, beta_minus = zeeman_states(none, none)
+    beta_plus = zeeman_states(none, none)
     h = hamiltonians(SYS, bvec)
     values, vectors, labels, reason, order, over = eigensystems(h)
     states, purity, main = spin_core._records(vectors, order, over)
     overlap = lambda_overlaps(states, beta_plus, REF._alpha_minus[0])
     drives = line_drives(states[:, :2], states[:, 2:3])
     legs = lambda_legs(SYS, 40.3, none, none)
-    got = [bvec, beta_plus, beta_minus, h, hamiltonians(SYS, bvec, np.zeros((0, 4))), values,
-           vectors, labels, reason, over, *label_manifolds(over), order, states, overlap,
-           purity, main, drives, *legs, model_values(SYS, []), zeeman_states(none, none, False)]
-    shapes = [(0, 3), (0, 2), (0, 2), (0, 6, 6), (0, 6, 6), (0, 6), (0, 6, 6), (0, 6), (0,),
+    got = [bvec, beta_plus, h, hamiltonians(SYS, bvec, np.zeros((0, 4))), values, vectors,
+           labels, reason, over, *label_manifolds(over), order, states, overlap, purity, main,
+           drives, *legs, model_values(SYS, [])]
+    shapes = [(0, 3), (0, 2), (0, 6, 6), (0, 6, 6), (0, 6), (0, 6, 6), (0, 6), (0,),
               (0, 6, 3), (0, 6), (0,), (0, 6), (0, 6), (0, 4, 6), (0, 4), (0, 2), (0, 2, 2),
-              (0, 2), (0,), (0,), (0,), (0,), (0, 2)]
-    kinds = "fccccfciifiiiicfffcffbfc"
+              (0, 2), (0,), (0,), (0,), (0,)]
+    kinds = "fcccfciifiiiicfffcffbf"
     assert [a.shape for a in got] == shapes
     assert "".join(a.dtype.kind for a in got) == kinds
 

@@ -5,9 +5,11 @@
 Run from the repository root. A line tracer (``sys.settrace``) on the
 modules under src/nvbeat runs, in this one process, the Tier-1 suite and
 then one unit of each benchmark workload at seed 101, every CLI command of
-the session through ``nvbeat.cli.main``. It prints one line per module with
-unrun statements, ``module.py: [line, ...]``, by each statement's first line;
-docstrings are not statements here. Subprocesses are not followed.
+the session through ``nvbeat.cli.main``, and last the CLI's ``__main__``
+body (``nvbeat principal``). It prints one line per module with unrun
+statements, ``module.py: [line, ...]``, by each statement's first line;
+docstrings are not statements here. Subprocesses are not followed. It exits
+1 when it prints a module line, else 0.
 """
 
 import ast
@@ -15,6 +17,7 @@ import collections
 import contextlib
 import io
 import os
+import runpy
 import sys
 import tempfile
 import types
@@ -78,14 +81,21 @@ def main():
             for op in workloads.run_unit(wl, 0):
                 if not op.ok:
                     print("%s %s failed: %s" % (name, op.name, op.detail), file=sys.stderr)
+    sys.modules.pop("nvbeat.cli")  # runpy warns about a module it finds loaded
+    sys.argv = ["nvbeat", "principal"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        runpy.run_module("nvbeat.cli", run_name="__main__")
     sys.settrace(None)
+    code = 0
     for module in sorted(os.listdir(SRC)):
         path = os.path.join(SRC, module)
         if module.endswith(".py"):
             unrun = sorted(k for k, lines in _heads(path) if HITS[path].isdisjoint(lines))
             if unrun:
                 print("%s: %s" % (module, unrun))
+                code = 1
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
